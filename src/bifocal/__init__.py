@@ -13,7 +13,6 @@ from .langid import (
     NgramLangModel,
     NgramLanguageScorer,
     RuleLanguageScorer,
-    lang_probability,
     ngram_features,
     ngram_predict,
     ngram_train,
@@ -27,7 +26,6 @@ from .pairscore import (
     baseline_align,
     build_language_tokens,
     pair_features,
-    pair_probability,
     pair_train,
     resolve_one_to_one,
 )
@@ -59,7 +57,6 @@ from .crawler import (
     SiteGraph,
     build_seed_list,
     crawl_live,
-    detect_content_language,
     score_links,
     simulate,
 )

@@ -10,84 +10,59 @@ uses randomness accepts ``--seed``; flags override config-file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-from dataclasses import dataclass
+import typing
 
 from . import crawler, datasets, langid, metrics, pairscore
 from .errors import BifocalError, ConfigError, UnknownLanguage
 from .urls import normalize_url
 
 # ---------------------------------------------------------------------------
-# Config file: flat `key = value` lines, '#' comments, typed values.
+# Config file: flat `key = value` lines, '#' comments, typed values.  The keys
+# are the fields of crawler.CrawlConfig, except that the seeds come from a
+# file, plus the simulator's site graph.
 
 _PATH_KEYS = {"seeds_file", "lang_model_path", "pair_model_path", "graph"}
 
-_CONFIG_SCHEMA: dict[str, type] = {
-    "lang_a": str,
-    "lang_b": str,
-    "seeds_file": str,
-    "graph": str,
-    "budget": int,
-    "per_host_delay_ms": int,
-    "max_depth": int,
-    "seed": int,
-    "lang_scorer": str,
-    "pair_scorer": str,
-    "lang_model_path": str,
-    "pair_model_path": str,
-    "user_agent": str,
-}
+
+def _config_types() -> dict[str, type]:
+    types = {}
+    for key, hint in typing.get_type_hints(crawler.CrawlConfig).items():
+        # `int | None` and the like: the value's type is the non-None member.
+        types[key] = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    del types["seeds"]
+    return {**types, "seeds_file": str, "graph": str}
 
 
-@dataclass
-class ToolConfig:
-    lang_a: str | None = None
-    lang_b: str | None = None
-    seeds_file: str | None = None
-    graph: str | None = None
-    budget: int | None = None
-    per_host_delay_ms: int | None = None
-    max_depth: int | None = None
-    seed: int | None = None
-    lang_scorer: str | None = None
-    pair_scorer: str | None = None
-    lang_model_path: str | None = None
-    pair_model_path: str | None = None
-    user_agent: str | None = None
+_CONFIG_TYPES = _config_types()
 
-    def override(self, **values) -> "ToolConfig":
-        for key, value in values.items():
-            if value is not None:
-                setattr(self, key, value)
-        return self
+# The CrawlConfig fields without a default, with the seeds named by their file.
+_REQUIRED_KEYS = [
+    "seeds_file" if f.name == "seeds" else f.name
+    for f in dataclasses.fields(crawler.CrawlConfig)
+    if f.default is dataclasses.MISSING
+]
 
 
 def _parse_value(key: str, text: str):
-    expected = _CONFIG_SCHEMA[key]
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        value = text[1:-1]
-    elif text in ("true", "false"):
-        value = text == "true"
-    else:
-        value = text
-    if expected is int:
+    value = text[1:-1] if len(text) >= 2 and text[0] == text[-1] == '"' else text
+    if _CONFIG_TYPES[key] is int:
         try:
             return int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"key {key!r} needs an integer, got {text!r}")
-    if not isinstance(value, str):
-        raise ConfigError(f"key {key!r} needs a string, got {text!r}")
+        except ValueError:
+            raise ConfigError(f"key {key!r} needs an integer, got {text!r}") from None
     return value
 
 
-def load_config(path) -> ToolConfig:
-    """Parse a flat typed config file.
+def load_config(path) -> dict:
+    """Parse a flat typed config file into the key -> value pairs it sets.
 
     Raises:
         ConfigError: unknown key, wrong type, or a referenced file missing.
     """
-    cfg = ToolConfig()
+    cfg = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -98,36 +73,34 @@ def load_config(path) -> ToolConfig:
             value = value.strip()
             if not sep or not key or not value:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            if key not in _CONFIG_SCHEMA:
+            if key not in _CONFIG_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            setattr(cfg, key, _parse_value(key, value))
+            cfg[key] = _parse_value(key, value)
     base = os.path.dirname(os.path.abspath(path))
-    for key in _PATH_KEYS:
-        value = getattr(cfg, key)
-        if value is not None:
-            resolved = value if os.path.isabs(value) else os.path.join(base, value)
-            if not os.path.exists(resolved):
-                raise ConfigError(f"config key {key!r} points to missing file {value!r}")
-            setattr(cfg, key, resolved)
+    for key in _PATH_KEYS & cfg.keys():
+        value = cfg[key]
+        resolved = value if os.path.isabs(value) else os.path.join(base, value)
+        if not os.path.exists(resolved):
+            raise ConfigError(f"config key {key!r} points to missing file {value!r}")
+        cfg[key] = resolved
     return cfg
 
 
-def _crawl_config(cfg: ToolConfig) -> crawler.CrawlConfig:
-    missing = [k for k in ("lang_a", "lang_b", "seeds_file", "budget") if getattr(cfg, k) is None]
+def _crawl_config(path, **flags) -> "tuple[crawler.CrawlConfig, str | None]":
+    """The config file at ``path`` with the given flags over it, and its graph.
+
+    Flags left unset (``None``) keep the file's value.
+    """
+    cfg = load_config(path)
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
+    missing = [key for key in _REQUIRED_KEYS if key not in cfg]
     if missing:
         raise ConfigError(f"config is missing required keys: {', '.join(missing)}")
-    with open(cfg.seeds_file, "r", encoding="utf-8") as handle:
+    graph = cfg.pop("graph", None)
+    with open(cfg.pop("seeds_file"), "r", encoding="utf-8") as handle:
         seeds = tuple(line.strip() for line in handle if line.strip())
-    kwargs = {}
-    for key in ("per_host_delay_ms", "max_depth", "seed", "lang_scorer", "pair_scorer",
-                "lang_model_path", "pair_model_path", "user_agent"):
-        value = getattr(cfg, key)
-        if value is not None:
-            kwargs[key] = value
     try:
-        return crawler.CrawlConfig(
-            lang_a=cfg.lang_a, lang_b=cfg.lang_b, seeds=seeds, budget=cfg.budget, **kwargs
-        )
+        return crawler.CrawlConfig(seeds=seeds, **cfg), graph
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -200,7 +173,7 @@ def _hyperparams(args) -> langid.NgramHyperparams:
 
 
 def _cmd_langid_train(args) -> int:
-    data = langid.load_labeled_urls(args.data)
+    data = datasets.read_labeled_urls(args.data)
     model = langid.ngram_train(data, _hyperparams(args), seed=args.seed)
     langid.save_model(model, args.model)
     print(f"trained on {len(data)} urls, labels: {' '.join(model.labels)}")
@@ -222,7 +195,7 @@ def _cmd_langid_predict(args) -> int:
 
 def _cmd_langid_eval(args) -> int:
     model = langid.load_model(args.model)
-    data = langid.load_labeled_urls(args.data)
+    data = datasets.read_labeled_urls(args.data)
     known = set(model.labels)
     for url, lang in data:
         if lang not in known:
@@ -244,16 +217,6 @@ def _cmd_langid_eval(args) -> int:
     return 0
 
 
-def _pair_scorer_from_args(args):
-    if args.scorer == "baseline":
-        return pairscore.BaselinePairScorer()
-    if args.scorer == "model":
-        if not args.model:
-            raise ConfigError("--scorer model needs --model")
-        return pairscore.FeaturePairScorer(pairscore.load_pair_model(args.model))
-    raise ConfigError(f"unknown scorer {args.scorer!r}")
-
-
 def _cmd_pairscore_train(args) -> int:
     data = datasets.read_labeled_pairs(args.data)
     model = pairscore.pair_train(data, seed=args.seed)
@@ -263,7 +226,7 @@ def _cmd_pairscore_train(args) -> int:
 
 
 def _cmd_pairscore_score(args) -> int:
-    scorer = _pair_scorer_from_args(args)
+    scorer = crawler.build_pair_scorer(args)
     if args.url_a and args.url_b:
         rows = [(args.url_a, args.url_b)]
     else:
@@ -278,7 +241,7 @@ def _cmd_pairscore_score(args) -> int:
 
 
 def _cmd_pairscore_align(args) -> int:
-    scorer = _pair_scorer_from_args(args)
+    scorer = crawler.build_pair_scorer(args)
     left = list(_iter_lines(args.left, []))
     right = list(_iter_lines(args.right, []))
     scores = {
@@ -292,7 +255,7 @@ def _cmd_pairscore_align(args) -> int:
 
 
 def _cmd_pairscore_eval(args) -> int:
-    scorer = _pair_scorer_from_args(args)
+    scorer = crawler.build_pair_scorer(args)
     data = datasets.read_labeled_pairs(args.data)
     gold = [rec.label for rec in data]
     predicted = [
@@ -358,7 +321,7 @@ def _cmd_cv_combos(args) -> int:
     positives = [p for p in datasets.read_labeled_pairs(args.pairs) if p.label == "positive"]
     with open(args.links, "r", encoding="utf-8") as handle:
         link_map = {url: tuple(links) for url, links in json.load(handle).items()}
-    lang_map = dict(langid.load_labeled_urls(args.url_langs))
+    lang_map = dict(datasets.read_labeled_urls(args.url_langs))
     lang_a, _, lang_b = args.langs.partition(",")
     results = datasets.cross_validate_combos(
         positives, link_map, lang_map, {lang_a, lang_b}, k=args.folds, seed=args.seed
@@ -390,14 +353,14 @@ def _cmd_seeds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    cfg.override(seed=args.seed, budget=args.budget,
-                 lang_scorer=args.lang_scorer, pair_scorer=args.pair_scorer)
-    graph_path = args.graph or cfg.graph
+    crawl_cfg, config_graph = _crawl_config(
+        args.config, seed=args.seed, budget=args.budget,
+        lang_scorer=args.lang_scorer, pair_scorer=args.pair_scorer,
+    )
+    graph_path = args.graph or config_graph
     if not graph_path:
         raise ConfigError("simulate needs --graph or a 'graph' config key")
     graph = crawler.SiteGraph.load(graph_path)
-    crawl_cfg = _crawl_config(cfg)
     log = crawler.simulate(graph, crawl_cfg)
     log.to_tsv(args.log)
     if args.report:
@@ -412,9 +375,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_crawl(args) -> int:
-    cfg = load_config(args.config)
-    cfg.override(seed=args.seed, budget=args.budget)
-    crawl_cfg = _crawl_config(cfg)
+    crawl_cfg, _ = _crawl_config(args.config, seed=args.seed, budget=args.budget)
     log = crawler.crawl_live(crawl_cfg)
     log.to_tsv(args.log)
     print(f"fetch events: {len(log)}")
@@ -482,8 +443,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pairscore_train)
 
     p = pair_sub.add_parser("score", help="score URL pairs")
-    p.add_argument("--scorer", default="baseline", choices=("baseline", "model"))
-    p.add_argument("--model")
+    p.add_argument("--scorer", dest="pair_scorer", default="baseline",
+                   choices=("baseline", "model"))
+    p.add_argument("--model", dest="pair_model_path")
     p.add_argument("--pairs", help="TSV url_a<TAB>url_b")
     p.add_argument("--url-a")
     p.add_argument("--url-b")
@@ -492,8 +454,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pairscore_score)
 
     p = pair_sub.add_parser("align", help="1-to-1 alignment of two URL lists")
-    p.add_argument("--scorer", default="baseline", choices=("baseline", "model"))
-    p.add_argument("--model")
+    p.add_argument("--scorer", dest="pair_scorer", default="baseline",
+                   choices=("baseline", "model"))
+    p.add_argument("--model", dest="pair_model_path")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--lang-a")
@@ -501,8 +464,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pairscore_align)
 
     p = pair_sub.add_parser("eval", help="classification metrics on labeled pairs")
-    p.add_argument("--scorer", default="baseline", choices=("baseline", "model"))
-    p.add_argument("--model")
+    p.add_argument("--scorer", dest="pair_scorer", default="baseline",
+                   choices=("baseline", "model"))
+    p.add_argument("--model", dest="pair_model_path")
     p.add_argument("--data", required=True)
     p.set_defaults(func=_cmd_pairscore_eval)
 

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from importlib import resources
 from urllib.parse import urljoin
 
+from . import external, langid, pairscore
 from .errors import (
     BifocalError,
+    ConfigError,
     DetectorUnavailable,
     FetchFailed,
     FrontierEmpty,
@@ -32,8 +34,6 @@ from .errors import (
 )
 from .frontier import SEED, Frontier
 from .isodata import UNKNOWN_LANG
-from .langid import lang_probability
-from .pairscore import pair_probability
 from .urls import parse_components
 
 logger = logging.getLogger(__name__)
@@ -279,11 +279,6 @@ class ExternalProcessDetector:
         return code or UNKNOWN_LANG
 
 
-def detect_content_language(content: bytes, detector, hint: str | None = None) -> str:
-    """Run the pluggable detector on raw document bytes."""
-    return detector.detect(content, hint=hint)
-
-
 # ---------------------------------------------------------------------------
 # Fetchers
 
@@ -427,42 +422,53 @@ class UniformPairScorer:
         return 1.0
 
 
-def build_lang_scorer(cfg: CrawlConfig):
-    from .langid import NgramLanguageScorer, RuleLanguageScorer, load_model
+def _external_client(spec: str) -> external.ScorerClient:
+    host, _, port = spec.removeprefix("external:").partition(":")
+    try:
+        port_number = int(port)
+    except ValueError:
+        raise ConfigError(f"scorer {spec!r} needs an integer port: external:HOST:PORT") from None
+    return external.ScorerClient.connect_tcp(host, port_number)
 
+
+def build_lang_scorer(cfg):
+    """The language scorer that ``cfg.lang_scorer`` names.
+
+    Raises:
+        ConfigError: unknown name, ``ngram`` without ``lang_model_path``, or an
+            ``external:HOST:PORT`` whose port is not an integer.
+    """
     if cfg.lang_scorer == "rule":
-        return RuleLanguageScorer()
+        return langid.RuleLanguageScorer()
     if cfg.lang_scorer == "ngram":
         if not cfg.lang_model_path:
-            raise ValueError("lang_scorer 'ngram' needs lang_model_path")
-        return NgramLanguageScorer(load_model(cfg.lang_model_path))
+            raise ConfigError("lang_scorer 'ngram' needs lang_model_path")
+        return langid.NgramLanguageScorer(langid.load_model(cfg.lang_model_path))
     if cfg.lang_scorer == "uniform":
         return UniformLanguageScorer()
     if cfg.lang_scorer.startswith("external:"):
-        from .external import ExternalLanguageScorer, ScorerClient
-
-        host, _, port = cfg.lang_scorer.removeprefix("external:").partition(":")
-        return ExternalLanguageScorer(ScorerClient.connect_tcp(host, int(port)))
-    raise ValueError(f"unknown language scorer {cfg.lang_scorer!r}")
+        return external.ExternalLanguageScorer(_external_client(cfg.lang_scorer))
+    raise ConfigError(f"unknown language scorer {cfg.lang_scorer!r}")
 
 
-def build_pair_scorer(cfg: CrawlConfig):
-    from .pairscore import BaselinePairScorer, FeaturePairScorer, load_pair_model
+def build_pair_scorer(cfg):
+    """The pair scorer that ``cfg.pair_scorer`` names.
 
+    Raises:
+        ConfigError: unknown name, ``model`` without ``pair_model_path``, or an
+            ``external:HOST:PORT`` whose port is not an integer.
+    """
     if cfg.pair_scorer == "baseline":
-        return BaselinePairScorer()
+        return pairscore.BaselinePairScorer()
     if cfg.pair_scorer == "model":
         if not cfg.pair_model_path:
-            raise ValueError("pair_scorer 'model' needs pair_model_path")
-        return FeaturePairScorer(load_pair_model(cfg.pair_model_path))
+            raise ConfigError("pair_scorer 'model' needs pair_model_path")
+        return pairscore.FeaturePairScorer(pairscore.load_pair_model(cfg.pair_model_path))
     if cfg.pair_scorer == "uniform":
         return UniformPairScorer()
     if cfg.pair_scorer.startswith("external:"):
-        from .external import ExternalPairScorer, ScorerClient
-
-        host, _, port = cfg.pair_scorer.removeprefix("external:").partition(":")
-        return ExternalPairScorer(ScorerClient.connect_tcp(host, int(port)))
-    raise ValueError(f"unknown pair scorer {cfg.pair_scorer!r}")
+        return external.ExternalPairScorer(_external_client(cfg.pair_scorer))
+    raise ConfigError(f"unknown pair scorer {cfg.pair_scorer!r}")
 
 
 def score_links(url: str, lang_u: str, links, cfg: CrawlConfig, lang_scorer, pair_scorer):
@@ -475,8 +481,8 @@ def score_links(url: str, lang_u: str, links, cfg: CrawlConfig, lang_scorer, pai
     scored = []
     for link in links:
         try:
-            p_lang = lang_probability(lang_scorer, link, target)
-            p_pair = pair_probability(pair_scorer, url, link, lang_u, target)
+            p_lang = lang_scorer.probability(link, target)
+            p_pair = pair_scorer.probability(url, link, lang_u, target)
             priority = p_lang * p_pair
         except BifocalError as exc:
             logger.warning("scoring %s failed (%s); priority 0", link, exc)
@@ -489,14 +495,12 @@ def score_links(url: str, lang_u: str, links, cfg: CrawlConfig, lang_scorer, pai
 # Crawl loop
 
 class CrawlState:
-    def __init__(self, cfg: CrawlConfig, fetcher, detector, lang_scorer, pair_scorer,
-                 politeness: PolitenessGate | None = None):
+    def __init__(self, cfg: CrawlConfig, fetcher, detector, lang_scorer, pair_scorer):
         self.cfg = cfg
         self.fetcher = fetcher
         self.detector = detector
         self.lang_scorer = lang_scorer
         self.pair_scorer = pair_scorer
-        self.politeness = politeness
         self.frontier = Frontier()
         self.events: list[CrawlEvent] = []
         self.fetches = 0
@@ -515,8 +519,6 @@ def crawl_step(state: CrawlState) -> CrawlEvent:
     entry = state.frontier.pop_max()
     state.fetches += 1
     seq = state.fetches
-    if state.politeness is not None:
-        state.politeness.wait(entry.url)
     try:
         result = state.fetcher.fetch(entry.url)
     except FetchFailed as exc:

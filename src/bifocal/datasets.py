@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadCap, TooFewDomains
 from .isodata import UNKNOWN_LANG
@@ -18,15 +19,16 @@ from .metrics import confusion_matrix, prf
 from .urls import jaccard, normalize_url, parse_components, segment_text
 
 
-@dataclass(frozen=True)
-class LabeledUrl:
+class LabeledUrl(NamedTuple):
+    """One ``url<TAB>lang`` record; unpacks as ``(url, lang)``."""
+
     url: str
     lang: str
-    domain: str
 
-    @classmethod
-    def build(cls, url: str, lang: str) -> "LabeledUrl":
-        return cls(url=url, lang=lang, domain=parse_components(url).registrable_domain)
+    @property
+    def domain(self) -> str:
+        """Registrable domain, parsed when asked for: only domain splits need it."""
+        return parse_components(self.url).registrable_domain
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ def read_labeled_urls(path) -> "list[LabeledUrl]":
             if not line:
                 continue
             url, _, lang = line.partition("\t")
-            out.append(LabeledUrl.build(url, lang))
+            out.append(LabeledUrl(url, lang))
     return out
 
 
@@ -401,12 +403,6 @@ DEFAULT_STRATEGIES: tuple[tuple[str, str], ...] = (
     ("random_match", "mono"),
     ("max_jaccard", "mono"),
 )
-
-# Split-ratio presets; pick one with the CLI's --ratios or use your own.
-SPLIT_PRESETS: dict[str, tuple[float, ...]] = {
-    "train-dev": (0.6, 0.4),
-    "train-dev-test": (0.8, 0.1, 0.1),
-}
 
 
 def generate_negatives(pairs, strategies, seed: int = 0):

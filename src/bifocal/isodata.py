@@ -51,10 +51,6 @@ class LanguageTable:
     def codes(self) -> tuple[str, ...]:
         return tuple(sorted(self.records))
 
-    def is_valid_label(self, code: str) -> bool:
-        """True for canonical codes and the unknown marker."""
-        return code == UNKNOWN_LANG or code in self.records
-
 
 def _parse_table(text: str) -> LanguageTable:
     records = []

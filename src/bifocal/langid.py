@@ -129,6 +129,20 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _forward_backward(emb: np.ndarray, weights: np.ndarray, ids: np.ndarray, y: int):
+    """Cross-entropy of one example and its gradients.
+
+    Returns ``(loss, hidden, dz, weights @ dz)``: the loss, the mean embedding,
+    the gradient with respect to the logits and the one with respect to
+    ``hidden``.
+    """
+    hidden = emb[ids].mean(axis=0)
+    dz = _softmax(hidden @ weights)
+    loss = -float(np.log(max(dz[y], 1e-300)))
+    dz[y] -= 1.0
+    return loss, hidden, dz, weights @ dz
+
+
 def ngram_train(
     data,
     hp: NgramHyperparams | None = None,
@@ -181,13 +195,9 @@ def ngram_train(
             step += 1
             if ids.size == 0:
                 continue
-            hidden = emb[ids].mean(axis=0)
-            probs = _softmax(hidden @ weights)
-            epoch_loss += -float(np.log(max(probs[y], 1e-300)))
+            loss, hidden, dz, grad_hidden = _forward_backward(emb, weights, ids, y)
+            epoch_loss += loss
             seen += 1
-            dz = probs
-            dz[y] -= 1.0
-            grad_hidden = weights @ dz
             weights -= lr * np.outer(hidden, dz)
             np.add.at(emb, ids, -lr * grad_hidden / ids.size)
         losses.append(epoch_loss / max(seen, 1))
@@ -222,14 +232,13 @@ def loss_and_gradients(model: NgramLangModel, batch) -> "tuple[float, np.ndarray
         ids = model.feature_ids(url)
         if ids.size == 0:
             continue
-        hidden = model.embeddings[ids].mean(axis=0)
-        probs = _softmax(hidden @ model.output_weights)
-        total += -float(np.log(max(probs[y], 1e-300)))
+        loss, hidden, dz, grad_hidden = _forward_backward(
+            model.embeddings, model.output_weights, ids, y
+        )
+        total += loss
         count += 1
-        dz = probs.copy()
-        dz[y] -= 1.0
         grad_w += np.outer(hidden, dz)
-        np.add.at(grad_emb, ids, (model.output_weights @ dz) / ids.size)
+        np.add.at(grad_emb, ids, grad_hidden / ids.size)
     if count == 0:
         return 0.0, grad_emb, grad_w
     return total / count, grad_emb / count, grad_w / count
@@ -304,19 +313,6 @@ def load_model(path) -> NgramLangModel:
         return model_from_bytes(handle.read())
 
 
-def load_labeled_urls(path) -> "list[tuple[str, str]]":
-    """Read ``url<TAB>lang`` training data, one record per line."""
-    out = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            url, _, lang = line.partition("\t")
-            out.append((url, lang))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Scorers
 
@@ -354,8 +350,3 @@ class NgramLanguageScorer:
 
     def probability(self, url: str, target: str) -> float:
         return self.distribution(url).get(target, 0.0)
-
-
-def lang_probability(scorer, url: str, target: str) -> float:
-    """Probability that the document behind ``url`` is in ``target``."""
-    return scorer.probability(url, target)

@@ -336,11 +336,6 @@ class FeaturePairScorer:
         return self.model.probability(pair_feature_vector(url_a, url_b, lang_a, lang_b))
 
 
-def pair_probability(scorer, url_a: str, url_b: str, lang_a: str | None = None, lang_b: str | None = None) -> float:
-    """Probability that ``url_a`` and ``url_b`` link parallel documents."""
-    return scorer.probability(url_a, url_b, lang_a, lang_b)
-
-
 def resolve_one_to_one(scores: "dict[tuple[str, str], float]") -> "set[tuple[str, str]]":
     """Greedy 1-to-1 alignment: descending score, ties by lexicographic pair.
 

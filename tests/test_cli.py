@@ -60,7 +60,7 @@ def test_load_config_minimal(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text(f'lang_a = "eng"\nlang_b = "fra"\nseeds_file = "{seeds}"\nbudget = 10\n')
     cfg = load_config(path)
-    assert cfg.lang_a == "eng" and cfg.budget == 10
+    assert cfg["lang_a"] == "eng" and cfg["budget"] == 10
 
 
 def test_config_unknown_key(tmp_path):
@@ -73,6 +73,13 @@ def test_config_unknown_key(tmp_path):
 def test_config_type_error(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text('budget = "lots"\n')
+    with pytest.raises(ConfigError, match="budget"):
+        load_config(path)
+
+
+def test_config_boolean_is_not_an_integer(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("budget = true\n")
     with pytest.raises(ConfigError, match="budget"):
         load_config(path)
 
@@ -94,6 +101,21 @@ def test_config_missing_lang_b_fails_simulate(sim_setup, tmp_path):
         "--log", str(tmp / "log.tsv"),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lang-scorer", "no-such-scorer"],
+    ["--pair-scorer", "model"],  # and no pair_model_path
+    ["--lang-scorer", "external:localhost:port"],
+])
+def test_bad_scorer_choice_is_a_config_error(sim_setup, capsys, flags):
+    tmp, graph_path, config_path = sim_setup
+    code = dispatch([
+        "simulate", "--graph", str(graph_path), "--config", str(config_path),
+        "--log", str(tmp / "log.tsv"), *flags,
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_flag_overrides_config(sim_setup):
@@ -242,7 +264,7 @@ def test_pairscore_align_command(tmp_path, capsys):
 
 def test_splits_command(tmp_path, capsys):
     corpus = [
-        LabeledUrl.build(f"https://d{i}.com/p{j}", "eng")
+        LabeledUrl(f"https://d{i}.com/p{j}", "eng")
         for i in range(8)
         for j in range(5)
     ]

@@ -19,7 +19,6 @@ from bifocal.crawler import (
     UniformPairScorer,
     build_seed_list,
     crawl_step,
-    detect_content_language,
     extract_links,
     score_links,
     simulate,
@@ -305,8 +304,8 @@ def test_crawl_log_tsv_round_trip(tmp_path):
 
 def test_detector_ground_truth_and_empty():
     detector = GroundTruthDetector()
-    assert detect_content_language(b"", detector, hint="fra") == "fra"
-    assert detect_content_language(b"", detector) == "unk"
+    assert detector.detect(b"", hint="fra") == "fra"
+    assert detector.detect(b"") == "unk"
 
 
 def test_stopword_detector_self_consistency():

@@ -33,7 +33,7 @@ def _corpus(groups):
     out = []
     for domain, lang, count in groups:
         for i in range(count):
-            out.append(LabeledUrl.build(f"https://{domain}/{lang}/{i}", lang))
+            out.append(LabeledUrl(f"https://{domain}/{lang}/{i}", lang))
     return out
 
 

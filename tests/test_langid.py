@@ -7,7 +7,6 @@ from bifocal.langid import (
     NgramLanguageScorer,
     RuleLanguageScorer,
     fnv1a64,
-    lang_probability,
     load_model,
     loss_and_gradients,
     model_from_bytes,
@@ -233,17 +232,17 @@ def test_model_bytes_reject_bad_magic(toy_model):
 
 
 # ---------------------------------------------------------------------------
-# lang_probability
+# Scorer probability
 
 def test_lang_probability_rule():
     scorer = RuleLanguageScorer()
-    assert lang_probability(scorer, "https://x.com/p?lang=fr", "fra") == 1.0
-    assert lang_probability(scorer, "https://x.com/p?lang=fr", "deu") == 0.0
-    assert lang_probability(scorer, "https://x.com/none", "fra") == 0.0  # unk maps to 0
-    assert lang_probability(scorer, "/de/seite", "deu") == 0.0  # hostless: unk
+    assert scorer.probability("https://x.com/p?lang=fr", "fra") == 1.0
+    assert scorer.probability("https://x.com/p?lang=fr", "deu") == 0.0
+    assert scorer.probability("https://x.com/none", "fra") == 0.0  # unk maps to 0
+    assert scorer.probability("/de/seite", "deu") == 0.0  # hostless: unk
 
 
 def test_lang_probability_ngram(toy_model):
     scorer = NgramLanguageScorer(toy_model)
-    assert lang_probability(scorer, "https://any.com/de/seite", "deu") >= 0.5
-    assert lang_probability(scorer, "https://any.com/de/seite", "zzz") == 0.0
+    assert scorer.probability("https://any.com/de/seite", "deu") >= 0.5
+    assert scorer.probability("https://any.com/de/seite", "zzz") == 0.0

@@ -15,7 +15,6 @@ from bifocal.pairscore import (
     load_pair_model,
     pair_feature_vector,
     pair_features,
-    pair_probability,
     pair_train,
     resolve_one_to_one,
     save_pair_model,
@@ -211,21 +210,21 @@ def test_pair_model_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# pair_probability
+# Scorer probability
 
 def test_pair_probability_baseline():
     scorer = BaselinePairScorer()
-    assert pair_probability(scorer, "https://www.un.org/en/", "https://www.un.org/fr/",
-                            "eng", "fra") == 1.0
+    assert scorer.probability("https://www.un.org/en/", "https://www.un.org/fr/",
+                              "eng", "fra") == 1.0
     url = "https://www.un.org/en/"
-    assert pair_probability(scorer, url, url, "eng", "fra") == 0.0
+    assert scorer.probability(url, url, "eng", "fra") == 0.0
 
 
 def test_pair_probability_model_positive():
     data = _toy_labeled_pairs()
     scorer = FeaturePairScorer(pair_train(data, seed=0))
-    prob = pair_probability(scorer, "https://fresh.com/en/story-9", "https://fresh.com/fr/story-9",
-                            "eng", "fra")
+    prob = scorer.probability("https://fresh.com/en/story-9", "https://fresh.com/fr/story-9",
+                              "eng", "fra")
     assert prob > 0.5
 
 
