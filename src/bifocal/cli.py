@@ -4,8 +4,9 @@ One binary, many subcommands: ``normalize``, ``langid {train,predict,eval}``,
 ``pairscore {train,score,align,eval}``, ``negsample``, ``splits``,
 ``cv-combos``, ``seeds``, ``crawl``, ``simulate``, ``report``.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.  Every subcommand that
-uses randomness accepts ``--seed``; flags override config-file values.
+Exit codes: 0 success, 1 domain error or unreadable file, 2 usage error.
+Every subcommand that uses randomness accepts ``--seed``; flags override
+config-file values.
 """
 from __future__ import annotations
 
@@ -117,11 +118,13 @@ def write_report(log: crawler.CrawlLog, graph: crawler.SiteGraph | None, out_dir
     aggregate = metrics.decile_curve(events)
     metrics.write_curve_tsv(aggregate, os.path.join(out_dir, "curve_aggregate.tsv"))
 
-    sites = sorted({site for site, _ in events})
+    by_site: dict[str, list] = {}
+    for event in events:
+        by_site.setdefault(event[0], []).append(event)
     with open(os.path.join(out_dir, "curve_by_site.tsv"), "w", encoding="utf-8") as handle:
         handle.write("site\tpercent\tparallel_documents\n")
-        for site in sites:
-            site_curve = metrics.decile_curve([e for e in events if e[0] == site])
+        for site in sorted(by_site):
+            site_curve = metrics.decile_curve(by_site[site])
             for percent, count in site_curve.points:
                 handle.write(f"{site}\t{percent}\t{count}\n")
 
@@ -153,6 +156,16 @@ def _iter_lines(path: str | None, inline: "list[str]"):
             line = line.rstrip("\n")
             if line:
                 yield line
+
+
+def _print_prf_table(cm: metrics.ConfusionMatrix, first_column: str) -> None:
+    """Precision, recall and F1 per label of ``cm``, then their macro averages."""
+    print(f"{first_column}\tprecision\trecall\tf1")
+    for label in cm.labels:
+        p, r, f1 = metrics.prf(cm, label)
+        print(f"{label}\t{p:.4f}\t{r:.4f}\t{f1:.4f}")
+    macro_p, macro_r, macro_f1 = metrics.macro_prf(cm)
+    print(f"macro\t{macro_p:.4f}\t{macro_r:.4f}\t{macro_f1:.4f}")
 
 
 def _cmd_normalize(args) -> int:
@@ -208,12 +221,7 @@ def _cmd_langid_eval(args) -> int:
         for url, _ in data
     ]
     cm = metrics.confusion_matrix(gold, predicted, labels=model.labels)
-    print("label\tprecision\trecall\tf1")
-    for label in model.labels:
-        p, r, f1 = metrics.prf(cm, label)
-        print(f"{label}\t{p:.4f}\t{r:.4f}\t{f1:.4f}")
-    macro_p, macro_r, macro_f1 = metrics.macro_prf(cm)
-    print(f"macro\t{macro_p:.4f}\t{macro_r:.4f}\t{macro_f1:.4f}")
+    _print_prf_table(cm, "label")
     return 0
 
 
@@ -264,12 +272,7 @@ def _cmd_pairscore_eval(args) -> int:
         for rec in data
     ]
     cm = metrics.confusion_matrix(gold, predicted, labels=("negative", "positive"))
-    print("class\tprecision\trecall\tf1")
-    for label in cm.labels:
-        p, r, f1 = metrics.prf(cm, label)
-        print(f"{label}\t{p:.4f}\t{r:.4f}\t{f1:.4f}")
-    macro_p, macro_r, macro_f1 = metrics.macro_prf(cm)
-    print(f"macro\t{macro_p:.4f}\t{macro_r:.4f}\t{macro_f1:.4f}")
+    _print_prf_table(cm, "class")
     return 0
 
 
@@ -528,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    """Route argv to a subcommand; 0 success, 1 domain error, 2 usage error."""
+    """Route argv to a subcommand; 0 success, 1 domain or file error, 2 usage error."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -536,10 +539,15 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BifocalError as exc:
+    except (BifocalError, OSError) as exc:
+        # OSError: an input file that is missing or cannot be read.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

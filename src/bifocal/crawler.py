@@ -66,9 +66,9 @@ class SiteGraph:
             for partner in page.parallel_with:
                 other = self.pages.get(partner)
                 if other is None or url not in other.parallel_with:
-                    raise ValueError(f"parallel_with is not symmetric for {url} / {partner}")
+                    raise ConfigError(f"parallel_with is not symmetric for {url} / {partner}")
                 if other.lang == page.lang:
-                    raise ValueError(f"parallel partners {url} / {partner} share a language")
+                    raise ConfigError(f"parallel partners {url} / {partner} share a language")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SiteGraph":
@@ -205,20 +205,22 @@ class CrawlLog:
     def from_tsv(cls, path) -> "CrawlLog":
         events = []
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
+            for lineno, line in enumerate(handle, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                seq, url, outcome, lang, priority = line.split("\t")
-                events.append(
-                    CrawlEvent(
+                try:
+                    seq, url, outcome, lang, priority = line.split("\t")
+                    event = CrawlEvent(
                         seq=int(seq),
                         url=url,
                         outcome=outcome,
                         lang=lang,
                         priority=SEED if priority == "SEED" else float(priority),
                     )
-                )
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: bad crawl log row: {exc}") from None
+                events.append(event)
         return cls(events)
 
 
@@ -339,6 +341,10 @@ class PolitenessGate:
         self._last[host] = now
 
 
+# Seconds a live fetch (page or robots.txt) may wait for the server.
+_FETCH_TIMEOUT_S = 20.0
+
+
 def _default_opener(url: str, headers: dict, timeout: float):
     request = urllib.request.Request(url, headers=headers)
     with urllib.request.urlopen(request, timeout=timeout) as response:
@@ -352,16 +358,12 @@ class LiveFetcher:
         self,
         user_agent: str = "bifocal/0.1",
         per_host_delay_ms: int = 1000,
-        timeout: float = 20.0,
         opener=_default_opener,
-        respect_robots: bool = True,
         clock=time.monotonic,
         sleeper=time.sleep,
     ):
         self.user_agent = user_agent
-        self.timeout = timeout
         self.opener = opener
-        self.respect_robots = respect_robots
         self.gate = PolitenessGate(per_host_delay_ms, clock=clock, sleeper=sleeper)
         self._robots: dict[str, urllib.robotparser.RobotFileParser] = {}
 
@@ -374,7 +376,7 @@ class LiveFetcher:
             robots_url = f"{components.scheme}://{host}/robots.txt"
             try:
                 status, _, body = self.opener(
-                    robots_url, {"User-Agent": self.user_agent}, self.timeout
+                    robots_url, {"User-Agent": self.user_agent}, _FETCH_TIMEOUT_S
                 )
                 if status == 200:
                     parser.parse(body.decode("utf-8", "replace").splitlines())
@@ -386,12 +388,12 @@ class LiveFetcher:
         return parser
 
     def fetch(self, url: str) -> FetchResult:
-        if self.respect_robots and not self._robots_for(url).can_fetch(self.user_agent, url):
+        if not self._robots_for(url).can_fetch(self.user_agent, url):
             raise FetchFailed(f"robots.txt disallows {url}")
         self.gate.wait(url)
         try:
             status, headers, body = self.opener(
-                url, {"User-Agent": self.user_agent}, self.timeout
+                url, {"User-Agent": self.user_agent}, _FETCH_TIMEOUT_S
             )
         except OSError as exc:
             raise FetchFailed(f"GET {url} failed: {exc}") from exc

@@ -173,13 +173,8 @@ def mine_negatives_from_links(gold, link_map, lang_map, langs) -> "list[LabeledP
     """
     langs = set(langs)
     gold_keys = {frozenset(pair) for pair in gold}
-    ordered_urls: list[str] = []
-    seen: set[str] = set()
-    for a, b in gold:
-        for url in (a, b):
-            if url not in seen:
-                seen.add(url)
-                ordered_urls.append(url)
+    # Each gold URL once, in order of first appearance.
+    ordered_urls = dict.fromkeys(url for pair in gold for url in pair)
     negatives = []
     for u in ordered_urls:
         candidates = [v for v in link_map.get(u, ()) if lang_map.get(v) in langs]
@@ -207,33 +202,58 @@ def mine_negatives_from_links(gold, link_map, lang_map, langs) -> "list[LabeledP
 # ---------------------------------------------------------------------------
 # Synthetic negative strategies
 
-_SCHEME_AUTHORITY_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*://[^/?#]*")
+# The untouchable prefix: scheme, authority (with port) and the separator right
+# after the authority.  Deleting that separator would splice the next path
+# token into the authority of the re-parsed URL.  Without a scheme, the
+# authority is everything before the first "/", "?" or "#".
+_PROTECTED_PREFIX_RE = re.compile(r"^(?:[A-Za-z][A-Za-z0-9+.\-]*://)?[^/?#]*[/?#]?")
 
 
 def _split_protected_prefix(url: str) -> tuple[str, str]:
-    """Split into the untouchable scheme+authority(+port) prefix and the rest.
-
-    The separator right after the authority is protected as well: deleting it
-    would splice the next path token into the authority of the re-parsed URL.
-    """
-    match = _SCHEME_AUTHORITY_RE.match(url)
-    if match:
-        end = match.end()
-    else:
-        end = len(url)
-        for i, ch in enumerate(url):
-            if ch in "/?#":
-                end = i
-                break
-    if end < len(url) and url[end] in "/?#":
-        end += 1
+    """Split into the untouchable prefix and the rest."""
+    end = _PROTECTED_PREFIX_RE.match(url).end()
     return url[:end], url[end:]
 
 
-def _mono_starts(pairs):
-    for pair in pairs:
-        yield pair.url_a, pair.lang_a
-        yield pair.url_b, pair.lang_b
+def _starts(pairs, mode: str) -> "list[tuple[str, str, str, str]]":
+    """The ``(url_a, url_b, lang_a, lang_b)`` pairs a strategy perturbs.
+
+    A ``bi`` start is a gold pair as it is.  Each URL of a gold pair is a
+    ``mono`` start, paired with itself: ``(url, url, lang, lang)``.
+    """
+    if mode == "bi":
+        return [(p.url_a, p.url_b, p.lang_a, p.lang_b) for p in pairs]
+    if mode == "mono":
+        return [
+            (url, url, lang, lang)
+            for p in pairs
+            for url, lang in ((p.url_a, p.lang_a), (p.url_b, p.lang_b))
+        ]
+    raise ValueError(f"mode must be 'mono' or 'bi', got {mode!r}")
+
+
+def _replace_second(pairs, mode: str, method: str, choose):
+    """Replace each start's second URL with ``choose(url_b, pool)``.
+
+    The pool is every start's second URL, sorted; in ``mono`` mode only those
+    of the start's own language.  Returns ``(negatives, skipped)``; a start is
+    skipped when ``choose`` returns ``None``.
+    """
+    starts = _starts(pairs, mode)
+    by_lang = mode == "mono"
+    pools: dict[str | None, set[str]] = {}
+    for _, url_b, _, lang_b in starts:
+        pools.setdefault(lang_b if by_lang else None, set()).add(url_b)
+    sorted_pools = {key: sorted(urls) for key, urls in pools.items()}
+    out: list[LabeledPair] = []
+    skipped = 0
+    for url_a, url_b, lang_a, lang_b in starts:
+        repl = choose(url_b, sorted_pools[lang_b if by_lang else None])
+        if repl is None:
+            skipped += 1
+            continue
+        out.append(LabeledPair(url_a, repl, "negative", lang_a, lang_b, method, mode))
+    return out, skipped
 
 
 def neg_random_match(pairs, mode: str, seed: int = 0):
@@ -242,48 +262,25 @@ def neg_random_match(pairs, mode: str, seed: int = 0):
     Returns ``(negatives, skipped)``; a pair is skipped when no distinct
     replacement exists.
     """
-    pairs = list(pairs)
     rng = random.Random(seed)
-    out: list[LabeledPair] = []
-    skipped = 0
-    if mode == "bi":
-        pool = sorted({p.url_b for p in pairs})
-        for p in pairs:
-            candidates = [u for u in pool if u != p.url_b]
-            if not candidates:
-                skipped += 1
-                continue
-            out.append(
-                LabeledPair(p.url_a, rng.choice(candidates), "negative",
-                            p.lang_a, p.lang_b, "random_match", "bi")
-            )
-    elif mode == "mono":
-        pool_by_lang: dict[str, list[str]] = {}
-        for url, lang in _mono_starts(pairs):
-            pool_by_lang.setdefault(lang, []).append(url)
-        pool_by_lang = {lang: sorted(set(urls)) for lang, urls in pool_by_lang.items()}
-        for url, lang in _mono_starts(pairs):
-            candidates = [u for u in pool_by_lang[lang] if u != url]
-            if not candidates:
-                skipped += 1
-                continue
-            out.append(
-                LabeledPair(url, rng.choice(candidates), "negative",
-                            lang, lang, "random_match", "mono")
-            )
-    else:
-        raise ValueError(f"mode must be 'mono' or 'bi', got {mode!r}")
-    return out, skipped
+
+    def random_other(target: str, pool) -> str | None:
+        candidates = [u for u in pool if u != target]
+        return rng.choice(candidates) if candidates else None
+
+    return _replace_second(pairs, mode, "random_match", random_other)
 
 
-def neg_remove_tokens(pairs, mode: str, seed: int = 0, max_removals: int = 3):
+_MAX_REMOVALS = 3
+
+
+def neg_remove_tokens(pairs, mode: str, seed: int = 0):
     """Delete random path/query tokens from both URLs of each starting pair.
 
     The scheme, authority, and port always survive.  Between 1 and
-    ``max_removals`` tokens are removed per URL.  Pairs with no removable
+    ``_MAX_REMOVALS`` tokens are removed per URL.  Pairs with no removable
     tokens, or whose result equals the original pair, are skipped.
     """
-    pairs = list(pairs)
     rng = random.Random(seed)
     out: list[LabeledPair] = []
     skipped = 0
@@ -293,32 +290,18 @@ def neg_remove_tokens(pairs, mode: str, seed: int = 0, max_removals: int = 3):
         tokens = segment_text(rest)
         if not tokens:
             return None
-        k = rng.randint(1, min(max_removals, len(tokens)))
+        k = rng.randint(1, min(_MAX_REMOVALS, len(tokens)))
         drop = set(rng.sample(range(len(tokens)), k))
         return prefix + "".join(t for i, t in enumerate(tokens) if i not in drop)
 
-    if mode == "bi":
-        for p in pairs:
-            new_a, new_b = perturb(p.url_a), perturb(p.url_b)
-            if new_a is None or new_b is None or (new_a, new_b) == (p.url_a, p.url_b):
-                skipped += 1
-                continue
-            out.append(
-                LabeledPair(new_a, new_b, "negative", p.lang_a, p.lang_b,
-                            "remove_tokens", "bi")
-            )
-    elif mode == "mono":
-        for url, lang in _mono_starts(pairs):
-            new_a, new_b = perturb(url), perturb(url)
-            if new_a is None or new_b is None or (new_a, new_b) == (url, url):
-                skipped += 1
-                continue
-            out.append(
-                LabeledPair(new_a, new_b, "negative", lang, lang,
-                            "remove_tokens", "mono")
-            )
-    else:
-        raise ValueError(f"mode must be 'mono' or 'bi', got {mode!r}")
+    for url_a, url_b, lang_a, lang_b in _starts(pairs, mode):
+        new_a, new_b = perturb(url_a), perturb(url_b)
+        if new_a is None or new_b is None or (new_a, new_b) == (url_a, url_b):
+            skipped += 1
+            continue
+        out.append(
+            LabeledPair(new_a, new_b, "negative", lang_a, lang_b, "remove_tokens", mode)
+        )
     return out, skipped
 
 
@@ -329,9 +312,7 @@ def neg_max_jaccard(pairs, mode: str):
     (the URL itself excluded); ties go to the lexicographically smaller URL.
     Deterministic, no seed involved.
     """
-    pairs = list(pairs)
-    out: list[LabeledPair] = []
-    skipped = 0
+    # Token sets are memoized per call: the scan below is O(n^2) in the pool.
     token_sets: dict[str, frozenset] = {}
 
     def tokens_of(url: str) -> frozenset:
@@ -354,34 +335,7 @@ def neg_max_jaccard(pairs, mode: str):
                 best_url = cand
         return best_url
 
-    if mode == "bi":
-        pool = sorted({p.url_b for p in pairs})
-        for p in pairs:
-            repl = best_match(p.url_b, pool)
-            if repl is None:
-                skipped += 1
-                continue
-            out.append(
-                LabeledPair(p.url_a, repl, "negative", p.lang_a, p.lang_b,
-                            "max_jaccard", "bi")
-            )
-    elif mode == "mono":
-        pool_by_lang: dict[str, set[str]] = {}
-        for url, lang in _mono_starts(pairs):
-            pool_by_lang.setdefault(lang, set()).add(url)
-        sorted_pools = {lang: sorted(urls) for lang, urls in pool_by_lang.items()}
-        for url, lang in _mono_starts(pairs):
-            repl = best_match(url, sorted_pools[lang])
-            if repl is None:
-                skipped += 1
-                continue
-            out.append(
-                LabeledPair(url, repl, "negative", lang, lang,
-                            "max_jaccard", "mono")
-            )
-    else:
-        raise ValueError(f"mode must be 'mono' or 'bi', got {mode!r}")
-    return out, skipped
+    return _replace_second(pairs, mode, "max_jaccard", best_match)
 
 
 # Canonical strategy order: bilingual variants first.
@@ -396,13 +350,7 @@ STRATEGIES: tuple[tuple[str, str], ...] = (
 
 # Default preset used when no explicit strategy set is configured: every
 # strategy except monolingual token removal.
-DEFAULT_STRATEGIES: tuple[tuple[str, str], ...] = (
-    ("random_match", "bi"),
-    ("max_jaccard", "bi"),
-    ("remove_tokens", "bi"),
-    ("random_match", "mono"),
-    ("max_jaccard", "mono"),
-)
+DEFAULT_STRATEGIES: tuple[tuple[str, str], ...] = STRATEGIES[:5]
 
 
 def generate_negatives(pairs, strategies, seed: int = 0):
@@ -441,10 +389,6 @@ class ComboResult:
         return "+".join(f"{m}:{mode}" for m, mode in self.strategies)
 
 
-def default_pair_trainer(train_pairs, seed: int):
-    return FeaturePairScorer(pair_train(train_pairs, seed=seed))
-
-
 def _fold_domains(positives, k: int, seed: int) -> "list[set[str]]":
     domains: dict[str, int] = {}
     for pair in positives:
@@ -469,7 +413,6 @@ def cross_validate_combos(
     link_map,
     lang_map,
     langs,
-    trainer=None,
     k: int = 10,
     seed: int = 0,
 ) -> "list[ComboResult]":
@@ -480,43 +423,35 @@ def cross_validate_combos(
     come from the combination's synthetic strategies applied to the remaining
     folds.  Metrics are averaged over folds; one row per combination.
     """
-    if trainer is None:
-        trainer = default_pair_trainer
     positives = list(positives)
     fold_sets = _fold_domains(positives, k, seed)
 
     fold_data = []
     for i, fold_domains in enumerate(fold_sets):
-        in_fold = [
-            p for p in positives
-            if parse_components(p.url_a).registrable_domain in fold_domains
-        ]
-        train_pos = [
-            p for p in positives
-            if parse_components(p.url_a).registrable_domain not in fold_domains
-        ]
-        gold = [(p.url_a, p.url_b) for p in in_fold]
-        test_neg = mine_negatives_from_links(gold, link_map, lang_map, langs)
+        test_pos, train_pos = [], []
+        for p in positives:
+            in_fold = parse_components(p.url_a).registrable_domain in fold_domains
+            (test_pos if in_fold else train_pos).append(p)
+        gold = [(p.url_a, p.url_b) for p in test_pos]
+        test = test_pos + mine_negatives_from_links(gold, link_map, lang_map, langs)
+        gold_labels = [pair.label for pair in test]
         fold_seed = seed + i
         strategy_negs = {}
-        for method, mode in STRATEGIES:
-            negs, _ = generate_negatives(train_pos, [(method, mode)], fold_seed)
-            strategy_negs[(method, mode)] = negs
-        fold_data.append((in_fold, train_pos, test_neg, strategy_negs, fold_seed))
+        for strategy in STRATEGIES:
+            strategy_negs[strategy], _ = generate_negatives(train_pos, [strategy], fold_seed)
+        fold_data.append((train_pos, strategy_negs, test, gold_labels, fold_seed))
 
     results = []
     for mask in range(1, 1 << len(STRATEGIES)):
         combo = tuple(s for i, s in enumerate(STRATEGIES) if mask & (1 << i))
         scores = []
-        for test_pos, train_pos, test_neg, strategy_negs, fold_seed in fold_data:
+        for train_pos, strategy_negs, test, gold_labels, fold_seed in fold_data:
             train_set = list(train_pos)
             for strategy in combo:
                 train_set.extend(strategy_negs[strategy])
-            scorer = trainer(train_set, fold_seed)
-            gold_labels = []
+            scorer = FeaturePairScorer(pair_train(train_set, seed=fold_seed))
             pred_labels = []
-            for pair in list(test_pos) + list(test_neg):
-                gold_labels.append(pair.label)
+            for pair in test:
                 prob = scorer.probability(pair.url_a, pair.url_b, pair.lang_a, pair.lang_b)
                 pred_labels.append("positive" if prob > 0.5 else "negative")
             cm = confusion_matrix(gold_labels, pred_labels, labels=("negative", "positive"))

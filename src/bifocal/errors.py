@@ -62,4 +62,5 @@ class FetchFailed(BifocalError):
 
 
 class ConfigError(BifocalError):
-    """Raised for unknown keys, type errors, or missing files in a config."""
+    """Raised for a bad input file: config (unknown key, type error, missing
+    file), site graph or crawl log."""

@@ -110,8 +110,6 @@ class NgramLangModel:
     labels: tuple[str, ...]
     embeddings: np.ndarray  # bucket_count x dim
     output_weights: np.ndarray  # dim x len(labels)
-    epochs: int = 0
-    learning_rate: float = 0.0
     epoch_losses: tuple[float, ...] = field(default=())
 
     def feature_ids(self, url: "str | NormalizedUrl") -> np.ndarray:
@@ -177,8 +175,6 @@ def ngram_train(
         labels=labels,
         embeddings=emb,
         output_weights=weights,
-        epochs=hp.epochs,
-        learning_rate=hp.learning_rate,
     )
     encoded = [(model.feature_ids(url), label_index[lang]) for url, lang in pairs]
 

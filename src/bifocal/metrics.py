@@ -137,11 +137,10 @@ def decile_curve(events) -> DecileCurve:
     return DecileCurve(points=tuple(zip(DECILE_PERCENTS, totals)))
 
 
-def write_curve_tsv(curve: DecileCurve, path, header: bool = True) -> None:
+def write_curve_tsv(curve: DecileCurve, path) -> None:
     """Write ``percent<TAB>count`` rows; the '#' header keeps the file
     directly consumable by gnuplot."""
     with open(path, "w", encoding="utf-8") as handle:
-        if header:
-            handle.write("# percent\tparallel_documents\n")
+        handle.write("# percent\tparallel_documents\n")
         for percent, count in curve.points:
             handle.write(f"{percent}\t{count}\n")

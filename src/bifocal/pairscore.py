@@ -156,6 +156,10 @@ FEATURE_NAMES = (
 
 SCHEMA_VERSION = 1
 
+# Full-batch gradient descent settings of ``pair_train``.
+LEARNING_RATE = 0.5
+TRAIN_STEPS = 600
+
 
 def _token_edit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     if not a:
@@ -249,15 +253,13 @@ def pair_feature_vector(
 class PairFeatureModel:
     weights: tuple[float, ...]
     bias: float
-    schema_version: int = SCHEMA_VERSION
-    feature_names: tuple[str, ...] = FEATURE_NAMES
 
     def probability(self, features: "tuple[float, ...]") -> float:
         z = self.bias + sum(w * f for w, f in zip(self.weights, features))
         return 1.0 / (1.0 + math.exp(-z))
 
 
-def pair_train(data, seed: int = 0, learning_rate: float = 0.5, steps: int = 600) -> PairFeatureModel:
+def pair_train(data, seed: int = 0) -> PairFeatureModel:
     """Fit the logistic pair model on labeled pairs.
 
     ``data`` is a sequence of records with ``url_a``, ``url_b``, ``lang_a``,
@@ -277,19 +279,19 @@ def pair_train(data, seed: int = 0, learning_rate: float = 0.5, steps: int = 600
     weights = np.zeros(matrix.shape[1])
     bias = 0.0
     count = len(records)
-    for _ in range(steps):
+    for _ in range(TRAIN_STEPS):
         z = matrix @ weights + bias
         probs = 1.0 / (1.0 + np.exp(-z))
         err = probs - targets
-        weights -= learning_rate * (matrix.T @ err) / count
-        bias -= learning_rate * float(err.mean())
+        weights -= LEARNING_RATE * (matrix.T @ err) / count
+        bias -= LEARNING_RATE * float(err.mean())
     return PairFeatureModel(weights=tuple(weights.tolist()), bias=float(bias))
 
 
 def save_pair_model(model: PairFeatureModel, path) -> None:
     payload = {
-        "schema_version": model.schema_version,
-        "feature_names": list(model.feature_names),
+        "schema_version": SCHEMA_VERSION,
+        "feature_names": list(FEATURE_NAMES),
         "weights": list(model.weights),
         "bias": model.bias,
     }
@@ -316,9 +318,6 @@ def load_pair_model(path) -> PairFeatureModel:
 
 class BaselinePairScorer:
     """Hard 0/1 scorer from the token-removal alignment rule."""
-
-    def __init__(self, table: LanguageTable | None = None):
-        self.table = table or bundled_languages()
 
     def probability(self, url_a: str, url_b: str, lang_a: str | None = None, lang_b: str | None = None) -> float:
         set_a = LanguageTokenSet(lang_a or UNKNOWN_LANG, _token_set_or_empty(lang_a))

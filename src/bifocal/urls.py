@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EmptyUrl, NotAUrl
-from .psl import PublicSuffixList, default_psl
+from .psl import default_psl
 
 START_TOKEN = "<s>"
 END_TOKEN = "</s>"
@@ -125,7 +125,7 @@ def normalize_url(raw: str) -> NormalizedUrl:
 
 
 @lru_cache(maxsize=65536)
-def parse_components(raw: str, psl: PublicSuffixList | None = None) -> UrlComponents:
+def parse_components(raw: str) -> UrlComponents:
     """Split a URL into scheme, host parts, path segments, and query pairs.
 
     The public suffix is resolved against the bundled snapshot; hosts with an
@@ -134,8 +134,6 @@ def parse_components(raw: str, psl: PublicSuffixList | None = None) -> UrlCompon
     Raises:
         NotAUrl: if the URL has no scheme or no host.
     """
-    if psl is None:
-        psl = default_psl()
     match = _SCHEME_RE.match(raw)
     if match is None:
         raise NotAUrl(f"no scheme/authority in {raw!r}")
@@ -161,7 +159,7 @@ def parse_components(raw: str, psl: PublicSuffixList | None = None) -> UrlCompon
     if not host:
         raise NotAUrl(f"empty authority in {raw!r}")
 
-    subdomain, registrable, suffix = psl.split(host)
+    subdomain, registrable, suffix = default_psl().split(host)
 
     rest = rest.partition("#")[0]
     path, _, query = rest.partition("?")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,17 @@ def test_unknown_flag_is_usage_error():
 
 def test_no_arguments_is_usage_error():
     assert dispatch([]) == 2
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bifocal.cli", "simulate"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: bifocal simulate")
 
 
 def test_normalize_output(capsys):
@@ -116,6 +131,51 @@ def test_bad_scorer_choice_is_a_config_error(sim_setup, capsys, flags):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _asymmetric_graph(tmp):
+    path = tmp / "asymmetric.json"
+    path.write_text(json.dumps({"pages": {
+        "https://a.com/en": {"lang": "eng", "parallel_with": ["https://a.com/fr"]},
+        "https://a.com/fr": {"lang": "fra"},
+    }}))
+    return path
+
+
+def _short_log(tmp):
+    path = tmp / "short.tsv"
+    path.write_text("0\thttps://a.com/\tstored\teng\n")
+    return path
+
+
+# (case, argv from (tmp dir, graph, config), text the error line must contain)
+_BAD_INPUTS = [
+    ("missing config",
+     lambda tmp, graph, config: ["simulate", "--graph", str(graph),
+                                 "--config", str(tmp / "nope.conf"), "--log", str(tmp / "l.tsv")],
+     "nope.conf"),
+    ("missing graph",
+     lambda tmp, graph, config: ["simulate", "--graph", str(tmp / "nope.json"),
+                                 "--config", str(config), "--log", str(tmp / "l.tsv")],
+     "nope.json"),
+    ("asymmetric graph",
+     lambda tmp, graph, config: ["simulate", "--graph", str(_asymmetric_graph(tmp)),
+                                 "--config", str(config), "--log", str(tmp / "l.tsv")],
+     "not symmetric"),
+    ("4-column log row",
+     lambda tmp, graph, config: ["report", "--log", str(_short_log(tmp)),
+                                 "--out", str(tmp / "rep")],
+     "short.tsv:1:"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", [case[1:] for case in _BAD_INPUTS],
+                         ids=[case[0] for case in _BAD_INPUTS])
+def test_bad_input_file_is_an_error_line(sim_setup, capsys, argv, expected):
+    tmp, graph_path, config_path = sim_setup
+    assert dispatch(argv(tmp, graph_path, config_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
 
 
 def test_flag_overrides_config(sim_setup):

@@ -25,6 +25,7 @@ from bifocal.crawler import (
     site_of,
 )
 from bifocal.errors import (
+    ConfigError,
     DetectorUnavailable,
     FetchFailed,
     NoSeeds,
@@ -66,7 +67,7 @@ def _cfg(seeds, budget=100, **kwargs):
 # SiteGraph
 
 def test_graph_rejects_asymmetric_partners():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         _graph({
             "https://a/1": ("eng", [], ["https://a/2"]),
             "https://a/2": ("fra", [], []),
@@ -74,7 +75,7 @@ def test_graph_rejects_asymmetric_partners():
 
 
 def test_graph_rejects_same_language_partners():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         _graph({
             "https://a/1": ("eng", [], ["https://a/2"]),
             "https://a/2": ("eng", [], ["https://a/1"]),

@@ -243,6 +243,18 @@ def test_remove_tokens_preserves_protected_prefix():
             assert prefix_re.match(neg.url_b).group(0) == prefix_re.match(pos.url_b).group(0)
 
 
+@pytest.mark.parametrize("url_a, url_b, prefix_a, prefix_b", [
+    ("a.com/x/y", "b.com?q=1&r=2", "a.com/", "b.com?"),  # no scheme
+    ("https://a.com:8080/x-y", "http://b.com#frag-x", "https://a.com:8080/", "http://b.com#"),
+])
+def test_remove_tokens_keeps_authority_and_its_separator(url_a, url_b, prefix_a, prefix_b):
+    pairs = [gold_pair(url_a, url_b, "eng", "fra")]
+    for seed in range(20):
+        negatives, _ = neg_remove_tokens(pairs, "bi", seed=seed)
+        for neg in negatives:
+            assert neg.url_a.startswith(prefix_a) and neg.url_b.startswith(prefix_b)
+
+
 def test_remove_tokens_single_removable_token():
     pairs = [gold_pair("https://a.com/x", "https://b.com/y", "eng", "fra")]
     negatives, skipped = neg_remove_tokens(pairs, "bi", seed=0)
@@ -301,6 +313,62 @@ def test_max_jaccard_matches_brute_force():
         expected_score = jaccard(normalize_url(best).token_set(), target)
         got_score = jaccard(normalize_url(neg.url_b).token_set(), target)
         assert got_score == pytest.approx(expected_score)
+
+
+def _three_language_pairs():
+    """Pairs in three languages whose URLs share their slug across languages.
+
+    The most similar URL in the whole collection is always the partner in the
+    other language, so a replacement in the own language shows the pool was
+    restricted.
+    """
+    rng = random.Random(11)
+    langs = ("eng", "fra", "deu")
+    out = []
+    for i in range(12):
+        lang_a, lang_b = rng.sample(langs, 2)
+        slug = f"{rng.choice(['news', 'shop', 'team'])}-{i}"
+        out.append(gold_pair(f"https://s{i % 3}.com/a/{slug}", f"https://s{i % 3}.com/b/{slug}",
+                             lang_a, lang_b))
+    return out
+
+
+def _mono_starts(pairs):
+    return [(url, lang) for p in pairs for url, lang in ((p.url_a, p.lang_a), (p.url_b, p.lang_b))]
+
+
+@pytest.mark.parametrize("strategy", [
+    lambda pairs: neg_random_match(pairs, "mono", seed=3),
+    lambda pairs: neg_max_jaccard(pairs, "mono"),
+], ids=["random_match", "max_jaccard"])
+def test_mono_replacement_comes_from_own_language(strategy):
+    pairs = _three_language_pairs()
+    lang_of = dict(_mono_starts(pairs))
+    negatives, skipped = strategy(pairs)
+    assert skipped == 0 and len(negatives) == 2 * len(pairs)
+    for neg, (url, lang) in zip(negatives, _mono_starts(pairs)):
+        assert (neg.url_a, neg.lang_a, neg.lang_b) == (url, lang, lang)
+        assert neg.url_b != url
+        assert lang_of[neg.url_b] == lang
+
+
+def test_max_jaccard_mono_matches_brute_force():
+    pairs = _three_language_pairs()
+    starts = _mono_starts(pairs)
+    negatives, _ = neg_max_jaccard(pairs, "mono")
+    assert len(negatives) == len(starts)
+    for neg, (url, lang) in zip(negatives, starts):
+        target = normalize_url(url).token_set()
+        pool = {u for u, other in starts if other == lang and u != url}
+        # Highest Jaccard first, then the lexicographically smallest URL.
+        best = min(pool, key=lambda c: (-jaccard(normalize_url(c).token_set(), target), c))
+        assert neg.url_b == best
+
+
+@pytest.mark.parametrize("strategy", [neg_random_match, neg_max_jaccard, neg_remove_tokens])
+def test_unknown_mode_is_rejected(strategy):
+    with pytest.raises(ValueError, match="mode must be 'mono' or 'bi'"):
+        strategy(_positives(3), "tri")
 
 
 def test_all_strategies_label_and_provenance():
