@@ -323,7 +323,10 @@ def _cmd_cv_combos(args) -> int:
 
     positives = [p for p in datasets.read_labeled_pairs(args.pairs) if p.label == "positive"]
     with open(args.links, "r", encoding="utf-8") as handle:
-        link_map = {url: tuple(links) for url, links in json.load(handle).items()}
+        try:
+            link_map = {url: tuple(links) for url, links in json.load(handle).items()}
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{args.links}: link map is not JSON: {exc}") from None
     lang_map = dict(datasets.read_labeled_urls(args.url_langs))
     lang_a, _, lang_b = args.langs.partition(",")
     results = datasets.cross_validate_combos(

@@ -98,7 +98,11 @@ class SiteGraph:
     @classmethod
     def load(cls, path) -> "SiteGraph":
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+            try:
+                data = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: site graph is not JSON: {exc}") from None
+        return cls.from_dict(data)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import BadCap, TooFewDomains
+from .errors import BadCap, ConfigError, TooFewDomains
 from .isodata import UNKNOWN_LANG
 from .pairscore import FeaturePairScorer, pair_train
 from .metrics import confusion_matrix, prf
@@ -82,11 +82,14 @@ def write_labeled_pairs(records, path) -> None:
 def read_labeled_pairs(path) -> "list[LabeledPair]":
     out = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            url_a, url_b, label, lang_a, lang_b, provenance = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 6:
+                raise ConfigError(f"{path}:{lineno}: pair row has {len(fields)} tab fields, not 6")
+            url_a, url_b, label, lang_a, lang_b, provenance = fields
             method, _, mode = provenance.partition(":")
             out.append(LabeledPair(url_a, url_b, label, lang_a, lang_b, method, mode or "bi"))
     return out

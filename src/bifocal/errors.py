@@ -63,4 +63,4 @@ class FetchFailed(BifocalError):
 
 class ConfigError(BifocalError):
     """Raised for a bad input file: config (unknown key, type error, missing
-    file), site graph or crawl log."""
+    file), site graph, crawl log, pair TSV, pair model or link map."""

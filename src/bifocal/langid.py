@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -336,13 +337,20 @@ class RuleLanguageScorer:
 
 
 class NgramLanguageScorer:
-    """Scorer backed by a trained n-gram model."""
+    """Scorer backed by a trained n-gram model.
+
+    A crawl reaches the same URL from many parents, so each instance memoizes
+    the distribution of up to ``1 << 16`` URLs (the bound of the URL caches).
+    """
 
     def __init__(self, model: NgramLangModel):
         self.model = model
+        # ``ngram_predict`` is looked up at call time, so a rebound module
+        # attribute still sees every prediction.
+        self._predict = lru_cache(maxsize=1 << 16)(lambda url: ngram_predict(model, url))
 
     def distribution(self, url: str) -> dict[str, float]:
-        return ngram_predict(self.model, url)
+        return dict(self._predict(url))
 
     def probability(self, url: str, target: str) -> float:
-        return self.distribution(url).get(target, 0.0)
+        return self._predict(url).get(target, 0.0)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateLabels, NotAUrl, UnknownLanguage
+from .errors import ConfigError, DegenerateLabels, NotAUrl, UnknownLanguage
 from .isodata import UNKNOWN_LANG, LanguageTable, bundled_languages
 from .urls import NormalizedUrl, jaccard, normalize_url, parse_components
 
@@ -78,12 +78,13 @@ def _marker_spans(tokens: tuple[str, ...], marker_tokens: frozenset[str]) -> lis
     return spans
 
 
-def _residuals(tokens: tuple[str, ...], marker_tokens: frozenset[str]) -> tuple[str, set[str]]:
+@lru_cache(maxsize=1 << 16)
+def _residuals(tokens: tuple[str, ...], marker_tokens: frozenset[str]) -> tuple[str, frozenset[str]]:
     """Full concatenation plus every residual reachable by deleting >= 1 marker.
 
     Enumerates subsets of pairwise-disjoint marker spans; beyond
     ``_MAX_SPANS_EXACT`` spans it falls back to single-span deletions plus the
-    all-spans deletion.
+    all-spans deletion.  Memoized: a crawl aligns each URL with many others.
     """
     full = "".join(tokens)
     spans = _marker_spans(tokens, marker_tokens)
@@ -115,7 +116,7 @@ def _residuals(tokens: tuple[str, ...], marker_tokens: frozenset[str]) -> tuple[
             if not greedy or span[0] >= greedy[-1][1]:
                 greedy.append(span)
         residuals.add(build(greedy))
-    return full, residuals
+    return full, frozenset(residuals)
 
 
 def baseline_align(
@@ -162,6 +163,15 @@ TRAIN_STEPS = 600
 
 
 def _token_edit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    # A shared prefix or suffix never changes a unit-cost Levenshtein distance,
+    # and parent and link URLs share host and path, so trim both first.
+    start, end_a, end_b = 0, len(a), len(b)
+    while start < end_a and start < end_b and a[start] == b[start]:
+        start += 1
+    while end_a > start and end_b > start and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    a, b = a[start:end_a], b[start:end_b]
     if not a:
         return len(b)
     if not b:
@@ -301,12 +311,20 @@ def save_pair_model(model: PairFeatureModel, path) -> None:
 
 
 def load_pair_model(path) -> PairFeatureModel:
+    """Read a model written by ``save_pair_model``.
+
+    Raises:
+        ConfigError: the file is not JSON, or not a model of this schema.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: pair model is not JSON: {exc}") from None
     if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported pair model schema {payload.get('schema_version')}")
+        raise ConfigError(f"{path}: unsupported pair model schema {payload.get('schema_version')}")
     if tuple(payload["feature_names"]) != FEATURE_NAMES:
-        raise ValueError("pair model feature schema mismatch")
+        raise ConfigError(f"{path}: pair model feature schema mismatch")
     return PairFeatureModel(
         weights=tuple(float(w) for w in payload["weights"]),
         bias=float(payload["bias"]),

@@ -148,6 +148,26 @@ def _short_log(tmp):
     return path
 
 
+def _write(tmp, name, text):
+    path = tmp / name
+    path.write_text(text)
+    return path
+
+
+def _schema_2_model(tmp):
+    return _write(tmp, "schema2.json", json.dumps({
+        "schema_version": 2, "feature_names": [], "weights": [], "bias": 0.0,
+    }))
+
+
+def _cv_combos(tmp, links):
+    pairs = _write(tmp, "pairs.tsv",
+                   "https://a.com/en\thttps://a.com/fr\tpositive\teng\tfra\tgold:bi\n")
+    langs = _write(tmp, "langs.tsv", "https://a.com/en\teng\nhttps://a.com/fr\tfra\n")
+    return ["cv-combos", "--pairs", str(pairs), "--links", str(links),
+            "--url-langs", str(langs), "--langs", "eng,fra", "--out", str(tmp / "cv.tsv")]
+
+
 # (case, argv from (tmp dir, graph, config), text the error line must contain)
 _BAD_INPUTS = [
     ("missing config",
@@ -166,6 +186,28 @@ _BAD_INPUTS = [
      lambda tmp, graph, config: ["report", "--log", str(_short_log(tmp)),
                                  "--out", str(tmp / "rep")],
      "short.tsv:1:"),
+    ("5-column pair row",
+     lambda tmp, graph, config: ["negsample", "--pairs", str(_write(
+         tmp, "pairs5.tsv", "https://a.com/en\thttps://a.com/fr\tpositive\teng\tfra\n")),
+                                 "--out", str(tmp / "neg.tsv")],
+     "pairs5.tsv:1:"),
+    ("malformed pair model",
+     lambda tmp, graph, config: ["pairscore", "score", "--scorer", "model",
+                                 "--model", str(_write(tmp, "bad.json", "{not json")),
+                                 "--url-a", "https://a.com/en", "--url-b", "https://a.com/fr"],
+     "bad.json"),
+    ("pair model schema 2",
+     lambda tmp, graph, config: ["pairscore", "score", "--scorer", "model",
+                                 "--model", str(_schema_2_model(tmp)),
+                                 "--url-a", "https://a.com/en", "--url-b", "https://a.com/fr"],
+     "schema2.json"),
+    ("malformed links",
+     lambda tmp, graph, config: _cv_combos(tmp, _write(tmp, "links.json", "{not json")),
+     "links.json"),
+    ("malformed graph",
+     lambda tmp, graph, config: ["simulate", "--graph", str(_write(tmp, "g.json", "[1, 2")),
+                                 "--config", str(config), "--log", str(tmp / "l.tsv")],
+     "g.json"),
 ]
 
 

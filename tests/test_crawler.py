@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from bifocal import pairscore
 from bifocal.crawler import (
     DISCARDED_LANGUAGE,
     ERROR,
@@ -33,13 +36,27 @@ from bifocal.errors import (
     UnknownSeed,
 )
 from bifocal.frontier import SEED
-from bifocal.langid import RuleLanguageScorer
-from bifocal.pairscore import BaselinePairScorer
+from bifocal.langid import (
+    NgramHyperparams,
+    NgramLanguageScorer,
+    RuleLanguageScorer,
+    ngram_predict,
+    ngram_train,
+)
+from bifocal.pairscore import (
+    BaselinePairScorer,
+    FeaturePairScorer,
+    PairFeatureModel,
+    build_language_tokens,
+    pair_features,
+)
+from bifocal.urls import normalize_url
 
 from references import bfs_reference
 from synthdata import (
     OracleLangScorer,
     OraclePairScorer,
+    lang_url_corpus,
     planted_graph,
     random_site_graph,
 )
@@ -205,6 +222,56 @@ def test_fetch_error_is_logged_and_crawl_continues():
     outcomes = {e.url: e.outcome for e in log}
     assert outcomes["https://a/missing"] == ERROR
     assert outcomes["https://a/ok"] == STORED
+
+
+class _PredictEveryLink:
+    """Reference language scorer: one ``ngram_predict`` per call, no memo."""
+
+    def __init__(self, model):
+        self.model = model
+        self.urls = []
+
+    def probability(self, url, target):
+        self.urls.append(url)
+        return ngram_predict(self.model, url).get(target, 0.0)
+
+
+class _FeaturesEveryLink:
+    """Reference pair scorer: one ``pair_features`` per call, no memo."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def probability(self, url_a, url_b, lang_a=None, lang_b=None):
+        feats = pair_features(normalize_url(url_a), normalize_url(url_b),
+                              build_language_tokens(lang_a), build_language_tokens(lang_b))
+        return self.model.probability(feats)
+
+
+def test_memoizing_scorers_crawl_like_unmemoized_ones(monkeypatch):
+    # planted_graph plus links from every page to the first 12 pages of its
+    # site, so most URLs are scored from many parents.
+    graph, seeds = planted_graph(n_sites=2, pages_per_site=30, seed=5)
+    by_site = {}
+    for url in graph.pages:
+        by_site.setdefault(site_of(url), []).append(url)
+    graph = SiteGraph({
+        url: dataclasses.replace(page, links=page.links + tuple(by_site[site_of(url)][:12]))
+        for url, page in graph.pages.items()
+    })
+    hp = NgramHyperparams(dim=8, bucket_count=4096, epochs=3)
+    lang_model = ngram_train(lang_url_corpus(200, seed=2, langs=("eng", "fra")), hp, seed=1)
+    pair_model = PairFeatureModel(weights=(1.0, 0.5, -2.0, 3.0, -0.5, 1.0, 0.2), bias=-1.0)
+    cfg = _cfg(seeds, budget=50)
+
+    memoized = simulate(graph, cfg, NgramLanguageScorer(lang_model), FeaturePairScorer(pair_model))
+    monkeypatch.setattr(pairscore, "_residuals", pairscore._residuals.__wrapped__)
+    reference_lang = _PredictEveryLink(lang_model)
+    reference = simulate(graph, cfg, reference_lang, _FeaturesEveryLink(pair_model))
+
+    assert len(reference_lang.urls) > 2 * len(set(reference_lang.urls))
+    assert len({e.priority for e in reference}) > 10
+    assert memoized.events == reference.events
 
 
 def test_unknown_seed_rejected():

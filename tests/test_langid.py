@@ -242,6 +242,24 @@ def test_lang_probability_rule():
     assert scorer.probability("/de/seite", "deu") == 0.0  # hostless: unk
 
 
+def test_ngram_scorer_memo_answers_like_predict(toy_model):
+    scorer = NgramLanguageScorer(toy_model)
+    urls = ["https://any.com/de/seite", "https://x.fr/fr/page", "https://any.com/de/seite"]
+    for url in urls + urls[::-1]:
+        for target in ("deu", "fra", "zzz"):
+            assert scorer.probability(url, target) == ngram_predict(toy_model, url).get(target, 0.0)
+
+
+def test_ngram_scorer_distribution_is_a_copy(toy_model):
+    scorer = NgramLanguageScorer(toy_model)
+    url = "https://any.com/de/seite"
+    expected = ngram_predict(toy_model, url)
+    scorer.distribution(url)["deu"] = -1.0
+    scorer.distribution(url).clear()
+    assert scorer.distribution(url) == expected
+    assert scorer.probability(url, "deu") == expected["deu"]
+
+
 def test_lang_probability_ngram(toy_model):
     scorer = NgramLanguageScorer(toy_model)
     assert scorer.probability("https://any.com/de/seite", "deu") >= 0.5

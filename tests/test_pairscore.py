@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifocal.datasets import gold_pair, neg_random_match
@@ -10,6 +10,8 @@ from bifocal.pairscore import (
     FEATURE_NAMES,
     BaselinePairScorer,
     FeaturePairScorer,
+    _residuals,
+    _token_edit_distance,
     baseline_align,
     build_language_tokens,
     load_pair_model,
@@ -21,6 +23,7 @@ from bifocal.pairscore import (
 )
 from bifocal.urls import normalize_url
 
+from references import levenshtein_reference
 from synthdata import NEUTRAL_WORDS
 
 ENG = build_language_tokens("eng")
@@ -119,8 +122,28 @@ def test_transform_suite_recall_and_rejection():
         assert not baseline_align(a, b, ENG, FRA)
 
 
+def test_residuals_are_immutable():
+    full, residuals = _residuals(normalize_url("https://a.com/en/x").core_tokens(), ENG.tokens)
+    assert full == "a.com/en/x"
+    assert isinstance(residuals, frozenset) and "a.com//x" in residuals
+
+
 # ---------------------------------------------------------------------------
 # Features
+
+# A three-token alphabet, so drawn sequences often share a prefix or suffix.
+_token_seqs = st.lists(st.sampled_from(["a", "b", "/"]), max_size=8).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_seqs, _token_seqs, _token_seqs, _token_seqs)
+@example((), (), (), ())
+@example((), (), ("a", "b"), ())
+@example((), ("a",), (), ())
+@example(("a",), ("a",), ("a",), ("a",))
+def test_token_edit_distance_matches_full_table(prefix, a, b, suffix):
+    a, b = prefix + a + suffix, prefix + b + suffix
+    assert _token_edit_distance(a, b) == levenshtein_reference(a, b)
 
 def test_features_identity_pair():
     norm = normalize_url("https://a.com/en/x")
