@@ -21,7 +21,6 @@ from .langid import (
 from .pairscore import (
     BaselinePairScorer,
     FeaturePairScorer,
-    LanguageTokenSet,
     PairFeatureModel,
     baseline_align,
     build_language_tokens,

@@ -11,6 +11,7 @@ config-file values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -142,20 +143,21 @@ def write_report(log: crawler.CrawlLog, graph: crawler.SiteGraph | None, out_dir
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
+def _numbered_lines(path: str | None):
+    """(line number, line) for each non-empty line of ``path``, or of stdin."""
+    with open(path, "r", encoding="utf-8") if path else contextlib.nullcontext(sys.stdin) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if line:
+                yield lineno, line
+
+
 def _iter_lines(path: str | None, inline: "list[str]"):
     if inline:
         yield from inline
-    if path:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.rstrip("\n")
-                if line:
-                    yield line
-    if not inline and not path:
-        for line in sys.stdin:
-            line = line.rstrip("\n")
-            if line:
-                yield line
+    if path or not inline:
+        for _, line in _numbered_lines(path):
+            yield line
 
 
 def _print_prf_table(cm: metrics.ConfusionMatrix, first_column: str) -> None:
@@ -239,8 +241,10 @@ def _cmd_pairscore_score(args) -> int:
         rows = [(args.url_a, args.url_b)]
     else:
         rows = []
-        for line in _iter_lines(args.pairs, []):
+        for lineno, line in _numbered_lines(args.pairs):
             parts = line.split("\t")
+            if len(parts) < 2:
+                raise ConfigError(f"{args.pairs or '<stdin>'}:{lineno}: expected url_a<TAB>url_b")
             rows.append((parts[0], parts[1]))
     for url_a, url_b in rows:
         prob = scorer.probability(url_a, url_b, args.lang_a, args.lang_b)
@@ -306,8 +310,11 @@ def _cmd_negsample(args) -> int:
 
 def _cmd_splits(args) -> int:
     corpus = datasets.read_labeled_urls(args.data)
-    ratios = tuple(float(r) for r in args.ratios.split(","))
-    parts = datasets.split_by_domain(corpus, ratios, seed=args.seed)
+    try:
+        ratios = tuple(float(r) for r in args.ratios.split(","))
+        parts = datasets.split_by_domain(corpus, ratios, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(f"--ratios {args.ratios}: {exc}") from exc
     names = {2: ("train", "dev"), 3: ("train", "dev", "test")}.get(
         len(parts), tuple(f"part{i}" for i in range(len(parts)))
     )
@@ -325,8 +332,8 @@ def _cmd_cv_combos(args) -> int:
     with open(args.links, "r", encoding="utf-8") as handle:
         try:
             link_map = {url: tuple(links) for url, links in json.load(handle).items()}
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.links}: link map is not JSON: {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:  # ValueError: not JSON
+            raise ConfigError(f"{args.links}: not a JSON object of URL lists: {exc}") from None
     lang_map = dict(datasets.read_labeled_urls(args.url_langs))
     lang_a, _, lang_b = args.langs.partition(",")
     results = datasets.cross_validate_combos(
@@ -419,12 +426,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="TSV url<TAB>lang")
     p.add_argument("--model", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--buckets", type=int, default=1 << 20)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=0.1)
+    p.add_argument("--n-min", type=int, default=langid.NgramHyperparams.n_min)
+    p.add_argument("--n-max", type=int, default=langid.NgramHyperparams.n_max)
+    p.add_argument("--dim", type=int, default=langid.NgramHyperparams.dim)
+    p.add_argument("--buckets", type=int, default=langid.NgramHyperparams.bucket_count)
+    p.add_argument("--epochs", type=int, default=langid.NgramHyperparams.epochs)
+    p.add_argument("--learning-rate", type=float, default=langid.NgramHyperparams.learning_rate)
     p.set_defaults(func=_cmd_langid_train)
 
     p = lang_sub.add_parser("predict", help="predict language from URLs")

@@ -102,7 +102,10 @@ class SiteGraph:
                 data = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: site graph is not JSON: {exc}") from None
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: not a site graph: {exc!r}") from None
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -416,9 +419,6 @@ class LiveFetcher:
 class UniformLanguageScorer:
     """Constant 1.0; with the uniform pair scorer the crawl is breadth-first."""
 
-    def distribution(self, url: str) -> dict[str, float]:
-        return {UNKNOWN_LANG: 1.0}
-
     def probability(self, url: str, target: str) -> float:
         return 1.0
 
@@ -537,7 +537,6 @@ def crawl_step(state: CrawlState) -> CrawlEvent:
     pair = (state.cfg.lang_a, state.cfg.lang_b)
     if lang not in pair:
         # Off-language documents end here: no link extraction.
-        state.frontier.mark_discarded(entry.url)
         event = CrawlEvent(seq, entry.url, DISCARDED_LANGUAGE, lang, entry.priority)
         state.events.append(event)
         return event

@@ -108,11 +108,8 @@ class ExternalLanguageScorer:
     def __init__(self, client: ScorerClient):
         self.client = client
 
-    def distribution(self, url: str) -> dict[str, float]:
-        return self.client.language_distribution(url)
-
     def probability(self, url: str, target: str) -> float:
-        return self.distribution(url).get(target, 0.0)
+        return self.client.language_distribution(url).get(target, 0.0)
 
 
 class ExternalPairScorer:

@@ -32,7 +32,6 @@ SEED = _SeedTier()
 
 PENDING = "pending"
 FETCHED = "fetched"
-DISCARDED = "discarded"
 
 
 @dataclass
@@ -65,11 +64,6 @@ class Frontier:
         with self._lock:
             return self._pending
 
-    def __contains__(self, url: str) -> bool:
-        with self._lock:
-            entry = self._entries.get(url)
-            return entry is not None and entry.state == PENDING
-
     def entry(self, url: str) -> FrontierEntry | None:
         with self._lock:
             return self._entries.get(url)
@@ -77,7 +71,7 @@ class Frontier:
     def push_or_raise(self, url: str, priority: "float | _SeedTier") -> None:
         """Insert the URL, or raise its priority if it is already pending.
 
-        Terminal (already fetched/discarded) URLs are ignored.
+        Terminal (already fetched) URLs are ignored.
         """
         if priority is not SEED and not 0.0 <= priority <= 1.0:
             raise ValueError(f"priority must be in [0,1] or SEED, got {priority!r}")
@@ -110,23 +104,9 @@ class Frontier:
                 entry = self._entries[url]
                 if entry.state != PENDING:
                     continue
-                current = SEED if entry.is_seed else entry.priority
-                snapshot = SEED if priority_snapshot is SEED else priority_snapshot
-                if current is not snapshot and current != snapshot:
+                if entry.priority != priority_snapshot:
                     continue  # stale heap item from an earlier priority
                 entry.state = FETCHED
                 self._pending -= 1
                 return entry
             raise FrontierEmpty("no pending entries")
-
-    def mark_discarded(self, url: str) -> None:
-        """Record that a fetched URL's document was discarded."""
-        with self._lock:
-            entry = self._entries.get(url)
-            if entry is not None and entry.state == FETCHED:
-                entry.state = DISCARDED
-
-    def state(self, url: str) -> str | None:
-        with self._lock:
-            entry = self._entries.get(url)
-            return entry.state if entry else None

@@ -19,15 +19,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateLabels, NotAUrl
-from .isodata import UNKNOWN_LANG, LanguageTable, bundled_languages
+from .errors import ConfigError, DegenerateLabels, NotAUrl
+from .isodata import UNKNOWN_LANG, bundled_languages
 from .urls import NormalizedUrl, UrlComponents, normalize_url, parse_components
 
 # ---------------------------------------------------------------------------
 # Rule baseline
 
 
-def rule_langid(components: UrlComponents, table: LanguageTable | None = None) -> str:
+def rule_langid(components: UrlComponents) -> str:
     """Pick a language from URL components, or ``unk``.
 
     Components are examined in a fixed order: query parameter values first,
@@ -35,8 +35,7 @@ def rule_langid(components: UrlComponents, table: LanguageTable | None = None) -
     subdomain.  The first component whose lowercased value is an ISO 639 code
     decides.
     """
-    if table is None:
-        table = bundled_languages()
+    table = bundled_languages()
     for _, value in components.query_params:
         code = table.canonical(value)
         if code:
@@ -306,8 +305,17 @@ def save_model(model: NgramLangModel, path) -> None:
 
 
 def load_model(path) -> NgramLangModel:
+    """Read a model written by ``save_model``.
+
+    Raises:
+        ConfigError: the file is not a classifier model or is cut short.
+    """
     with open(path, "rb") as handle:
-        return model_from_bytes(handle.read())
+        blob = handle.read()
+    try:
+        return model_from_bytes(blob)
+    except (ValueError, struct.error) as exc:
+        raise ConfigError(f"{path}: not a language model: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +324,12 @@ def load_model(path) -> NgramLangModel:
 class RuleLanguageScorer:
     """Wraps the rule baseline: probability 1 for the matched language."""
 
-    def __init__(self, table: LanguageTable | None = None):
-        self.table = table or bundled_languages()
-
-    def classify(self, url: str) -> str:
-        try:
-            components = parse_components(url)
-        except NotAUrl:
-            return UNKNOWN_LANG
-        return rule_langid(components, self.table)
-
-    def distribution(self, url: str) -> dict[str, float]:
-        return {self.classify(url): 1.0}
-
     def probability(self, url: str, target: str) -> float:
-        code = self.classify(url)
-        if code == UNKNOWN_LANG:
+        try:
+            code = rule_langid(parse_components(url))
+        except NotAUrl:
             return 0.0
-        return 1.0 if code == target else 0.0
+        return 1.0 if code == target != UNKNOWN_LANG else 0.0
 
 
 class NgramLanguageScorer:
@@ -348,9 +344,6 @@ class NgramLanguageScorer:
         # ``ngram_predict`` is looked up at call time, so a rebound module
         # attribute still sees every prediction.
         self._predict = lru_cache(maxsize=1 << 16)(lambda url: ngram_predict(model, url))
-
-    def distribution(self, url: str) -> dict[str, float]:
-        return dict(self._predict(url))
 
     def probability(self, url: str, target: str) -> float:
         return self._predict(url).get(target, 0.0)

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DegenerateLabels, NotAUrl, UnknownLanguage
-from .isodata import UNKNOWN_LANG, LanguageTable, bundled_languages
+from .isodata import UNKNOWN_LANG, bundled_languages
 from .urls import NormalizedUrl, jaccard, normalize_url, parse_components
 
 # Longest run of URL tokens that can form one language marker, e.g. a
@@ -24,15 +24,7 @@ _MAX_SPAN = 3
 _MAX_SPANS_EXACT = 12
 
 
-@dataclass(frozen=True)
-class LanguageTokenSet:
-    """Lowercased tokens that mark a language inside URLs."""
-
-    lang: str
-    tokens: frozenset[str]
-
-
-def build_language_tokens(lang: str, table: LanguageTable | None = None) -> LanguageTokenSet:
+def build_language_tokens(lang: str) -> frozenset[str]:
     """All URL marker forms of a language.
 
     The set unions the English name, the endonym, the two- and three-letter
@@ -42,9 +34,7 @@ def build_language_tokens(lang: str, table: LanguageTable | None = None) -> Lang
     Raises:
         UnknownLanguage: ``lang`` is not in the bundled table.
     """
-    if table is None:
-        table = bundled_languages()
-    rec = table.get(lang)
+    rec = bundled_languages().get(lang)
     if rec is None:
         raise UnknownLanguage(f"no bundled record for {lang!r}")
     tokens = {rec.name_en.lower(), rec.endonym.lower(), rec.code}
@@ -54,7 +44,7 @@ def build_language_tokens(lang: str, table: LanguageTable | None = None) -> Lang
         tokens.add(rec.code1)
         for region in rec.regions:
             tokens.add(f"{rec.code1}-{region}")
-    return LanguageTokenSet(lang=rec.code, tokens=frozenset(tokens))
+    return frozenset(tokens)
 
 
 @lru_cache(maxsize=512)
@@ -62,7 +52,7 @@ def _token_set_or_empty(lang: str | None) -> frozenset[str]:
     if lang is None or lang == UNKNOWN_LANG:
         return frozenset()
     try:
-        return build_language_tokens(lang).tokens
+        return build_language_tokens(lang)
     except UnknownLanguage:
         return frozenset()
 
@@ -122,8 +112,8 @@ def _residuals(tokens: tuple[str, ...], marker_tokens: frozenset[str]) -> tuple[
 def baseline_align(
     url_a: str,
     url_b: str,
-    tokens_a: LanguageTokenSet,
-    tokens_b: LanguageTokenSet,
+    tokens_a: frozenset[str],
+    tokens_b: frozenset[str],
 ) -> bool:
     """True when deleting language markers can turn both URLs into one string.
 
@@ -135,8 +125,8 @@ def baseline_align(
         return False
     core_a = normalize_url(url_a).core_tokens()
     core_b = normalize_url(url_b).core_tokens()
-    full_a, plus_a = _residuals(core_a, tokens_a.tokens)
-    full_b, plus_b = _residuals(core_b, tokens_b.tokens)
+    full_a, plus_a = _residuals(core_a, tokens_a)
+    full_b, plus_b = _residuals(core_b, tokens_b)
     if plus_a & plus_b:
         return True
     return full_b in plus_a or full_a in plus_b
@@ -189,8 +179,8 @@ def _token_edit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
 def pair_features(
     a: NormalizedUrl,
     b: NormalizedUrl,
-    tokens_a: LanguageTokenSet,
-    tokens_b: LanguageTokenSet,
+    tokens_a: frozenset[str],
+    tokens_b: frozenset[str],
 ) -> tuple[float, ...]:
     """Fixed-order feature vector for a URL pair (see ``FEATURE_NAMES``)."""
     core_a, core_b = a.core_tokens(), b.core_tokens()
@@ -213,7 +203,7 @@ def pair_features(
 
     mismatches = 0
     for tok_a, tok_b in zip(core_a, core_b):
-        if tok_a != tok_b and (tok_a in tokens_a.tokens or tok_b in tokens_b.tokens):
+        if tok_a != tok_b and (tok_a in tokens_a or tok_b in tokens_b):
             mismatches += 1
 
     try:
@@ -254,9 +244,10 @@ def pair_feature_vector(
     url_a: str, url_b: str, lang_a: str | None, lang_b: str | None
 ) -> tuple[float, ...]:
     """Memoized features for raw URLs, marker sets derived from the languages."""
-    set_a = LanguageTokenSet(lang_a or UNKNOWN_LANG, _token_set_or_empty(lang_a))
-    set_b = LanguageTokenSet(lang_b or UNKNOWN_LANG, _token_set_or_empty(lang_b))
-    return pair_features(normalize_url(url_a), normalize_url(url_b), set_a, set_b)
+    return pair_features(
+        normalize_url(url_a), normalize_url(url_b),
+        _token_set_or_empty(lang_a), _token_set_or_empty(lang_b),
+    )
 
 
 @dataclass
@@ -314,21 +305,26 @@ def load_pair_model(path) -> PairFeatureModel:
     """Read a model written by ``save_pair_model``.
 
     Raises:
-        ConfigError: the file is not JSON, or not a model of this schema.
+        ConfigError: the file is not JSON, lacks a field, or is not a model
+            of this schema.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: pair model is not JSON: {exc}") from None
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: unsupported pair model schema {payload.get('schema_version')}")
-    if tuple(payload["feature_names"]) != FEATURE_NAMES:
-        raise ConfigError(f"{path}: pair model feature schema mismatch")
-    return PairFeatureModel(
-        weights=tuple(float(w) for w in payload["weights"]),
-        bias=float(payload["bias"]),
-    )
+    try:
+        if payload.get("schema_version") != SCHEMA_VERSION:
+            raise ConfigError(f"{path}: unsupported pair model schema {payload.get('schema_version')}")
+        if tuple(payload["feature_names"]) != FEATURE_NAMES:
+            raise ConfigError(f"{path}: pair model feature schema mismatch")
+        weights = tuple(float(w) for w in payload["weights"])
+        bias = float(payload["bias"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a pair model: {exc!r}") from None
+    if len(weights) != len(FEATURE_NAMES):
+        raise ConfigError(f"{path}: pair model has {len(weights)} weights, not {len(FEATURE_NAMES)}")
+    return PairFeatureModel(weights=weights, bias=bias)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +334,8 @@ class BaselinePairScorer:
     """Hard 0/1 scorer from the token-removal alignment rule."""
 
     def probability(self, url_a: str, url_b: str, lang_a: str | None = None, lang_b: str | None = None) -> float:
-        set_a = LanguageTokenSet(lang_a or UNKNOWN_LANG, _token_set_or_empty(lang_a))
-        set_b = LanguageTokenSet(lang_b or UNKNOWN_LANG, _token_set_or_empty(lang_b))
-        return 1.0 if baseline_align(url_a, url_b, set_a, set_b) else 0.0
+        aligned = baseline_align(url_a, url_b, _token_set_or_empty(lang_a), _token_set_or_empty(lang_b))
+        return 1.0 if aligned else 0.0
 
 
 class FeaturePairScorer:

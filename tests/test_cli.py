@@ -10,6 +10,7 @@ from bifocal.cli import dispatch, load_config
 from bifocal.crawler import CrawlLog
 from bifocal.datasets import read_labeled_pairs, write_labeled_pairs, write_labeled_urls, LabeledUrl
 from bifocal.errors import ConfigError
+from bifocal.pairscore import FEATURE_NAMES
 
 from synthdata import lang_url_corpus, parallel_pair_corpus, planted_graph
 
@@ -160,12 +161,29 @@ def _schema_2_model(tmp):
     }))
 
 
+def _short_weights_model(tmp):
+    return _write(tmp, "short_weights.json", json.dumps({
+        "schema_version": 1, "feature_names": list(FEATURE_NAMES), "weights": [1.0], "bias": 0.0,
+    }))
+
+
 def _cv_combos(tmp, links):
     pairs = _write(tmp, "pairs.tsv",
                    "https://a.com/en\thttps://a.com/fr\tpositive\teng\tfra\tgold:bi\n")
     langs = _write(tmp, "langs.tsv", "https://a.com/en\teng\nhttps://a.com/fr\tfra\n")
     return ["cv-combos", "--pairs", str(pairs), "--links", str(links),
             "--url-langs", str(langs), "--langs", "eng,fra", "--out", str(tmp / "cv.tsv")]
+
+
+def _ngram_config(tmp, config, model):
+    """The simulate config with the n-gram language scorer reading ``model``."""
+    return _write(tmp, "ngram.cfg",
+                  config.read_text() + f'lang_scorer = "ngram"\nlang_model_path = "{model}"\n')
+
+
+def _splits(tmp, ratios):
+    urls = _write(tmp, "urls.tsv", "https://a.com/x\teng\nhttps://b.com/y\tfra\n")
+    return ["splits", "--data", str(urls), "--ratios", ratios, "--out-prefix", str(tmp / "s")]
 
 
 # (case, argv from (tmp dir, graph, config), text the error line must contain)
@@ -204,10 +222,55 @@ _BAD_INPUTS = [
     ("malformed links",
      lambda tmp, graph, config: _cv_combos(tmp, _write(tmp, "links.json", "{not json")),
      "links.json"),
+    ("links that are a list",
+     lambda tmp, graph, config: _cv_combos(tmp, _write(tmp, "list_links.json", "[1, 2]")),
+     "list_links.json"),
     ("malformed graph",
      lambda tmp, graph, config: ["simulate", "--graph", str(_write(tmp, "g.json", "[1, 2")),
                                  "--config", str(config), "--log", str(tmp / "l.tsv")],
      "g.json"),
+    ("language model of another format",
+     lambda tmp, graph, config: ["langid", "predict", "--model",
+                                 str(_write(tmp, "garbage.bin", "not a model")), "https://a.com/"],
+     "garbage.bin"),
+    ("language model cut after its magic",
+     lambda tmp, graph, config: ["langid", "predict", "--model",
+                                 str(_write(tmp, "cut.bin", "NGLM\x01")), "https://a.com/"],
+     "cut.bin"),
+    ("simulate with a bad language model",
+     lambda tmp, graph, config: ["simulate", "--graph", str(graph), "--log", str(tmp / "l.tsv"),
+                                 "--config", str(_ngram_config(
+                                     tmp, config, _write(tmp, "garbage.bin", "not a model")))],
+     "garbage.bin"),
+    ("pair model without feature names",
+     lambda tmp, graph, config: ["pairscore", "score", "--scorer", "model",
+                                 "--model", str(_write(tmp, "v1.json", '{"schema_version": 1}')),
+                                 "--url-a", "https://a.com/en", "--url-b", "https://a.com/fr"],
+     "v1.json"),
+    ("pair model with too few weights",
+     lambda tmp, graph, config: ["pairscore", "score", "--scorer", "model",
+                                 "--model", str(_short_weights_model(tmp)),
+                                 "--url-a", "https://a.com/en", "--url-b", "https://a.com/fr"],
+     "short_weights.json"),
+    ("graph page without lang",
+     lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv"),
+                                 "--graph", str(_write(
+                                     tmp, "nolang.json", '{"pages": {"https://a.com/": {}}}'))],
+     "nolang.json"),
+    ("graph that is a list",
+     lambda tmp, graph, config: ["simulate", "--graph", str(_write(tmp, "list.json", "[1, 2]")),
+                                 "--config", str(config), "--log", str(tmp / "l.tsv")],
+     "list.json"),
+    ("pair row without a tab",
+     lambda tmp, graph, config: ["pairscore", "score", "--pairs", str(_write(
+         tmp, "notab.tsv", "https://a.com/en\thttps://a.com/fr\nhttps://a.com/en\n"))],
+     "notab.tsv:2:"),
+    ("ratios that are not numbers",
+     lambda tmp, graph, config: _splits(tmp, "a,b"),
+     "--ratios a,b"),
+    ("ratios that do not sum to 1",
+     lambda tmp, graph, config: _splits(tmp, "0.5,0.4"),
+     "--ratios 0.5,0.4"),
 ]
 
 

@@ -21,6 +21,7 @@ from bifocal.crawler import (
     UniformLanguageScorer,
     UniformPairScorer,
     build_seed_list,
+    crawl_live,
     crawl_step,
     extract_links,
     score_links,
@@ -511,6 +512,38 @@ def test_live_fetcher_non_200_fails():
     fetcher = LiveFetcher(opener=_opener_factory(responses), per_host_delay_ms=0)
     with pytest.raises(FetchFailed):
         fetcher.fetch("https://h.com/gone")
+
+
+def _html(text, *links):
+    anchors = "".join(f'<a href="{link}"></a>' for link in links)
+    return 200, "text/html", f"<p>{text}</p>{anchors}".encode()
+
+
+# An English home page, a French and a German page, and a page robots.txt
+# forbids; the German page's link is reachable through it alone.
+_LIVE_SITE = {
+    "https://h.com/robots.txt": (200, "text/plain", b"User-agent: *\nDisallow: /private\n"),
+    "https://h.com/": _html("the site is in english and it is for you and for all of them",
+                            "/fr/page", "/de/seite", "/private/x"),
+    "https://h.com/fr/page": _html("le site est pour vous et les autres, il est à nous", "/"),
+    "https://h.com/de/seite": _html("die seite ist nicht für dich und das", "/en/next"),
+    "https://h.com/en/next": _html("the next page is for them"),
+    "https://h.com/private/x": _html("the private page is not for you"),
+}
+
+
+@pytest.mark.parametrize("budget, fetched", [(10, 4), (2, 2)])
+def test_crawl_live_over_a_fake_site(budget, fetched):
+    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=("https://h.com/",), budget=budget)
+    fetcher = LiveFetcher(opener=_opener_factory(_LIVE_SITE), per_host_delay_ms=0)
+    log = crawl_live(cfg, fetcher=fetcher)
+    assert [(e.url, e.outcome, e.lang) for e in log] == [
+        ("https://h.com/", STORED, "eng"),
+        ("https://h.com/fr/page", STORED, "fra"),
+        ("https://h.com/de/seite", DISCARDED_LANGUAGE, "deu"),
+        ("https://h.com/private/x", ERROR, "unk"),
+    ][:fetched]
+    assert log.events[0].priority is SEED
 
 
 def test_site_of():

@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from bifocal.errors import FrontierEmpty
-from bifocal.frontier import DISCARDED, FETCHED, PENDING, SEED, Frontier
+from bifocal.frontier import FETCHED, PENDING, SEED, Frontier
 
 from references import ReferenceFrontier
 
@@ -64,8 +64,6 @@ def test_popped_urls_are_terminal():
     f.push_or_raise("u", 0.9)  # ignored: terminal
     with pytest.raises(FrontierEmpty):
         f.pop_max()
-    f.mark_discarded("u")
-    assert f.state("u") == DISCARDED
 
 
 def test_one_entry_per_url():

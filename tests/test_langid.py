@@ -239,6 +239,7 @@ def test_lang_probability_rule():
     assert scorer.probability("https://x.com/p?lang=fr", "fra") == 1.0
     assert scorer.probability("https://x.com/p?lang=fr", "deu") == 0.0
     assert scorer.probability("https://x.com/none", "fra") == 0.0  # unk maps to 0
+    assert scorer.probability("https://x.com/none", "unk") == 0.0
     assert scorer.probability("/de/seite", "deu") == 0.0  # hostless: unk
 
 
@@ -248,16 +249,6 @@ def test_ngram_scorer_memo_answers_like_predict(toy_model):
     for url in urls + urls[::-1]:
         for target in ("deu", "fra", "zzz"):
             assert scorer.probability(url, target) == ngram_predict(toy_model, url).get(target, 0.0)
-
-
-def test_ngram_scorer_distribution_is_a_copy(toy_model):
-    scorer = NgramLanguageScorer(toy_model)
-    url = "https://any.com/de/seite"
-    expected = ngram_predict(toy_model, url)
-    scorer.distribution(url)["deu"] = -1.0
-    scorer.distribution(url).clear()
-    assert scorer.distribution(url) == expected
-    assert scorer.probability(url, "deu") == expected["deu"]
 
 
 def test_lang_probability_ngram(toy_model):

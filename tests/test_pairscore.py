@@ -44,12 +44,12 @@ def _transform_pairs(n=20, seed=1):
 # Language token sets
 
 def test_albanian_token_set():
-    tokens = build_language_tokens("sqi").tokens
+    tokens = build_language_tokens("sqi")
     assert {"albanian", "shqip", "alb", "sq", "sq-sq", "sq-ks", "sqi"} <= tokens
 
 
 def test_french_token_set():
-    tokens = FRA.tokens
+    tokens = FRA
     assert {"french", "français", "fr", "fra", "fre", "fr-fr"} <= tokens
 
 
@@ -62,7 +62,7 @@ def test_token_sets_nonempty_for_all_bundled():
     from bifocal.isodata import bundled_languages
 
     for code in bundled_languages().codes():
-        assert build_language_tokens(code).tokens
+        assert build_language_tokens(code)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_transform_suite_recall_and_rejection():
 
 
 def test_residuals_are_immutable():
-    full, residuals = _residuals(normalize_url("https://a.com/en/x").core_tokens(), ENG.tokens)
+    full, residuals = _residuals(normalize_url("https://a.com/en/x").core_tokens(), ENG)
     assert full == "a.com/en/x"
     assert isinstance(residuals, frozenset) and "a.com//x" in residuals
 
