@@ -12,11 +12,14 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import BadCap, ConfigError, TooFewDomains
 from .isodata import UNKNOWN_LANG
-from .pairscore import FeaturePairScorer, pair_train
+from . import pairscore
+from .pairscore import pair_train
 from .metrics import confusion_matrix, prf
-from .urls import jaccard, normalize_url, parse_components, segment_text
+from .urls import normalize_url, parse_components, segment_text
 
 
 class LabeledUrl(NamedTuple):
@@ -62,11 +65,13 @@ def write_labeled_urls(records, path) -> None:
 def read_labeled_urls(path) -> "list[LabeledUrl]":
     out = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             url, _, lang = line.partition("\t")
+            if not lang:
+                raise ConfigError(f"{path}:{lineno}: URL row has no tab-separated label")
             out.append(LabeledUrl(url, lang))
     return out
 
@@ -235,11 +240,12 @@ def _starts(pairs, mode: str) -> "list[tuple[str, str, str, str]]":
     raise ValueError(f"mode must be 'mono' or 'bi', got {mode!r}")
 
 
-def _replace_second(pairs, mode: str, method: str, choose):
-    """Replace each start's second URL with ``choose(url_b, pool)``.
+def _replace_second(pairs, mode: str, method: str, chooser):
+    """Replace each start's second URL with the one ``chooser(pool)`` picks.
 
     The pool is every start's second URL, sorted; in ``mono`` mode only those
-    of the start's own language.  Returns ``(negatives, skipped)``; a start is
+    of the start's own language.  ``chooser(pool)`` is called once per pool and
+    returns ``choose(url_b)``.  Returns ``(negatives, skipped)``; a start is
     skipped when ``choose`` returns ``None``.
     """
     starts = _starts(pairs, mode)
@@ -247,11 +253,11 @@ def _replace_second(pairs, mode: str, method: str, choose):
     pools: dict[str | None, set[str]] = {}
     for _, url_b, _, lang_b in starts:
         pools.setdefault(lang_b if by_lang else None, set()).add(url_b)
-    sorted_pools = {key: sorted(urls) for key, urls in pools.items()}
+    choosers = {key: chooser(sorted(urls)) for key, urls in pools.items()}
     out: list[LabeledPair] = []
     skipped = 0
     for url_a, url_b, lang_a, lang_b in starts:
-        repl = choose(url_b, sorted_pools[lang_b if by_lang else None])
+        repl = choosers[lang_b if by_lang else None](url_b)
         if repl is None:
             skipped += 1
             continue
@@ -267,9 +273,12 @@ def neg_random_match(pairs, mode: str, seed: int = 0):
     """
     rng = random.Random(seed)
 
-    def random_other(target: str, pool) -> str | None:
-        candidates = [u for u in pool if u != target]
-        return rng.choice(candidates) if candidates else None
+    def random_other(pool):
+        def choose(target: str) -> str | None:
+            candidates = [u for u in pool if u != target]
+            return rng.choice(candidates) if candidates else None
+
+        return choose
 
     return _replace_second(pairs, mode, "random_match", random_other)
 
@@ -308,6 +317,39 @@ def neg_remove_tokens(pairs, mode: str, seed: int = 0):
     return out, skipped
 
 
+def _max_jaccard_matches(pool) -> "dict[str, str | None]":
+    """Each URL of the sorted, duplicate-free ``pool`` mapped to its most
+    token-similar other pool URL, or ``None`` when the pool has no other URL.
+
+    Ties go to the first, lexicographically smallest URL, so with no shared
+    token the first URL other than the target wins.  Intersections come from a
+    token -> posting index, one ``bincount`` per target, so memory stays
+    O(pool + postings).  ``inter / union`` divides integers like ``jaccard``.
+    """
+    token_sets = [normalize_url(url).token_set() for url in pool]
+    n = len(pool)
+    if n == 1:
+        return {pool[0]: None}
+    postings: dict[str, list[int]] = {}
+    for i, tokens in enumerate(token_sets):
+        for token in tokens:
+            postings.setdefault(token, []).append(i)
+    posting_arrays = {token: np.array(ids) for token, ids in postings.items()}
+    sizes = np.array([len(tokens) for tokens in token_sets])
+    matches: dict[str, str | None] = {}
+    for i, (url, tokens) in enumerate(zip(pool, token_sets)):
+        if tokens:
+            inter = np.bincount(np.concatenate([posting_arrays[t] for t in tokens]), minlength=n)
+        else:
+            inter = np.zeros(n, dtype=np.int64)
+        union = len(tokens) + sizes - inter
+        # Two empty token sets count as identical, as in ``jaccard``.
+        scores = np.divide(inter, union, out=np.ones(n), where=union > 0)
+        scores[i] = -1.0
+        matches[url] = pool[int(scores.argmax())]
+    return matches
+
+
 def neg_max_jaccard(pairs, mode: str):
     """Replace the second URL with the collection's most token-similar one.
 
@@ -315,30 +357,7 @@ def neg_max_jaccard(pairs, mode: str):
     (the URL itself excluded); ties go to the lexicographically smaller URL.
     Deterministic, no seed involved.
     """
-    # Token sets are memoized per call: the scan below is O(n^2) in the pool.
-    token_sets: dict[str, frozenset] = {}
-
-    def tokens_of(url: str) -> frozenset:
-        cached = token_sets.get(url)
-        if cached is None:
-            cached = normalize_url(url).token_set()
-            token_sets[url] = cached
-        return cached
-
-    def best_match(target: str, pool) -> str | None:
-        best_url = None
-        best_score = -1.0
-        target_tokens = tokens_of(target)
-        for cand in pool:
-            if cand == target:
-                continue
-            score = jaccard(tokens_of(cand), target_tokens)
-            if score > best_score:
-                best_score = score
-                best_url = cand
-        return best_url
-
-    return _replace_second(pairs, mode, "max_jaccard", best_match)
+    return _replace_second(pairs, mode, "max_jaccard", lambda pool: _max_jaccard_matches(pool).get)
 
 
 # Canonical strategy order: bilingual variants first.
@@ -425,11 +444,16 @@ def cross_validate_combos(
     mined from the link map of the fold's gold pairs, while training negatives
     come from the combination's synthetic strategies applied to the remaining
     folds.  Metrics are averaged over folds; one row per combination.
+
+    Each fold builds its training rows once (the positives, then each
+    strategy's negatives as one block) and fits all 63 combinations in one
+    ``pair_train`` call, whose masks select each combination's rows.
     """
     positives = list(positives)
     fold_sets = _fold_domains(positives, k, seed)
-
-    fold_data = []
+    combo_bits = np.arange(1, 1 << len(STRATEGIES))
+    combos = [tuple(s for i, s in enumerate(STRATEGIES) if bits & (1 << i)) for bits in combo_bits]
+    scores: list[list[tuple[float, float, float]]] = [[] for _ in combos]
     for i, fold_domains in enumerate(fold_sets):
         test_pos, train_pos = [], []
         for p in positives:
@@ -439,35 +463,38 @@ def cross_validate_combos(
         test = test_pos + mine_negatives_from_links(gold, link_map, lang_map, langs)
         gold_labels = [pair.label for pair in test]
         fold_seed = seed + i
-        strategy_negs = {}
-        for strategy in STRATEGIES:
-            strategy_negs[strategy], _ = generate_negatives(train_pos, [strategy], fold_seed)
-        fold_data.append((train_pos, strategy_negs, test, gold_labels, fold_seed))
 
-    results = []
-    for mask in range(1, 1 << len(STRATEGIES)):
-        combo = tuple(s for i, s in enumerate(STRATEGIES) if mask & (1 << i))
-        scores = []
-        for train_pos, strategy_negs, test, gold_labels, fold_seed in fold_data:
-            train_set = list(train_pos)
-            for strategy in combo:
-                train_set.extend(strategy_negs[strategy])
-            scorer = FeaturePairScorer(pair_train(train_set, seed=fold_seed))
-            pred_labels = []
-            for pair in test:
-                prob = scorer.probability(pair.url_a, pair.url_b, pair.lang_a, pair.lang_b)
-                pred_labels.append("positive" if prob > 0.5 else "negative")
+        rows = list(train_pos)
+        masks = [np.ones((len(train_pos), len(combos)))]
+        for bit, strategy in enumerate(STRATEGIES):
+            negatives, _ = generate_negatives(train_pos, [strategy], fold_seed)
+            rows.extend(negatives)
+            in_combo = (combo_bits >> bit) & 1
+            masks.append(np.broadcast_to(in_combo, (len(negatives), len(combos))))
+        models = pair_train(rows, seed=fold_seed, masks=np.concatenate(masks))
+
+        weights = np.array([model.weights for model in models]).T
+        bias = np.array([model.bias for model in models])
+        features = np.array([
+            pairscore.pair_feature_vector(p.url_a, p.url_b, p.lang_a, p.lang_b) for p in test
+        ])
+        positive = 1.0 / (1.0 + np.exp(-(features @ weights + bias))) > 0.5
+        for combo_scores, predicted in zip(scores, positive.T):
+            pred_labels = ["positive" if flag else "negative" for flag in predicted]
             cm = confusion_matrix(gold_labels, pred_labels, labels=("negative", "positive"))
             pos_f1 = prf(cm, "positive")[2]
             neg_f1 = prf(cm, "negative")[2]
-            scores.append((pos_f1, neg_f1, (pos_f1 + neg_f1) / 2))
-        n = len(scores)
+            combo_scores.append((pos_f1, neg_f1, (pos_f1 + neg_f1) / 2))
+
+    results = []
+    for combo, combo_scores in zip(combos, scores):
+        n = len(combo_scores)
         results.append(
             ComboResult(
                 strategies=combo,
-                pos_f1=sum(s[0] for s in scores) / n,
-                neg_f1=sum(s[1] for s in scores) / n,
-                macro_f1=sum(s[2] for s in scores) / n,
+                pos_f1=sum(s[0] for s in combo_scores) / n,
+                neg_f1=sum(s[1] for s in combo_scores) / n,
+                macro_f1=sum(s[2] for s in combo_scores) / n,
             )
         )
     return results

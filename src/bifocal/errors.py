@@ -64,4 +64,5 @@ class FetchFailed(BifocalError):
 class ConfigError(BifocalError):
     """Raised for a bad input: config file (unknown key, type error, missing
     file), site graph, crawl log, pair TSV, pair model, language model, link
-    map or ``--ratios``, including JSON that lacks a field or has another shape."""
+    map, labeled-URL TSV or ``--ratios``, including JSON that lacks a field or
+    has another shape."""

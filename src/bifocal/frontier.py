@@ -55,7 +55,7 @@ def _heap_key(entry: FrontierEntry) -> tuple:
 class Frontier:
     def __init__(self):
         self._entries: dict[str, FrontierEntry] = {}
-        self._heap: list[tuple[tuple, str, object]] = []
+        self._heap: list[tuple[tuple, str]] = []
         self._next_seq = 0
         self._pending = 0
         self._lock = threading.Lock()
@@ -82,7 +82,7 @@ class Frontier:
                 self._next_seq += 1
                 self._pending += 1
                 self._entries[url] = entry
-                heapq.heappush(self._heap, (_heap_key(entry), url, entry.priority))
+                heapq.heappush(self._heap, (_heap_key(entry), url))
                 return
             if entry.state != PENDING:
                 return
@@ -90,7 +90,7 @@ class Frontier:
                 return
             if priority is SEED or priority > entry.priority:
                 entry.priority = priority
-                heapq.heappush(self._heap, (_heap_key(entry), url, entry.priority))
+                heapq.heappush(self._heap, (_heap_key(entry), url))
 
     def pop_max(self) -> FrontierEntry:
         """Remove and return the best pending entry; it becomes terminal.
@@ -100,12 +100,12 @@ class Frontier:
         """
         with self._lock:
             while self._heap:
-                _, url, priority_snapshot = heapq.heappop(self._heap)
+                _, url = heapq.heappop(self._heap)
                 entry = self._entries[url]
+                # A raise pushes a strictly better key, so an entry's newest
+                # item pops first; its older items pop after it is fetched.
                 if entry.state != PENDING:
                     continue
-                if entry.priority != priority_snapshot:
-                    continue  # stale heap item from an earlier priority
                 entry.state = FETCHED
                 self._pending -= 1
                 return entry

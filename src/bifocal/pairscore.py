@@ -260,33 +260,66 @@ class PairFeatureModel:
         return 1.0 / (1.0 + math.exp(-z))
 
 
-def pair_train(data, seed: int = 0) -> PairFeatureModel:
+def pair_train(data, seed: int = 0, masks=None) -> "PairFeatureModel | list[PairFeatureModel]":
     """Fit the logistic pair model on labeled pairs.
 
     ``data`` is a sequence of records with ``url_a``, ``url_b``, ``lang_a``,
     ``lang_b`` and ``label`` attributes (see :class:`bifocal.datasets.LabeledPair`).
     Full-batch gradient descent on cross-entropy; deterministic for any seed.
 
+    Without ``masks`` one model is fitted on every record and returned.  With
+    ``masks``, a 0/1 array of one row per record and one column per model,
+    each column's model is fitted on the records it selects, all in the same
+    descent, and the models are returned as a list in column order.  A model's
+    steps are those of a fit on its records alone; only the summation order of
+    its gradients differs, by rounding.
+
     Raises:
-        DegenerateLabels: only one class present.
+        DegenerateLabels: a model's rows hold only one class.
     """
     records = list(data)
     targets = np.array([1.0 if rec.label == "positive" else 0.0 for rec in records])
-    if len(set(targets.tolist())) < 2:
+    # One row per model from here on: its 0/1 selection of the records.
+    if masks is None:
+        selected = np.ones((1, len(records)))
+    else:
+        selected = np.ascontiguousarray(np.asarray(masks, dtype=float).T)
+    counts = selected.sum(axis=1, keepdims=True)
+    positives = selected @ targets[:, None]
+    if ((positives == 0) | (positives == counts)).any():
         raise DegenerateLabels("pair training needs both positive and negative samples")
     matrix = np.array(
         [pair_feature_vector(rec.url_a, rec.url_b, rec.lang_a, rec.lang_b) for rec in records]
     )
-    weights = np.zeros(matrix.shape[1])
-    bias = 0.0
-    count = len(records)
+    weights = np.zeros((len(selected), matrix.shape[1]))
+    bias = np.zeros((len(selected), 1))
+    err = np.empty_like(selected)
+    grad = np.empty_like(weights)
+    grad_bias = np.empty_like(bias)
+    selected_targets = selected * targets
     for _ in range(TRAIN_STEPS):
-        z = matrix @ weights + bias
-        probs = 1.0 / (1.0 + np.exp(-z))
-        err = probs - targets
-        weights -= LEARNING_RATE * (matrix.T @ err) / count
-        bias -= LEARNING_RATE * float(err.mean())
-    return PairFeatureModel(weights=tuple(weights.tolist()), bias=float(bias))
+        # err = sigmoid(weights @ matrix.T + bias) * selected - targets * selected, in place.
+        np.matmul(weights, matrix.T, out=err)
+        err += bias
+        np.negative(err, out=err)
+        np.exp(err, out=err)
+        err += 1.0
+        np.divide(1.0, err, out=err)
+        err *= selected
+        err -= selected_targets
+        np.matmul(err, matrix, out=grad)
+        grad *= LEARNING_RATE
+        grad /= counts
+        weights -= grad
+        np.sum(err, axis=1, keepdims=True, out=grad_bias)
+        grad_bias /= counts
+        grad_bias *= LEARNING_RATE
+        bias -= grad_bias
+    models = [
+        PairFeatureModel(weights=tuple(row.tolist()), bias=float(b))
+        for row, b in zip(weights, bias[:, 0])
+    ]
+    return models[0] if masks is None else models
 
 
 def save_pair_model(model: PairFeatureModel, path) -> None:

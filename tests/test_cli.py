@@ -265,6 +265,11 @@ _BAD_INPUTS = [
      lambda tmp, graph, config: ["pairscore", "score", "--pairs", str(_write(
          tmp, "notab.tsv", "https://a.com/en\thttps://a.com/fr\nhttps://a.com/en\n"))],
      "notab.tsv:2:"),
+    ("URL row without a label",
+     lambda tmp, graph, config: ["langid", "train", "--data", str(_write(
+         tmp, "nolabel.tsv", "https://a.com/en/x\teng\nhttps://a.com/fr/x\tfra\nhttps://a.com/x\n")),
+         "--model", str(tmp / "lang.bin")],
+     "nolabel.tsv:3:"),
     ("ratios that are not numbers",
      lambda tmp, graph, config: _splits(tmp, "a,b"),
      "--ratios a,b"),

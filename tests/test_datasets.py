@@ -3,7 +3,10 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bifocal import datasets
 from bifocal.datasets import (
     DEFAULT_STRATEGIES,
     STRATEGIES,
@@ -22,9 +25,10 @@ from bifocal.datasets import (
     write_labeled_pairs,
     write_labeled_urls,
 )
-from bifocal.errors import BadCap, TooFewDomains
+from bifocal.errors import BadCap, ConfigError, DegenerateLabels, TooFewDomains
 from bifocal.urls import jaccard, normalize_url
 
+from references import cross_validate_combos_reference, max_jaccard_reference
 from synthdata import parallel_pair_corpus
 
 
@@ -365,6 +369,72 @@ def test_max_jaccard_mono_matches_brute_force():
         assert neg.url_b == best
 
 
+def _max_jaccard_expected(pairs, mode):
+    """Brute-force ``neg_max_jaccard``: ``(url_a, url_b, lang_b)`` rows and the skip count."""
+    if mode == "bi":
+        starts = [(p.url_a, p.url_b, p.lang_b) for p in pairs]
+    else:
+        starts = [(url, url, lang) for url, lang in _mono_starts(pairs)]
+    rows = []
+    for url_a, url_b, lang in starts:
+        pool = [b for _, b, other in starts if mode == "bi" or other == lang]
+        best = max_jaccard_reference(url_b, pool)
+        if best is not None:
+            rows.append((url_a, best, lang))
+    return rows, len(starts) - len(rows)
+
+
+# Few tokens, so that shared tokens, ties and empty token sets ("http://") are common.
+_JACCARD_URLS = st.builds(
+    lambda prefix, words: prefix + "/".join(words),
+    st.sampled_from(["http://", "https://", "x-", "https://h.com/"]),
+    st.lists(st.sampled_from(["a", "b", "c", "a-b"]), max_size=3),
+)
+_JACCARD_PAIRS = st.lists(
+    st.tuples(_JACCARD_URLS, _JACCARD_URLS, st.sampled_from(["eng", "fra", "deu"]),
+              st.sampled_from(["eng", "fra", "deu"])),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_JACCARD_PAIRS, mode=st.sampled_from(["bi", "mono"]))
+@example(rows=[("https://l.com/1", "https://h.com/a", "eng", "fra"),
+               ("https://l.com/2", "https://h.com/c", "eng", "fra"),
+               ("https://l.com/3", "https://h.com/b", "eng", "fra")], mode="bi")  # tie
+@example(rows=[("https://l.com/1", "http://", "eng", "fra"),
+               ("https://l.com/2", "https://h.com/a", "eng", "fra"),
+               ("https://l.com/3", "https://", "eng", "fra")], mode="bi")  # empty token sets
+@example(rows=[("https://l.com/1", "https://h.com/a", "eng", "fra")], mode="bi")  # pool of one
+@example(rows=[("https://l.com/1", "x-c", "eng", "fra"),
+               ("https://l.com/2", "a", "eng", "fra"),
+               ("https://l.com/3", "b", "eng", "fra")], mode="bi")  # no overlap
+@example(rows=[("https://h.com/a", "https://h.com/b", "eng", "fra"),
+               ("https://h.com/a/b", "https://h.com/c", "eng", "deu"),
+               ("https://h.com/c", "https://h.com/a", "fra", "eng")], mode="mono")
+def test_max_jaccard_matches_brute_force_scan(rows, mode):
+    pairs = [gold_pair(*row) for row in rows]
+    negatives, skipped = neg_max_jaccard(pairs, mode)
+    assert ([(n.url_a, n.url_b, n.lang_b) for n in negatives], skipped) == _max_jaccard_expected(pairs, mode)
+
+
+@pytest.mark.parametrize("pool, target, expected", [
+    (["https://h.com/a", "https://h.com/c", "https://h.com/b"], "https://h.com/a", "https://h.com/b"),
+    (["http://", "https://h.com/a", "https://"], "http://", "https://"),
+    (["https://h.com/a", "http://"], "http://", "https://h.com/a"),
+    (["x-c", "b", "a"], "x-c", "a"),
+    (["x-c", "b", "a"], "a", "b"),
+    (["https://h.com/a"], "https://h.com/a", None),
+], ids=["tie goes to the smaller URL", "two empty sets score 1", "empty against non-empty",
+        "no overlap takes the first URL", "no overlap skips the target", "pool of one"])
+def test_max_jaccard_explicit_cases(pool, target, expected):
+    pairs = [gold_pair(f"https://left.com/{i}", url, "eng", "fra") for i, url in enumerate(pool)]
+    negatives, skipped = neg_max_jaccard(pairs, "bi")
+    replacement = {n.url_a: n.url_b for n in negatives}.get(f"https://left.com/{pool.index(target)}")
+    assert replacement == expected
+    assert skipped == (len(pool) if expected is None else 0)
+
+
 @pytest.mark.parametrize("strategy", [neg_random_match, neg_max_jaccard, neg_remove_tokens])
 def test_unknown_mode_is_rejected(strategy):
     with pytest.raises(ValueError, match="mode must be 'mono' or 'bi'"):
@@ -396,6 +466,14 @@ def test_labeled_url_tsv_round_trip(tmp_path):
     path = tmp_path / "urls.tsv"
     write_labeled_urls(corpus, path)
     assert read_labeled_urls(path) == corpus
+
+
+@pytest.mark.parametrize("row", ["https://a.com/x", "https://a.com/x\t"])
+def test_labeled_url_row_without_label_is_rejected(tmp_path, row):
+    path = tmp_path / "urls.tsv"
+    path.write_text(f"https://a.com/en\teng\n\n{row}\n")
+    with pytest.raises(ConfigError, match=r"urls.tsv:3: "):
+        read_labeled_urls(path)
 
 
 def test_labeled_pair_tsv_round_trip(tmp_path):
@@ -434,3 +512,35 @@ def test_cv_combos_too_few_domains():
     positives, link_map, lang_map = parallel_pair_corpus(n_sites=3, pairs_per_site=3, seed=2)
     with pytest.raises(TooFewDomains):
         cross_validate_combos(positives, link_map, lang_map, {"eng", "fra"}, k=10, seed=0)
+
+
+def test_cv_combos_equals_one_reference_fit_per_combination():
+    positives, link_map, lang_map = parallel_pair_corpus(n_sites=6, pairs_per_site=4, seed=1)
+    rows = cross_validate_combos(positives, link_map, lang_map, {"eng", "fra"}, k=3, seed=2)
+    expected = cross_validate_combos_reference(positives, link_map, lang_map, {"eng", "fra"}, k=3, seed=2)
+    assert [(r.key, r.pos_f1, r.neg_f1, r.macro_f1) for r in rows] == expected
+
+
+def test_cv_combos_fits_each_fold_once(monkeypatch):
+    positives, link_map, lang_map = parallel_pair_corpus(n_sites=5, pairs_per_site=3, seed=2)
+    calls = []
+    real_train = datasets.pair_train
+
+    def counting_train(*args, **kwargs):
+        calls.append(kwargs.get("masks"))
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(datasets, "pair_train", counting_train)
+    cross_validate_combos(positives, link_map, lang_map, {"eng", "fra"}, k=3, seed=4)
+    assert len(calls) == 3
+    assert all(masks.shape[1] == 63 for masks in calls)
+
+
+def test_cv_combos_combination_without_negatives_is_degenerate():
+    # Every gold pair shares its second URL, so the bilingual pool has one URL
+    # and random_match:bi and max_jaccard:bi produce no negatives.
+    positives = [gold_pair(f"https://site{i}.com/en/page-{i}", "https://shared.org/fr/page", "eng", "fra")
+                 for i in range(6)]
+    assert neg_random_match(positives, "bi")[0] == []
+    with pytest.raises(DegenerateLabels):
+        cross_validate_combos(positives, {}, {}, {"eng", "fra"}, k=2, seed=0)

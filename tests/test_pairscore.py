@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bifocal.datasets import gold_pair, neg_random_match
+from bifocal.datasets import STRATEGIES, generate_negatives, gold_pair, neg_random_match
 from bifocal.errors import DegenerateLabels, UnknownLanguage
 from bifocal.pairscore import (
     FEATURE_NAMES,
@@ -23,7 +24,7 @@ from bifocal.pairscore import (
 )
 from bifocal.urls import normalize_url
 
-from references import levenshtein_reference
+from references import levenshtein_reference, pair_train_reference
 from synthdata import NEUTRAL_WORDS
 
 ENG = build_language_tokens("eng")
@@ -221,6 +222,49 @@ def test_pair_train_degenerate():
     positives = [gold_pair(a, b, "eng", "fra") for a, b in _transform_pairs(5)]
     with pytest.raises(DegenerateLabels):
         pair_train(positives)
+
+
+def _strategy_rows(n, seed):
+    """Positives, then each strategy's negatives, as ``cross_validate_combos`` lays them out."""
+    positives = [gold_pair(a, b, "eng", "fra") for a, b in _transform_pairs(n, seed)]
+    rows = list(positives)
+    for strategy in STRATEGIES:
+        rows.extend(generate_negatives(positives, [strategy], seed)[0])
+    return rows
+
+
+def _bits(model):
+    return [w.hex() for w in model.weights], model.bias.hex()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pair_train_is_the_reference_loop_bit_for_bit(seed):
+    data = _strategy_rows(5 + 7 * seed, seed) if seed % 2 else _toy_labeled_pairs(10 + 9 * seed, seed)
+    random.Random(seed).shuffle(data)
+    assert _bits(pair_train(data, seed=seed)) == _bits(pair_train_reference(data, seed=seed))
+
+
+def test_batched_fit_matches_a_reference_fit_per_column():
+    rows = _strategy_rows(25, seed=3)
+    labels = np.array([rec.label == "positive" for rec in rows])
+    rng = np.random.default_rng(8)
+    masks = rng.random((len(rows), 9)) < 0.5
+    masks[:, 0] = True
+    masks[labels.argmax()] = masks[labels.argmin()] = True
+    models = pair_train(rows, seed=0, masks=masks)
+    assert len(models) == masks.shape[1]
+    for column, model in zip(masks.T, models):
+        expected = pair_train_reference([rec for rec, keep in zip(rows, column) if keep])
+        np.testing.assert_allclose(model.weights, expected.weights, rtol=0, atol=1e-12)
+        assert abs(model.bias - expected.bias) <= 1e-12
+
+
+def test_batched_fit_rejects_a_column_of_one_class():
+    rows = _strategy_rows(10, seed=1)
+    masks = np.ones((len(rows), 3))
+    masks[[rec.label == "negative" for rec in rows], 1] = 0.0
+    with pytest.raises(DegenerateLabels):
+        pair_train(rows, masks=masks)
 
 
 def test_pair_model_round_trip(tmp_path):
