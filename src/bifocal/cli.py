@@ -6,7 +6,9 @@ One binary, many subcommands: ``normalize``, ``langid {train,predict,eval}``,
 
 Exit codes: 0 success, 1 domain error or unreadable file, 2 usage error.
 Every subcommand that uses randomness accepts ``--seed``; flags override
-config-file values.
+config-file values.  numpy comes in only with what needs it: the commands
+that read labeled data import :mod:`bifocal.datasets` themselves, and the
+n-gram model and pair training import numpy on first use.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import os
 import sys
 import typing
 
-from . import crawler, datasets, langid, metrics, pairscore
+from . import crawler, langid, metrics, pairscore
 from .errors import BifocalError, ConfigError, UnknownLanguage
 from .urls import normalize_url
 
@@ -188,6 +190,8 @@ def _hyperparams(args) -> langid.NgramHyperparams:
 
 
 def _cmd_langid_train(args) -> int:
+    from . import datasets
+
     data = datasets.read_labeled_urls(args.data)
     model = langid.ngram_train(data, _hyperparams(args), seed=args.seed)
     langid.save_model(model, args.model)
@@ -209,6 +213,8 @@ def _cmd_langid_predict(args) -> int:
 
 
 def _cmd_langid_eval(args) -> int:
+    from . import datasets
+
     model = langid.load_model(args.model)
     data = datasets.read_labeled_urls(args.data)
     known = set(model.labels)
@@ -228,6 +234,8 @@ def _cmd_langid_eval(args) -> int:
 
 
 def _cmd_pairscore_train(args) -> int:
+    from . import datasets
+
     data = datasets.read_labeled_pairs(args.data)
     model = pairscore.pair_train(data, seed=args.seed)
     pairscore.save_pair_model(model, args.model)
@@ -267,6 +275,8 @@ def _cmd_pairscore_align(args) -> int:
 
 
 def _cmd_pairscore_eval(args) -> int:
+    from . import datasets
+
     scorer = crawler.build_pair_scorer(args)
     data = datasets.read_labeled_pairs(args.data)
     gold = [rec.label for rec in data]
@@ -281,6 +291,8 @@ def _cmd_pairscore_eval(args) -> int:
 
 
 def _parse_strategies(text: str):
+    from . import datasets
+
     strategies = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -296,6 +308,8 @@ def _parse_strategies(text: str):
 
 
 def _cmd_negsample(args) -> int:
+    from . import datasets
+
     positives = [p for p in datasets.read_labeled_pairs(args.pairs) if p.label == "positive"]
     strategies = (
         _parse_strategies(args.strategies) if args.strategies else datasets.DEFAULT_STRATEGIES
@@ -309,6 +323,8 @@ def _cmd_negsample(args) -> int:
 
 
 def _cmd_splits(args) -> int:
+    from . import datasets
+
     corpus = datasets.read_labeled_urls(args.data)
     try:
         ratios = tuple(float(r) for r in args.ratios.split(","))
@@ -327,6 +343,8 @@ def _cmd_splits(args) -> int:
 
 def _cmd_cv_combos(args) -> int:
     import json
+
+    from . import datasets
 
     positives = [p for p in datasets.read_labeled_pairs(args.pairs) if p.label == "positive"]
     with open(args.links, "r", encoding="utf-8") as handle:

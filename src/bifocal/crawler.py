@@ -8,6 +8,7 @@ max-update rule.  Seeds always download first.
 
 Fetching is pluggable: an offline site-graph fetcher drives deterministic
 simulations, a live fetcher does plain HTTP GETs honoring robots exclusion.
+Only the live fetcher imports the HTTP stack.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ import json
 import logging
 import re
 import time
-import urllib.request
-import urllib.robotparser
 from dataclasses import dataclass
 from importlib import resources
 from urllib.parse import urljoin
@@ -350,12 +349,31 @@ class PolitenessGate:
 
 # Seconds a live fetch (page or robots.txt) may wait for the server.
 _FETCH_TIMEOUT_S = 20.0
+# Largest response body a live fetch reads; a longer one fails the fetch.
+_MAX_BODY_BYTES = 10 * 1024 * 1024
 
 
 def _default_opener(url: str, headers: dict, timeout: float):
+    """``(status, headers, body)`` of a GET; an HTTP error status is returned too.
+
+    Raises:
+        FetchFailed: the body is longer than ``_MAX_BODY_BYTES``.
+        OSError: the server could not be reached.
+    """
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, headers=headers)
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return response.status, dict(response.headers), response.read()
+    try:
+        response = urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        return exc.code, dict(exc.headers or {}), b""
+    with response:
+        body = response.read(_MAX_BODY_BYTES + 1)
+        if len(body) > _MAX_BODY_BYTES:
+            raise FetchFailed(f"GET {url}: body is longer than {_MAX_BODY_BYTES} bytes")
+        return response.status, dict(response.headers), body
 
 
 class LiveFetcher:
@@ -375,6 +393,13 @@ class LiveFetcher:
         self._robots: dict[str, urllib.robotparser.RobotFileParser] = {}
 
     def _robots_for(self, url: str) -> urllib.robotparser.RobotFileParser:
+        """The host's robots.txt rules, fetched once per host (RFC 9309 §2.3.1).
+
+        A 5xx answer means the whole host is disallowed; any other non-200
+        answer, an unreachable server or a body over the size cap allow all.
+        """
+        import urllib.robotparser
+
         components = parse_components(url)
         host = components.host
         parser = self._robots.get(host)
@@ -385,12 +410,15 @@ class LiveFetcher:
                 status, _, body = self.opener(
                     robots_url, {"User-Agent": self.user_agent}, _FETCH_TIMEOUT_S
                 )
+            except (OSError, FetchFailed):
+                parser.allow_all = True
+            else:
                 if status == 200:
                     parser.parse(body.decode("utf-8", "replace").splitlines())
+                elif 500 <= status < 600:
+                    parser.disallow_all = True
                 else:
                     parser.allow_all = True
-            except OSError:
-                parser.allow_all = True
             self._robots[host] = parser
         return parser
 

@@ -9,15 +9,15 @@ Three interchangeable scorers:
 The n-gram model hashes character n-grams of each token (sentinels excluded)
 into a fixed number of buckets, averages their embeddings, and applies a
 softmax layer.  Training is plain SGD on cross-entropy, fully deterministic
-for a fixed seed.
+for a fixed seed.  numpy is imported by the n-gram functions themselves, so
+the rule scorer works without it.
 """
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import ConfigError, DegenerateLabels, NotAUrl
 from .isodata import UNKNOWN_LANG, bundled_languages
@@ -91,6 +91,15 @@ def ngram_features(token: str, n_min: int, n_max: int) -> list[str]:
     return feats
 
 
+@lru_cache(maxsize=1 << 16)
+def _token_bucket_ids(token: str, n_min: int, n_max: int, bucket_count: int) -> tuple[int, ...]:
+    """Bucket ids of a token's n-grams; URL tokens repeat across URLs."""
+    return tuple(
+        fnv1a64(feat.encode("utf-8")) % bucket_count
+        for feat in ngram_features(token, n_min, n_max)
+    )
+
+
 @dataclass
 class NgramHyperparams:
     n_min: int = 2
@@ -108,23 +117,39 @@ class NgramLangModel:
     dim: int
     bucket_count: int
     labels: tuple[str, ...]
-    embeddings: np.ndarray  # bucket_count x dim
-    output_weights: np.ndarray  # dim x len(labels)
+    # bucket_count x dim: float64 while training, a read-only float32 view of
+    # the file's bytes once loaded.
+    embeddings: np.ndarray
+    output_weights: np.ndarray  # dim x len(labels), float64
     epoch_losses: tuple[float, ...] = field(default=())
 
     def feature_ids(self, url: "str | NormalizedUrl") -> np.ndarray:
+        import numpy as np
+
         norm = normalize_url(url) if isinstance(url, str) else url
         ids = []
         for token in norm.core_tokens():
-            for feat in ngram_features(token, self.n_min, self.n_max):
-                ids.append(fnv1a64(feat.encode("utf-8")) % self.bucket_count)
+            ids.extend(_token_bucket_ids(token, self.n_min, self.n_max, self.bucket_count))
         return np.asarray(ids, dtype=np.int64)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
+
+
+def _mean_embedding(emb: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Mean of the rows ``ids`` of ``emb``, in float64.
+
+    Only the gathered rows are cast, so a float32 table gives the same bits as
+    its float64 copy would.
+    """
+    import numpy as np
+
+    return emb[ids].astype(np.float64, copy=False).mean(axis=0)
 
 
 def _forward_backward(emb: np.ndarray, weights: np.ndarray, ids: np.ndarray, y: int):
@@ -134,7 +159,9 @@ def _forward_backward(emb: np.ndarray, weights: np.ndarray, ids: np.ndarray, y: 
     the gradient with respect to the logits and the one with respect to
     ``hidden``.
     """
-    hidden = emb[ids].mean(axis=0)
+    import numpy as np
+
+    hidden = _mean_embedding(emb, ids)
     dz = _softmax(hidden @ weights)
     loss = -float(np.log(max(dz[y], 1e-300)))
     dz[y] -= 1.0
@@ -155,6 +182,8 @@ def ngram_train(
     Raises:
         DegenerateLabels: fewer than two distinct labels in ``data``.
     """
+    import numpy as np
+
     if hp is None:
         hp = NgramHyperparams()
     pairs = list(data)
@@ -210,8 +239,7 @@ def ngram_predict(model: NgramLangModel, url: "str | NormalizedUrl") -> dict[str
     if ids.size == 0:
         p = 1.0 / len(model.labels)
         return {label: p for label in model.labels}
-    hidden = model.embeddings[ids].mean(axis=0)
-    probs = _softmax(hidden @ model.output_weights)
+    probs = _softmax(_mean_embedding(model.embeddings, ids) @ model.output_weights)
     return dict(zip(model.labels, probs.tolist()))
 
 
@@ -220,8 +248,10 @@ def loss_and_gradients(model: NgramLangModel, batch) -> "tuple[float, np.ndarray
 
     Exposed so the gradients can be checked against finite differences.
     """
-    grad_emb = np.zeros_like(model.embeddings)
-    grad_w = np.zeros_like(model.output_weights)
+    import numpy as np
+
+    grad_emb = np.zeros(model.embeddings.shape)
+    grad_w = np.zeros(model.output_weights.shape)
     total = 0.0
     count = 0
     for url, y in batch:
@@ -245,31 +275,45 @@ def loss_and_gradients(model: NgramLangModel, batch) -> "tuple[float, np.ndarray
 
 _MAGIC = b"NGLM"
 _VERSION = 1
+# Rows per float32 chunk that ``save_model`` writes, so that saving never
+# holds a second full-size copy of the embedding.
+_SAVE_CHUNK_ROWS = 1 << 16
+
+
+def _write_model(model: NgramLangModel, handle) -> None:
+    """Write ``model`` to a binary file object: the header, then the matrices."""
+    import numpy as np
+
+    handle.write(_MAGIC)
+    handle.write(struct.pack(
+        "<IIIIII",
+        _VERSION,
+        model.n_min,
+        model.n_max,
+        model.dim,
+        model.bucket_count,
+        len(model.labels),
+    ))
+    for label in model.labels:
+        encoded = label.encode("utf-8")
+        handle.write(struct.pack("<I", len(encoded)))
+        handle.write(encoded)
+    for matrix in (model.embeddings, model.output_weights):
+        for start in range(0, len(matrix), _SAVE_CHUNK_ROWS):
+            # An array is a bytes-like object: ``write`` takes its buffer as is.
+            handle.write(np.ascontiguousarray(matrix[start : start + _SAVE_CHUNK_ROWS], dtype="<f4"))
 
 
 def model_to_bytes(model: NgramLangModel) -> bytes:
-    parts = [
-        _MAGIC,
-        struct.pack(
-            "<IIIIII",
-            _VERSION,
-            model.n_min,
-            model.n_max,
-            model.dim,
-            model.bucket_count,
-            len(model.labels),
-        ),
-    ]
-    for label in model.labels:
-        encoded = label.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-    parts.append(np.ascontiguousarray(model.embeddings, dtype="<f4").tobytes())
-    parts.append(np.ascontiguousarray(model.output_weights, dtype="<f4").tobytes())
-    return b"".join(parts)
+    buffer = io.BytesIO()
+    _write_model(model, buffer)
+    return buffer.getvalue()
 
 
 def model_from_bytes(blob: bytes) -> NgramLangModel:
+    """The model in ``blob``; its embedding is a float32 view of ``blob``."""
+    import numpy as np
+
     if blob[:4] != _MAGIC:
         raise ValueError("not a classifier model file")
     version, n_min, n_max, dim, buckets, n_labels = struct.unpack_from("<IIIIII", blob, 4)
@@ -282,26 +326,23 @@ def model_from_bytes(blob: bytes) -> NgramLangModel:
         offset += 4
         labels.append(blob[offset : offset + length].decode("utf-8"))
         offset += length
-    emb_bytes = buckets * dim * 4
     emb = np.frombuffer(blob, dtype="<f4", count=buckets * dim, offset=offset)
-    emb = emb.reshape(buckets, dim).astype(np.float64)
-    offset += emb_bytes
+    offset += emb.nbytes
     weights = np.frombuffer(blob, dtype="<f4", count=dim * n_labels, offset=offset)
-    weights = weights.reshape(dim, n_labels).astype(np.float64)
     return NgramLangModel(
         n_min=n_min,
         n_max=n_max,
         dim=dim,
         bucket_count=buckets,
         labels=tuple(labels),
-        embeddings=emb,
-        output_weights=weights,
+        embeddings=emb.reshape(buckets, dim),
+        output_weights=weights.reshape(dim, n_labels).astype(np.float64),
     )
 
 
 def save_model(model: NgramLangModel, path) -> None:
     with open(path, "wb") as handle:
-        handle.write(model_to_bytes(model))
+        _write_model(model, handle)
 
 
 def load_model(path) -> NgramLangModel:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ConfigError, DegenerateLabels, NotAUrl, UnknownLanguage
 from .isodata import UNKNOWN_LANG, bundled_languages
 from .urls import NormalizedUrl, jaccard, normalize_url, parse_components
@@ -277,6 +275,8 @@ def pair_train(data, seed: int = 0, masks=None) -> "PairFeatureModel | list[Pair
     Raises:
         DegenerateLabels: a model's rows hold only one class.
     """
+    import numpy as np
+
     records = list(data)
     targets = np.array([1.0 if rec.label == "positive" else 0.0 for rec in records])
     # One row per model from here on: its 0/1 selection of the records.

@@ -61,6 +61,58 @@ def test_module_entry_point_runs_the_cli():
     assert proc.stderr.startswith("usage: bifocal simulate")
 
 
+# Runs one command in a fresh interpreter, then prints which of the heavy
+# modules it loaded.
+_HEAVY = ("numpy", "urllib.request", "bifocal.datasets")
+_PROBE = (
+    "import json, sys\n"
+    "from bifocal.cli import dispatch\n"
+    "code = dispatch(sys.argv[1:])\n"
+    f"print(json.dumps([code, [m for m in {_HEAVY!r} if m in sys.modules]]))\n"
+)
+
+
+def _probe(argv):
+    """(exit code, heavy modules loaded) of ``bifocal argv`` in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return code, loaded
+
+
+def test_commands_without_models_load_no_numpy_nor_http(sim_setup):
+    tmp, graph, config = sim_setup
+    log = tmp / "rule.log.tsv"
+    urls = _write(tmp, "urls.tsv", "https://a.com/x\ta.com\nhttps://b.com/\tb.com\n")
+    commands = [
+        ["simulate", "--graph", graph, "--config", config, "--log", tmp / "bfs.log.tsv",
+         "--lang-scorer", "uniform", "--pair-scorer", "uniform"],
+        ["simulate", "--graph", graph, "--config", config, "--log", log, "--report", tmp / "r1"],
+        ["report", "--log", log, "--graph", graph, "--out", tmp / "r2"],
+        ["normalize", "https://a.com/fr/page"],
+        ["seeds", "--urls", urls, "--out", tmp / "seeds.out"],
+    ]
+    for argv in commands:
+        assert _probe(argv) == (0, []), argv
+
+
+def test_langid_eval_loads_numpy_itself(tmp_path):
+    data = lang_url_corpus(80, seed=2, langs=("deu", "fra"))
+    train_path = tmp_path / "train.tsv"
+    train_path.write_text("".join(f"{u}\t{l}\n" for u, l in data))
+    model_path = tmp_path / "model.bin"
+    assert dispatch(["langid", "train", "--data", str(train_path), "--model", str(model_path),
+                     "--buckets", "1024", "--dim", "4", "--epochs", "2"]) == 0
+    code, loaded = _probe(["langid", "eval", "--model", model_path, "--data", train_path])
+    assert code == 0
+    assert loaded == ["numpy", "bifocal.datasets"]
+
+
 def test_normalize_output(capsys):
     assert dispatch(["normalize", "https://a.com/contact-us"]) == 0
     out = capsys.readouterr().out

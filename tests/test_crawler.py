@@ -1,8 +1,11 @@
 import dataclasses
+import io
+import urllib.error
+import urllib.request
 
 import pytest
 
-from bifocal import pairscore
+from bifocal import crawler, pairscore
 from bifocal.crawler import (
     DISCARDED_LANGUAGE,
     ERROR,
@@ -512,6 +515,94 @@ def test_live_fetcher_non_200_fails():
     fetcher = LiveFetcher(opener=_opener_factory(responses), per_host_delay_ms=0)
     with pytest.raises(FetchFailed):
         fetcher.fetch("https://h.com/gone")
+
+
+@pytest.mark.parametrize("status", [500, 503, 599])
+def test_robots_server_error_disallows_the_host(status):
+    # RFC 9309 2.3.1.4: an unreachable robots.txt means complete disallow.
+    responses = {
+        "https://h.com/robots.txt": (status, "text/plain", b"User-agent: *\nAllow: /\n"),
+        "https://h.com/page": (200, "text/html", b""),
+    }
+    fetcher = LiveFetcher(opener=_opener_factory(responses), per_host_delay_ms=0)
+    for url in ("https://h.com/page", "https://h.com/"):
+        with pytest.raises(FetchFailed, match="robots.txt disallows"):
+            fetcher.fetch(url)
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 410, 499])
+def test_robots_client_error_allows_everything(status):
+    responses = {
+        "https://h.com/robots.txt": (status, "text/plain", b"User-agent: *\nDisallow: /\n"),
+        "https://h.com/page": (200, "text/html", b""),
+    }
+    fetcher = LiveFetcher(opener=_opener_factory(responses), per_host_delay_ms=0)
+    assert fetcher.fetch("https://h.com/page").content == b""
+
+
+class _FakeResponse:
+    def __init__(self, body):
+        self.status = 200
+        self.headers = {"Content-Type": "text/html"}
+        self.body = io.BytesIO(body)
+        self.reads = []
+
+    def read(self, size=-1):
+        self.reads.append(size)
+        return self.body.read(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def _fake_urlopen(monkeypatch, bodies):
+    """Serve ``bodies[url]``; a URL mapped to an int answers with that HTTP error."""
+    responses = []
+
+    def urlopen(request, timeout):
+        body = bodies[request.full_url]
+        if isinstance(body, int):
+            raise urllib.error.HTTPError(request.full_url, body, "error", {}, io.BytesIO(b""))
+        responses.append(_FakeResponse(body))
+        return responses[-1]
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return responses
+
+
+def test_default_opener_returns_http_error_statuses(monkeypatch):
+    _fake_urlopen(monkeypatch, {"https://h.com/robots.txt": 503, "https://h.com/gone": 404})
+    assert crawler._default_opener("https://h.com/robots.txt", {}, 1.0) == (503, {}, b"")
+    assert crawler._default_opener("https://h.com/gone", {}, 1.0) == (404, {}, b"")
+    fetcher = LiveFetcher(per_host_delay_ms=0)
+    with pytest.raises(FetchFailed, match="robots.txt disallows"):
+        fetcher.fetch("https://h.com/gone")
+
+
+def test_default_opener_caps_the_body(monkeypatch):
+    monkeypatch.setattr(crawler, "_MAX_BODY_BYTES", 64)
+    page = b"<p>the page is for you</p>".ljust(64)
+    responses = _fake_urlopen(monkeypatch, {
+        "https://h.com/robots.txt": 404,
+        "https://h.com/": page + b'<a href="/big">big</a>',
+        "https://h.com/fit": page,
+    })
+    with pytest.raises(FetchFailed, match="longer than 64 bytes"):
+        crawler._default_opener("https://h.com/", {}, 1.0)
+    assert responses[-1].reads == [65]
+    assert crawler._default_opener("https://h.com/fit", {}, 1.0) == (
+        200, {"Content-Type": "text/html"}, page)
+
+    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=("https://h.com/", "https://h.com/fit"),
+                      budget=5)
+    log = crawl_live(cfg, fetcher=LiveFetcher(per_host_delay_ms=0))
+    assert [(e.url, e.outcome) for e in log] == [
+        ("https://h.com/", ERROR),
+        ("https://h.com/fit", STORED),
+    ]
 
 
 def _html(text, *links):

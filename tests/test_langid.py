@@ -1,9 +1,14 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
+from bifocal import langid
 from bifocal.errors import DegenerateLabels
 from bifocal.langid import (
     NgramHyperparams,
+    NgramLangModel,
     NgramLanguageScorer,
     RuleLanguageScorer,
     fnv1a64,
@@ -17,10 +22,10 @@ from bifocal.langid import (
     rule_langid,
     save_model,
 )
-from bifocal.urls import parse_components
+from bifocal.urls import normalize_url, parse_components
 
 from golden import RULE_ORDER_CASES
-from synthdata import toy_bilingual_corpus
+from synthdata import lang_url_corpus, toy_bilingual_corpus
 
 TINY_HP = NgramHyperparams(dim=8, bucket_count=4096, epochs=10, learning_rate=0.1)
 
@@ -223,6 +228,82 @@ def test_model_round_trip(tmp_path, toy_model):
         d1 = ngram_predict(toy_model, url)
         d2 = ngram_predict(loaded, url)
         assert max(d1, key=d1.get) == max(d2, key=d2.get)
+
+
+def _reference_bytes(model):
+    """The model file format, encoded in one piece."""
+    parts = [b"NGLM", struct.pack("<IIIIII", 1, model.n_min, model.n_max, model.dim,
+                                  model.bucket_count, len(model.labels))]
+    for label in model.labels:
+        parts += [struct.pack("<I", len(label.encode())), label.encode()]
+    parts.append(np.asarray(model.embeddings, dtype="<f4").tobytes())
+    parts.append(np.asarray(model.output_weights, dtype="<f4").tobytes())
+    return b"".join(parts)
+
+
+def _odd_sized_model():
+    """A model whose bucket count is not a multiple of the save chunk."""
+    buckets = langid._SAVE_CHUNK_ROWS * 2 + 3
+    rng = np.random.default_rng(4)
+    return NgramLangModel(
+        n_min=2, n_max=3, dim=2, bucket_count=buckets, labels=("deu", "français"),
+        embeddings=rng.standard_normal((buckets, 2)),
+        output_weights=rng.standard_normal((2, 2)),
+    )
+
+
+@pytest.mark.parametrize("which", ["toy", "odd_sized"])
+def test_streamed_save_writes_the_reference_bytes(tmp_path, toy_model, which):
+    model = toy_model if which == "toy" else _odd_sized_model()
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    expected = _reference_bytes(model)
+    assert path.read_bytes() == expected
+    assert model_to_bytes(model) == expected
+    # A loaded model saves back to the same bytes.
+    save_model(load_model(path), path)
+    assert path.read_bytes() == expected
+
+
+def test_loaded_model_keeps_float32_embeddings(tmp_path, toy_model):
+    path = tmp_path / "model.bin"
+    save_model(toy_model, path)
+    loaded = load_model(path)
+    assert loaded.embeddings.dtype == np.float32
+    assert loaded.embeddings.shape == (toy_model.bucket_count, toy_model.dim)
+    assert loaded.output_weights.dtype == np.float64
+
+
+def test_loaded_model_predicts_like_a_float64_copy(tmp_path, toy_model):
+    path = tmp_path / "model.bin"
+    save_model(toy_model, path)
+    loaded = load_model(path)
+    upcast = dataclasses.replace(loaded, embeddings=loaded.embeddings.astype(np.float64))
+    for url, _ in lang_url_corpus(300, seed=9, langs=("deu", "fra")):
+        got = ngram_predict(loaded, url)
+        want = ngram_predict(upcast, url)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+def test_feature_ids_equal_the_uncached_loop():
+    def model(n_min, n_max, buckets):
+        return NgramLangModel(n_min=n_min, n_max=n_max, dim=1, bucket_count=buckets,
+                              labels=("deu", "fra"), embeddings=None, output_weights=None)
+
+    # The same tokens under three settings, asked in turn.
+    models = [model(2, 4, 4096), model(1, 3, 4096), model(2, 4, 1021)]
+    langid._token_bucket_ids.cache_clear()
+    for url, _ in lang_url_corpus(60, seed=5):
+        tokens = normalize_url(url).core_tokens()
+        for m in models:
+            expected = [
+                fnv1a64(feat.encode("utf-8")) % m.bucket_count
+                for token in tokens
+                for feat in ngram_features(token, m.n_min, m.n_max)
+            ]
+            ids = m.feature_ids(url)
+            assert ids.dtype == np.int64
+            assert ids.tolist() == expected, (url, m.n_min, m.n_max, m.bucket_count)
 
 
 def test_model_bytes_reject_bad_magic(toy_model):
