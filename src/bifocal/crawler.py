@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from importlib import resources
 from urllib.parse import urljoin
 
-from . import external, langid, pairscore
+from . import langid, pairscore
 from .errors import (
     BifocalError,
     ConfigError,
-    DetectorUnavailable,
     FetchFailed,
     FrontierEmpty,
     NoSeeds,
@@ -263,30 +262,6 @@ class StopwordLanguageDetector:
         return best_lang
 
 
-class ExternalProcessDetector:
-    """Pipes document bytes to a command; expects one language code line."""
-
-    def __init__(self, command: "list[str]", timeout: float = 30.0):
-        self.command = command
-        self.timeout = timeout
-
-    def detect(self, content: bytes, hint: str | None = None) -> str:
-        import subprocess
-
-        try:
-            proc = subprocess.run(
-                self.command,
-                input=content,
-                stdout=subprocess.PIPE,
-                timeout=self.timeout,
-                check=True,
-            )
-        except (OSError, subprocess.SubprocessError) as exc:
-            raise DetectorUnavailable(f"detector {self.command!r} failed: {exc}") from exc
-        code = proc.stdout.decode("utf-8", "replace").strip().split("\n")[0].strip()
-        return code or UNKNOWN_LANG
-
-
 # ---------------------------------------------------------------------------
 # Fetchers
 
@@ -395,8 +370,9 @@ class LiveFetcher:
     def _robots_for(self, url: str) -> urllib.robotparser.RobotFileParser:
         """The host's robots.txt rules, fetched once per host (RFC 9309 §2.3.1).
 
-        A 5xx answer means the whole host is disallowed; any other non-200
-        answer, an unreachable server or a body over the size cap allow all.
+        A 5xx answer or an unreachable server means the whole host is
+        disallowed; any other non-200 answer or a body over the size cap
+        allows all.
         """
         import urllib.robotparser
 
@@ -410,7 +386,9 @@ class LiveFetcher:
                 status, _, body = self.opener(
                     robots_url, {"User-Agent": self.user_agent}, _FETCH_TIMEOUT_S
                 )
-            except (OSError, FetchFailed):
+            except OSError:
+                parser.disallow_all = True
+            except FetchFailed:
                 parser.allow_all = True
             else:
                 if status == 200:
@@ -456,7 +434,9 @@ class UniformPairScorer:
         return 1.0
 
 
-def _external_client(spec: str) -> external.ScorerClient:
+def _external_client(spec: str):
+    from . import external
+
     host, _, port = spec.removeprefix("external:").partition(":")
     try:
         port_number = int(port)
@@ -481,6 +461,8 @@ def build_lang_scorer(cfg):
     if cfg.lang_scorer == "uniform":
         return UniformLanguageScorer()
     if cfg.lang_scorer.startswith("external:"):
+        from . import external
+
         return external.ExternalLanguageScorer(_external_client(cfg.lang_scorer))
     raise ConfigError(f"unknown language scorer {cfg.lang_scorer!r}")
 
@@ -501,6 +483,8 @@ def build_pair_scorer(cfg):
     if cfg.pair_scorer == "uniform":
         return UniformPairScorer()
     if cfg.pair_scorer.startswith("external:"):
+        from . import external
+
         return external.ExternalPairScorer(_external_client(cfg.pair_scorer))
     raise ConfigError(f"unknown pair scorer {cfg.pair_scorer!r}")
 
@@ -509,9 +493,19 @@ def score_links(url: str, lang_u: str, links, cfg: CrawlConfig, lang_scorer, pai
     """Priorities for the outlinks of a stored document.
 
     The language target flips to the other member of the configured pair.  A
-    scorer failure zeroes that link's priority and the crawl continues.
+    scorer failure zeroes that link's priority and the crawl continues.  A
+    scorer with a ``prefetch`` method is first asked about the whole page at
+    once; if that fails, each link is still asked on its own, so each failed
+    link gets its own warning.
     """
     target = cfg.lang_b if lang_u == cfg.lang_a else cfg.lang_a
+    for scorer, args in ((lang_scorer, (links,)), (pair_scorer, (url, links))):
+        prefetch = getattr(scorer, "prefetch", None)
+        if prefetch is not None:
+            try:
+                prefetch(*args)
+            except BifocalError as exc:
+                logger.debug("prefetch for %s failed (%s)", url, exc)
     scored = []
     for link in links:
         try:

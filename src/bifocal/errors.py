@@ -25,10 +25,6 @@ class ScorerUnavailable(BifocalError):
     """Raised when an external scorer cannot be reached or misbehaves."""
 
 
-class DetectorUnavailable(BifocalError):
-    """Raised when an external content-language detector cannot be used."""
-
-
 class UnknownLanguage(BifocalError):
     """Raised when a language code is not present in the bundled table."""
 

@@ -1,9 +1,13 @@
 """Line-protocol scorer stub used by the external-client tests.
 
 Modes (argv[1], default "ok"):
-  ok        : well-formed responses derived from the URLs
-  garbage   : responses that violate the protocol
-  truncate  : exits immediately, closing the stream
+  ok             : well-formed responses derived from the URLs
+  garbage        : responses that violate the protocol
+  truncate       : exits immediately, closing the stream
+  echo           : answers each request with the request line itself
+  bad-url URL    : like ok, but garbage for requests about URL (the LANG
+                   url or the PAIR url_b)
+  die-after K    : like ok for K replies, then exits
 """
 import sys
 
@@ -27,8 +31,19 @@ def main() -> None:
     mode = sys.argv[1] if len(sys.argv) > 1 else "ok"
     if mode == "truncate":
         return
+    replies_left = int(sys.argv[2]) if mode == "die-after" else -1
     for line in sys.stdin:
-        print(respond(line.rstrip("\n"), mode), flush=True)
+        if replies_left == 0:
+            return
+        replies_left -= 1
+        request = line.rstrip("\n")
+        if mode == "echo":
+            reply = request
+        elif mode == "bad-url" and request.rsplit("\t", 1)[-1] == sys.argv[2]:
+            reply = "garbage"
+        else:
+            reply = respond(request, mode)
+        print(reply, flush=True)
 
 
 if __name__ == "__main__":

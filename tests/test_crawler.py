@@ -1,7 +1,10 @@
 import dataclasses
 import io
+import logging
+import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,6 @@ from bifocal.crawler import (
     CrawlConfig,
     CrawlLog,
     CrawlState,
-    ExternalProcessDetector,
     GraphFetcher,
     GroundTruthDetector,
     LiveFetcher,
@@ -33,12 +35,12 @@ from bifocal.crawler import (
 )
 from bifocal.errors import (
     ConfigError,
-    DetectorUnavailable,
     FetchFailed,
     NoSeeds,
     ScorerUnavailable,
     UnknownSeed,
 )
+from bifocal.external import ExternalLanguageScorer, ExternalPairScorer, ScorerClient
 from bifocal.frontier import SEED
 from bifocal.langid import (
     NgramHyperparams,
@@ -252,9 +254,9 @@ class _FeaturesEveryLink:
         return self.model.probability(feats)
 
 
-def test_memoizing_scorers_crawl_like_unmemoized_ones(monkeypatch):
-    # planted_graph plus links from every page to the first 12 pages of its
-    # site, so most URLs are scored from many parents.
+def _dense_planted_graph():
+    """planted_graph plus links from every page to the first 12 pages of its
+    site, so most URLs are scored from many parents."""
     graph, seeds = planted_graph(n_sites=2, pages_per_site=30, seed=5)
     by_site = {}
     for url in graph.pages:
@@ -263,6 +265,11 @@ def test_memoizing_scorers_crawl_like_unmemoized_ones(monkeypatch):
         url: dataclasses.replace(page, links=page.links + tuple(by_site[site_of(url)][:12]))
         for url, page in graph.pages.items()
     })
+    return graph, seeds
+
+
+def test_memoizing_scorers_crawl_like_unmemoized_ones(monkeypatch):
+    graph, seeds = _dense_planted_graph()
     hp = NgramHyperparams(dim=8, bucket_count=4096, epochs=3)
     lang_model = ngram_train(lang_url_corpus(200, seed=2, langs=("eng", "fra")), hp, seed=1)
     pair_model = PairFeatureModel(weights=(1.0, 0.5, -2.0, 3.0, -0.5, 1.0, 0.2), bias=-1.0)
@@ -339,6 +346,101 @@ def test_oracle_scorers_on_small_planted_graph():
 
 
 # ---------------------------------------------------------------------------
+# External scorers in the crawl
+
+STUB = str(Path(__file__).parent / "stub_scorer.py")
+
+
+def _stub(*args):
+    return ScorerClient.spawn([sys.executable, STUB, *(args or ("ok",))])
+
+
+def _warned_links(caplog):
+    return [record.args[0] for record in caplog.records
+            if record.levelno == logging.WARNING and record.name == "bifocal.crawler"]
+
+
+@pytest.mark.parametrize("bad_scorer", ["lang", "pair"])
+def test_malformed_reply_zeroes_only_its_link(bad_scorer, caplog):
+    bad = "https://s/fr/bad"
+    clients = {kind: _stub("bad-url", bad) if kind == bad_scorer else _stub()
+               for kind in ("lang", "pair")}
+    cfg = _cfg(["https://s/"])
+    try:
+        scored = score_links("https://s/en/a", "eng", ["https://s/fr/a", bad, "https://s/en/b"],
+                             cfg, ExternalLanguageScorer(clients["lang"]),
+                             ExternalPairScorer(clients["pair"]))
+    finally:
+        for client in clients.values():
+            client.close()
+    assert scored == [("https://s/fr/a", 0.9 * 0.75), (bad, 0.0), ("https://s/en/b", 0.1 * 0.25)]
+    assert _warned_links(caplog) == [bad]
+
+
+def test_link_with_a_line_break_is_zeroed_alone(caplog):
+    bad = "https://s/fr/a\nPAIR\tx"
+    clients = [_stub(), _stub()]
+    cfg = _cfg(["https://s/"])
+    try:
+        scored = score_links("https://s/en/a", "eng", [bad, "https://s/fr/a", "https://s/en/b"],
+                             cfg, ExternalLanguageScorer(clients[0]),
+                             ExternalPairScorer(clients[1]))
+    finally:
+        for client in clients:
+            client.close()
+    assert scored == [(bad, 0.0), ("https://s/fr/a", 0.9 * 0.75), ("https://s/en/b", 0.1 * 0.25)]
+    assert _warned_links(caplog) == [bad]
+
+
+def test_dead_scorer_zeroes_every_later_link(caplog):
+    # Three replies: both of page 1's, then one of page 2's three.
+    lang_client, pair_client = _stub("die-after", "3"), _stub()
+    lang, pair = ExternalLanguageScorer(lang_client), ExternalPairScorer(pair_client)
+    pages = [["https://s/fr/a", "https://s/en/b"],
+             ["https://s/en/c", "https://s/fr/d", "https://s/fr/e"],
+             ["https://s/fr/f"]]
+    cfg = _cfg(["https://s/"])
+    try:
+        scored = [score_links("https://s/en/a", "eng", links, cfg, lang, pair) for links in pages]
+    finally:
+        lang_client.close()
+        pair_client.close()
+    assert scored[0] == [("https://s/fr/a", 0.9 * 0.75), ("https://s/en/b", 0.1 * 0.25)]
+    later = pages[1] + pages[2]
+    assert scored[1] + scored[2] == [(link, 0.0) for link in later]
+    assert _warned_links(caplog) == later
+
+
+class _ProbabilityOnly:
+    """Exposes only ``probability``, as a timing wrapper does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def probability(self, *args):
+        return self.inner.probability(*args)
+
+
+def test_external_scorers_crawl_alike_without_prefetch(tmp_path):
+    graph, seeds = _dense_planted_graph()
+    cfg = _cfg(seeds, budget=50)
+    logs = []
+    for wrap in (lambda scorer: scorer, _ProbabilityOnly):
+        lang_client, pair_client = _stub(), _stub()
+        try:
+            log = simulate(graph, cfg, wrap(ExternalLanguageScorer(lang_client)),
+                           wrap(ExternalPairScorer(pair_client)))
+        finally:
+            lang_client.close()
+            pair_client.close()
+        path = tmp_path / f"log{len(logs)}.tsv"
+        log.to_tsv(path)
+        logs.append(path.read_bytes())
+    assert len({e.priority for e in log}) > 3
+    assert logs[0] == logs[1]
+
+
+# ---------------------------------------------------------------------------
 # Parallel-hit marking
 
 def test_hits_flag_pair_completion_only():
@@ -394,19 +496,6 @@ def test_stopword_detector_self_consistency():
 def test_stopword_detector_empty_is_unknown():
     assert StopwordLanguageDetector().detect(b"") == "unk"
     assert StopwordLanguageDetector().detect(b"zzz qqq xxx") == "unk"
-
-
-def test_external_process_detector(tmp_path):
-    import sys
-
-    detector = ExternalProcessDetector([sys.executable, "-c", "print('isl')"])
-    assert detector.detect(b"whatever") == "isl"
-
-
-def test_external_process_detector_failure():
-    detector = ExternalProcessDetector(["/nonexistent/detector"])
-    with pytest.raises(DetectorUnavailable):
-        detector.detect(b"x")
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +617,19 @@ def test_robots_server_error_disallows_the_host(status):
     for url in ("https://h.com/page", "https://h.com/"):
         with pytest.raises(FetchFailed, match="robots.txt disallows"):
             fetcher.fetch(url)
+
+
+def test_robots_unreachable_disallows_the_host():
+    page = _opener_factory({"https://h.com/private": (200, "text/html", b"")})
+
+    def opener(url, headers, timeout):
+        if url.endswith("/robots.txt"):
+            raise ConnectionResetError("connection reset by peer")
+        return page(url, headers, timeout)
+
+    fetcher = LiveFetcher(opener=opener, per_host_delay_ms=0)
+    with pytest.raises(FetchFailed, match="robots.txt disallows"):
+        fetcher.fetch("https://h.com/private")
 
 
 @pytest.mark.parametrize("status", [400, 401, 403, 404, 410, 499])

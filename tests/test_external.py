@@ -1,23 +1,29 @@
+import collections
 import io
 import socket
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
+import stub_scorer
+from bifocal.crawler import STORED, CrawlConfig, simulate
 from bifocal.errors import ScorerUnavailable
 from bifocal.external import (
+    WINDOW,
     ExternalLanguageScorer,
     ExternalPairScorer,
     ScorerClient,
 )
+from synthdata import random_site_graph
 
 STUB = str(Path(__file__).parent / "stub_scorer.py")
 
 
-def _spawn(mode="ok"):
-    return ScorerClient.spawn([sys.executable, STUB, mode])
+def _spawn(*args):
+    return ScorerClient.spawn([sys.executable, STUB, *(args or ("ok",))])
 
 
 def test_language_distribution_over_pipes():
@@ -89,37 +95,168 @@ def test_distribution_parsing_rejects_missing_tab():
         client.language_distribution("https://a.com/")
 
 
-def _serve_once(server_sock):
-    conn, _ = server_sock.accept()
-    with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-        for line in stream:
-            kind, _, rest = line.rstrip("\n").partition("\t")
-            if kind == "LANG":
-                stream.write("eng\t0.6 fra\t0.4\n")
-            else:
-                stream.write("0.5\n")
-            stream.flush()
+def test_tcp_connect_refused():
+    with pytest.raises(ScorerUnavailable):
+        ScorerClient.connect_tcp("127.0.0.1", 1, timeout=0.2)
 
 
-def test_tcp_transport():
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        server.bind(("127.0.0.1", 0))
-    except OSError:
-        pytest.skip("loopback sockets unavailable in this environment")
-    server.listen(1)
-    port = server.getsockname()[1]
-    thread = threading.Thread(target=_serve_once, args=(server,), daemon=True)
-    thread.start()
-    client = ScorerClient.connect_tcp("127.0.0.1", port, timeout=5)
+class _LineServer:
+    """Loopback scorer that answers ``reply(request)`` and records every request."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.requests = []
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self.sock.bind(("127.0.0.1", 0))
+        except OSError:
+            self.sock.close()
+            pytest.skip("loopback sockets unavailable in this environment")
+        self.sock.listen(2)
+        self.port = self.sock.getsockname()[1]
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn):
+        # Separate streams: writing to a read-write text stream drops the
+        # requests it has read ahead.
+        with conn, conn.makefile("r", encoding="utf-8", newline="\n") as reader, \
+                conn.makefile("w", encoding="utf-8", newline="\n") as writer:
+            for line in reader:
+                request = line.rstrip("\n")
+                self.requests.append(request)
+                writer.write(self.reply(request) + "\n")
+                writer.flush()
+
+
+@pytest.fixture
+def line_server():
+    servers = []
+
+    def start(reply):
+        servers.append(_LineServer(reply))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.sock.close()
+
+
+def test_tcp_transport(line_server):
+    server = line_server(
+        lambda request: "eng\t0.6 fra\t0.4" if request.startswith("LANG") else "0.5"
+    )
+    client = ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
     try:
         assert client.language_distribution("https://x.com/") == {"eng": 0.6, "fra": 0.4}
         assert client.pair_probability("https://a", "https://b") == 0.5
     finally:
         client.close()
-        server.close()
 
 
-def test_tcp_connect_refused():
-    with pytest.raises(ScorerUnavailable):
-        ScorerClient.connect_tcp("127.0.0.1", 1, timeout=0.2)
+_MANY = [f"PAIR\thttps://a.com/{i}\thttps://b.com/{i % 7}" for i in range(200)]
+
+
+def test_roundtrips_keep_order_over_pipes():
+    assert len(_MANY) > 3 * WINDOW
+    client = _spawn("echo")
+    try:
+        assert client.roundtrips(_MANY) == _MANY
+        assert client.roundtrips([]) == []
+    finally:
+        client.close()
+
+
+def test_roundtrips_keep_order_over_tcp(line_server):
+    server = line_server(lambda request: request)
+    client = ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
+    try:
+        assert client.roundtrips(_MANY) == _MANY
+    finally:
+        client.close()
+    assert server.requests == _MANY
+
+
+class _ReaderFailingOnce:
+    """A stream whose first read fails; the reply it held arrives later."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def readline(self):
+        self.reads += 1
+        if self.reads == 1:
+            raise TimeoutError("timed out")
+        return "0.5\n"
+
+
+def test_client_stays_broken_after_a_transport_failure():
+    reader = _ReaderFailingOnce()
+    client = ScorerClient(reader, io.StringIO())
+    with pytest.raises(ScorerUnavailable, match="timed out"):
+        client.pair_probability("https://a/x", "https://b/x")
+    # The late reply to the failed request must not answer the next one.
+    with pytest.raises(ScorerUnavailable, match="timed out"):
+        client.pair_probability("https://a/y", "https://b/y")
+    assert reader.reads == 1
+
+
+def test_client_stays_broken_after_a_short_window():
+    client = ScorerClient(io.StringIO("0.5\n"), io.StringIO())
+    with pytest.raises(ScorerUnavailable, match="closed"):
+        client.roundtrips(["PAIR\ta\tb", "PAIR\tc\td"])
+    with pytest.raises(ScorerUnavailable, match="closed"):
+        client.roundtrips(["PAIR\te\tf"])
+
+
+def test_language_scorer_memoizes_parsed_answers_only():
+    client = _spawn("bad-url", "https://a.com/bad")
+    lang = ExternalLanguageScorer(client)
+    try:
+        lang.prefetch(["https://a.com/fr/x", "https://a.com/bad", "https://a.com/fr/x"])
+        assert lang.probability("https://a.com/fr/x", "fra") == 0.9
+        with pytest.raises(ScorerUnavailable):
+            lang.probability("https://a.com/bad", "fra")
+        lang.prefetch(["https://a.com/fr/x", "https://a.com/bad"])
+        assert lang._pending.keys() == {"https://a.com/bad"}
+        assert lang.probability("https://a.com/fr/x", "eng") == 0.05
+    finally:
+        client.close()
+
+
+def test_crawl_asks_each_url_language_once(line_server):
+    server = line_server(lambda request: stub_scorer.respond(request, "ok"))
+    graph, seeds = random_site_graph(21, n_pages=60)
+    spec = f"external:127.0.0.1:{server.port}"
+    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=seeds, budget=60,
+                      lang_scorer=spec, pair_scorer=spec)
+    log = simulate(graph, cfg)
+
+    scored = [link for e in log if e.outcome == STORED for link in graph.pages[e.url].links]
+    asked = collections.Counter(
+        request.split("\t")[1] for request in server.requests if request.startswith("LANG\t")
+    )
+    assert len(scored) > 2 * len(set(scored))
+    assert asked == collections.Counter(set(scored))
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK")
+def test_windows_do_not_wait_for_delayed_acks(line_server):
+    # The server leaves Nagle's algorithm on: without an immediate ACK of its
+    # first reply it holds the rest of each window for ~40 ms.
+    server = line_server(lambda request: "0.5")
+    client = ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
+    start = time.perf_counter()
+    try:
+        for _ in range(50):
+            assert client.roundtrips(_MANY[:12]) == ["0.5"] * 12
+    finally:
+        client.close()
+    assert time.perf_counter() - start < 1.0
