@@ -12,6 +12,7 @@ Only the live fetcher imports the HTTP stack.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import re
@@ -596,14 +597,9 @@ def simulate(graph: SiteGraph, cfg: CrawlConfig, lang_scorer=None, pair_scorer=N
     for seed_url in cfg.seeds:
         if seed_url not in graph.pages:
             raise UnknownSeed(f"seed {seed_url} is not in the graph")
-    state = CrawlState(
-        cfg,
-        fetcher=GraphFetcher(graph),
-        detector=GroundTruthDetector(),
-        lang_scorer=lang_scorer if lang_scorer is not None else build_lang_scorer(cfg),
-        pair_scorer=pair_scorer if pair_scorer is not None else build_pair_scorer(cfg),
-    )
-    log = run_crawl(state)
+    with _crawl_scorers(cfg, lang_scorer, pair_scorer) as (lang_scorer, pair_scorer):
+        state = CrawlState(cfg, GraphFetcher(graph), GroundTruthDetector(), lang_scorer, pair_scorer)
+        log = run_crawl(state)
     log.mark_parallel_hits(graph)
     return log
 
@@ -611,16 +607,29 @@ def simulate(graph: SiteGraph, cfg: CrawlConfig, lang_scorer=None, pair_scorer=N
 def crawl_live(cfg: CrawlConfig, detector=None, lang_scorer=None, pair_scorer=None,
                fetcher=None) -> CrawlLog:
     """Live crawl using HTTP fetching; detector defaults to the builtin one."""
-    state = CrawlState(
-        cfg,
-        fetcher=fetcher if fetcher is not None else LiveFetcher(
-            user_agent=cfg.user_agent, per_host_delay_ms=cfg.per_host_delay_ms
-        ),
-        detector=detector if detector is not None else StopwordLanguageDetector(),
-        lang_scorer=lang_scorer if lang_scorer is not None else build_lang_scorer(cfg),
-        pair_scorer=pair_scorer if pair_scorer is not None else build_pair_scorer(cfg),
-    )
-    return run_crawl(state)
+    if fetcher is None:
+        fetcher = LiveFetcher(user_agent=cfg.user_agent, per_host_delay_ms=cfg.per_host_delay_ms)
+    if detector is None:
+        detector = StopwordLanguageDetector()
+    with _crawl_scorers(cfg, lang_scorer, pair_scorer) as (lang_scorer, pair_scorer):
+        return run_crawl(CrawlState(cfg, fetcher, detector, lang_scorer, pair_scorer))
+
+
+@contextlib.contextmanager
+def _crawl_scorers(cfg: CrawlConfig, lang_scorer, pair_scorer):
+    """The caller's scorers, or those ``cfg`` names.
+
+    Scorers built here are closed on exit (an external scorer holds a
+    connection); scorers the caller passed in are left open.
+    """
+    with contextlib.ExitStack() as built:
+        if lang_scorer is None:
+            lang_scorer = build_lang_scorer(cfg)
+            built.callback(getattr(lang_scorer, "close", lambda: None))
+        if pair_scorer is None:
+            pair_scorer = build_pair_scorer(cfg)
+            built.callback(getattr(pair_scorer, "close", lambda: None))
+        yield lang_scorer, pair_scorer
 
 
 # ---------------------------------------------------------------------------

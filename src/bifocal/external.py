@@ -188,6 +188,9 @@ class ExternalLanguageScorer:
         self._memo: dict[str, dict[str, float]] = {}
         self._pending: dict[str, str] = {}  # prefetched replies, not yet parsed
 
+    def close(self) -> None:
+        self.client.close()
+
     def prefetch(self, urls) -> None:
         """Ask, in one pipelined batch, for the URLs not answered yet.
 
@@ -219,6 +222,9 @@ class ExternalPairScorer:
     def __init__(self, client: ScorerClient):
         self.client = client
         self._pending: dict[tuple[str, str], str] = {}  # this page's replies
+
+    def close(self) -> None:
+        self.client.close()
 
     def prefetch(self, url: str, links) -> None:
         """Ask, in one pipelined batch, for the pairs of ``url`` and its distinct links.

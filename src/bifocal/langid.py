@@ -15,6 +15,7 @@ the rule scorer works without it.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -310,8 +311,9 @@ def model_to_bytes(model: NgramLangModel) -> bytes:
     return buffer.getvalue()
 
 
-def model_from_bytes(blob: bytes) -> NgramLangModel:
-    """The model in ``blob``; its embedding is a float32 view of ``blob``."""
+def model_from_bytes(blob) -> NgramLangModel:
+    """The model in ``blob`` (bytes or a mapping); its embedding is a float32
+    view of ``blob``."""
     import numpy as np
 
     if blob[:4] != _MAGIC:
@@ -341,18 +343,41 @@ def model_from_bytes(blob: bytes) -> NgramLangModel:
 
 
 def save_model(model: NgramLangModel, path) -> None:
-    with open(path, "wb") as handle:
-        _write_model(model, handle)
+    """Write ``model`` to ``path`` atomically.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``.  A model loaded from ``path`` maps the old file, which
+    stays intact; truncating it in place would kill that reader.  If writing
+    fails, ``path`` is left as it was and the temporary file is removed.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    handle = open(tmp_path, "xb")
+    try:
+        with handle:
+            _write_model(model, handle)
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def load_model(path) -> NgramLangModel:
-    """Read a model written by ``save_model``.
+    """Map a model written by ``save_model``.
+
+    The file is mapped read-only, not read: the embedding is a view of the
+    mapping, and no copy of it is made.
 
     Raises:
         ConfigError: the file is not a classifier model or is cut short.
     """
+    import mmap
+
     with open(path, "rb") as handle:
-        blob = handle.read()
+        try:
+            blob = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError as exc:  # an empty file cannot be mapped
+            raise ConfigError(f"{path}: not a language model: {exc}") from None
     try:
         return model_from_bytes(blob)
     except (ValueError, struct.error) as exc:

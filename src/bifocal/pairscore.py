@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,13 +67,12 @@ def _marker_spans(tokens: tuple[str, ...], marker_tokens: frozenset[str]) -> lis
     return spans
 
 
-@lru_cache(maxsize=1 << 16)
 def _residuals(tokens: tuple[str, ...], marker_tokens: frozenset[str]) -> tuple[str, frozenset[str]]:
     """Full concatenation plus every residual reachable by deleting >= 1 marker.
 
     Enumerates subsets of pairwise-disjoint marker spans; beyond
     ``_MAX_SPANS_EXACT`` spans it falls back to single-span deletions plus the
-    all-spans deletion.  Memoized: a crawl aligns each URL with many others.
+    all-spans deletion.
     """
     full = "".join(tokens)
     spans = _marker_spans(tokens, marker_tokens)
@@ -107,6 +107,39 @@ def _residuals(tokens: tuple[str, ...], marker_tokens: frozenset[str]) -> tuple[
     return full, frozenset(residuals)
 
 
+@lru_cache(maxsize=1 << 16)
+def _pair_view(url: str, marker_tokens: frozenset[str]) -> tuple:
+    """One URL's share of the pair features under one marker set.
+
+    The tuple ``(core, core_set, full, residuals, markers, segments,
+    query_keys)`` holds the normalized tokens without the sentinels and their
+    set, the two halves of ``_residuals``, the positions of the core tokens
+    that are markers, and the path segments and the set of query keys (both
+    ``None`` when the URL has no scheme or host).  Memoized: a crawl pairs
+    each URL with many others.
+
+    Raises:
+        EmptyUrl: ``url`` is empty.
+    """
+    core = normalize_url(url).core_tokens()
+    full, residuals = _residuals(core, marker_tokens)
+    markers = tuple(i for i, tok in enumerate(core) if tok in marker_tokens)
+    try:
+        components = parse_components(url)
+    except NotAUrl:
+        segments = query_keys = None
+    else:
+        segments = components.path_segments
+        query_keys = frozenset(key for key, _ in components.query_params)
+    return core, frozenset(core), full, residuals, markers, segments, query_keys
+
+
+def _aligned(view_a: tuple, view_b: tuple) -> bool:
+    full_a, plus_a = view_a[2:4]
+    full_b, plus_b = view_b[2:4]
+    return not plus_a.isdisjoint(plus_b) or full_b in plus_a or full_a in plus_b
+
+
 def baseline_align(
     url_a: str,
     url_b: str,
@@ -121,13 +154,7 @@ def baseline_align(
     """
     if url_a == url_b:
         return False
-    core_a = normalize_url(url_a).core_tokens()
-    core_b = normalize_url(url_b).core_tokens()
-    full_a, plus_a = _residuals(core_a, tokens_a)
-    full_b, plus_b = _residuals(core_b, tokens_b)
-    if plus_a & plus_b:
-        return True
-    return full_b in plus_a or full_a in plus_b
+    return _aligned(_pair_view(url_a, tokens_a), _pair_view(url_b, tokens_b))
 
 
 # ---------------------------------------------------------------------------
@@ -150,84 +177,95 @@ LEARNING_RATE = 0.5
 TRAIN_STEPS = 600
 
 
-def _token_edit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+def _token_edit_distance(a: tuple[str, ...], b: tuple[str, ...], start: int = 0) -> int:
+    """Unit-cost Levenshtein distance between two token sequences.
+
+    ``start`` is a length the caller already knows ``a`` and ``b`` share as a
+    prefix.
+    """
     # A shared prefix or suffix never changes a unit-cost Levenshtein distance,
     # and parent and link URLs share host and path, so trim both first.
-    start, end_a, end_b = 0, len(a), len(b)
+    end_a, end_b = len(a), len(b)
     while start < end_a and start < end_b and a[start] == b[start]:
         start += 1
     while end_a > start and end_b > start and a[end_a - 1] == b[end_b - 1]:
         end_a -= 1
         end_b -= 1
-    a, b = a[start:end_a], b[start:end_b]
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, tok_a in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, tok_b in enumerate(b, start=1):
-            cost = 0 if tok_a == tok_b else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return prev[-1]
+    if end_a < end_b:
+        a, b, end_a, end_b = b, a, end_b, end_a
+    if end_b == start:
+        return end_a - start
+    # Myers/Hyyrö bit-parallel Levenshtein: bit i of ``vp``/``vn`` says the
+    # DP column rises/falls from row i to row i + 1 of the longer sequence
+    # ``a``, one column per token of ``b``.  Python ints have no width limit,
+    # and no operation moves a bit downwards, so the bits above the last row
+    # never reach it and need no mask.
+    peq: dict[str, int] = {}  # token -> the rows of ``a`` that hold it
+    bit = 1
+    for tok in a[start:end_a]:
+        peq[tok] = peq.get(tok, 0) | bit
+        bit <<= 1
+    last = bit >> 1
+    vp, vn, dist = -1, 0, end_a - start
+    for tok in b[start:end_b]:
+        eq = peq.get(tok, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & last:
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        hp = (hp << 1) | 1
+        vp = (hn << 1) | ~(xv | hp)
+        vn = hp & xv
+    return dist
 
 
-def pair_features(
-    a: NormalizedUrl,
-    b: NormalizedUrl,
-    tokens_a: frozenset[str],
-    tokens_b: frozenset[str],
-) -> tuple[float, ...]:
-    """Fixed-order feature vector for a URL pair (see ``FEATURE_NAMES``)."""
-    core_a, core_b = a.core_tokens(), b.core_tokens()
-    set_a, set_b = set(core_a), set(core_b)
-
-    feat_jaccard = jaccard(set_a, set_b)
-
+def _features(view_a: tuple, view_b: tuple, same_url: bool) -> tuple[float, ...]:
+    core_a, set_a, _, _, markers_a, segments_a, keys_a = view_a
+    core_b, set_b, _, _, markers_b, segments_b, keys_b = view_b
     len_a, len_b = len(core_a), len(core_b)
-    if max(len_a, len_b) == 0:
-        length_ratio = 1.0
+    longest, shortest = max(len_a, len_b), min(len_a, len_b)
+
+    prefix = 0
+    while prefix < shortest and core_a[prefix] == core_b[prefix]:
+        prefix += 1
+    if longest == 0:
+        length_ratio, edit = 1.0, 0.0
     else:
-        length_ratio = min(len_a, len_b) / max(len_a, len_b)
+        length_ratio = shortest / longest
+        edit = _token_edit_distance(core_a, core_b, prefix) / longest
 
-    if max(len_a, len_b) == 0:
-        edit = 0.0
-    else:
-        edit = _token_edit_distance(core_a, core_b) / max(len_a, len_b)
+    aligned = 0.0 if same_url or not _aligned(view_a, view_b) else 1.0
 
-    aligned = 1.0 if baseline_align(a.source, b.source, tokens_a, tokens_b) else 0.0
-
+    # Aligned positions that differ and hold a marker on either side; the
+    # tokens before ``prefix`` are equal.
     mismatches = 0
-    for tok_a, tok_b in zip(core_a, core_b):
-        if tok_a != tok_b and (tok_a in tokens_a or tok_b in tokens_b):
+    for i in markers_a:
+        if prefix <= i < shortest and core_a[i] != core_b[i]:
+            mismatches += 1
+    for i in markers_b:
+        if prefix <= i < shortest and core_a[i] != core_b[i] and i not in markers_a:
             mismatches += 1
 
-    try:
-        comp_a = parse_components(a.source)
-        comp_b = parse_components(b.source)
-    except NotAUrl:
-        prefix_frac = 0.0
-        query_jaccard = 0.0
+    if segments_a is None or segments_b is None:
+        prefix_frac = query_jaccard = 0.0
     else:
-        pa, pb = comp_a.path_segments, comp_b.path_segments
-        if not pa and not pb:
+        if not segments_a and not segments_b:
             prefix_frac = 1.0
         else:
             shared = 0
-            for seg_a, seg_b in zip(pa, pb):
+            for seg_a, seg_b in zip(segments_a, segments_b):
                 if seg_a != seg_b:
                     break
                 shared += 1
-            prefix_frac = shared / max(len(pa), len(pb))
-        query_jaccard = jaccard(
-            {k for k, _ in comp_a.query_params},
-            {k for k, _ in comp_b.query_params},
-        )
+            prefix_frac = shared / max(len(segments_a), len(segments_b))
+        query_jaccard = jaccard(keys_a, keys_b)
 
     return (
-        feat_jaccard,
+        jaccard(set_a, set_b),
         length_ratio,
         edit,
         aligned,
@@ -237,14 +275,33 @@ def pair_features(
     )
 
 
-@lru_cache(maxsize=1 << 17)
+def pair_features(
+    a: NormalizedUrl,
+    b: NormalizedUrl,
+    tokens_a: frozenset[str],
+    tokens_b: frozenset[str],
+) -> tuple[float, ...]:
+    """Fixed-order feature vector for a URL pair (see ``FEATURE_NAMES``).
+
+    ``a`` and ``b`` are ``normalize_url`` results; ``tokens_a``/``tokens_b``
+    are the marker sets of their languages.
+    """
+    return _features(_pair_view(a.source, tokens_a), _pair_view(b.source, tokens_b),
+                     a.source == b.source)
+
+
 def pair_feature_vector(
     url_a: str, url_b: str, lang_a: str | None, lang_b: str | None
 ) -> tuple[float, ...]:
-    """Memoized features for raw URLs, marker sets derived from the languages."""
-    return pair_features(
-        normalize_url(url_a), normalize_url(url_b),
-        _token_set_or_empty(lang_a), _token_set_or_empty(lang_b),
+    """Features for raw URLs, marker sets derived from the languages.
+
+    Each URL's share of the work is memoized in its view; only the pairwise
+    comparison runs per call.
+    """
+    return _features(
+        _pair_view(url_a, _token_set_or_empty(lang_a)),
+        _pair_view(url_b, _token_set_or_empty(lang_b)),
+        url_a == url_b,
     )
 
 
@@ -254,7 +311,7 @@ class PairFeatureModel:
     bias: float
 
     def probability(self, features: "tuple[float, ...]") -> float:
-        z = self.bias + sum(w * f for w, f in zip(self.weights, features))
+        z = self.bias + sum(map(operator.mul, self.weights, features))
         return 1.0 / (1.0 + math.exp(-z))
 
 

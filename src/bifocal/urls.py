@@ -183,8 +183,13 @@ def parse_components(raw: str) -> UrlComponents:
 
 
 def jaccard(a, b) -> float:
-    """Set similarity |a∩b| / |a∪b|; two empty sets count as identical (1.0)."""
-    sa, sb = set(a), set(b)
+    """Set similarity |a∩b| / |a∪b|; two empty sets count as identical (1.0).
+
+    Sets are used as they are; other iterables are copied into sets first.
+    """
+    sa = a if isinstance(a, (set, frozenset)) else set(a)
+    sb = b if isinstance(b, (set, frozenset)) else set(b)
     if not sa and not sb:
         return 1.0
-    return len(sa & sb) / len(sa | sb)
+    shared = len(sa & sb)
+    return shared / (len(sa) + len(sb) - shared)

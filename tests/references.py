@@ -8,7 +8,7 @@ from collections import deque
 import numpy as np
 
 from bifocal.datasets import STRATEGIES, _fold_domains, generate_negatives, mine_negatives_from_links
-from bifocal.errors import DegenerateLabels, FrontierEmpty
+from bifocal.errors import DegenerateLabels, FrontierEmpty, NotAUrl
 from bifocal.frontier import FETCHED, PENDING, SEED
 from bifocal.metrics import confusion_matrix, prf
 from bifocal.pairscore import (
@@ -94,6 +94,130 @@ def levenshtein_reference(a, b):
                 table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
             )
     return table[len(a)][len(b)]
+
+
+# Longest run of URL tokens that can form one language marker.
+_MAX_SPAN = 3
+_MAX_SPANS_EXACT = 12
+
+
+def _marker_spans_reference(tokens, marker_tokens):
+    spans = []
+    for i in range(len(tokens)):
+        joined = ""
+        for j in range(i, min(i + _MAX_SPAN, len(tokens))):
+            joined += tokens[j]
+            if joined in marker_tokens:
+                spans.append((i, j + 1))
+    return spans
+
+
+def _residuals_reference(tokens, marker_tokens):
+    """Full concatenation plus every residual reachable by deleting >= 1 marker."""
+    full = "".join(tokens)
+    spans = _marker_spans_reference(tokens, marker_tokens)
+    residuals = set()
+
+    def build(chosen):
+        drop = set()
+        for start, end in chosen:
+            drop.update(range(start, end))
+        return "".join(tok for k, tok in enumerate(tokens) if k not in drop)
+
+    if len(spans) <= _MAX_SPANS_EXACT:
+        def walk(idx, chosen):
+            if idx == len(spans):
+                if chosen:
+                    residuals.add(build(chosen))
+                return
+            walk(idx + 1, chosen)
+            start, end = spans[idx]
+            if not chosen or start >= chosen[-1][1]:
+                walk(idx + 1, chosen + [(start, end)])
+
+        walk(0, [])
+    elif spans:
+        for span in spans:
+            residuals.add(build([span]))
+        greedy = []
+        for span in spans:
+            if not greedy or span[0] >= greedy[-1][1]:
+                greedy.append(span)
+        residuals.add(build(greedy))
+    return full, frozenset(residuals)
+
+
+def baseline_align_reference(url_a, url_b, tokens_a, tokens_b):
+    """The token-removal rule, re-normalizing both URLs on every call."""
+    if url_a == url_b:
+        return False
+    core_a = normalize_url(url_a).core_tokens()
+    core_b = normalize_url(url_b).core_tokens()
+    full_a, plus_a = _residuals_reference(core_a, tokens_a)
+    full_b, plus_b = _residuals_reference(core_b, tokens_b)
+    if plus_a & plus_b:
+        return True
+    return full_b in plus_a or full_a in plus_b
+
+
+def pair_features_reference(a, b, tokens_a, tokens_b):
+    """The pair features computed from scratch for one pair: the package's
+    first ``pair_features``, with no per-URL memo and a full edit-distance
+    table."""
+    core_a, core_b = a.core_tokens(), b.core_tokens()
+    set_a, set_b = set(core_a), set(core_b)
+
+    feat_jaccard = jaccard(set_a, set_b)
+
+    len_a, len_b = len(core_a), len(core_b)
+    if max(len_a, len_b) == 0:
+        length_ratio = 1.0
+    else:
+        length_ratio = min(len_a, len_b) / max(len_a, len_b)
+
+    if max(len_a, len_b) == 0:
+        edit = 0.0
+    else:
+        edit = levenshtein_reference(core_a, core_b) / max(len_a, len_b)
+
+    aligned = 1.0 if baseline_align_reference(a.source, b.source, tokens_a, tokens_b) else 0.0
+
+    mismatches = 0
+    for tok_a, tok_b in zip(core_a, core_b):
+        if tok_a != tok_b and (tok_a in tokens_a or tok_b in tokens_b):
+            mismatches += 1
+
+    try:
+        comp_a = parse_components(a.source)
+        comp_b = parse_components(b.source)
+    except NotAUrl:
+        prefix_frac = 0.0
+        query_jaccard = 0.0
+    else:
+        pa, pb = comp_a.path_segments, comp_b.path_segments
+        if not pa and not pb:
+            prefix_frac = 1.0
+        else:
+            shared = 0
+            for seg_a, seg_b in zip(pa, pb):
+                if seg_a != seg_b:
+                    break
+                shared += 1
+            prefix_frac = shared / max(len(pa), len(pb))
+        query_jaccard = jaccard(
+            {k for k, _ in comp_a.query_params},
+            {k for k, _ in comp_b.query_params},
+        )
+
+    return (
+        feat_jaccard,
+        length_ratio,
+        edit,
+        aligned,
+        float(mismatches),
+        prefix_frac,
+        query_jaccard,
+    )
 
 
 def pair_train_reference(data, seed=0):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bifocal import crawler, pairscore
+from bifocal import crawler
 from bifocal.crawler import (
     DISCARDED_LANGUAGE,
     ERROR,
@@ -54,11 +54,10 @@ from bifocal.pairscore import (
     FeaturePairScorer,
     PairFeatureModel,
     build_language_tokens,
-    pair_features,
 )
 from bifocal.urls import normalize_url
 
-from references import bfs_reference
+from references import bfs_reference, pair_features_reference
 from synthdata import (
     OracleLangScorer,
     OraclePairScorer,
@@ -243,14 +242,15 @@ class _PredictEveryLink:
 
 
 class _FeaturesEveryLink:
-    """Reference pair scorer: one ``pair_features`` per call, no memo."""
+    """Reference pair scorer: the features computed from scratch per call, no memo."""
 
     def __init__(self, model):
         self.model = model
 
     def probability(self, url_a, url_b, lang_a=None, lang_b=None):
-        feats = pair_features(normalize_url(url_a), normalize_url(url_b),
-                              build_language_tokens(lang_a), build_language_tokens(lang_b))
+        feats = pair_features_reference(
+            normalize_url(url_a), normalize_url(url_b),
+            build_language_tokens(lang_a), build_language_tokens(lang_b))
         return self.model.probability(feats)
 
 
@@ -268,7 +268,7 @@ def _dense_planted_graph():
     return graph, seeds
 
 
-def test_memoizing_scorers_crawl_like_unmemoized_ones(monkeypatch):
+def test_memoizing_scorers_crawl_like_unmemoized_ones():
     graph, seeds = _dense_planted_graph()
     hp = NgramHyperparams(dim=8, bucket_count=4096, epochs=3)
     lang_model = ngram_train(lang_url_corpus(200, seed=2, langs=("eng", "fra")), hp, seed=1)
@@ -276,7 +276,6 @@ def test_memoizing_scorers_crawl_like_unmemoized_ones(monkeypatch):
     cfg = _cfg(seeds, budget=50)
 
     memoized = simulate(graph, cfg, NgramLanguageScorer(lang_model), FeaturePairScorer(pair_model))
-    monkeypatch.setattr(pairscore, "_residuals", pairscore._residuals.__wrapped__)
     reference_lang = _PredictEveryLink(lang_model)
     reference = simulate(graph, cfg, reference_lang, _FeaturesEveryLink(pair_model))
 

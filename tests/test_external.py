@@ -1,15 +1,17 @@
 import collections
+import gc
 import io
 import socket
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 import stub_scorer
-from bifocal.crawler import STORED, CrawlConfig, simulate
+from bifocal.crawler import STORED, CrawlConfig, GraphFetcher, GroundTruthDetector, crawl_live, simulate
 from bifocal.errors import ScorerUnavailable
 from bifocal.external import (
     WINDOW,
@@ -245,6 +247,39 @@ def test_crawl_asks_each_url_language_once(line_server):
     )
     assert len(scored) > 2 * len(set(scored))
     assert asked == collections.Counter(set(scored))
+
+
+def _graph_crawl_live(graph, cfg, *scorers):
+    return crawl_live(cfg, GroundTruthDetector(), *scorers, fetcher=GraphFetcher(graph))
+
+
+@pytest.mark.parametrize("crawl", [simulate, _graph_crawl_live])
+def test_crawl_closes_the_clients_it_opens(line_server, crawl):
+    server = line_server(lambda request: stub_scorer.respond(request, "ok"))
+    graph, seeds = random_site_graph(21, n_pages=30)
+    spec = f"external:127.0.0.1:{server.port}"
+    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=seeds, budget=30,
+                      lang_scorer=spec, pair_scorer=spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        log = crawl(graph, cfg)
+        gc.collect()
+    assert len(log) > 1
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("crawl", [simulate, _graph_crawl_live])
+def test_crawl_leaves_the_callers_scorers_open(line_server, crawl):
+    server = line_server(lambda request: stub_scorer.respond(request, "ok"))
+    graph, seeds = random_site_graph(21, n_pages=30)
+    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=seeds, budget=30)
+    client = ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
+    try:
+        crawl(graph, cfg, ExternalLanguageScorer(client), ExternalPairScorer(client))
+        assert client.roundtrips(["PAIR\thttps://a\thttps://b"]) == [
+            stub_scorer.respond("PAIR\thttps://a\thttps://b", "ok")]
+    finally:
+        client.close()
 
 
 @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK")

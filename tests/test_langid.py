@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bifocal import langid
-from bifocal.errors import DegenerateLabels
+from bifocal.errors import ConfigError, DegenerateLabels
 from bifocal.langid import (
     NgramHyperparams,
     NgramLangModel,
@@ -283,6 +283,52 @@ def test_loaded_model_predicts_like_a_float64_copy(tmp_path, toy_model):
         got = ngram_predict(loaded, url)
         want = ngram_predict(upcast, url)
         assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+def test_saving_over_a_mapped_model_keeps_it_predicting(tmp_path, toy_model):
+    path = tmp_path / "model.bin"
+    save_model(toy_model, path)
+    loaded = load_model(path)
+    urls = [url for url, _ in lang_url_corpus(50, seed=3, langs=("deu", "fra"))]
+    before = [ngram_predict(loaded, url) for url in urls]
+    other = ngram_train(toy_bilingual_corpus(), TINY_HP, seed=12)
+    save_model(other, path)
+    assert path.read_bytes() == model_to_bytes(other)
+    assert [ngram_predict(loaded, url) for url in urls] == before
+
+
+def test_failed_save_keeps_the_old_file(tmp_path, toy_model, monkeypatch):
+    path = tmp_path / "model.bin"
+    save_model(toy_model, path)
+    expected = path.read_bytes()
+
+    def write_half(model, handle):
+        handle.write(expected[: len(expected) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(langid, "_write_model", write_half)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(toy_model, path)
+    assert path.read_bytes() == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
+@pytest.mark.parametrize("cut", ["empty", "header", "labels", "embedding", "weights"])
+def test_load_rejects_a_cut_model_file(tmp_path, toy_model, cut):
+    blob = model_to_bytes(toy_model)
+    ends = {"empty": 0, "header": 10, "labels": 4 + 24 + 2,
+            "embedding": len(blob) // 2, "weights": len(blob) - 1}
+    path = tmp_path / "model.bin"
+    path.write_bytes(blob[: ends[cut]])
+    with pytest.raises(ConfigError, match="not a language model"):
+        load_model(path)
+
+
+def test_load_rejects_a_file_that_is_not_a_model(tmp_path):
+    path = tmp_path / "model.bin"
+    path.write_text("url\tlang\n" * 100, encoding="utf-8")
+    with pytest.raises(ConfigError, match="not a language model"):
+        load_model(path)
 
 
 def test_feature_ids_equal_the_uncached_loop():

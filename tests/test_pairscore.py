@@ -24,7 +24,12 @@ from bifocal.pairscore import (
 )
 from bifocal.urls import normalize_url
 
-from references import levenshtein_reference, pair_train_reference
+from references import (
+    baseline_align_reference,
+    levenshtein_reference,
+    pair_features_reference,
+    pair_train_reference,
+)
 from synthdata import NEUTRAL_WORDS
 
 ENG = build_language_tokens("eng")
@@ -145,6 +150,66 @@ _token_seqs = st.lists(st.sampled_from(["a", "b", "/"]), max_size=8).map(tuple)
 def test_token_edit_distance_matches_full_table(prefix, a, b, suffix):
     a, b = prefix + a + suffix, prefix + b + suffix
     assert _token_edit_distance(a, b) == levenshtein_reference(a, b)
+
+
+# Longer than one 64-bit word, from two tokens, so most tokens repeat.
+_long_token_seqs = st.lists(st.sampled_from(["a", "b"]), min_size=65, max_size=140).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_token_seqs, _long_token_seqs, _token_seqs)
+@example(("a",) * 65, ("b",) * 65, ())
+@example(("a", "b") * 40, ("b", "a") * 40, ("/",))
+def test_token_edit_distance_on_long_sequences(a, b, shared):
+    assert _token_edit_distance(a, b) == levenshtein_reference(a, b)
+    a, b = shared + a + shared, shared + b[:70] + shared
+    assert _token_edit_distance(a, b) == levenshtein_reference(a, b)
+
+
+def _markers(lang):
+    return frozenset() if lang in (None, "unk") else build_language_tokens(lang)
+
+
+# URL pieces that exercise every feature: marker tokens (hyphenated ones
+# too), query strings, hosts with no scheme (``NotAUrl``), bare schemes
+# (empty cores) and runs of markers.
+_url_heads = st.sampled_from(
+    ["https://a.com/", "http://en.a.org/", "https://a.com/p?", "a.com/", "/", "https://", ""]
+)
+_url_words = st.sampled_from(
+    ["en", "fr", "english", "français", "en-us", "fr-fr", "eng", "fra", "page", "lang", "x", "1"]
+)
+_url_seps = st.sampled_from(["/", "-", ".", "?", "&", "=", "%20", ""])
+_urls = st.builds(
+    lambda head, parts: head + "".join(word + sep for word, sep in parts),
+    _url_heads,
+    st.lists(st.tuples(_url_words, _url_seps), max_size=16),
+).filter(bool)
+_lang_pairs = st.sampled_from([("eng", "fra"), ("fra", "eng"), ("eng", "eng"), (None, "fra"), ("unk", "deu")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_urls, _urls, _lang_pairs, st.booleans())
+@example("https://a.com/" + "en/" * 14, "https://a.com/" + "fr/" * 13, ("eng", "fra"), False)
+@example("https://a.com/" + "en-us/" * 7 + "x", "https://a.com/x", ("eng", "fra"), False)
+@example("https://a.com/p/en", "https://a.com/p/", ("eng", "fra"), False)
+@example("https://a.com/p/", "https://a.com/p/fr", ("eng", "fra"), False)
+@example("https://", "https://", ("eng", "fra"), False)
+@example("https://", "https://a.com/", ("eng", "fra"), False)
+@example("a.com/en/x", "https://a.com/fr/x", ("eng", "fra"), False)
+@example("https://a.com/p?lang=en&x=1", "https://a.com/p?lang=fr", ("eng", "fra"), False)
+@example("https://a.com/en/x", "", ("eng", "fra"), True)
+def test_pair_features_equal_the_reference(url_a, url_b, langs, same):
+    if same:
+        url_b = url_a
+    a, b = normalize_url(url_a), normalize_url(url_b)
+    markers_a, markers_b = _markers(langs[0]), _markers(langs[1])
+    expected = pair_features_reference(a, b, markers_a, markers_b)
+    assert pair_features(a, b, markers_a, markers_b) == expected
+    assert pair_feature_vector(url_a, url_b, *langs) == expected
+    assert baseline_align(url_a, url_b, markers_a, markers_b) == baseline_align_reference(
+        url_a, url_b, markers_a, markers_b)
+
 
 def test_features_identity_pair():
     norm = normalize_url("https://a.com/en/x")
