@@ -383,6 +383,7 @@ class LiveFetcher:
         if parser is None:
             parser = urllib.robotparser.RobotFileParser()
             robots_url = f"{components.scheme}://{host}/robots.txt"
+            self.gate.wait(robots_url)
             try:
                 status, _, body = self.opener(
                     robots_url, {"User-Agent": self.user_agent}, _FETCH_TIMEOUT_S
@@ -490,32 +491,47 @@ def build_pair_scorer(cfg):
     raise ConfigError(f"unknown pair scorer {cfg.pair_scorer!r}")
 
 
+def _prefetch(scorer, url: str, *args) -> None:
+    """``scorer.prefetch(*args)`` if it has one; on failure each link is asked alone."""
+    prefetch = getattr(scorer, "prefetch", None)
+    if prefetch is not None:
+        try:
+            prefetch(*args)
+        except BifocalError as exc:
+            logger.debug("prefetch for %s failed (%s)", url, exc)
+
+
 def score_links(url: str, lang_u: str, links, cfg: CrawlConfig, lang_scorer, pair_scorer):
     """Priorities for the outlinks of a stored document.
 
-    The language target flips to the other member of the configured pair.  A
-    scorer failure zeroes that link's priority and the crawl continues.  A
-    scorer with a ``prefetch`` method is first asked about the whole page at
-    once; if that fails, each link is still asked on its own, so each failed
-    link gets its own warning.
+    The language target flips to the other member of the configured pair.
+    Every link gets its language probability first; the pair scorer is asked
+    only about links whose language probability is not 0, since the product
+    is 0 whatever the pair scores.  A scorer failure zeroes that link's
+    priority and the crawl continues.  A scorer with a ``prefetch`` method is
+    first asked about all of the page's links it will score, at once; if that
+    fails, each link is still asked on its own, so each failed link gets its
+    own warning.
     """
     target = cfg.lang_b if lang_u == cfg.lang_a else cfg.lang_a
-    for scorer, args in ((lang_scorer, (links,)), (pair_scorer, (url, links))):
-        prefetch = getattr(scorer, "prefetch", None)
-        if prefetch is not None:
-            try:
-                prefetch(*args)
-            except BifocalError as exc:
-                logger.debug("prefetch for %s failed (%s)", url, exc)
-    scored = []
+    _prefetch(lang_scorer, url, links)
+    p_langs = []
     for link in links:
         try:
-            p_lang = lang_scorer.probability(link, target)
-            p_pair = pair_scorer.probability(url, link, lang_u, target)
-            priority = p_lang * p_pair
+            p_langs.append(lang_scorer.probability(link, target))
         except BifocalError as exc:
             logger.warning("scoring %s failed (%s); priority 0", link, exc)
-            priority = 0.0
+            p_langs.append(0.0)
+    _prefetch(pair_scorer, url, url, [link for link, p_lang in zip(links, p_langs) if p_lang])
+    scored = []
+    for link, p_lang in zip(links, p_langs):
+        priority = p_lang
+        if p_lang:
+            try:
+                priority = p_lang * pair_scorer.probability(url, link, lang_u, target)
+            except BifocalError as exc:
+                logger.warning("scoring %s failed (%s); priority 0", link, exc)
+                priority = 0.0
         scored.append((link, priority))
     return scored
 
@@ -568,8 +584,11 @@ def crawl_step(state: CrawlState) -> CrawlEvent:
     state.events.append(event)
     depth = state.depths.get(entry.url, 0)
     if state.cfg.max_depth is None or depth < state.cfg.max_depth:
+        # A fetched URL is terminal in the frontier and already has its depth.
+        is_fetched = state.frontier.is_fetched
+        links = [link for link in result.links if not is_fetched(link)]
         for link, priority in score_links(
-            entry.url, lang, result.links, state.cfg, state.lang_scorer, state.pair_scorer
+            entry.url, lang, links, state.cfg, state.lang_scorer, state.pair_scorer
         ):
             state.depths.setdefault(link, depth + 1)
             state.frontier.push_or_raise(link, priority)

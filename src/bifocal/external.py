@@ -22,8 +22,9 @@ a server must answer the same URL the same way for the length of a crawl.
 A transport failure or a closed stream raises
 :class:`~bifocal.errors.ScorerUnavailable` and marks the client broken: every
 later call raises at once, so a reply is never matched to the wrong request.
-A malformed reply raises the same error when it is parsed.  A client serves
-one thread; open several for concurrency.
+A malformed reply, including one whose probability is not a number in
+[0, 1], raises the same error when it is parsed.  A client serves one
+thread; open several for concurrency.
 """
 from __future__ import annotations
 
@@ -43,7 +44,8 @@ def parse_distribution(line: str) -> dict[str, float]:
     """The ``code -> probability`` map of a ``LANG`` reply.
 
     Raises:
-        ScorerUnavailable: the reply is empty or a unit is malformed.
+        ScorerUnavailable: the reply is empty, a unit is malformed, or a
+            probability is not a number in [0, 1].
     """
     dist: dict[str, float] = {}
     for unit in line.split(" "):
@@ -56,6 +58,8 @@ def parse_distribution(line: str) -> dict[str, float]:
             prob = float(prob_text)
         except ValueError as exc:
             raise ScorerUnavailable(f"malformed probability {prob_text!r}") from exc
+        if not 0.0 <= prob <= 1.0:
+            raise ScorerUnavailable(f"language probability out of range: {unit!r}")
         dist[code] = prob
     if not dist:
         raise ScorerUnavailable("empty distribution response")

@@ -8,7 +8,7 @@ from collections import deque
 import numpy as np
 
 from bifocal.datasets import STRATEGIES, _fold_domains, generate_negatives, mine_negatives_from_links
-from bifocal.errors import DegenerateLabels, FrontierEmpty, NotAUrl
+from bifocal.errors import BifocalError, DegenerateLabels, FrontierEmpty, NotAUrl
 from bifocal.frontier import FETCHED, PENDING, SEED
 from bifocal.metrics import confusion_matrix, prf
 from bifocal.pairscore import (
@@ -50,6 +50,20 @@ class ReferenceFrontier:
             url, rec = min(pending, key=lambda ur: (-ur[1][0], ur[1][1]))
         rec[2] = FETCHED
         return url, (SEED if rec[0] is SEED else rec[0])
+
+
+def score_links_reference(url, lang_u, links, cfg, lang_scorer, pair_scorer):
+    """Every link scored by both scorers, one link at a time, no filter."""
+    target = cfg.lang_b if lang_u == cfg.lang_a else cfg.lang_a
+    scored = []
+    for link in links:
+        try:
+            priority = (lang_scorer.probability(link, target)
+                        * pair_scorer.probability(url, link, lang_u, target))
+        except BifocalError:
+            priority = 0.0
+        scored.append((link, priority))
+    return scored
 
 
 def bfs_reference(graph, seeds, budget):

@@ -5,10 +5,11 @@ across runs.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
-from bifocal.crawler import SiteGraph, SitePage
+from bifocal.crawler import SiteGraph, SitePage, site_of
 from bifocal.datasets import LabeledPair, gold_pair
 from bifocal.isodata import bundled_languages
 
@@ -222,6 +223,20 @@ def planted_graph(
             pages[url] = SitePage(lang=lang_a, links=(), parallel_with=frozenset(),
                                   size_bytes=rng.randint(2000, 40000))
     return SiteGraph(pages), seeds
+
+
+def dense_planted_graph():
+    """planted_graph plus links from every page to the first 12 pages of its
+    site, so most URLs are scored from many parents."""
+    graph, seeds = planted_graph(n_sites=2, pages_per_site=30, seed=5)
+    by_site = {}
+    for url in graph.pages:
+        by_site.setdefault(site_of(url), []).append(url)
+    graph = SiteGraph({
+        url: dataclasses.replace(page, links=page.links + tuple(by_site[site_of(url)][:12]))
+        for url, page in graph.pages.items()
+    })
+    return graph, seeds
 
 
 def random_site_graph(seed: int, n_pages: int | None = None, langs=("eng", "fra")):

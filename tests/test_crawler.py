@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import logging
 import sys
@@ -41,7 +40,7 @@ from bifocal.errors import (
     UnknownSeed,
 )
 from bifocal.external import ExternalLanguageScorer, ExternalPairScorer, ScorerClient
-from bifocal.frontier import SEED
+from bifocal.frontier import FETCHED, SEED, Frontier
 from bifocal.langid import (
     NgramHyperparams,
     NgramLanguageScorer,
@@ -57,10 +56,11 @@ from bifocal.pairscore import (
 )
 from bifocal.urls import normalize_url
 
-from references import bfs_reference, pair_features_reference
+from references import bfs_reference, pair_features_reference, score_links_reference
 from synthdata import (
     OracleLangScorer,
     OraclePairScorer,
+    dense_planted_graph,
     lang_url_corpus,
     planted_graph,
     random_site_graph,
@@ -254,25 +254,18 @@ class _FeaturesEveryLink:
         return self.model.probability(feats)
 
 
-def _dense_planted_graph():
-    """planted_graph plus links from every page to the first 12 pages of its
-    site, so most URLs are scored from many parents."""
-    graph, seeds = planted_graph(n_sites=2, pages_per_site=30, seed=5)
-    by_site = {}
-    for url in graph.pages:
-        by_site.setdefault(site_of(url), []).append(url)
-    graph = SiteGraph({
-        url: dataclasses.replace(page, links=page.links + tuple(by_site[site_of(url)][:12]))
-        for url, page in graph.pages.items()
-    })
-    return graph, seeds
-
-
-def test_memoizing_scorers_crawl_like_unmemoized_ones():
-    graph, seeds = _dense_planted_graph()
+@pytest.fixture(scope="module")
+def crawl_models():
+    """A small trained n-gram language model and a fixed pair model."""
     hp = NgramHyperparams(dim=8, bucket_count=4096, epochs=3)
     lang_model = ngram_train(lang_url_corpus(200, seed=2, langs=("eng", "fra")), hp, seed=1)
     pair_model = PairFeatureModel(weights=(1.0, 0.5, -2.0, 3.0, -0.5, 1.0, 0.2), bias=-1.0)
+    return lang_model, pair_model
+
+
+def test_memoizing_scorers_crawl_like_unmemoized_ones(crawl_models):
+    graph, seeds = dense_planted_graph()
+    lang_model, pair_model = crawl_models
     cfg = _cfg(seeds, budget=50)
 
     memoized = simulate(graph, cfg, NgramLanguageScorer(lang_model), FeaturePairScorer(pair_model))
@@ -282,6 +275,117 @@ def test_memoizing_scorers_crawl_like_unmemoized_ones():
     assert len(reference_lang.urls) > 2 * len(set(reference_lang.urls))
     assert len({e.priority for e in reference}) > 10
     assert memoized.events == reference.events
+
+
+@pytest.fixture(scope="module")
+def trained_scorers(crawl_models):
+    """Factories for each crawl scorer pairing; a fresh pair per call."""
+    lang_model, pair_model = crawl_models
+    return {
+        "rule+baseline": lambda graph: (RuleLanguageScorer(), BaselinePairScorer()),
+        "ngram+model": lambda graph: (NgramLanguageScorer(lang_model), FeaturePairScorer(pair_model)),
+        "uniform": lambda graph: (UniformLanguageScorer(), UniformPairScorer()),
+        "oracle": lambda graph: (OracleLangScorer(graph), OraclePairScorer(graph)),
+    }
+
+
+class _NeverFetchedFrontier(Frontier):
+    """Reports no URL as fetched, so the crawl scores every link of a page."""
+
+    def is_fetched(self, url):
+        return False
+
+
+def _log_rows(log):
+    return [(e.seq, e.url, e.outcome, e.lang, repr(e.priority), e.is_parallel_hit) for e in log]
+
+
+def _simulate_with(graph, seeds, scorers):
+    if scorers != "external":
+        return simulate(graph, _cfg(seeds, budget=len(graph.pages)), *scorers(graph))
+    clients = [_stub(), _stub()]
+    try:
+        return simulate(graph, _cfg(seeds, budget=len(graph.pages)),
+                        ExternalLanguageScorer(clients[0]), ExternalPairScorer(clients[1]))
+    finally:
+        for client in clients:
+            client.close()
+
+
+@pytest.mark.parametrize("make_graph", [
+    lambda: planted_graph(n_sites=2, pages_per_site=30, seed=5), dense_planted_graph,
+], ids=["planted", "dense"])
+@pytest.mark.parametrize("kind", ["rule+baseline", "ngram+model", "uniform", "oracle", "external"])
+def test_crawl_logs_equal_full_scoring(monkeypatch, trained_scorers, make_graph, kind):
+    graph, seeds = make_graph()
+    scorers = trained_scorers.get(kind, kind)
+    log = _simulate_with(graph, seeds, scorers)
+    monkeypatch.setattr(crawler, "score_links", score_links_reference)
+    monkeypatch.setattr(crawler, "Frontier", _NeverFetchedFrontier)
+    reference = _simulate_with(graph, seeds, scorers)
+    assert len(log) == len(graph.pages)
+    assert _log_rows(log) == _log_rows(reference)
+
+
+class _AskedLang:
+    """Records each language question and its answer; fails on a fetched URL."""
+
+    def __init__(self, inner, frontiers):
+        self.inner = inner
+        self.frontiers = frontiers
+        self.answers = []
+
+    def probability(self, url, target):
+        entry = self.frontiers[-1].entry(url)
+        assert entry is None or entry.state != FETCHED, url
+        p_lang = self.inner.probability(url, target)
+        self.answers.append(((url, target), p_lang))
+        return p_lang
+
+
+class _AskedPair:
+    """Records each pair question; fails on a fetched URL or a zero P(lang)."""
+
+    def __init__(self, inner, frontiers, lang):
+        self.inner = inner
+        self.frontiers = frontiers
+        self.lang = lang
+        self.asked = []
+
+    def probability(self, url_a, url_b, lang_a=None, lang_b=None):
+        entry = self.frontiers[-1].entry(url_b)
+        assert entry is None or entry.state != FETCHED, url_b
+        assert dict(self.lang.answers)[(url_b, lang_b)] != 0.0, url_b
+        self.asked.append((url_b, lang_b))
+        return self.inner.probability(url_a, url_b, lang_a, lang_b)
+
+
+@pytest.mark.parametrize("kind", ["rule+baseline", "oracle"])
+def test_scorers_are_asked_only_about_links_that_can_move_the_frontier(
+        monkeypatch, trained_scorers, kind):
+    frontiers = []
+
+    class RecordingFrontier(Frontier):
+        def __init__(self):
+            super().__init__()
+            frontiers.append(self)
+
+    monkeypatch.setattr(crawler, "Frontier", RecordingFrontier)
+    graph, seeds = dense_planted_graph()
+    inner_lang, inner_pair = trained_scorers[kind](graph)
+    lang = _AskedLang(inner_lang, frontiers)
+    pair = _AskedPair(inner_pair, frontiers, lang)
+    log = simulate(graph, _cfg(seeds, budget=len(graph.pages)), lang, pair)
+
+    fetched_at = {e.url: e.seq for e in log}
+    links = [link for e in log if e.outcome == STORED for link in graph.pages[e.url].links]
+    unfetched = [link for e in log if e.outcome == STORED for link in graph.pages[e.url].links
+                 if fetched_at.get(link, e.seq + 1) > e.seq]
+    nonzero = [question for question, p_lang in lang.answers if p_lang != 0.0]
+    assert len(unfetched) < len(links)
+    assert [url for (url, _), _ in lang.answers] == unfetched
+    assert len(nonzero) < len(lang.answers)
+    assert pair.asked == nonzero
 
 
 def test_unknown_seed_rejected():
@@ -421,7 +525,7 @@ class _ProbabilityOnly:
 
 
 def test_external_scorers_crawl_alike_without_prefetch(tmp_path):
-    graph, seeds = _dense_planted_graph()
+    graph, seeds = dense_planted_graph()
     cfg = _cfg(seeds, budget=50)
     logs = []
     for wrap in (lambda scorer: scorer, _ProbabilityOnly):
@@ -571,6 +675,41 @@ def _opener_factory(responses):
         status, content_type, body = responses[url]
         return status, {"Content-Type": content_type}, body
     return opener
+
+
+def test_robots_fetch_waits_at_the_politeness_gate():
+    now = [0.0]
+    sleeps = []
+    requests = []
+
+    def sleeper(duration):
+        sleeps.append(duration)
+        now[0] += duration
+
+    page = _opener_factory({
+        "https://h.com/robots.txt": (404, "text/plain", b""),
+        "https://h.com/a": (200, "text/html", b""),
+        "https://h.com/b": (200, "text/html", b""),
+        "https://o.com/robots.txt": (404, "text/plain", b""),
+        "https://o.com/c": (200, "text/html", b""),
+    })
+
+    def opener(url, headers, timeout):
+        requests.append((url, now[0]))
+        return page(url, headers, timeout)
+
+    fetcher = LiveFetcher(opener=opener, per_host_delay_ms=1000,
+                          clock=lambda: now[0], sleeper=sleeper)
+    for url in ("https://h.com/a", "https://h.com/b", "https://o.com/c"):
+        fetcher.fetch(url)
+    assert requests == [
+        ("https://h.com/robots.txt", 0.0),
+        ("https://h.com/a", pytest.approx(1.0)),
+        ("https://h.com/b", pytest.approx(2.0)),
+        ("https://o.com/robots.txt", pytest.approx(2.0)),
+        ("https://o.com/c", pytest.approx(3.0)),
+    ]
+    assert sleeps == [pytest.approx(1.0)] * 3
 
 
 def test_live_fetcher_fetches_and_extracts():

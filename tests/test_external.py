@@ -1,6 +1,7 @@
 import collections
 import gc
 import io
+import logging
 import socket
 import sys
 import threading
@@ -18,8 +19,9 @@ from bifocal.external import (
     ExternalLanguageScorer,
     ExternalPairScorer,
     ScorerClient,
+    parse_distribution,
 )
-from synthdata import random_site_graph
+from synthdata import dense_planted_graph, random_site_graph
 
 STUB = str(Path(__file__).parent / "stub_scorer.py")
 
@@ -95,6 +97,19 @@ def test_distribution_parsing_rejects_missing_tab():
     client = ScorerClient(reader, io.StringIO())
     with pytest.raises(ScorerUnavailable):
         client.language_distribution("https://a.com/")
+
+
+@pytest.mark.parametrize("reply", [
+    "fra\tnan eng\t1.5 deu\t-2", "fra\tnan", "eng\t1.5", "fra\t0.5 eng\t-0.1",
+    "fra\tinf", "fra\t-inf", "fra\t1.0000001",
+])
+def test_distribution_parsing_rejects_out_of_range_probabilities(reply):
+    with pytest.raises(ScorerUnavailable, match="out of range"):
+        parse_distribution(reply)
+
+
+def test_distribution_parsing_accepts_the_bounds():
+    assert parse_distribution("fra\t0 eng\t1.0 deu\t-0.0") == {"fra": 0.0, "eng": 1.0, "deu": 0.0}
 
 
 def test_tcp_connect_refused():
@@ -235,18 +250,48 @@ def test_language_scorer_memoizes_parsed_answers_only():
 
 def test_crawl_asks_each_url_language_once(line_server):
     server = line_server(lambda request: stub_scorer.respond(request, "ok"))
-    graph, seeds = random_site_graph(21, n_pages=60)
+    graph, seeds = dense_planted_graph()
     spec = f"external:127.0.0.1:{server.port}"
-    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=seeds, budget=60,
+    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=seeds, budget=len(graph.pages),
                       lang_scorer=spec, pair_scorer=spec)
     log = simulate(graph, cfg)
 
-    scored = [link for e in log if e.outcome == STORED for link in graph.pages[e.url].links]
+    # A page's links that were fetched before it was stored are not scored.
+    fetched_at = {e.url: e.seq for e in log}
+    scored = [link for e in log if e.outcome == STORED for link in graph.pages[e.url].links
+              if fetched_at.get(link, e.seq + 1) > e.seq]
     asked = collections.Counter(
         request.split("\t")[1] for request in server.requests if request.startswith("LANG\t")
     )
     assert len(scored) > 2 * len(set(scored))
     assert asked == collections.Counter(set(scored))
+
+
+def test_out_of_range_language_reply_zeroes_only_its_link(line_server, caplog):
+    graph, seeds = dense_planted_graph()
+    bad = sorted(url for url in graph.pages if "/fr/" in url)[0]
+
+    def crawl(bad_reply):
+        def reply(request):
+            if request == f"LANG\t{bad}":
+                return bad_reply
+            return stub_scorer.respond(request, "ok")
+
+        spec = f"external:127.0.0.1:{line_server(reply).port}"
+        cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=seeds, budget=len(graph.pages),
+                          lang_scorer=spec, pair_scorer=spec)
+        caplog.clear()
+        log = simulate(graph, cfg)
+        warned = {record.args[0] for record in caplog.records
+                  if record.levelno == logging.WARNING and record.name == "bifocal.crawler"}
+        return [(e.url, e.outcome, repr(e.priority)) for e in log], warned
+
+    zeroed, warned = crawl("unk\t1.0")  # a well-formed answer that gives priority 0
+    assert warned == set()
+    out_of_range, warned = crawl("fra\tnan eng\t1.5 deu\t-2")
+    assert warned == {bad}
+    assert out_of_range == zeroed
+    assert len(zeroed) == len(graph.pages)
 
 
 def _graph_crawl_live(graph, cfg, *scorers):
