@@ -346,6 +346,9 @@ def _cmd_cv_combos(args) -> int:
 
     from . import datasets
 
+    langs = args.langs.split(",")
+    if len(langs) != 2 or not all(langs) or langs[0] == langs[1]:
+        raise ConfigError(f"--langs needs two distinct codes like eng,fra, got {args.langs!r}")
     positives = [p for p in datasets.read_labeled_pairs(args.pairs) if p.label == "positive"]
     with open(args.links, "r", encoding="utf-8") as handle:
         try:
@@ -353,9 +356,8 @@ def _cmd_cv_combos(args) -> int:
         except (AttributeError, TypeError, ValueError) as exc:  # ValueError: not JSON
             raise ConfigError(f"{args.links}: not a JSON object of URL lists: {exc}") from None
     lang_map = dict(datasets.read_labeled_urls(args.url_langs))
-    lang_a, _, lang_b = args.langs.partition(",")
     results = datasets.cross_validate_combos(
-        positives, link_map, lang_map, {lang_a, lang_b}, k=args.folds, seed=args.seed
+        positives, link_map, lang_map, set(langs), k=args.folds, seed=args.seed
     )
     datasets.write_combo_results(results, args.out)
     print(f"wrote {len(results)} combination rows to {args.out}")
@@ -385,7 +387,7 @@ def _cmd_seeds(args) -> int:
 
 def _cmd_simulate(args) -> int:
     crawl_cfg, config_graph = _crawl_config(
-        args.config, seed=args.seed, budget=args.budget,
+        args.config, budget=args.budget,
         lang_scorer=args.lang_scorer, pair_scorer=args.pair_scorer,
     )
     graph_path = args.graph or config_graph
@@ -406,7 +408,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_crawl(args) -> int:
-    crawl_cfg, _ = _crawl_config(args.config, seed=args.seed, budget=args.budget)
+    crawl_cfg, _ = _crawl_config(args.config, budget=args.budget)
     log = crawler.crawl_live(crawl_cfg)
     log.to_tsv(args.log)
     print(f"fetch events: {len(log)}")
@@ -536,7 +538,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--log", required=True, help="output crawl log TSV")
     p.add_argument("--report", help="directory for decile-curve report")
-    p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int)
     p.add_argument("--lang-scorer", dest="lang_scorer")
     p.add_argument("--pair-scorer", dest="pair_scorer")
@@ -545,7 +546,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crawl", help="live crawl (HTTP)")
     p.add_argument("--config", required=True)
     p.add_argument("--log", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int)
     p.set_defaults(func=_cmd_crawl)
 

@@ -125,7 +125,6 @@ class CrawlConfig:
     pair_scorer: str = "baseline"
     per_host_delay_ms: int = 1000  # live crawls only; the simulator never waits
     max_depth: int | None = None
-    seed: int = 0
     user_agent: str = "bifocal/0.1"
     lang_model_path: str | None = None
     pair_model_path: str | None = None
@@ -136,6 +135,8 @@ class CrawlConfig:
         if self.budget <= 0:
             raise ValueError("budget must be positive")
         self.seeds = tuple(self.seeds)
+        if not self.seeds:
+            raise ValueError("crawl needs at least one seed URL")
 
 
 @dataclass
@@ -377,7 +378,10 @@ class LiveFetcher:
         """
         import urllib.robotparser
 
-        components = parse_components(url)
+        try:
+            components = parse_components(url)
+        except NotAUrl as exc:
+            raise FetchFailed(f"cannot fetch {url}: {exc}") from exc
         host = components.host
         parser = self._robots.get(host)
         if parser is None:

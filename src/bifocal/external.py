@@ -169,15 +169,6 @@ class ScorerClient:
                 raise ScorerUnavailable(self._broken) from exc
         return replies
 
-    def _roundtrip(self, request: str) -> str:
-        return self.roundtrips([request])[0]
-
-    def language_distribution(self, url: str) -> dict[str, float]:
-        return parse_distribution(self._roundtrip(f"LANG\t{url}"))
-
-    def pair_probability(self, url_a: str, url_b: str) -> float:
-        return parse_pair(self._roundtrip(f"PAIR\t{url_a}\t{url_b}"))
-
 
 class ExternalLanguageScorer:
     """Language scorer backed by a :class:`ScorerClient`.

@@ -28,24 +28,17 @@ class _SeedTier:
 
 SEED = _SeedTier()
 
-PENDING = "pending"
-FETCHED = "fetched"
-
 
 @dataclass
 class FrontierEntry:
     url: str
     priority: "float | _SeedTier"
     insertion_seq: int
-    state: str = PENDING
-
-    @property
-    def is_seed(self) -> bool:
-        return self.priority is SEED
+    fetched: bool = False
 
 
 def _heap_key(entry: FrontierEntry) -> tuple:
-    if entry.is_seed:
+    if entry.priority is SEED:
         return (0, entry.insertion_seq, 0.0)
     return (1, -entry.priority, entry.insertion_seq)
 
@@ -54,7 +47,6 @@ class Frontier:
     def __init__(self):
         self._entries: dict[str, FrontierEntry] = {}
         self._heap: list[tuple[tuple, str]] = []
-        self._next_seq = 0
         self._pending = 0
 
     def __len__(self) -> int:
@@ -66,7 +58,7 @@ class Frontier:
     def is_fetched(self, url: str) -> bool:
         """Whether the URL has been popped; pushing it again changes nothing."""
         entry = self._entries.get(url)
-        return entry is not None and entry.state == FETCHED
+        return entry is not None and entry.fetched
 
     def push_or_raise(self, url: str, priority: "float | _SeedTier") -> None:
         """Insert the URL, or raise its priority if it is already pending.
@@ -77,15 +69,13 @@ class Frontier:
             raise ValueError(f"priority must be in [0,1] or SEED, got {priority!r}")
         entry = self._entries.get(url)
         if entry is None:
-            entry = FrontierEntry(url=url, priority=priority, insertion_seq=self._next_seq)
-            self._next_seq += 1
+            # Entries are never removed, so the count is the insertion sequence.
+            entry = FrontierEntry(url=url, priority=priority, insertion_seq=len(self._entries))
             self._pending += 1
             self._entries[url] = entry
             heapq.heappush(self._heap, (_heap_key(entry), url))
             return
-        if entry.state != PENDING:
-            return
-        if entry.is_seed:
+        if entry.fetched or entry.priority is SEED:
             return
         if priority is SEED or priority > entry.priority:
             entry.priority = priority
@@ -102,9 +92,9 @@ class Frontier:
             entry = self._entries[url]
             # A raise pushes a strictly better key, so an entry's newest
             # item pops first; its older items pop after it is fetched.
-            if entry.state != PENDING:
+            if entry.fetched:
                 continue
-            entry.state = FETCHED
+            entry.fetched = True
             self._pending -= 1
             return entry
         raise FrontierEmpty("no pending entries")

@@ -41,9 +41,6 @@ class LanguageTable:
     def canonical(self, code: str) -> str | None:
         return self._alias.get(code.lower())
 
-    def __contains__(self, code: str) -> bool:
-        return code in self.records
-
     def get(self, code: str) -> LanguageRecord | None:
         canon = self.canonical(code)
         return self.records.get(canon) if canon else None

@@ -14,7 +14,6 @@ the rule scorer works without it.
 """
 from __future__ import annotations
 
-import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -303,12 +302,6 @@ def _write_model(model: NgramLangModel, handle) -> None:
         for start in range(0, len(matrix), _SAVE_CHUNK_ROWS):
             # An array is a bytes-like object: ``write`` takes its buffer as is.
             handle.write(np.ascontiguousarray(matrix[start : start + _SAVE_CHUNK_ROWS], dtype="<f4"))
-
-
-def model_to_bytes(model: NgramLangModel) -> bytes:
-    buffer = io.BytesIO()
-    _write_model(model, buffer)
-    return buffer.getvalue()
 
 
 def model_from_bytes(blob) -> NgramLangModel:

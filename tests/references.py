@@ -9,7 +9,7 @@ import numpy as np
 
 from bifocal.datasets import STRATEGIES, _fold_domains, generate_negatives, mine_negatives_from_links
 from bifocal.errors import BifocalError, DegenerateLabels, FrontierEmpty, NotAUrl
-from bifocal.frontier import FETCHED, PENDING, SEED
+from bifocal.frontier import SEED
 from bifocal.metrics import confusion_matrix, prf
 from bifocal.pairscore import (
     LEARNING_RATE,
@@ -24,6 +24,8 @@ from bifocal.urls import jaccard, normalize_url, parse_components
 class ReferenceFrontier:
     """O(n)-scan frontier with the same contracted behavior."""
 
+    PENDING, FETCHED = "pending", "fetched"
+
     def __init__(self):
         self.entries = {}  # url -> [priority, seq, state]
         self.seq = 0
@@ -31,16 +33,16 @@ class ReferenceFrontier:
     def push_or_raise(self, url, priority):
         rec = self.entries.get(url)
         if rec is None:
-            self.entries[url] = [priority, self.seq, PENDING]
+            self.entries[url] = [priority, self.seq, self.PENDING]
             self.seq += 1
             return
-        if rec[2] != PENDING or rec[0] is SEED:
+        if rec[2] != self.PENDING or rec[0] is SEED:
             return
         if priority is SEED or priority > rec[0]:
             rec[0] = priority
 
     def pop_max(self):
-        pending = [(u, r) for u, r in self.entries.items() if r[2] == PENDING]
+        pending = [(u, r) for u, r in self.entries.items() if r[2] == self.PENDING]
         if not pending:
             raise FrontierEmpty("empty")
         seeds = [(u, r) for u, r in pending if r[0] is SEED]
@@ -48,7 +50,7 @@ class ReferenceFrontier:
             url, rec = min(seeds, key=lambda ur: ur[1][1])
         else:
             url, rec = min(pending, key=lambda ur: (-ur[1][0], ur[1][1]))
-        rec[2] = FETCHED
+        rec[2] = self.FETCHED
         return url, (SEED if rec[0] is SEED else rec[0])
 
 

@@ -233,6 +233,11 @@ def _ngram_config(tmp, config, model):
                   config.read_text() + f'lang_scorer = "ngram"\nlang_model_path = "{model}"\n')
 
 
+def _empty_seeds(tmp, graph, config):
+    _write(tmp, "seeds.txt", "\n")
+    return ["simulate", "--graph", str(graph), "--config", str(config), "--log", str(tmp / "l.tsv")]
+
+
 def _splits(tmp, ratios):
     urls = _write(tmp, "urls.tsv", "https://a.com/x\teng\nhttps://b.com/y\tfra\n")
     return ["splits", "--data", str(urls), "--ratios", ratios, "--out-prefix", str(tmp / "s")]
@@ -328,6 +333,12 @@ _BAD_INPUTS = [
     ("ratios that do not sum to 1",
      lambda tmp, graph, config: _splits(tmp, "0.5,0.4"),
      "--ratios 0.5,0.4"),
+    ("empty seeds file", _empty_seeds, "at least one seed"),
+    ("config with the removed seed key",
+     lambda tmp, graph, config: ["simulate", "--graph", str(graph), "--log", str(tmp / "l.tsv"),
+                                 "--config", str(_write(tmp, "seed.cfg",
+                                                        config.read_text() + "seed = 3\n"))],
+     "unknown key 'seed'"),
 ]
 
 
@@ -513,6 +524,15 @@ def test_cv_combos_command(tmp_path, capsys):
     rows = out_path.read_text().splitlines()
     assert rows[0] == "methods\tpos_f1\tneg_f1\tmacro_f1"
     assert len(rows) == 64
+
+
+@pytest.mark.parametrize("langs", ["eng", "eng,eng", "eng,fra,deu", ",fra", "eng,"])
+def test_cv_combos_needs_two_distinct_languages(tmp_path, capsys, langs):
+    argv = _cv_combos(tmp_path, _write(tmp_path, "links.json", "{}"))
+    argv[argv.index("--langs") + 1] = langs
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err.startswith("error: --langs needs two distinct codes")
+    assert not (tmp_path / "cv.tsv").exists()
 
 
 def test_seeds_command(tmp_path, capsys):

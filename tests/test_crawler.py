@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import logging
+import re
 import sys
 import urllib.error
 import urllib.request
@@ -40,7 +42,7 @@ from bifocal.errors import (
     UnknownSeed,
 )
 from bifocal.external import ExternalLanguageScorer, ExternalPairScorer, ScorerClient
-from bifocal.frontier import FETCHED, SEED, Frontier
+from bifocal.frontier import SEED, Frontier
 from bifocal.langid import (
     NgramHyperparams,
     NgramLanguageScorer,
@@ -337,7 +339,7 @@ class _AskedLang:
 
     def probability(self, url, target):
         entry = self.frontiers[-1].entry(url)
-        assert entry is None or entry.state != FETCHED, url
+        assert entry is None or not entry.fetched, url
         p_lang = self.inner.probability(url, target)
         self.answers.append(((url, target), p_lang))
         return p_lang
@@ -354,7 +356,7 @@ class _AskedPair:
 
     def probability(self, url_a, url_b, lang_a=None, lang_b=None):
         entry = self.frontiers[-1].entry(url_b)
-        assert entry is None or entry.state != FETCHED, url_b
+        assert entry is None or not entry.fetched, url_b
         assert dict(self.lang.answers)[(url_b, lang_b)] != 0.0, url_b
         self.asked.append((url_b, lang_b))
         return self.inner.probability(url_a, url_b, lang_a, lang_b)
@@ -875,6 +877,27 @@ def test_crawl_live_over_a_fake_site(budget, fetched):
         ("https://h.com/private/x", ERROR, "unk"),
     ][:fetched]
     assert log.events[0].priority is SEED
+
+
+def test_crawl_live_logs_a_link_without_a_host_as_an_error():
+    # The link passes as http(s), but it names no host whose robots.txt to ask.
+    site = {
+        "https://h.com/robots.txt": (404, "text/plain", b""),
+        "https://h.com/": _html("the site is in english and it is for you", "http://:80/y"),
+    }
+    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=("https://h.com/",), budget=5)
+    log = crawl_live(cfg, fetcher=LiveFetcher(opener=_opener_factory(site), per_host_delay_ms=0))
+    assert [(e.url, e.outcome) for e in log] == [
+        ("https://h.com/", STORED),
+        ("http://:80/y", ERROR),
+    ]
+
+
+def test_every_crawl_config_field_is_read_by_the_crawler():
+    source = Path(crawler.__file__).read_text(encoding="utf-8")
+    unread = [field.name for field in dataclasses.fields(CrawlConfig)
+              if not re.search(rf"\bcfg\.{field.name}\b", source)]
+    assert unread == []
 
 
 def test_site_of():

@@ -20,6 +20,7 @@ from bifocal.external import (
     ExternalPairScorer,
     ScorerClient,
     parse_distribution,
+    parse_pair,
 )
 from synthdata import dense_planted_graph, random_site_graph
 
@@ -33,7 +34,7 @@ def _spawn(*args):
 def test_language_distribution_over_pipes():
     client = _spawn()
     try:
-        dist = client.language_distribution("https://a.com/fr/page")
+        dist = parse_distribution(client.roundtrips(["LANG\thttps://a.com/fr/page"])[0])
         assert dist == {"fra": 0.9, "eng": 0.05, "unk": 0.05}
         assert sum(dist.values()) == pytest.approx(1.0)
     finally:
@@ -43,8 +44,9 @@ def test_language_distribution_over_pipes():
 def test_pair_probability_over_pipes():
     client = _spawn()
     try:
-        assert client.pair_probability("https://a.com/en/x", "https://a.com/fr/x") == 0.75
-        assert client.pair_probability("https://a.com/en/x", "https://a.com/fr/y") == 0.25
+        replies = client.roundtrips(["PAIR\thttps://a.com/en/x\thttps://a.com/fr/x",
+                                     "PAIR\thttps://a.com/en/x\thttps://a.com/fr/y"])
+        assert [parse_pair(reply) for reply in replies] == [0.75, 0.25]
     finally:
         client.close()
 
@@ -64,8 +66,9 @@ def test_scorer_wrappers():
 def test_malformed_response_raises():
     client = _spawn("garbage")
     try:
-        with pytest.raises(ScorerUnavailable):
-            client.pair_probability("https://a/x", "https://b/y")
+        reply = client.roundtrips(["PAIR\thttps://a/x\thttps://b/y"])[0]
+        with pytest.raises(ScorerUnavailable, match="malformed"):
+            parse_pair(reply)
     finally:
         client.close()
 
@@ -74,7 +77,7 @@ def test_closed_stream_raises():
     client = _spawn("truncate")
     try:
         with pytest.raises(ScorerUnavailable):
-            client.language_distribution("https://a.com/x")
+            client.roundtrips(["LANG\thttps://a.com/x"])
     finally:
         client.close()
 
@@ -88,15 +91,17 @@ def test_out_of_range_pair_probability():
     reader = io.StringIO("1.5\n")
     writer = io.StringIO()
     client = ScorerClient(reader, writer)
-    with pytest.raises(ScorerUnavailable):
-        client.pair_probability("a", "b")
+    reply = client.roundtrips(["PAIR\ta\tb"])[0]
+    with pytest.raises(ScorerUnavailable, match="out of range"):
+        parse_pair(reply)
 
 
 def test_distribution_parsing_rejects_missing_tab():
     reader = io.StringIO("fra 0.9\n")
     client = ScorerClient(reader, io.StringIO())
-    with pytest.raises(ScorerUnavailable):
-        client.language_distribution("https://a.com/")
+    reply = client.roundtrips(["LANG\thttps://a.com/"])[0]
+    with pytest.raises(ScorerUnavailable, match="malformed"):
+        parse_distribution(reply)
 
 
 @pytest.mark.parametrize("reply", [
@@ -172,8 +177,11 @@ def test_tcp_transport(line_server):
     )
     client = ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
     try:
-        assert client.language_distribution("https://x.com/") == {"eng": 0.6, "fra": 0.4}
-        assert client.pair_probability("https://a", "https://b") == 0.5
+        lang_reply, pair_reply = client.roundtrips(
+            ["LANG\thttps://x.com/", "PAIR\thttps://a\thttps://b"]
+        )
+        assert parse_distribution(lang_reply) == {"eng": 0.6, "fra": 0.4}
+        assert parse_pair(pair_reply) == 0.5
     finally:
         client.close()
 
@@ -218,10 +226,10 @@ def test_client_stays_broken_after_a_transport_failure():
     reader = _ReaderFailingOnce()
     client = ScorerClient(reader, io.StringIO())
     with pytest.raises(ScorerUnavailable, match="timed out"):
-        client.pair_probability("https://a/x", "https://b/x")
+        client.roundtrips(["PAIR\thttps://a/x\thttps://b/x"])
     # The late reply to the failed request must not answer the next one.
     with pytest.raises(ScorerUnavailable, match="timed out"):
-        client.pair_probability("https://a/y", "https://b/y")
+        client.roundtrips(["PAIR\thttps://a/y\thttps://b/y"])
     assert reader.reads == 1
 
 

@@ -1,10 +1,9 @@
 import random
-import threading
 
 import pytest
 
 from bifocal.errors import FrontierEmpty
-from bifocal.frontier import FETCHED, PENDING, SEED, Frontier
+from bifocal.frontier import SEED, Frontier, FrontierEntry
 
 from references import ReferenceFrontier
 
@@ -60,7 +59,7 @@ def test_popped_urls_are_terminal():
     f = Frontier()
     f.push_or_raise("u", 0.4)
     entry = f.pop_max()
-    assert entry.state == FETCHED
+    assert entry.fetched
     f.push_or_raise("u", 0.9)  # ignored: terminal
     with pytest.raises(FrontierEmpty):
         f.pop_max()
@@ -129,27 +128,21 @@ def test_priority_never_decreases():
         f.push_or_raise(url, p)
         entry = f.entry(url)
         current = entry.priority
-        if url in last and entry.state == PENDING:
+        if url in last and not entry.fetched:
             assert current >= last[url]
-        if entry.state == PENDING:
+        if not entry.fetched:
             last[url] = current
 
 
-def test_concurrent_pushes_keep_max():
+def test_out_of_range_push_is_rejected_and_changes_nothing():
     f = Frontier()
-    f.push_or_raise("u", 0.0)
-
-    def raiser(values):
-        for v in values:
-            f.push_or_raise("u", v)
-
-    threads = [
-        threading.Thread(target=raiser, args=([i / 100 for i in range(j, 100, 4)],))
-        for j in range(4)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert f.entry("u").priority == 0.99
-    assert len(f) == 1
+    f.push_or_raise("u", 0.3)
+    for priority in (float("nan"), -0.1, 1.5):
+        for url in ("u", "v"):
+            with pytest.raises(ValueError, match="priority"):
+                f.push_or_raise(url, priority)
+        assert len(f) == 1
+        assert f.entry("u") == FrontierEntry("u", 0.3, 0)
+        assert f.entry("v") is None
+    f.push_or_raise("v", 0.2)
+    assert f.entry("v").insertion_seq == 1
