@@ -112,11 +112,10 @@ def _crawl_config(path, **flags) -> "tuple[crawler.CrawlConfig, str | None]":
 # ---------------------------------------------------------------------------
 # Report writing
 
-def write_report(log: crawler.CrawlLog, graph: crawler.SiteGraph | None, out_dir) -> None:
-    """Decile curves (aggregate and per site) plus a totals summary."""
+def write_report(log: crawler.CrawlLog, out_dir) -> None:
+    """Decile curves (aggregate and per site) plus a totals summary of a log
+    whose parallel hits are marked."""
     os.makedirs(out_dir, exist_ok=True)
-    if graph is not None:
-        log.mark_parallel_hits(graph)
     events = log.download_events()
     aggregate = metrics.decile_curve(events)
     metrics.write_curve_tsv(aggregate, os.path.join(out_dir, "curve_aggregate.tsv"))
@@ -237,7 +236,7 @@ def _cmd_pairscore_train(args) -> int:
     from . import datasets
 
     data = datasets.read_labeled_pairs(args.data)
-    model = pairscore.pair_train(data, seed=args.seed)
+    model = pairscore.pair_train(data)
     pairscore.save_pair_model(model, args.model)
     print(f"trained on {len(data)} pairs")
     return 0
@@ -397,7 +396,7 @@ def _cmd_simulate(args) -> int:
     log = crawler.simulate(graph, crawl_cfg)
     log.to_tsv(args.log)
     if args.report:
-        write_report(log, graph, args.report)
+        write_report(log, args.report)
     counts = log.outcome_counts()
     print(
         f"fetches={len(log)} stored={counts.get(crawler.STORED, 0)} "
@@ -417,8 +416,9 @@ def _cmd_crawl(args) -> int:
 
 def _cmd_report(args) -> int:
     log = crawler.CrawlLog.from_tsv(args.log)
-    graph = crawler.SiteGraph.load(args.graph) if args.graph else None
-    write_report(log, graph, args.out)
+    if args.graph:
+        log.mark_parallel_hits(crawler.SiteGraph.load(args.graph))
+    write_report(log, args.out)
     print(f"report written to {args.out}")
     return 0
 
@@ -472,7 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = pair_sub.add_parser("train", help="train the logistic pair model")
     p.add_argument("--data", required=True, help="labeled pair TSV")
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_pairscore_train)
 
     p = pair_sub.add_parser("score", help="score URL pairs")

@@ -370,23 +370,23 @@ class LiveFetcher:
         self._robots: dict[str, urllib.robotparser.RobotFileParser] = {}
 
     def _robots_for(self, url: str) -> urllib.robotparser.RobotFileParser:
-        """The host's robots.txt rules, fetched once per host (RFC 9309 §2.3.1).
+        """The robots.txt rules of the URL's scheme, host and port, fetched
+        once for each such origin (RFC 9309 §2.3).
 
-        A 5xx answer or an unreachable server means the whole host is
+        A 5xx answer or an unreachable server means the whole origin is
         disallowed; any other non-200 answer or a body over the size cap
         allows all.
         """
         import urllib.robotparser
 
         try:
-            components = parse_components(url)
+            origin = parse_components(url).origin
         except NotAUrl as exc:
             raise FetchFailed(f"cannot fetch {url}: {exc}") from exc
-        host = components.host
-        parser = self._robots.get(host)
+        parser = self._robots.get(origin)
         if parser is None:
             parser = urllib.robotparser.RobotFileParser()
-            robots_url = f"{components.scheme}://{host}/robots.txt"
+            robots_url = f"{origin}/robots.txt"
             self.gate.wait(robots_url)
             try:
                 status, _, body = self.opener(
@@ -403,7 +403,7 @@ class LiveFetcher:
                     parser.disallow_all = True
                 else:
                     parser.allow_all = True
-            self._robots[host] = parser
+            self._robots[origin] = parser
         return parser
 
     def fetch(self, url: str) -> FetchResult:
@@ -667,8 +667,11 @@ def build_seed_list(url_to_site, n: int = 200, alive=None) -> "list[str]":
     scheme and host of the site's lexicographically first URL.
 
     Raises:
+        ConfigError: ``n`` is below 1.
         NoSeeds: nothing to rank.
     """
+    if n < 1:
+        raise ConfigError(f"a seed list needs at least 1 site, got {n}")
     urls = sorted(set(url_to_site))
     if alive is not None:
         urls = [u for u in urls if alive.get(u, True)]
@@ -678,9 +681,4 @@ def build_seed_list(url_to_site, n: int = 200, alive=None) -> "list[str]":
     for url in urls:
         by_site.setdefault(url_to_site[url], []).append(url)
     ranked = sorted(by_site.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    seeds = []
-    for _, site_urls in ranked[:n]:
-        components = parse_components(site_urls[0])
-        port = f":{components.port}" if components.port is not None else ""
-        seeds.append(f"{components.scheme}://{components.host}{port}/")
-    return seeds
+    return [parse_components(site_urls[0]).origin + "/" for _, site_urls in ranked[:n]]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -128,12 +129,38 @@ def cap_per_language(corpus, cap: int, seed: int = 0):
     return [rec for i, rec in enumerate(corpus) if i in kept]
 
 
+def _domain_parts(domains, ratios, seed: int) -> "list[int]":
+    """The part of each record, given the domain of each record.
+
+    The distinct domains are sorted, shuffled by the seed, and each in turn
+    goes to the part whose record-count deficit against its target ratio is
+    largest, the lowest index among equals.  With equal ratios that is the
+    part holding the fewest records.
+
+    Raises:
+        TooFewDomains: fewer distinct domains than parts.
+    """
+    sizes = Counter(domains)
+    if len(sizes) < len(ratios):
+        raise TooFewDomains(f"{len(sizes)} domains cannot fill {len(ratios)} parts")
+    ordered = sorted(sizes)
+    random.Random(seed).shuffle(ordered)
+    total = len(domains)
+    counts = [0] * len(ratios)
+    part_of: dict[str, int] = {}
+    for domain in ordered:
+        deficits = [ratio * total - count for ratio, count in zip(ratios, counts)]
+        part = max(range(len(ratios)), key=lambda i: (deficits[i], -i))
+        part_of[domain] = part
+        counts[part] += sizes[domain]
+    return [part_of[domain] for domain in domains]
+
+
 def split_by_domain(corpus, ratios, seed: int = 0):
     """Split so URLs of one registrable domain land in exactly one part.
 
-    Domains are shuffled by the seed and each is assigned to the part whose
-    URL-count deficit against its target ratio is largest.  Disjointness is
-    absolute; the ratios are best effort (within one largest-domain mass).
+    Parts are assigned by ``_domain_parts``.  Disjointness is absolute; the
+    ratios are best effort (within one largest-domain mass).
 
     Raises:
         TooFewDomains: fewer domains than requested parts.
@@ -144,27 +171,9 @@ def split_by_domain(corpus, ratios, seed: int = 0):
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must sum to 1")
     corpus = list(corpus)
-    by_domain: dict[str, list[int]] = {}
-    for i, rec in enumerate(corpus):
-        by_domain.setdefault(rec.domain, []).append(i)
-    if len(by_domain) < len(ratios):
-        raise TooFewDomains(
-            f"{len(by_domain)} domains cannot fill {len(ratios)} splits"
-        )
-    domains = sorted(by_domain)
-    rng = random.Random(seed)
-    rng.shuffle(domains)
-    total = len(corpus)
-    assigned_counts = [0] * len(ratios)
-    assignment: dict[str, int] = {}
-    for domain in domains:
-        deficits = [ratio * total - count for ratio, count in zip(ratios, assigned_counts)]
-        part = max(range(len(ratios)), key=lambda i: (deficits[i], -i))
-        assignment[domain] = part
-        assigned_counts[part] += len(by_domain[domain])
     parts = [[] for _ in ratios]
-    for rec in corpus:
-        parts[assignment[rec.domain]].append(rec)
+    for rec, part in zip(corpus, _domain_parts([rec.domain for rec in corpus], ratios, seed)):
+        parts[part].append(rec)
     return tuple(parts)
 
 
@@ -411,25 +420,6 @@ class ComboResult:
         return "+".join(f"{m}:{mode}" for m, mode in self.strategies)
 
 
-def _fold_domains(positives, k: int, seed: int) -> "list[set[str]]":
-    domains: dict[str, int] = {}
-    for pair in positives:
-        domain = parse_components(pair.url_a).registrable_domain
-        domains[domain] = domains.get(domain, 0) + 1
-    if k > len(domains):
-        raise TooFewDomains(f"{len(domains)} domains cannot fill {k} folds")
-    ordered = sorted(domains)
-    rng = random.Random(seed)
-    rng.shuffle(ordered)
-    fold_sets: list[set[str]] = [set() for _ in range(k)]
-    fold_sizes = [0] * k
-    for domain in ordered:
-        target = min(range(k), key=lambda i: (fold_sizes[i], i))
-        fold_sets[target].add(domain)
-        fold_sizes[target] += domains[domain]
-    return fold_sets
-
-
 def cross_validate_combos(
     positives,
     link_map,
@@ -448,17 +438,24 @@ def cross_validate_combos(
     Each fold builds its training rows once (the positives, then each
     strategy's negatives as one block) and fits all 63 combinations in one
     ``pair_train`` call, whose masks select each combination's rows.
+
+    Raises:
+        ConfigError: ``k`` is below 2.
+        TooFewDomains: fewer domains than folds.
     """
+    if k < 2:
+        raise ConfigError(f"cross-validation needs at least 2 folds, got {k}")
     positives = list(positives)
-    fold_sets = _fold_domains(positives, k, seed)
+    fold_of = _domain_parts(
+        [parse_components(p.url_a).registrable_domain for p in positives], (1 / k,) * k, seed
+    )
     combo_bits = np.arange(1, 1 << len(STRATEGIES))
     combos = [tuple(s for i, s in enumerate(STRATEGIES) if bits & (1 << i)) for bits in combo_bits]
     scores: list[list[tuple[float, float, float]]] = [[] for _ in combos]
-    for i, fold_domains in enumerate(fold_sets):
+    for i in range(k):
         test_pos, train_pos = [], []
-        for p in positives:
-            in_fold = parse_components(p.url_a).registrable_domain in fold_domains
-            (test_pos if in_fold else train_pos).append(p)
+        for p, fold in zip(positives, fold_of):
+            (test_pos if fold == i else train_pos).append(p)
         gold = [(p.url_a, p.url_b) for p in test_pos]
         test = test_pos + mine_negatives_from_links(gold, link_map, lang_map, langs)
         gold_labels = [pair.label for pair in test]
@@ -471,7 +468,7 @@ def cross_validate_combos(
             rows.extend(negatives)
             in_combo = (combo_bits >> bit) & 1
             masks.append(np.broadcast_to(in_combo, (len(negatives), len(combos))))
-        models = pair_train(rows, seed=fold_seed, masks=np.concatenate(masks))
+        models = pair_train(rows, masks=np.concatenate(masks))
 
         weights = np.array([model.weights for model in models]).T
         bias = np.array([model.bias for model in models])

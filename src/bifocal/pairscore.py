@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import ConfigError, DegenerateLabels, NotAUrl, UnknownLanguage
 from .isodata import UNKNOWN_LANG, bundled_languages
-from .urls import NormalizedUrl, jaccard, normalize_url, parse_components
+from .urls import jaccard, normalize_url, parse_components
 
 # Longest run of URL tokens that can form one language marker, e.g. a
 # hyphenated code such as "en-us" tokenizes into three tokens.
@@ -275,21 +275,6 @@ def _features(view_a: tuple, view_b: tuple, same_url: bool) -> tuple[float, ...]
     )
 
 
-def pair_features(
-    a: NormalizedUrl,
-    b: NormalizedUrl,
-    tokens_a: frozenset[str],
-    tokens_b: frozenset[str],
-) -> tuple[float, ...]:
-    """Fixed-order feature vector for a URL pair (see ``FEATURE_NAMES``).
-
-    ``a`` and ``b`` are ``normalize_url`` results; ``tokens_a``/``tokens_b``
-    are the marker sets of their languages.
-    """
-    return _features(_pair_view(a.source, tokens_a), _pair_view(b.source, tokens_b),
-                     a.source == b.source)
-
-
 def pair_feature_vector(
     url_a: str, url_b: str, lang_a: str | None, lang_b: str | None
 ) -> tuple[float, ...]:
@@ -315,12 +300,13 @@ class PairFeatureModel:
         return 1.0 / (1.0 + math.exp(-z))
 
 
-def pair_train(data, seed: int = 0, masks=None) -> "PairFeatureModel | list[PairFeatureModel]":
+def pair_train(data, masks=None) -> "PairFeatureModel | list[PairFeatureModel]":
     """Fit the logistic pair model on labeled pairs.
 
     ``data`` is a sequence of records with ``url_a``, ``url_b``, ``lang_a``,
     ``lang_b`` and ``label`` attributes (see :class:`bifocal.datasets.LabeledPair`).
-    Full-batch gradient descent on cross-entropy; deterministic for any seed.
+    Full-batch gradient descent on cross-entropy from zero weights, so
+    deterministic.
 
     Without ``masks`` one model is fitted on every record and returned.  With
     ``masks``, a 0/1 array of one row per record and one column per model,

@@ -60,11 +60,15 @@ class UrlComponents:
             return f"{self.subdomain}.{self.registrable_domain}"
         return self.registrable_domain
 
+    @property
+    def origin(self) -> str:
+        """Scheme, host and port, as ``scheme://host[:port]``."""
+        port = f":{self.port}" if self.port is not None else ""
+        return f"{self.scheme}://{self.host}{port}"
+
     def unparse(self) -> str:
         """Reassemble scheme + host + path + query."""
-        out = f"{self.scheme}://{self.host}"
-        if self.port is not None:
-            out += f":{self.port}"
+        out = self.origin
         if self.path_segments:
             out += "/" + "/".join(self.path_segments)
         if self.query_params:

@@ -7,8 +7,10 @@ from collections import deque
 
 import numpy as np
 
-from bifocal.datasets import STRATEGIES, _fold_domains, generate_negatives, mine_negatives_from_links
-from bifocal.errors import BifocalError, DegenerateLabels, FrontierEmpty, NotAUrl
+import random
+
+from bifocal.datasets import STRATEGIES, generate_negatives, mine_negatives_from_links
+from bifocal.errors import BifocalError, DegenerateLabels, FrontierEmpty, NotAUrl, TooFewDomains
 from bifocal.frontier import SEED
 from bifocal.metrics import confusion_matrix, prf
 from bifocal.pairscore import (
@@ -236,7 +238,7 @@ def pair_features_reference(a, b, tokens_a, tokens_b):
     )
 
 
-def pair_train_reference(data, seed=0):
+def pair_train_reference(data):
     """One logistic pair model per call, from a plain per-model descent loop."""
     records = list(data)
     targets = np.array([1.0 if rec.label == "positive" else 0.0 for rec in records])
@@ -267,11 +269,33 @@ def max_jaccard_reference(target, pool):
     return min(candidates, key=lambda url: (-jaccard(normalize_url(url).token_set(), target_tokens), url))
 
 
+def fold_domains_reference(positives, k, seed):
+    """The registrable domains of each fold: the domains of the positives'
+    ``url_a``, sorted, shuffled by the seed, and each given to the fold with
+    the fewest positives so far, the lowest index among equals."""
+    domains = {}
+    for pair in positives:
+        domain = parse_components(pair.url_a).registrable_domain
+        domains[domain] = domains.get(domain, 0) + 1
+    if k > len(domains):
+        raise TooFewDomains(f"{len(domains)} domains cannot fill {k} folds")
+    ordered = sorted(domains)
+    rng = random.Random(seed)
+    rng.shuffle(ordered)
+    fold_sets = [set() for _ in range(k)]
+    fold_sizes = [0] * k
+    for domain in ordered:
+        target = min(range(k), key=lambda i: (fold_sizes[i], i))
+        fold_sets[target].add(domain)
+        fold_sizes[target] += domains[domain]
+    return fold_sets
+
+
 def cross_validate_combos_reference(positives, link_map, lang_map, langs, k, seed):
     """``(key, pos_f1, neg_f1, macro_f1)`` rows from one reference fit per
     combination and fold, scoring each test pair on its own."""
     fold_data = []
-    for i, fold_domains in enumerate(_fold_domains(positives, k, seed)):
+    for i, fold_domains in enumerate(fold_domains_reference(positives, k, seed)):
         test_pos = [p for p in positives if parse_components(p.url_a).registrable_domain in fold_domains]
         train_pos = [p for p in positives if p not in test_pos]
         test = test_pos + mine_negatives_from_links(

@@ -351,6 +351,54 @@ def test_bad_input_file_is_an_error_line(sim_setup, capsys, argv, expected):
     assert err.startswith("error: ") and expected in err
 
 
+def _langid_train(tmp, *flags):
+    data = _write(tmp, "two_langs.tsv", "https://a.com/en/x\teng\nhttps://a.com/fr/x\tfra\n")
+    return ["langid", "train", "--data", str(data), "--model", str(tmp / "lang.bin"), *flags]
+
+
+def _seeds(tmp, top):
+    urls = _write(tmp, "inventory.tsv", "https://big.com/a\tbig.com\nhttps://small.net/x\tsmall.net\n")
+    return ["seeds", "--urls", str(urls), "--top", top, "--out", str(tmp / "seeds_out.txt")]
+
+
+# (case, argv from the tmp dir, text the error line must contain, file that must not be written)
+_BAD_NUMBERS = [
+    ("langid n-min 0", lambda tmp: _langid_train(tmp, "--n-min", "0"), "n_min <= n_max", "lang.bin"),
+    ("langid n-max below n-min", lambda tmp: _langid_train(tmp, "--n-min", "3", "--n-max", "2"),
+     "n_min <= n_max", "lang.bin"),
+    ("langid buckets 0", lambda tmp: _langid_train(tmp, "--buckets", "0"), "bucket_count >= 1",
+     "lang.bin"),
+    ("langid dim 0", lambda tmp: _langid_train(tmp, "--dim", "0"), "dim >= 1", "lang.bin"),
+    ("cv-combos folds 1",
+     lambda tmp: _cv_combos(tmp, _write(tmp, "links.json", "{}")) + ["--folds", "1"],
+     "at least 2 folds", "cv.tsv"),
+    ("cv-combos folds 0",
+     lambda tmp: _cv_combos(tmp, _write(tmp, "links.json", "{}")) + ["--folds", "0"],
+     "at least 2 folds", "cv.tsv"),
+    ("cv-combos folds -2",
+     lambda tmp: _cv_combos(tmp, _write(tmp, "links.json", "{}")) + ["--folds", "-2"],
+     "at least 2 folds", "cv.tsv"),
+    ("seeds top 0", lambda tmp: _seeds(tmp, "0"), "at least 1 site", "seeds_out.txt"),
+    ("seeds top -1", lambda tmp: _seeds(tmp, "-1"), "at least 1 site", "seeds_out.txt"),
+]
+
+
+@pytest.mark.parametrize("argv, expected, output", [case[1:] for case in _BAD_NUMBERS],
+                         ids=[case[0] for case in _BAD_NUMBERS])
+def test_out_of_range_number_is_an_error_line(tmp_path, capsys, argv, expected, output):
+    assert dispatch(argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
+    assert not (tmp_path / output).exists()
+
+
+def test_pairscore_train_has_no_seed_flag(tmp_path):
+    pairs = _write(tmp_path, "pairs.tsv",
+                   "https://a.com/en\thttps://a.com/fr\tpositive\teng\tfra\tgold:bi\n")
+    assert dispatch(["pairscore", "train", "--data", str(pairs), "--model", str(tmp_path / "p.json"),
+                     "--seed", "3"]) == 2
+
+
 def test_flag_overrides_config(sim_setup):
     tmp, graph_path, config_path = sim_setup
     log_path = tmp / "log.tsv"
@@ -395,6 +443,20 @@ def test_report_command_round_trip(sim_setup):
                      "--out", str(out_dir)]) == 0
     aggregate = (out_dir / "curve_aggregate.tsv").read_text().splitlines()
     assert aggregate[1] == "0\t0"
+
+
+def test_report_command_writes_the_simulate_report(sim_setup):
+    tmp, graph_path, config_path = sim_setup
+    log_path = tmp / "log.tsv"
+    assert dispatch(["simulate", "--graph", str(graph_path), "--config", str(config_path),
+                     "--log", str(log_path), "--report", str(tmp / "sim_rep")]) == 0
+    assert dispatch(["report", "--log", str(log_path), "--graph", str(graph_path),
+                     "--out", str(tmp / "rep")]) == 0
+    names = sorted(os.listdir(tmp / "sim_rep"))
+    assert names == sorted(os.listdir(tmp / "rep"))
+    for name in names:
+        assert (tmp / "rep" / name).read_bytes() == (tmp / "sim_rep" / name).read_bytes()
+    assert "parallel_hits\t0\n" not in (tmp / "rep" / "summary.tsv").read_text()
 
 
 def test_empty_log_report(tmp_path):

@@ -714,6 +714,38 @@ def test_robots_fetch_waits_at_the_politeness_gate():
     assert sleeps == [pytest.approx(1.0)] * 3
 
 
+def test_robots_rules_are_kept_per_scheme_host_and_port():
+    # RFC 9309 2.3: robots.txt applies to the scheme, host and port it came from.
+    page = _opener_factory({
+        "https://h.com:8443/robots.txt": (200, "text/plain", b"User-agent: *\nDisallow: /x\n"),
+        "https://h.com:8443/y": (200, "text/html", b""),
+        "http://h.com/robots.txt": (404, "text/plain", b""),
+        "http://h.com/x": (200, "text/html", b""),
+        "https://h.com/robots.txt": (404, "text/plain", b""),
+        "https://h.com/x": (200, "text/html", b""),
+    })
+    requests = []
+
+    def opener(url, headers, timeout):
+        requests.append(url)
+        return page(url, headers, timeout)
+
+    fetcher = LiveFetcher(opener=opener, per_host_delay_ms=0)
+    with pytest.raises(FetchFailed, match="robots.txt disallows"):
+        fetcher.fetch("https://h.com:8443/x")
+    fetcher.fetch("https://h.com:8443/y")
+    fetcher.fetch("http://h.com/x")
+    fetcher.fetch("https://h.com/x")
+    assert requests == [
+        "https://h.com:8443/robots.txt",
+        "https://h.com:8443/y",
+        "http://h.com/robots.txt",
+        "http://h.com/x",
+        "https://h.com/robots.txt",
+        "https://h.com/x",
+    ]
+
+
 def test_live_fetcher_fetches_and_extracts():
     responses = {
         "https://h.com/robots.txt": (404, "text/plain", b""),

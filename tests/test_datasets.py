@@ -26,9 +26,10 @@ from bifocal.datasets import (
     write_labeled_urls,
 )
 from bifocal.errors import BadCap, ConfigError, DegenerateLabels, TooFewDomains
-from bifocal.urls import jaccard, normalize_url
+from bifocal.pairscore import FEATURE_NAMES, PairFeatureModel
+from bifocal.urls import jaccard, normalize_url, parse_components
 
-from references import cross_validate_combos_reference, max_jaccard_reference
+from references import cross_validate_combos_reference, fold_domains_reference, max_jaccard_reference
 from synthdata import parallel_pair_corpus
 
 
@@ -519,6 +520,44 @@ def test_cv_combos_equals_one_reference_fit_per_combination():
     rows = cross_validate_combos(positives, link_map, lang_map, {"eng", "fra"}, k=3, seed=2)
     expected = cross_validate_combos_reference(positives, link_map, lang_map, {"eng", "fra"}, k=3, seed=2)
     assert [(r.key, r.pos_f1, r.neg_f1, r.macro_f1) for r in rows] == expected
+
+
+def _cv_folds(positives, k, seed):
+    """The registrable domains of each fold's test positives, as
+    ``cross_validate_combos`` forms them; fitting and features are stubbed."""
+    folds = []
+
+    def record_fold(gold, *_):
+        folds.append({parse_components(url_a).registrable_domain for url_a, _ in gold})
+        return []
+
+    zero_model = PairFeatureModel(weights=(0.0,) * len(FEATURE_NAMES), bias=0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "mine_negatives_from_links", record_fold)
+        mp.setattr(datasets, "generate_negatives", lambda *_: ([], {}))
+        mp.setattr(datasets, "pair_train", lambda rows, masks: [zero_model] * masks.shape[1])
+        mp.setattr(datasets.pairscore, "pair_feature_vector", lambda *_: (0.0,) * len(FEATURE_NAMES))
+        cross_validate_combos(positives, {}, {}, {"eng", "fra"}, k=k, seed=seed)
+    return folds
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(1, 3), st.integers(1, 200)), min_size=2, max_size=40),
+    st.integers(2, 12),
+    st.integers(0, 2**16),
+)
+@example([200] + [1] * 39, 12, 0)
+@example([1] * 11 + [200], 12, 5)
+@example([3, 1], 2, 1)
+def test_cv_combos_folds_equal_the_reference(sizes, k, seed):
+    k = min(k, len(sizes))
+    positives = [
+        gold_pair(f"https://www.site{d}.com/en/p{i}", f"https://www.site{d}.com/fr/p{i}", "eng", "fra")
+        for d, size in enumerate(sizes)
+        for i in range(size)
+    ]
+    assert _cv_folds(positives, k, seed) == fold_domains_reference(positives, k, seed)
 
 
 def test_cv_combos_fits_each_fold_once(monkeypatch):

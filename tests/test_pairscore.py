@@ -17,7 +17,6 @@ from bifocal.pairscore import (
     build_language_tokens,
     load_pair_model,
     pair_feature_vector,
-    pair_features,
     pair_train,
     resolve_one_to_one,
     save_pair_model,
@@ -205,15 +204,14 @@ def test_pair_features_equal_the_reference(url_a, url_b, langs, same):
     a, b = normalize_url(url_a), normalize_url(url_b)
     markers_a, markers_b = _markers(langs[0]), _markers(langs[1])
     expected = pair_features_reference(a, b, markers_a, markers_b)
-    assert pair_features(a, b, markers_a, markers_b) == expected
     assert pair_feature_vector(url_a, url_b, *langs) == expected
     assert baseline_align(url_a, url_b, markers_a, markers_b) == baseline_align_reference(
         url_a, url_b, markers_a, markers_b)
 
 
 def test_features_identity_pair():
-    norm = normalize_url("https://a.com/en/x")
-    feats = pair_features(norm, norm, ENG, FRA)
+    url = "https://a.com/en/x"
+    feats = pair_feature_vector(url, url, "eng", "fra")
     by_name = dict(zip(FEATURE_NAMES, feats))
     assert by_name["token_jaccard"] == 1.0
     assert by_name["token_edit_distance"] == 0.0
@@ -221,30 +219,16 @@ def test_features_identity_pair():
 
 
 def test_features_un_org_pair():
-    feats = pair_features(
-        normalize_url("https://www.un.org/en/"),
-        normalize_url("https://www.un.org/fr/"),
-        ENG,
-        FRA,
-    )
+    feats = pair_feature_vector("https://www.un.org/en/", "https://www.un.org/fr/", "eng", "fra")
     assert dict(zip(FEATURE_NAMES, feats))["baseline_aligned"] == 1.0
 
 
 def test_features_jaccard_matches_brute_force():
-    a = normalize_url("https://a.com/x/y")
-    b = normalize_url("https://b.org/z")
-    feats = pair_features(a, b, ENG, FRA)
+    feats = pair_feature_vector("https://a.com/x/y", "https://b.org/z", "eng", "fra")
+    a, b = normalize_url("https://a.com/x/y"), normalize_url("https://b.org/z")
     sa, sb = set(a.core_tokens()), set(b.core_tokens())
     expected = len(sa & sb) / len(sa | sb)
     assert feats[0] == pytest.approx(expected)
-
-
-def test_feature_vector_cached_consistent():
-    direct = pair_features(
-        normalize_url("https://a.com/en/x"), normalize_url("https://a.com/fr/x"), ENG, FRA
-    )
-    cached = pair_feature_vector("https://a.com/en/x", "https://a.com/fr/x", "eng", "fra")
-    assert direct == cached
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +246,7 @@ def test_pair_train_separates_toy_data():
     data = _toy_labeled_pairs()
     random.Random(7).shuffle(data)
     train, held = data[: int(len(data) * 0.7)], data[int(len(data) * 0.7):]
-    scorer = FeaturePairScorer(pair_train(train, seed=0))
+    scorer = FeaturePairScorer(pair_train(train))
     tp = fp = fn = 0
     for rec in held:
         predicted = scorer.probability(rec.url_a, rec.url_b, rec.lang_a, rec.lang_b) > 0.5
@@ -278,8 +262,8 @@ def test_pair_train_separates_toy_data():
 
 def test_pair_train_deterministic():
     data = _toy_labeled_pairs()
-    m1 = pair_train(data, seed=3)
-    m2 = pair_train(data, seed=3)
+    m1 = pair_train(data)
+    m2 = pair_train(data)
     assert m1.weights == m2.weights and m1.bias == m2.bias
 
 
@@ -306,7 +290,7 @@ def _bits(model):
 def test_pair_train_is_the_reference_loop_bit_for_bit(seed):
     data = _strategy_rows(5 + 7 * seed, seed) if seed % 2 else _toy_labeled_pairs(10 + 9 * seed, seed)
     random.Random(seed).shuffle(data)
-    assert _bits(pair_train(data, seed=seed)) == _bits(pair_train_reference(data, seed=seed))
+    assert _bits(pair_train(data)) == _bits(pair_train_reference(data))
 
 
 def test_batched_fit_matches_a_reference_fit_per_column():
@@ -316,7 +300,7 @@ def test_batched_fit_matches_a_reference_fit_per_column():
     masks = rng.random((len(rows), 9)) < 0.5
     masks[:, 0] = True
     masks[labels.argmax()] = masks[labels.argmin()] = True
-    models = pair_train(rows, seed=0, masks=masks)
+    models = pair_train(rows, masks=masks)
     assert len(models) == masks.shape[1]
     for column, model in zip(masks.T, models):
         expected = pair_train_reference([rec for rec, keep in zip(rows, column) if keep])
@@ -333,7 +317,7 @@ def test_batched_fit_rejects_a_column_of_one_class():
 
 
 def test_pair_model_round_trip(tmp_path):
-    model = pair_train(_toy_labeled_pairs(), seed=0)
+    model = pair_train(_toy_labeled_pairs())
     path = tmp_path / "pair.json"
     save_pair_model(model, path)
     loaded = load_pair_model(path)
@@ -354,7 +338,7 @@ def test_pair_probability_baseline():
 
 def test_pair_probability_model_positive():
     data = _toy_labeled_pairs()
-    scorer = FeaturePairScorer(pair_train(data, seed=0))
+    scorer = FeaturePairScorer(pair_train(data))
     prob = scorer.probability("https://fresh.com/en/story-9", "https://fresh.com/fr/story-9",
                               "eng", "fra")
     assert prob > 0.5
@@ -362,7 +346,7 @@ def test_pair_probability_model_positive():
 
 def test_pair_probability_in_range():
     data = _toy_labeled_pairs()
-    scorer = FeaturePairScorer(pair_train(data, seed=0))
+    scorer = FeaturePairScorer(pair_train(data))
     for rec in data:
         assert 0.0 <= scorer.probability(rec.url_a, rec.url_b, rec.lang_a, rec.lang_b) <= 1.0
 
