@@ -134,6 +134,10 @@ class CrawlConfig:
             raise ValueError("crawl needs two distinct languages")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
+        if self.per_host_delay_ms < 0:
+            raise ValueError(f"per_host_delay_ms must be at least 0, got {self.per_host_delay_ms}")
         self.seeds = tuple(self.seeds)
         if not self.seeds:
             raise ValueError("crawl needs at least one seed URL")
@@ -145,7 +149,7 @@ class CrawlEvent:
     url: str
     outcome: str  # stored | discarded_language | error
     lang: str
-    priority: object  # float or the SEED sentinel
+    priority: float  # SEED (+inf) for a seed
     is_parallel_hit: bool = False
 
 
@@ -371,7 +375,8 @@ class LiveFetcher:
 
     def _robots_for(self, url: str) -> urllib.robotparser.RobotFileParser:
         """The robots.txt rules of the URL's scheme, host and port, fetched
-        once for each such origin (RFC 9309 §2.3).
+        once for each such origin (RFC 9309 §2.3); an explicit default port
+        names the same origin as none (RFC 3986 §6.2.3).
 
         A 5xx answer or an unreachable server means the whole origin is
         disallowed; any other non-200 answer or a body over the size cap
@@ -380,9 +385,12 @@ class LiveFetcher:
         import urllib.robotparser
 
         try:
-            origin = parse_components(url).origin
+            parts = parse_components(url)
         except NotAUrl as exc:
             raise FetchFailed(f"cannot fetch {url}: {exc}") from exc
+        origin = parts.origin
+        if parts.port == {"http": 80, "https": 443}.get(parts.scheme):
+            origin = f"{parts.scheme}://{parts.host}"
         parser = self._robots.get(origin)
         if parser is None:
             parser = urllib.robotparser.RobotFileParser()
@@ -552,7 +560,6 @@ class CrawlState:
         self.pair_scorer = pair_scorer
         self.frontier = Frontier()
         self.events: list[CrawlEvent] = []
-        self.fetches = 0
         self.depths: dict[str, int] = {}
         for seed_url in cfg.seeds:
             self.frontier.push_or_raise(seed_url, SEED)
@@ -566,28 +573,19 @@ def crawl_step(state: CrawlState) -> CrawlEvent:
         FrontierEmpty: nothing left to fetch.
     """
     entry = state.frontier.pop_max()
-    state.fetches += 1
-    seq = state.fetches
     try:
         result = state.fetcher.fetch(entry.url)
     except FetchFailed as exc:
         logger.info("fetch failed: %s", exc)
-        event = CrawlEvent(seq, entry.url, ERROR, UNKNOWN_LANG, entry.priority)
-        state.events.append(event)
-        return event
-
-    lang = state.detector.detect(result.content, hint=result.lang_hint)
-    pair = (state.cfg.lang_a, state.cfg.lang_b)
-    if lang not in pair:
+        outcome, lang = ERROR, UNKNOWN_LANG
+    else:
+        lang = state.detector.detect(result.content, hint=result.lang_hint)
         # Off-language documents end here: no link extraction.
-        event = CrawlEvent(seq, entry.url, DISCARDED_LANGUAGE, lang, entry.priority)
-        state.events.append(event)
-        return event
-
-    event = CrawlEvent(seq, entry.url, STORED, lang, entry.priority)
+        outcome = STORED if lang in (state.cfg.lang_a, state.cfg.lang_b) else DISCARDED_LANGUAGE
+    event = CrawlEvent(len(state.events) + 1, entry.url, outcome, lang, entry.priority)
     state.events.append(event)
     depth = state.depths.get(entry.url, 0)
-    if state.cfg.max_depth is None or depth < state.cfg.max_depth:
+    if outcome == STORED and (state.cfg.max_depth is None or depth < state.cfg.max_depth):
         # A fetched URL is terminal in the frontier and already has its depth.
         is_fetched = state.frontier.is_fetched
         links = [link for link in result.links if not is_fetched(link)]
@@ -600,7 +598,7 @@ def crawl_step(state: CrawlState) -> CrawlEvent:
 
 
 def run_crawl(state: CrawlState) -> CrawlLog:
-    while state.fetches < state.cfg.budget:
+    while len(state.events) < state.cfg.budget:
         try:
             crawl_step(state)
         except FrontierEmpty:

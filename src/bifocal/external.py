@@ -1,6 +1,6 @@
 """Client for external scorer processes.
 
-Wire protocol (newline-delimited UTF-8, over a stream socket or pipes):
+Wire protocol (newline-delimited UTF-8, over TCP):
 
 * request ``LANG<TAB>url``: response is one line of space-separated
   ``lang_code<TAB>probability`` units describing a distribution;
@@ -11,13 +11,13 @@ The client pipelines its requests: it writes up to ``WINDOW`` request lines
 at once on one connection and then reads their replies, so the server must
 answer every request with exactly one line, in the order the requests came,
 and must keep the requests it has read ahead.  The replies to one window fit
-in any pipe or socket buffer, so a server that writes each reply as soon as
-it has read the request never blocks while the client is still sending.
-Over TCP the client acknowledges each reply as soon as it has read it, where
-the platform allows (``TCP_QUICKACK``), so a server that leaves Nagle's
-algorithm on does not hold its next reply for the client's delayed ACK
-(~40 ms a window).  A crawl's language scorer memoizes each URL's answer, so
-a server must answer the same URL the same way for the length of a crawl.
+in any socket buffer, so a server that writes each reply as soon as it has
+read the request never blocks while the client is still sending.  The client
+acknowledges each reply as soon as it has read it, where the platform allows
+(``TCP_QUICKACK``), so a server that leaves Nagle's algorithm on does not
+hold its next reply for the client's delayed ACK (~40 ms a window).  A
+crawl's language scorer memoizes each URL's answer, so a server must answer
+the same URL the same way for the length of a crawl.
 
 A transport failure or a closed stream raises
 :class:`~bifocal.errors.ScorerUnavailable` and marks the client broken: every
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import socket
-import subprocess
 
 from .errors import ScorerUnavailable
 
@@ -109,27 +108,6 @@ class ScorerClient:
             sock.setsockopt, socket.IPPROTO_TCP, quickack, 1
         )
         return cls(reader, writer, closer=sock.close, ack=ack)
-
-    @classmethod
-    def spawn(cls, command: "list[str]") -> "ScorerClient":
-        try:
-            proc = subprocess.Popen(
-                command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
-                bufsize=1,
-            )
-        except OSError as exc:
-            raise ScorerUnavailable(f"cannot spawn {command!r}: {exc}") from exc
-
-        def closer():
-            proc.stdin.close()
-            proc.wait(timeout=10)
-            proc.stdout.close()
-
-        return cls(proc.stdout, proc.stdin, closer=closer)
 
     def close(self) -> None:
         if self._closer is not None:

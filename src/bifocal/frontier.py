@@ -3,10 +3,9 @@
 Rules:
 
 * one live entry per URL;
-* seeds sit in a distinguished tier above every numeric priority and pop in
-  insertion order;
-* numeric entries pop by highest priority, ties broken FIFO by insertion, so
-  an all-equal-priority crawl degenerates to breadth-first order;
+* seeds have priority ``SEED`` (+inf), above every score, so they pop first;
+* entries pop by highest priority, ties broken FIFO by insertion, so an
+  all-equal-priority crawl degenerates to breadth-first order;
 * re-discovering a URL can only raise its priority (max-update), never lower
   it, and never changes its insertion sequence;
 * once popped, a URL is terminal: later pushes are ignored.
@@ -16,37 +15,28 @@ The crawl is single-threaded, so a frontier takes no lock.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .errors import FrontierEmpty
 
 
-class _SeedTier:
-    def __repr__(self) -> str:
-        return "SEED"
-
-
-SEED = _SeedTier()
+# Above every score in [0, 1]; no other +inf priority is accepted.
+SEED = math.inf
 
 
 @dataclass
 class FrontierEntry:
     url: str
-    priority: "float | _SeedTier"
+    priority: float
     insertion_seq: int
     fetched: bool = False
-
-
-def _heap_key(entry: FrontierEntry) -> tuple:
-    if entry.priority is SEED:
-        return (0, entry.insertion_seq, 0.0)
-    return (1, -entry.priority, entry.insertion_seq)
 
 
 class Frontier:
     def __init__(self):
         self._entries: dict[str, FrontierEntry] = {}
-        self._heap: list[tuple[tuple, str]] = []
+        self._heap: list[tuple[float, int, str]] = []
         self._pending = 0
 
     def __len__(self) -> int:
@@ -60,7 +50,7 @@ class Frontier:
         entry = self._entries.get(url)
         return entry is not None and entry.fetched
 
-    def push_or_raise(self, url: str, priority: "float | _SeedTier") -> None:
+    def push_or_raise(self, url: str, priority: float) -> None:
         """Insert the URL, or raise its priority if it is already pending.
 
         Terminal (already fetched) URLs are ignored.
@@ -73,13 +63,10 @@ class Frontier:
             entry = FrontierEntry(url=url, priority=priority, insertion_seq=len(self._entries))
             self._pending += 1
             self._entries[url] = entry
-            heapq.heappush(self._heap, (_heap_key(entry), url))
+        elif entry.fetched or priority <= entry.priority:
             return
-        if entry.fetched or entry.priority is SEED:
-            return
-        if priority is SEED or priority > entry.priority:
-            entry.priority = priority
-            heapq.heappush(self._heap, (_heap_key(entry), url))
+        entry.priority = priority
+        heapq.heappush(self._heap, (-priority, entry.insertion_seq, url))
 
     def pop_max(self) -> FrontierEntry:
         """Remove and return the best pending entry; it becomes terminal.
@@ -88,7 +75,7 @@ class Frontier:
             FrontierEmpty: nothing is pending.
         """
         while self._heap:
-            _, url = heapq.heappop(self._heap)
+            _, _, url = heapq.heappop(self._heap)
             entry = self._entries[url]
             # A raise pushes a strictly better key, so an entry's newest
             # item pops first; its older items pop after it is fetched.

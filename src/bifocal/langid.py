@@ -180,16 +180,18 @@ def ngram_train(
     to zero over all updates.
 
     Raises:
-        ConfigError: ``hp`` breaks 1 <= n_min <= n_max, bucket_count >= 1 or
-            dim >= 1.
+        ConfigError: ``hp`` breaks 1 <= n_min <= n_max, bucket_count >= 1,
+            dim >= 1, epochs >= 1 or a finite learning_rate > 0.
         DegenerateLabels: fewer than two distinct labels in ``data``.
     """
     import numpy as np
 
     if hp is None:
         hp = NgramHyperparams()
-    if not (1 <= hp.n_min <= hp.n_max and hp.bucket_count >= 1 and hp.dim >= 1):
-        raise ConfigError(f"need 1 <= n_min <= n_max, bucket_count >= 1 and dim >= 1, got {hp}")
+    if not (1 <= hp.n_min <= hp.n_max and hp.bucket_count >= 1 and hp.dim >= 1
+            and hp.epochs >= 1 and 0.0 < hp.learning_rate < float("inf")):
+        raise ConfigError(f"need 1 <= n_min <= n_max, bucket_count >= 1, dim >= 1, epochs >= 1 "
+                          f"and a finite learning_rate > 0, got {hp}")
     pairs = list(data)
     labels = tuple(sorted({lang for _, lang in pairs}))
     if len(labels) < 2:

@@ -8,8 +8,30 @@ Modes (argv[1], default "ok"):
   bad-url URL    : like ok, but garbage for requests about URL (the LANG
                    url or the PAIR url_b)
   die-after K    : like ok for K replies, then exits
+
+``client(mode, ...)`` starts the stub and returns a client talking to it over
+pipes.
 """
+import subprocess
 import sys
+
+
+def client(*args):
+    """A ScorerClient on the stdin/stdout of a stub started with ``args``."""
+    # Imported here: the stub also runs as a script, without bifocal on its path.
+    from bifocal.external import ScorerClient
+
+    proc = subprocess.Popen(
+        [sys.executable, __file__, *(args or ("ok",))],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, encoding="utf-8", bufsize=1,
+    )
+
+    def closer():
+        proc.stdin.close()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+    return ScorerClient(proc.stdout, proc.stdin, closer=closer)
 
 
 def respond(line: str, mode: str) -> str:

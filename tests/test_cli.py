@@ -243,6 +243,12 @@ def _splits(tmp, ratios):
     return ["splits", "--data", str(urls), "--ratios", ratios, "--out-prefix", str(tmp / "s")]
 
 
+def _simulate_with_config_line(line):
+    return lambda tmp, graph, config: [
+        "simulate", "--graph", str(graph), "--log", str(tmp / "l.tsv"),
+        "--config", str(_write(tmp, "extra.cfg", config.read_text() + line + "\n"))]
+
+
 # (case, argv from (tmp dir, graph, config), text the error line must contain)
 _BAD_INPUTS = [
     ("missing config",
@@ -334,11 +340,12 @@ _BAD_INPUTS = [
      lambda tmp, graph, config: _splits(tmp, "0.5,0.4"),
      "--ratios 0.5,0.4"),
     ("empty seeds file", _empty_seeds, "at least one seed"),
-    ("config with the removed seed key",
-     lambda tmp, graph, config: ["simulate", "--graph", str(graph), "--log", str(tmp / "l.tsv"),
-                                 "--config", str(_write(tmp, "seed.cfg",
-                                                        config.read_text() + "seed = 3\n"))],
+    ("config with the removed seed key", _simulate_with_config_line("seed = 3"),
      "unknown key 'seed'"),
+    ("config with a negative max_depth", _simulate_with_config_line("max_depth = -1"),
+     "max_depth must be at least 0"),
+    ("config with a negative per_host_delay_ms",
+     _simulate_with_config_line("per_host_delay_ms = -5"), "per_host_delay_ms must be at least 0"),
 ]
 
 
@@ -369,6 +376,12 @@ _BAD_NUMBERS = [
     ("langid buckets 0", lambda tmp: _langid_train(tmp, "--buckets", "0"), "bucket_count >= 1",
      "lang.bin"),
     ("langid dim 0", lambda tmp: _langid_train(tmp, "--dim", "0"), "dim >= 1", "lang.bin"),
+    ("langid epochs 0", lambda tmp: _langid_train(tmp, "--epochs", "0"), "epochs >= 1", "lang.bin"),
+    ("langid epochs -1", lambda tmp: _langid_train(tmp, "--epochs", "-1"), "epochs >= 1",
+     "lang.bin"),
+    *[(f"langid learning rate {rate}", lambda tmp, rate=rate: _langid_train(
+        tmp, "--learning-rate", rate), "finite learning_rate > 0", "lang.bin")
+      for rate in ("0", "-5", "nan", "inf")],
     ("cv-combos folds 1",
      lambda tmp: _cv_combos(tmp, _write(tmp, "links.json", "{}")) + ["--folds", "1"],
      "at least 2 folds", "cv.tsv"),

@@ -2,7 +2,6 @@ import dataclasses
 import io
 import logging
 import re
-import sys
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -41,7 +40,7 @@ from bifocal.errors import (
     ScorerUnavailable,
     UnknownSeed,
 )
-from bifocal.external import ExternalLanguageScorer, ExternalPairScorer, ScorerClient
+from bifocal.external import ExternalLanguageScorer, ExternalPairScorer
 from bifocal.frontier import SEED, Frontier
 from bifocal.langid import (
     NgramHyperparams,
@@ -58,6 +57,7 @@ from bifocal.pairscore import (
 )
 from bifocal.urls import normalize_url
 
+import stub_scorer
 from references import bfs_reference, pair_features_reference, score_links_reference
 from synthdata import (
     OracleLangScorer,
@@ -231,6 +231,16 @@ def test_fetch_error_is_logged_and_crawl_continues():
     assert outcomes["https://a/ok"] == STORED
 
 
+def test_fetch_error_counts_against_the_budget():
+    graph = _graph({
+        "https://a/": ("eng", ["https://a/missing", "https://a/ok"], []),
+        "https://a/ok": ("fra", [], []),
+    })
+    log = simulate(graph, _cfg(["https://a/"], budget=2))
+    assert [(e.seq, e.url, e.outcome) for e in log] == [
+        (1, "https://a/", STORED), (2, "https://a/missing", ERROR)]
+
+
 class _PredictEveryLink:
     """Reference language scorer: one ``ngram_predict`` per call, no memo."""
 
@@ -305,7 +315,7 @@ def _log_rows(log):
 def _simulate_with(graph, seeds, scorers):
     if scorers != "external":
         return simulate(graph, _cfg(seeds, budget=len(graph.pages)), *scorers(graph))
-    clients = [_stub(), _stub()]
+    clients = [stub_scorer.client(), stub_scorer.client()]
     try:
         return simulate(graph, _cfg(seeds, budget=len(graph.pages)),
                         ExternalLanguageScorer(clients[0]), ExternalPairScorer(clients[1]))
@@ -453,13 +463,6 @@ def test_oracle_scorers_on_small_planted_graph():
 # ---------------------------------------------------------------------------
 # External scorers in the crawl
 
-STUB = str(Path(__file__).parent / "stub_scorer.py")
-
-
-def _stub(*args):
-    return ScorerClient.spawn([sys.executable, STUB, *(args or ("ok",))])
-
-
 def _warned_links(caplog):
     return [record.args[0] for record in caplog.records
             if record.levelno == logging.WARNING and record.name == "bifocal.crawler"]
@@ -468,7 +471,7 @@ def _warned_links(caplog):
 @pytest.mark.parametrize("bad_scorer", ["lang", "pair"])
 def test_malformed_reply_zeroes_only_its_link(bad_scorer, caplog):
     bad = "https://s/fr/bad"
-    clients = {kind: _stub("bad-url", bad) if kind == bad_scorer else _stub()
+    clients = {kind: stub_scorer.client(*(("bad-url", bad) if kind == bad_scorer else ()))
                for kind in ("lang", "pair")}
     cfg = _cfg(["https://s/"])
     try:
@@ -484,7 +487,7 @@ def test_malformed_reply_zeroes_only_its_link(bad_scorer, caplog):
 
 def test_link_with_a_line_break_is_zeroed_alone(caplog):
     bad = "https://s/fr/a\nPAIR\tx"
-    clients = [_stub(), _stub()]
+    clients = [stub_scorer.client(), stub_scorer.client()]
     cfg = _cfg(["https://s/"])
     try:
         scored = score_links("https://s/en/a", "eng", [bad, "https://s/fr/a", "https://s/en/b"],
@@ -499,7 +502,7 @@ def test_link_with_a_line_break_is_zeroed_alone(caplog):
 
 def test_dead_scorer_zeroes_every_later_link(caplog):
     # Three replies: both of page 1's, then one of page 2's three.
-    lang_client, pair_client = _stub("die-after", "3"), _stub()
+    lang_client, pair_client = stub_scorer.client("die-after", "3"), stub_scorer.client()
     lang, pair = ExternalLanguageScorer(lang_client), ExternalPairScorer(pair_client)
     pages = [["https://s/fr/a", "https://s/en/b"],
              ["https://s/en/c", "https://s/fr/d", "https://s/fr/e"],
@@ -531,7 +534,7 @@ def test_external_scorers_crawl_alike_without_prefetch(tmp_path):
     cfg = _cfg(seeds, budget=50)
     logs = []
     for wrap in (lambda scorer: scorer, _ProbabilityOnly):
-        lang_client, pair_client = _stub(), _stub()
+        lang_client, pair_client = stub_scorer.client(), stub_scorer.client()
         try:
             log = simulate(graph, cfg, wrap(ExternalLanguageScorer(lang_client)),
                            wrap(ExternalPairScorer(pair_client)))
@@ -744,6 +747,23 @@ def test_robots_rules_are_kept_per_scheme_host_and_port():
         "https://h.com/robots.txt",
         "https://h.com/x",
     ]
+
+
+def test_robots_origin_drops_an_explicit_default_port():
+    # RFC 3986 6.2.3: "https://h.com:443/" and "https://h.com/" are one origin.
+    requests = []
+
+    def opener(url, headers, timeout):
+        requests.append(url)
+        return 404 if url.endswith("/robots.txt") else 200, {"Content-Type": "text/html"}, b""
+
+    fetcher = LiveFetcher(opener=opener, per_host_delay_ms=0)
+    pages = ["https://h.com/a", "https://h.com:443/b", "http://h.com:80/c", "http://h.com/d"]
+    for url in pages:
+        fetcher.fetch(url)
+    assert [url for url in requests if url.endswith("/robots.txt")] == [
+        "https://h.com/robots.txt", "http://h.com/robots.txt"]
+    assert [url for url in requests if not url.endswith("/robots.txt")] == pages
 
 
 def test_live_fetcher_fetches_and_extracts():

@@ -3,11 +3,9 @@ import gc
 import io
 import logging
 import socket
-import sys
 import threading
 import time
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -24,15 +22,8 @@ from bifocal.external import (
 )
 from synthdata import dense_planted_graph, random_site_graph
 
-STUB = str(Path(__file__).parent / "stub_scorer.py")
-
-
-def _spawn(*args):
-    return ScorerClient.spawn([sys.executable, STUB, *(args or ("ok",))])
-
-
 def test_language_distribution_over_pipes():
-    client = _spawn()
+    client = stub_scorer.client()
     try:
         dist = parse_distribution(client.roundtrips(["LANG\thttps://a.com/fr/page"])[0])
         assert dist == {"fra": 0.9, "eng": 0.05, "unk": 0.05}
@@ -42,7 +33,7 @@ def test_language_distribution_over_pipes():
 
 
 def test_pair_probability_over_pipes():
-    client = _spawn()
+    client = stub_scorer.client()
     try:
         replies = client.roundtrips(["PAIR\thttps://a.com/en/x\thttps://a.com/fr/x",
                                      "PAIR\thttps://a.com/en/x\thttps://a.com/fr/y"])
@@ -52,7 +43,7 @@ def test_pair_probability_over_pipes():
 
 
 def test_scorer_wrappers():
-    client = _spawn()
+    client = stub_scorer.client()
     try:
         lang = ExternalLanguageScorer(client)
         assert lang.probability("https://a.com/fr/p", "fra") == 0.9
@@ -64,7 +55,7 @@ def test_scorer_wrappers():
 
 
 def test_malformed_response_raises():
-    client = _spawn("garbage")
+    client = stub_scorer.client("garbage")
     try:
         reply = client.roundtrips(["PAIR\thttps://a/x\thttps://b/y"])[0]
         with pytest.raises(ScorerUnavailable, match="malformed"):
@@ -74,17 +65,12 @@ def test_malformed_response_raises():
 
 
 def test_closed_stream_raises():
-    client = _spawn("truncate")
+    client = stub_scorer.client("truncate")
     try:
         with pytest.raises(ScorerUnavailable):
             client.roundtrips(["LANG\thttps://a.com/x"])
     finally:
         client.close()
-
-
-def test_spawn_failure_raises():
-    with pytest.raises(ScorerUnavailable):
-        ScorerClient.spawn(["/no/such/binary"])
 
 
 def test_out_of_range_pair_probability():
@@ -191,7 +177,7 @@ _MANY = [f"PAIR\thttps://a.com/{i}\thttps://b.com/{i % 7}" for i in range(200)]
 
 def test_roundtrips_keep_order_over_pipes():
     assert len(_MANY) > 3 * WINDOW
-    client = _spawn("echo")
+    client = stub_scorer.client("echo")
     try:
         assert client.roundtrips(_MANY) == _MANY
         assert client.roundtrips([]) == []
@@ -242,7 +228,7 @@ def test_client_stays_broken_after_a_short_window():
 
 
 def test_language_scorer_memoizes_parsed_answers_only():
-    client = _spawn("bad-url", "https://a.com/bad")
+    client = stub_scorer.client("bad-url", "https://a.com/bad")
     lang = ExternalLanguageScorer(client)
     try:
         lang.prefetch(["https://a.com/fr/x", "https://a.com/bad", "https://a.com/fr/x"])

@@ -137,7 +137,7 @@ def test_priority_never_decreases():
 def test_out_of_range_push_is_rejected_and_changes_nothing():
     f = Frontier()
     f.push_or_raise("u", 0.3)
-    for priority in (float("nan"), -0.1, 1.5):
+    for priority in (float("nan"), -0.1, 1.5, float("inf")):
         for url in ("u", "v"):
             with pytest.raises(ValueError, match="priority"):
                 f.push_or_raise(url, priority)
@@ -146,3 +146,4 @@ def test_out_of_range_push_is_rejected_and_changes_nothing():
         assert f.entry("v") is None
     f.push_or_raise("v", 0.2)
     assert f.entry("v").insertion_seq == 1
+
