@@ -13,7 +13,6 @@ n-gram model and pair training import numpy on first use.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import os
 import sys
@@ -21,6 +20,7 @@ import typing
 
 from . import crawler, langid, metrics, pairscore
 from .errors import BifocalError, ConfigError, UnknownLanguage
+from .inputs import numbered_lines, read_json, rows
 from .urls import normalize_url
 
 # ---------------------------------------------------------------------------
@@ -144,20 +144,11 @@ def write_report(log: crawler.CrawlLog, out_dir) -> None:
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
-def _numbered_lines(path: str | None):
-    """(line number, line) for each non-empty line of ``path``, or of stdin."""
-    with open(path, "r", encoding="utf-8") if path else contextlib.nullcontext(sys.stdin) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if line:
-                yield lineno, line
-
-
 def _iter_lines(path: str | None, inline: "list[str]"):
     if inline:
         yield from inline
     if path or not inline:
-        for _, line in _numbered_lines(path):
+        for _, line in numbered_lines(path):
             yield line
 
 
@@ -245,15 +236,10 @@ def _cmd_pairscore_train(args) -> int:
 def _cmd_pairscore_score(args) -> int:
     scorer = crawler.build_pair_scorer(args)
     if args.url_a and args.url_b:
-        rows = [(args.url_a, args.url_b)]
+        pairs = [(args.url_a, args.url_b)]
     else:
-        rows = []
-        for lineno, line in _numbered_lines(args.pairs):
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ConfigError(f"{args.pairs or '<stdin>'}:{lineno}: expected url_a<TAB>url_b")
-            rows.append((parts[0], parts[1]))
-    for url_a, url_b in rows:
+        pairs = [fields for _, fields in rows(args.pairs, 2, "URL pair")]
+    for url_a, url_b in pairs:
         prob = scorer.probability(url_a, url_b, args.lang_a, args.lang_b)
         print(f"{url_a}\t{url_b}\t{prob:.6f}")
     return 0
@@ -341,19 +327,17 @@ def _cmd_splits(args) -> int:
 
 
 def _cmd_cv_combos(args) -> int:
-    import json
-
     from . import datasets
 
     langs = args.langs.split(",")
     if len(langs) != 2 or not all(langs) or langs[0] == langs[1]:
         raise ConfigError(f"--langs needs two distinct codes like eng,fra, got {args.langs!r}")
     positives = [p for p in datasets.read_labeled_pairs(args.pairs) if p.label == "positive"]
-    with open(args.links, "r", encoding="utf-8") as handle:
-        try:
-            link_map = {url: tuple(links) for url, links in json.load(handle).items()}
-        except (AttributeError, TypeError, ValueError) as exc:  # ValueError: not JSON
-            raise ConfigError(f"{args.links}: not a JSON object of URL lists: {exc}") from None
+    links = read_json(args.links, "link map")
+    try:
+        link_map = {url: tuple(targets) for url, targets in links.items()}
+    except (AttributeError, TypeError) as exc:
+        raise ConfigError(f"{args.links}: not a JSON object of URL lists: {exc}") from None
     lang_map = dict(datasets.read_labeled_urls(args.url_langs))
     results = datasets.cross_validate_combos(
         positives, link_map, lang_map, set(langs), k=args.folds, seed=args.seed

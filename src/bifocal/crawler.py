@@ -22,16 +22,9 @@ from importlib import resources
 from urllib.parse import urljoin
 
 from . import langid, pairscore
-from .errors import (
-    BifocalError,
-    ConfigError,
-    FetchFailed,
-    FrontierEmpty,
-    NoSeeds,
-    NotAUrl,
-    UnknownSeed,
-)
+from .errors import BifocalError, ConfigError, FetchFailed, FrontierEmpty, NotAUrl
 from .frontier import SEED, Frontier
+from .inputs import read_json, rows
 from .isodata import UNKNOWN_LANG
 from .urls import parse_components
 
@@ -40,6 +33,7 @@ logger = logging.getLogger(__name__)
 STORED = "stored"
 DISCARDED_LANGUAGE = "discarded_language"
 ERROR = "error"
+OUTCOMES = (STORED, DISCARDED_LANGUAGE, ERROR)
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +90,7 @@ class SiteGraph:
 
     @classmethod
     def load(cls, path) -> "SiteGraph":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: site graph is not JSON: {exc}") from None
+        data = read_json(path, "site graph")
         try:
             return cls.from_dict(data)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -214,24 +204,20 @@ class CrawlLog:
 
     @classmethod
     def from_tsv(cls, path) -> "CrawlLog":
+        """The log that ``to_tsv`` wrote.  A row is a ``ConfigError`` unless it has
+        five fields, an integer sequence number, an outcome in ``OUTCOMES``
+        and a priority that is ``SEED`` or a number in [0, 1]."""
         events = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    seq, url, outcome, lang, priority = line.split("\t")
-                    event = CrawlEvent(
-                        seq=int(seq),
-                        url=url,
-                        outcome=outcome,
-                        lang=lang,
-                        priority=SEED if priority == "SEED" else float(priority),
-                    )
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad crawl log row: {exc}") from None
-                events.append(event)
+        for lineno, (seq, url, outcome, lang, priority) in rows(path, 5, "crawl log"):
+            try:
+                value = SEED if priority == "SEED" else float(priority)
+                if outcome not in OUTCOMES:
+                    raise ValueError(f"outcome {outcome!r} is not one of {', '.join(OUTCOMES)}")
+                if value is not SEED and not 0.0 <= value <= 1.0:
+                    raise ValueError(f"priority {priority!r} is neither SEED nor in [0, 1]")
+                events.append(CrawlEvent(int(seq), url, outcome, lang, value))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad crawl log row: {exc}") from None
         return cls(events)
 
 
@@ -613,11 +599,11 @@ def simulate(graph: SiteGraph, cfg: CrawlConfig, lang_scorer=None, pair_scorer=N
     marked on the log afterwards.
 
     Raises:
-        UnknownSeed: a seed URL is missing from the graph.
+        ConfigError: a seed URL is missing from the graph.
     """
     for seed_url in cfg.seeds:
         if seed_url not in graph.pages:
-            raise UnknownSeed(f"seed {seed_url} is not in the graph")
+            raise ConfigError(f"seed {seed_url} is not in the graph")
     with _crawl_scorers(cfg, lang_scorer, pair_scorer) as (lang_scorer, pair_scorer):
         state = CrawlState(cfg, GraphFetcher(graph), GroundTruthDetector(), lang_scorer, pair_scorer)
         log = run_crawl(state)
@@ -665,8 +651,7 @@ def build_seed_list(url_to_site, n: int = 200, alive=None) -> "list[str]":
     scheme and host of the site's lexicographically first URL.
 
     Raises:
-        ConfigError: ``n`` is below 1.
-        NoSeeds: nothing to rank.
+        ConfigError: ``n`` is below 1, or nothing to rank.
     """
     if n < 1:
         raise ConfigError(f"a seed list needs at least 1 site, got {n}")
@@ -674,7 +659,7 @@ def build_seed_list(url_to_site, n: int = 200, alive=None) -> "list[str]":
     if alive is not None:
         urls = [u for u in urls if alive.get(u, True)]
     if not urls:
-        raise NoSeeds("no URLs to build seeds from")
+        raise ConfigError("no URLs to build seeds from")
     by_site: dict[str, list[str]] = {}
     for url in urls:
         by_site.setdefault(url_to_site[url], []).append(url)

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadCap, ConfigError, TooFewDomains
+from .errors import ConfigError
+from .inputs import rows
 from .isodata import UNKNOWN_LANG
 from . import pairscore
 from .pairscore import pair_train
@@ -64,16 +65,13 @@ def write_labeled_urls(records, path) -> None:
 
 
 def read_labeled_urls(path) -> "list[LabeledUrl]":
+    """The ``url<TAB>lang`` rows of ``path``; a row without exactly two fields,
+    or with an empty label, is a ``ConfigError``."""
     out = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            url, _, lang = line.partition("\t")
-            if not lang:
-                raise ConfigError(f"{path}:{lineno}: URL row has no tab-separated label")
-            out.append(LabeledUrl(url, lang))
+    for lineno, (url, lang) in rows(path, 2, "URL"):
+        if not lang:
+            raise ConfigError(f"{path}:{lineno}: URL row has an empty label")
+        out.append(LabeledUrl(url, lang))
     return out
 
 
@@ -86,18 +84,14 @@ def write_labeled_pairs(records, path) -> None:
 
 
 def read_labeled_pairs(path) -> "list[LabeledPair]":
+    """The rows that ``write_labeled_pairs`` writes; a row without six fields,
+    or labeled neither ``positive`` nor ``negative``, is a ``ConfigError``."""
     out = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 6:
-                raise ConfigError(f"{path}:{lineno}: pair row has {len(fields)} tab fields, not 6")
-            url_a, url_b, label, lang_a, lang_b, provenance = fields
-            method, _, mode = provenance.partition(":")
-            out.append(LabeledPair(url_a, url_b, label, lang_a, lang_b, method, mode or "bi"))
+    for lineno, (url_a, url_b, label, lang_a, lang_b, provenance) in rows(path, 6, "pair"):
+        if label not in ("positive", "negative"):
+            raise ConfigError(f"{path}:{lineno}: pair label {label!r} is not positive or negative")
+        method, _, mode = provenance.partition(":")
+        out.append(LabeledPair(url_a, url_b, label, lang_a, lang_b, method, mode or "bi"))
     return out
 
 
@@ -110,10 +104,10 @@ def cap_per_language(corpus, cap: int, seed: int = 0):
     Under-cap languages pass through untouched; input order is preserved.
 
     Raises:
-        BadCap: ``cap`` is not positive.
+        ConfigError: ``cap`` is not positive.
     """
     if cap <= 0:
-        raise BadCap(f"cap must be positive, got {cap}")
+        raise ConfigError(f"cap must be positive, got {cap}")
     corpus = list(corpus)
     rng = random.Random(seed)
     by_lang: dict[str, list[int]] = {}
@@ -138,11 +132,11 @@ def _domain_parts(domains, ratios, seed: int) -> "list[int]":
     part holding the fewest records.
 
     Raises:
-        TooFewDomains: fewer distinct domains than parts.
+        ConfigError: fewer distinct domains than parts.
     """
     sizes = Counter(domains)
     if len(sizes) < len(ratios):
-        raise TooFewDomains(f"{len(sizes)} domains cannot fill {len(ratios)} parts")
+        raise ConfigError(f"{len(sizes)} domains cannot fill {len(ratios)} parts")
     ordered = sorted(sizes)
     random.Random(seed).shuffle(ordered)
     total = len(domains)
@@ -163,7 +157,7 @@ def split_by_domain(corpus, ratios, seed: int = 0):
     ratios are best effort (within one largest-domain mass).
 
     Raises:
-        TooFewDomains: fewer domains than requested parts.
+        ConfigError: fewer domains than requested parts.
     """
     ratios = tuple(ratios)
     if any(r <= 0 for r in ratios):
@@ -440,8 +434,7 @@ def cross_validate_combos(
     ``pair_train`` call, whose masks select each combination's rows.
 
     Raises:
-        ConfigError: ``k`` is below 2.
-        TooFewDomains: fewer domains than folds.
+        ConfigError: ``k`` is below 2, or fewer domains than folds.
     """
     if k < 2:
         raise ConfigError(f"cross-validation needs at least 2 folds, got {k}")

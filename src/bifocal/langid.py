@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import ConfigError, DegenerateLabels, NotAUrl
+from .errors import ConfigError, NotAUrl
 from .isodata import UNKNOWN_LANG, bundled_languages
 from .urls import NormalizedUrl, UrlComponents, normalize_url, parse_components
 
@@ -168,6 +168,16 @@ def _forward_backward(emb: np.ndarray, weights: np.ndarray, ids: np.ndarray, y: 
     return loss, hidden, dz, weights @ dz
 
 
+def _check_shape(n_min: int, n_max: int, dim: int, bucket_count: int, labels) -> None:
+    """Raise ``ConfigError`` unless the shape is one ``ngram_train`` makes;
+    ``model_from_bytes`` checks each file's header with it too."""
+    if not (1 <= n_min <= n_max and bucket_count >= 1 and dim >= 1):
+        raise ConfigError(f"need 1 <= n_min <= n_max, bucket_count >= 1 and dim >= 1, got "
+                          f"n_min={n_min}, n_max={n_max}, bucket_count={bucket_count}, dim={dim}")
+    if len(labels) < 2:
+        raise ConfigError(f"need at least 2 labels, got {tuple(labels)}")
+
+
 def ngram_train(
     data,
     hp: NgramHyperparams | None = None,
@@ -180,22 +190,18 @@ def ngram_train(
     to zero over all updates.
 
     Raises:
-        ConfigError: ``hp`` breaks 1 <= n_min <= n_max, bucket_count >= 1,
-            dim >= 1, epochs >= 1 or a finite learning_rate > 0.
-        DegenerateLabels: fewer than two distinct labels in ``data``.
+        ConfigError: ``hp`` breaks epochs >= 1 or a finite learning_rate > 0,
+            or the model would break ``_check_shape``.
     """
     import numpy as np
 
     if hp is None:
         hp = NgramHyperparams()
-    if not (1 <= hp.n_min <= hp.n_max and hp.bucket_count >= 1 and hp.dim >= 1
-            and hp.epochs >= 1 and 0.0 < hp.learning_rate < float("inf")):
-        raise ConfigError(f"need 1 <= n_min <= n_max, bucket_count >= 1, dim >= 1, epochs >= 1 "
-                          f"and a finite learning_rate > 0, got {hp}")
+    if not (hp.epochs >= 1 and 0.0 < hp.learning_rate < float("inf")):
+        raise ConfigError(f"need epochs >= 1 and a finite learning_rate > 0, got {hp}")
     pairs = list(data)
     labels = tuple(sorted({lang for _, lang in pairs}))
-    if len(labels) < 2:
-        raise DegenerateLabels(f"need at least 2 labels, got {labels}")
+    _check_shape(hp.n_min, hp.n_max, hp.dim, hp.bucket_count, labels)
     label_index = {lab: i for i, lab in enumerate(labels)}
 
     rng = np.random.default_rng(seed)
@@ -312,7 +318,8 @@ def _write_model(model: NgramLangModel, handle) -> None:
 
 def model_from_bytes(blob) -> NgramLangModel:
     """The model in ``blob`` (bytes or a mapping); its embedding is a float32
-    view of ``blob``."""
+    view of ``blob``.  A header that ``_check_shape`` rejects is a
+    ``ConfigError``; another bad blob is a ``ValueError`` or ``struct.error``."""
     import numpy as np
 
     if blob[:4] != _MAGIC:
@@ -327,6 +334,7 @@ def model_from_bytes(blob) -> NgramLangModel:
         offset += 4
         labels.append(blob[offset : offset + length].decode("utf-8"))
         offset += length
+    _check_shape(n_min, n_max, dim, buckets, labels)
     emb = np.frombuffer(blob, dtype="<f4", count=buckets * dim, offset=offset)
     offset += emb.nbytes
     weights = np.frombuffer(blob, dtype="<f4", count=dim * n_labels, offset=offset)
@@ -379,7 +387,7 @@ def load_model(path) -> NgramLangModel:
             raise ConfigError(f"{path}: not a language model: {exc}") from None
     try:
         return model_from_bytes(blob)
-    except (ValueError, struct.error) as exc:
+    except (ConfigError, ValueError, struct.error) as exc:
         raise ConfigError(f"{path}: not a language model: {exc}") from None
 
 

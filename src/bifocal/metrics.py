@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyGold
+from .errors import ConfigError
 
 DECILE_PERCENTS = tuple(range(0, 101, 10))
 
@@ -72,11 +72,11 @@ def alignment_recall(predicted, gold) -> float:
     """|predicted ∩ gold| / |gold| over pair sets.
 
     Raises:
-        EmptyGold: the gold set is empty.
+        ConfigError: the gold set is empty.
     """
     gold = set(gold)
     if not gold:
-        raise EmptyGold("recall is undefined for an empty gold set")
+        raise ConfigError("recall is undefined for an empty gold set")
     return len(set(predicted) & gold) / len(gold)
 
 
@@ -86,7 +86,7 @@ def soft_alignment_recall(predicted, gold, equiv=None) -> float:
     default) this equals plain recall."""
     gold = set(gold)
     if not gold:
-        raise EmptyGold("recall is undefined for an empty gold set")
+        raise ConfigError("recall is undefined for an empty gold set")
     if equiv is None:
         equiv = lambda url: url
     predicted_classes = {(equiv(a), equiv(b)) for a, b in predicted}

@@ -13,7 +13,8 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConfigError, DegenerateLabels, NotAUrl, UnknownLanguage
+from .errors import ConfigError, NotAUrl, UnknownLanguage
+from .inputs import read_json
 from .isodata import UNKNOWN_LANG, bundled_languages
 from .urls import jaccard, normalize_url, parse_components
 
@@ -119,7 +120,7 @@ def _pair_view(url: str, marker_tokens: frozenset[str]) -> tuple:
     each URL with many others.
 
     Raises:
-        EmptyUrl: ``url`` is empty.
+        NotAUrl: ``url`` is empty.
     """
     core = normalize_url(url).core_tokens()
     full, residuals = _residuals(core, marker_tokens)
@@ -316,7 +317,7 @@ def pair_train(data, masks=None) -> "PairFeatureModel | list[PairFeatureModel]":
     its gradients differs, by rounding.
 
     Raises:
-        DegenerateLabels: a model's rows hold only one class.
+        ConfigError: a model's rows hold only one class.
     """
     import numpy as np
 
@@ -330,7 +331,7 @@ def pair_train(data, masks=None) -> "PairFeatureModel | list[PairFeatureModel]":
     counts = selected.sum(axis=1, keepdims=True)
     positives = selected @ targets[:, None]
     if ((positives == 0) | (positives == counts)).any():
-        raise DegenerateLabels("pair training needs both positive and negative samples")
+        raise ConfigError("pair training needs both positive and negative samples")
     matrix = np.array(
         [pair_feature_vector(rec.url_a, rec.url_b, rec.lang_a, rec.lang_b) for rec in records]
     )
@@ -384,11 +385,7 @@ def load_pair_model(path) -> PairFeatureModel:
         ConfigError: the file is not JSON, lacks a field, or is not a model
             of this schema.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: pair model is not JSON: {exc}") from None
+    payload = read_json(path, "pair model")
     try:
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(f"{path}: unsupported pair model schema {payload.get('schema_version')}")

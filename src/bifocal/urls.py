@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import EmptyUrl, NotAUrl
+from .errors import NotAUrl
 from .psl import default_psl
 
 START_TOKEN = "<s>"
@@ -113,10 +113,10 @@ def normalize_url(raw: str) -> NormalizedUrl:
     """Preprocess and pre-tokenize a URL.
 
     Raises:
-        EmptyUrl: if ``raw`` is empty.
+        NotAUrl: if ``raw`` is empty.
     """
     if not raw:
-        raise EmptyUrl("cannot normalize an empty URL")
+        raise NotAUrl("cannot normalize an empty URL")
     text = _SCHEME_RE.sub("", raw, count=1)
     text = _decode_percent_once(text)
     text = html.unescape(text)

@@ -10,7 +10,7 @@ import numpy as np
 import random
 
 from bifocal.datasets import STRATEGIES, generate_negatives, mine_negatives_from_links
-from bifocal.errors import BifocalError, DegenerateLabels, FrontierEmpty, NotAUrl, TooFewDomains
+from bifocal.errors import BifocalError, ConfigError, FrontierEmpty, NotAUrl
 from bifocal.frontier import SEED
 from bifocal.metrics import confusion_matrix, prf
 from bifocal.pairscore import (
@@ -243,7 +243,7 @@ def pair_train_reference(data):
     records = list(data)
     targets = np.array([1.0 if rec.label == "positive" else 0.0 for rec in records])
     if len(set(targets.tolist())) < 2:
-        raise DegenerateLabels("pair training needs both positive and negative samples")
+        raise ConfigError("pair training needs both positive and negative samples")
     matrix = np.array(
         [pair_feature_vector(rec.url_a, rec.url_b, rec.lang_a, rec.lang_b) for rec in records]
     )
@@ -278,7 +278,7 @@ def fold_domains_reference(positives, k, seed):
         domain = parse_components(pair.url_a).registrable_domain
         domains[domain] = domains.get(domain, 0) + 1
     if k > len(domains):
-        raise TooFewDomains(f"{len(domains)} domains cannot fill {k} folds")
+        raise ConfigError(f"{len(domains)} domains cannot fill {k} folds")
     ordered = sorted(domains)
     rng = random.Random(seed)
     rng.shuffle(ordered)

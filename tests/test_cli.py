@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -207,6 +208,12 @@ def _write(tmp, name, text):
     return path
 
 
+def _write_bytes(tmp, name, data):
+    path = tmp / name
+    path.write_bytes(data)
+    return path
+
+
 def _schema_2_model(tmp):
     return _write(tmp, "schema2.json", json.dumps({
         "schema_version": 2, "feature_names": [], "weights": [], "bias": 0.0,
@@ -247,6 +254,43 @@ def _simulate_with_config_line(line):
     return lambda tmp, graph, config: [
         "simulate", "--graph", str(graph), "--log", str(tmp / "l.tsv"),
         "--config", str(_write(tmp, "extra.cfg", config.read_text() + line + "\n"))]
+
+
+def _report_on_first_row(first_row):
+    """``report`` on a two-row log: ``first_row``, then a good stored row."""
+    return lambda tmp, graph, config: ["report", "--out", str(tmp / "rep"), "--log", str(_write(
+        tmp, "log.tsv", first_row + "\n2\thttps://a.com/x\tstored\teng\t0.5\n"))]
+
+
+def _pair_command(command):
+    """``pairscore`` ``command`` on a positive, a negative and a ``Positive`` row."""
+    pairs = "".join(f"https://a.com/en\thttps://a.com/{path}\t{label}\teng\tfra\tgold:bi\n"
+                    for path, label in (("fr", "positive"), ("de", "negative"), ("fr2", "Positive")))
+    return lambda tmp, graph, config: [
+        "pairscore", command, "--data", str(_write(tmp, "cased.tsv", pairs)),
+        *(["--model", str(tmp / "p.json")] if command == "train" else [])]
+
+
+def _model_file(tmp, n_min=2, n_max=4, dim=2, buckets=4, labels=("eng", "fra")):
+    """A language model file with this header and all-zero matrices."""
+    blob = b"NGLM" + struct.pack("<IIIIII", 1, n_min, n_max, dim, buckets, len(labels))
+    for label in labels:
+        blob += struct.pack("<I", len(label)) + label.encode()
+    path = tmp / "header.bin"
+    path.write_bytes(blob + bytes(4 * dim * (buckets + len(labels))))
+    return path
+
+
+def _predict_with_header(**header):
+    return lambda tmp, graph, config: [
+        "langid", "predict", "--model", str(_model_file(tmp, **header)), "https://a.com/"]
+
+
+def _negsample(strategies):
+    pairs = "https://a.com/en\thttps://a.com/fr\tpositive\teng\tfra\tgold:bi\n"
+    return lambda tmp, graph, config: [
+        "negsample", "--pairs", str(_write(tmp, "pos.tsv", pairs)), "--strategies", strategies,
+        "--out", str(tmp / "neg.tsv")]
 
 
 # (case, argv from (tmp dir, graph, config), text the error line must contain)
@@ -346,6 +390,52 @@ _BAD_INPUTS = [
      "max_depth must be at least 0"),
     ("config with a negative per_host_delay_ms",
      _simulate_with_config_line("per_host_delay_ms = -5"), "per_host_delay_ms must be at least 0"),
+    ("config with lang_a equal to lang_b", _simulate_with_config_line('lang_b = "eng"'),
+     "crawl needs two distinct languages"),
+    ("config with budget 0", _simulate_with_config_line("budget = 0"), "budget must be positive"),
+    ("log row with an unknown outcome", _report_on_first_row("1\thttps://a.com/\tbogus\teng\tSEED"),
+     "log.tsv:1: bad crawl log row: outcome 'bogus'"),
+    *[(f"log row with priority {priority}",
+       _report_on_first_row(f"1\thttps://a.com/\tstored\teng\t{priority}"),
+       f"log.tsv:1: bad crawl log row: priority '{priority}'")
+      for priority in ("inf", "nan", "1.5")],
+    ("URL row with three fields",
+     lambda tmp, graph, config: ["langid", "train", "--data", str(_write(
+         tmp, "extra.tsv", "https://a.com/en/x\teng\textra\nhttps://a.com/fr/x\tfra\n")),
+         "--model", str(tmp / "lang.bin")],
+     "extra.tsv:1: URL row has 3 tab fields, not 2"),
+    ("url-langs row with three fields",
+     lambda tmp, graph, config: _cv_combos(tmp, _write(tmp, "links.json", "{}")) + [
+         "--url-langs",
+         str(_write(tmp, "langs3.tsv", "https://a.com/en\teng\nhttps://a.com/fr\tfra\tx\n"))],
+     "langs3.tsv:2: URL row has 3 tab fields, not 2"),
+    ("pair row with three fields",
+     lambda tmp, graph, config: ["pairscore", "score", "--pairs", str(_write(
+         tmp, "three.tsv", "https://a.com/en\thttps://a.com/fr\tpositive\n"))],
+     "three.tsv:1: URL pair row has 3 tab fields, not 2"),
+    ("pair label Positive in pairscore train", _pair_command("train"),
+     "cased.tsv:3: pair label 'Positive' is not positive or negative"),
+    ("pair label Positive in pairscore eval", _pair_command("eval"),
+     "cased.tsv:3: pair label 'Positive' is not positive or negative"),
+    ("language model with 0 buckets", _predict_with_header(buckets=0),
+     "header.bin: not a language model: need 1 <= n_min <= n_max, bucket_count >= 1 and dim >= 1"),
+    ("language model with n_min above n_max", _predict_with_header(n_min=3, n_max=2),
+     "got n_min=3, n_max=2"),
+    ("language model with n_min 0", _predict_with_header(n_min=0), "got n_min=0, n_max=4"),
+    ("language model without labels", _predict_with_header(labels=()),
+     "header.bin: not a language model: need at least 2 labels, got ()"),
+    ("language model with dim 0", _predict_with_header(dim=0), "bucket_count=4, dim=0"),
+    ("unknown negsample strategy", _negsample("random_match:bi,random_match:tri"),
+     "unknown strategy 'random_match:tri'"),
+    ("negsample strategies of only commas", _negsample(",,"), "no strategies given"),
+    ("URL file that is not UTF-8",
+     lambda tmp, graph, config: ["splits", "--out-prefix", str(tmp / "s"), "--data", str(
+         _write_bytes(tmp, "latin1.tsv", b"https://a.com/\xe9\teng\n"))],
+     "latin1.tsv: not UTF-8 text"),
+    ("graph that is not UTF-8",
+     lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv"),
+                                 "--graph", str(_write_bytes(tmp, "latin1.json", b'{"\xe9": 1}'))],
+     "latin1.json: site graph is not JSON"),
 ]
 
 
@@ -356,6 +446,7 @@ def test_bad_input_file_is_an_error_line(sim_setup, capsys, argv, expected):
     assert dispatch(argv(tmp, graph_path, config_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expected in err
+    assert err.count("\n") == 1
 
 
 def _langid_train(tmp, *flags):
@@ -619,3 +710,19 @@ def test_seeds_command(tmp_path, capsys):
     )
     assert dispatch(["seeds", "--urls", str(urls_path), "--top", "1"]) == 0
     assert capsys.readouterr().out.strip() == "https://big.com/"
+
+
+def test_seeds_command_drops_dead_urls(tmp_path, capsys):
+    urls_path = _write(tmp_path, "inventory.tsv",
+                       "https://big.com/a\tbig.com\t0\n"
+                       "https://big.com/b\tbig.com\tno\n"
+                       "https://small.net/x\tsmall.net\t200\n")
+    assert dispatch(["seeds", "--urls", str(urls_path), "--top", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "https://small.net/"
+
+
+def test_langid_predict_full_prints_every_label(tmp_path, capsys):
+    model = _model_file(tmp_path, labels=("eng", "fra", "deu"))
+    assert dispatch(["langid", "predict", "--full", "--model", str(model), "https://a.com/x"]) == 0
+    p = f"{1 / 3:.6f}"
+    assert capsys.readouterr().out == f"https://a.com/x\tdeu\t{p} eng\t{p} fra\t{p}\n"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifocal.errors import EmptyGold
+from bifocal.errors import ConfigError
 from bifocal.metrics import (
     DECILE_PERCENTS,
     ConfusionMatrix,
@@ -127,9 +127,9 @@ def test_alignment_recall_cases():
 
 
 def test_alignment_recall_empty_gold():
-    with pytest.raises(EmptyGold):
+    with pytest.raises(ConfigError, match="recall is undefined for an empty gold set"):
         alignment_recall({("a", "b")}, set())
-    with pytest.raises(EmptyGold):
+    with pytest.raises(ConfigError, match="recall is undefined for an empty gold set"):
         soft_alignment_recall({("a", "b")}, set())
 
 

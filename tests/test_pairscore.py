@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifocal.datasets import STRATEGIES, generate_negatives, gold_pair, neg_random_match
-from bifocal.errors import DegenerateLabels, UnknownLanguage
+from bifocal.errors import ConfigError, UnknownLanguage
 from bifocal.pairscore import (
     FEATURE_NAMES,
     BaselinePairScorer,
@@ -269,7 +269,7 @@ def test_pair_train_deterministic():
 
 def test_pair_train_degenerate():
     positives = [gold_pair(a, b, "eng", "fra") for a, b in _transform_pairs(5)]
-    with pytest.raises(DegenerateLabels):
+    with pytest.raises(ConfigError, match="pair training needs both positive and negative samples"):
         pair_train(positives)
 
 
@@ -312,7 +312,7 @@ def test_batched_fit_rejects_a_column_of_one_class():
     rows = _strategy_rows(10, seed=1)
     masks = np.ones((len(rows), 3))
     masks[[rec.label == "negative" for rec in rows], 1] = 0.0
-    with pytest.raises(DegenerateLabels):
+    with pytest.raises(ConfigError, match="pair training needs both positive and negative samples"):
         pair_train(rows, masks=masks)
 
 

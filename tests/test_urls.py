@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifocal.errors import EmptyUrl, NotAUrl
+from bifocal.errors import NotAUrl
 from bifocal.psl import PublicSuffixList, default_psl
 from bifocal.urls import (
     END_TOKEN,
@@ -23,7 +23,7 @@ def test_golden_normalizations(raw, expected):
 
 
 def test_empty_url_rejected():
-    with pytest.raises(EmptyUrl):
+    with pytest.raises(NotAUrl, match="cannot normalize an empty URL"):
         normalize_url("")
 
 
