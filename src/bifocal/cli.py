@@ -20,7 +20,7 @@ import typing
 
 from . import crawler, langid, metrics, pairscore
 from .errors import BifocalError, ConfigError, UnknownLanguage
-from .inputs import numbered_lines, read_json, rows
+from .inputs import numbered_lines, read_json, rows, url_list
 from .urls import normalize_url
 
 # ---------------------------------------------------------------------------
@@ -234,8 +234,10 @@ def _cmd_pairscore_train(args) -> int:
 
 
 def _cmd_pairscore_score(args) -> int:
+    if (args.url_a is None) != (args.url_b is None):
+        raise ConfigError("--url-a and --url-b score one pair together; give both, or neither to read --pairs")
     scorer = crawler.build_pair_scorer(args)
-    if args.url_a and args.url_b:
+    if args.url_a is not None:
         pairs = [(args.url_a, args.url_b)]
     else:
         pairs = [fields for _, fields in rows(args.pairs, 2, "URL pair")]
@@ -335,7 +337,7 @@ def _cmd_cv_combos(args) -> int:
     positives = [p for p in datasets.read_labeled_pairs(args.pairs) if p.label == "positive"]
     links = read_json(args.links, "link map")
     try:
-        link_map = {url: tuple(targets) for url, targets in links.items()}
+        link_map = {url: url_list(targets) for url, targets in links.items()}
     except (AttributeError, TypeError) as exc:
         raise ConfigError(f"{args.links}: not a JSON object of URL lists: {exc}") from None
     lang_map = dict(datasets.read_labeled_urls(args.url_langs))

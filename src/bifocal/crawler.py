@@ -24,7 +24,7 @@ from urllib.parse import urljoin
 from . import langid, pairscore
 from .errors import BifocalError, ConfigError, FetchFailed, FrontierEmpty, NotAUrl
 from .frontier import SEED, Frontier
-from .inputs import read_json, rows
+from .inputs import read_json, rows, url_list
 from .isodata import UNKNOWN_LANG
 from .urls import parse_components
 
@@ -69,8 +69,8 @@ class SiteGraph:
         for url, record in data["pages"].items():
             pages[url] = SitePage(
                 lang=record["lang"],
-                links=tuple(record.get("links", ())),
-                parallel_with=frozenset(record.get("parallel_with", ())),
+                links=url_list(record.get("links", [])),
+                parallel_with=frozenset(url_list(record.get("parallel_with", []))),
                 size_bytes=int(record.get("size_bytes", 0)),
             )
         return cls(pages)

@@ -47,5 +47,17 @@ def read_json(path, what: str):
             raise ConfigError(f"{path}: {what} is not JSON: {exc}") from None
 
 
+def url_list(value) -> "tuple[str, ...]":
+    """A JSON list of URL strings as a tuple.
+
+    Raises:
+        TypeError: ``value`` is not a list of strings.  A string is refused,
+            not split into one-character URLs.
+    """
+    if not isinstance(value, list) or not all(isinstance(url, str) for url in value):
+        raise TypeError(f"expected a list of URL strings, got {value!r:.80}")
+    return tuple(value)
+
+
 def _name(path) -> str:
     return "<stdin>" if path is None else str(path)

@@ -312,9 +312,13 @@ def pair_train(data, masks=None) -> "PairFeatureModel | list[PairFeatureModel]":
     Without ``masks`` one model is fitted on every record and returned.  With
     ``masks``, a 0/1 array of one row per record and one column per model,
     each column's model is fitted on the records it selects, all in the same
-    descent, and the models are returned as a list in column order.  A model's
-    steps are those of a fit on its records alone; only the summation order of
-    its gradients differs, by rounding.
+    descent, and the models are returned as a list in column order.  That
+    descent runs over the distinct (features, label, mask row) rows, each
+    weighted by how often it occurs, so its memory and time per step are
+    O(distinct rows × models), not O(records × models).  A model's steps are
+    those of a fit on its records alone; only the summation order of its
+    gradients differs, by rounding.  Without ``masks`` every record is its
+    own row.
 
     Raises:
         ConfigError: a model's rows hold only one class.
@@ -335,6 +339,16 @@ def pair_train(data, masks=None) -> "PairFeatureModel | list[PairFeatureModel]":
     matrix = np.array(
         [pair_feature_vector(rec.url_a, rec.url_b, rec.lang_a, rec.lang_b) for rec in records]
     )
+    if masks is not None:
+        # Equal (features, target, mask row) rows take equal steps: descend
+        # over the distinct ones, each selected as often as it occurs.  Each
+        # row is one opaque bytes key, which np.unique sorts far faster than
+        # its column-by-column ``axis=0`` compare.
+        rows = np.hstack([matrix, targets[:, None], selected.T])
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+        _, first, multiplicity = np.unique(keys, return_index=True, return_counts=True)
+        matrix, targets = matrix[first], targets[first]
+        selected = selected[:, first] * multiplicity
     weights = np.zeros((len(selected), matrix.shape[1]))
     bias = np.zeros((len(selected), 1))
     err = np.empty_like(selected)

@@ -196,6 +196,16 @@ def _asymmetric_graph(tmp):
     return path
 
 
+def _graph_page(tmp, **fields):
+    """A two-page graph whose English page has ``fields`` as well."""
+    path = tmp / "page.json"
+    path.write_text(json.dumps({"pages": {
+        "https://a.com/en": {"lang": "eng", **fields},
+        "https://a.com/fr": {"lang": "fra"},
+    }}))
+    return path
+
+
 def _short_log(tmp):
     path = tmp / "short.tsv"
     path.write_text("0\thttps://a.com/\tstored\teng\n")
@@ -332,6 +342,24 @@ _BAD_INPUTS = [
     ("links that are a list",
      lambda tmp, graph, config: _cv_combos(tmp, _write(tmp, "list_links.json", "[1, 2]")),
      "list_links.json"),
+    ("link targets that are a string",
+     lambda tmp, graph, config: _cv_combos(tmp, _write(
+         tmp, "str_links.json", '{"https://a.com/en": "https://a.com/fr"}')),
+     "str_links.json: not a JSON object of URL lists: expected a list of URL strings"),
+    ("graph links that are a string",
+     lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv"),
+                                 "--graph", str(_graph_page(tmp, links="https://a.com/fr"))],
+     "page.json: not a site graph: TypeError(\"expected a list of URL strings, got 'https"),
+    ("graph partners that are a string",
+     lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv"),
+                                 "--graph", str(_graph_page(tmp, parallel_with="https://a.com/fr"))],
+     "page.json: not a site graph: TypeError(\"expected a list of URL strings, got 'https"),
+    ("pairscore score with only --url-a",
+     lambda tmp, graph, config: ["pairscore", "score", "--url-a", "https://a.com/en"],
+     "--url-a and --url-b score one pair together"),
+    ("pairscore score with only --url-b",
+     lambda tmp, graph, config: ["pairscore", "score", "--url-b", "https://a.com/fr"],
+     "--url-a and --url-b score one pair together"),
     ("malformed graph",
      lambda tmp, graph, config: ["simulate", "--graph", str(_write(tmp, "g.json", "[1, 2")),
                                  "--config", str(config), "--log", str(tmp / "l.tsv")],

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -293,19 +294,50 @@ def test_pair_train_is_the_reference_loop_bit_for_bit(seed):
     assert _bits(pair_train(data)) == _bits(pair_train_reference(data))
 
 
-def test_batched_fit_matches_a_reference_fit_per_column():
-    rows = _strategy_rows(25, seed=3)
+def _random_masks(rows, columns, seed):
+    """Random 0/1 masks whose first column is all ones and whose every column
+    selects both classes."""
     labels = np.array([rec.label == "positive" for rec in rows])
-    rng = np.random.default_rng(8)
-    masks = rng.random((len(rows), 9)) < 0.5
+    masks = np.random.default_rng(seed).random((len(rows), columns)) < 0.5
     masks[:, 0] = True
     masks[labels.argmax()] = masks[labels.argmin()] = True
+    return masks
+
+
+def _assert_each_column_fits_like_the_reference(rows, masks):
     models = pair_train(rows, masks=masks)
     assert len(models) == masks.shape[1]
     for column, model in zip(masks.T, models):
         expected = pair_train_reference([rec for rec, keep in zip(rows, column) if keep])
         np.testing.assert_allclose(model.weights, expected.weights, rtol=0, atol=1e-12)
         assert abs(model.bias - expected.bias) <= 1e-12
+
+
+def test_batched_fit_matches_a_reference_fit_per_column():
+    rows = _strategy_rows(25, seed=3)
+    _assert_each_column_fits_like_the_reference(rows, _random_masks(rows, 9, seed=8))
+
+
+def test_batched_fit_keeps_equal_records_with_different_mask_rows_apart():
+    base = _toy_labeled_pairs(20, seed=5)
+    rows = base + base
+    masks = _random_masks(rows, 6, seed=2)
+    # Column 1: each positive twice, each negative once.
+    masks[:, 1] = [rec.label == "positive" or i < len(base) for i, rec in enumerate(rows)]
+    _assert_each_column_fits_like_the_reference(rows, masks)
+
+
+def test_batched_fit_keeps_equal_features_with_opposite_labels_apart():
+    base = _toy_labeled_pairs(20, seed=6)
+    flip = {"positive": "negative", "negative": "positive"}
+    rows = base + [dataclasses.replace(rec, label=flip[rec.label]) for rec in base[::3]]
+    _assert_each_column_fits_like_the_reference(rows, _random_masks(rows, 6, seed=3))
+
+
+def test_batched_fit_of_every_record_twice_is_the_reference_on_the_doubled_list():
+    rows = _strategy_rows(15, seed=2)
+    masks = _random_masks(rows, 6, seed=4)
+    _assert_each_column_fits_like_the_reference(rows + rows, np.concatenate([masks, masks]))
 
 
 def test_batched_fit_rejects_a_column_of_one_class():
