@@ -64,22 +64,22 @@ def load_config(path) -> dict:
     """Parse a flat typed config file into the key -> value pairs it sets.
 
     Raises:
-        ConfigError: unknown key, wrong type, or a referenced file missing.
+        ConfigError: text that is not UTF-8, unknown key, wrong type, or a
+            referenced file missing.
     """
     cfg = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep or not key or not value:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            if key not in _CONFIG_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            cfg[key] = _parse_value(key, value)
+    for lineno, line in numbered_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not sep or not key or not value:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        if key not in _CONFIG_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        cfg[key] = _parse_value(key, value)
     base = os.path.dirname(os.path.abspath(path))
     for key in _PATH_KEYS & cfg.keys():
         value = cfg[key]
@@ -101,8 +101,7 @@ def _crawl_config(path, **flags) -> "tuple[crawler.CrawlConfig, str | None]":
     if missing:
         raise ConfigError(f"config is missing required keys: {', '.join(missing)}")
     graph = cfg.pop("graph", None)
-    with open(cfg.pop("seeds_file"), "r", encoding="utf-8") as handle:
-        seeds = tuple(line.strip() for line in handle if line.strip())
+    seeds = tuple(line.strip() for _, line in numbered_lines(cfg.pop("seeds_file")) if line.strip())
     try:
         return crawler.CrawlConfig(seeds=seeds, **cfg), graph
     except ValueError as exc:
@@ -236,6 +235,8 @@ def _cmd_pairscore_train(args) -> int:
 def _cmd_pairscore_score(args) -> int:
     if (args.url_a is None) != (args.url_b is None):
         raise ConfigError("--url-a and --url-b score one pair together; give both, or neither to read --pairs")
+    if args.url_a is not None and args.pairs is not None:
+        raise ConfigError("--pairs and --url-a/--url-b both name what to score; give one or the other")
     scorer = crawler.build_pair_scorer(args)
     if args.url_a is not None:
         pairs = [(args.url_a, args.url_b)]

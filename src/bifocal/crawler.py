@@ -231,8 +231,14 @@ class GroundTruthDetector:
         return hint if hint else UNKNOWN_LANG
 
 
+# Markup that holds no page text: comments, ``<script>`` and ``<style>``
+# elements with their bodies, and every other tag.
+_MARKUP_RE = re.compile(r"<!--.*?-->|<(script|style)\b.*?</\1\s*>|<[^>]*>", re.IGNORECASE | re.DOTALL)
+
+
 class StopwordLanguageDetector:
-    """Counts bundled function words per language; most matches wins."""
+    """Counts bundled function words per language in the text outside markup;
+    most matches wins."""
 
     def __init__(self, profiles: "dict[str, list[str]] | None" = None):
         if profiles is None:
@@ -243,7 +249,10 @@ class StopwordLanguageDetector:
     def detect(self, content: bytes, hint: str | None = None) -> str:
         if not content:
             return UNKNOWN_LANG
-        words = re.findall(r"[^\W\d_]+", content.decode("utf-8", "replace").casefold())
+        import html
+
+        text = html.unescape(_MARKUP_RE.sub(" ", content.decode("utf-8", "replace")))
+        words = re.findall(r"[^\W\d_]+", text.casefold())
         best_lang = UNKNOWN_LANG
         best_score = 0
         for lang in sorted(self.profiles):

@@ -85,7 +85,8 @@ def ngram_features(token: str, n_min: int, n_max: int) -> list[str]:
     if len(token) < n_min:
         return [marked]
     feats = []
-    for n in range(n_min, n_max + 1):
+    # No n-gram is longer than the marked token, so a huge n_max ends here.
+    for n in range(n_min, min(n_max, len(marked)) + 1):
         for i in range(len(marked) - n + 1):
             feats.append(marked[i : i + n])
     return feats
@@ -117,10 +118,11 @@ class NgramLangModel:
     dim: int
     bucket_count: int
     labels: tuple[str, ...]
-    # bucket_count x dim: float64 while training, a read-only float32 view of
-    # the file's bytes once loaded.
+    # bucket_count x dim, float32: the table ``ngram_train`` builds, or a
+    # read-only view of the file's bytes once loaded.
     embeddings: np.ndarray
-    output_weights: np.ndarray  # dim x len(labels), float64
+    # dim x len(labels), float64 holding float32 values, as the file does.
+    output_weights: np.ndarray
     epoch_losses: tuple[float, ...] = field(default=())
 
     def feature_ids(self, url: "str | NormalizedUrl") -> np.ndarray:
@@ -178,6 +180,36 @@ def _check_shape(n_min: int, n_max: int, dim: int, bucket_count: int, labels) ->
         raise ConfigError(f"need at least 2 labels, got {tuple(labels)}")
 
 
+# Rows per chunk of the initial embedding that training draws in float64.
+_CHUNK_ROWS = 1 << 12
+
+
+def _init_embeddings(rng, bucket_count: int, dim: int, rows: np.ndarray):
+    """The seeded initial embedding as a float32 table, and a float64 copy of
+    its ``rows`` (sorted ids).
+
+    The table is drawn a chunk at a time, with the same draws and the same
+    arithmetic per element as ``(rng.random((bucket_count, dim)) * 2.0 - 1.0)
+    / dim``, so ``rng`` ends in the same state and the float64 rows are that
+    expression's.
+    """
+    import numpy as np
+
+    table = np.empty((bucket_count, dim), dtype=np.float32)
+    copy = np.empty((len(rows), dim))
+    chunk = np.empty((min(_CHUNK_ROWS, bucket_count), dim))
+    for start in range(0, bucket_count, _CHUNK_ROWS):
+        part = chunk[: min(_CHUNK_ROWS, bucket_count - start)]
+        rng.random(out=part)
+        part *= 2.0
+        part -= 1.0
+        part /= dim
+        table[start : start + len(part)] = part
+        lo, hi = np.searchsorted(rows, (start, start + len(part)))
+        copy[lo:hi] = part[rows[lo:hi] - start]
+    return table, copy
+
+
 def ngram_train(
     data,
     hp: NgramHyperparams | None = None,
@@ -204,20 +236,23 @@ def ngram_train(
     _check_shape(hp.n_min, hp.n_max, hp.dim, hp.bucket_count, labels)
     label_index = {lab: i for i, lab in enumerate(labels)}
 
-    rng = np.random.default_rng(seed)
-    emb = (rng.random((hp.bucket_count, hp.dim)) * 2.0 - 1.0) / hp.dim
-    weights = np.zeros((hp.dim, len(labels)))
-
     model = NgramLangModel(
         n_min=hp.n_min,
         n_max=hp.n_max,
         dim=hp.dim,
         bucket_count=hp.bucket_count,
         labels=labels,
-        embeddings=emb,
-        output_weights=weights,
+        embeddings=None,
+        output_weights=None,
     )
     encoded = [(model.feature_ids(url), label_index[lang]) for url, lang in pairs]
+    # SGD reads and writes only the rows the examples hash to: train a float64
+    # copy of those rows, with each example's ids remapped onto it.
+    rows = np.unique(np.concatenate([ids for ids, _ in encoded]))
+    encoded = [(np.searchsorted(rows, ids), y) for ids, y in encoded]
+    rng = np.random.default_rng(seed)
+    table, emb = _init_embeddings(rng, hp.bucket_count, hp.dim, rows)
+    weights = np.zeros((hp.dim, len(labels)))
 
     total_updates = hp.epochs * len(encoded)
     step = 0
@@ -238,6 +273,11 @@ def ngram_train(
             weights -= lr * np.outer(hidden, dz)
             np.add.at(emb, ids, -lr * grad_hidden / ids.size)
         losses.append(epoch_loss / max(seen, 1))
+    table[rows] = emb
+    model.embeddings = table
+    # The file holds the weights in float32 too: round them as saving does, so
+    # that a trained model predicts bit for bit like its saved-and-loaded self.
+    model.output_weights = weights.astype(np.float32).astype(np.float64)
     model.epoch_losses = tuple(losses)
     return model
 
@@ -287,9 +327,6 @@ def loss_and_gradients(model: NgramLangModel, batch) -> "tuple[float, np.ndarray
 
 _MAGIC = b"NGLM"
 _VERSION = 1
-# Rows per float32 chunk that ``save_model`` writes, so that saving never
-# holds a second full-size copy of the embedding.
-_SAVE_CHUNK_ROWS = 1 << 16
 
 
 def _write_model(model: NgramLangModel, handle) -> None:
@@ -311,9 +348,9 @@ def _write_model(model: NgramLangModel, handle) -> None:
         handle.write(struct.pack("<I", len(encoded)))
         handle.write(encoded)
     for matrix in (model.embeddings, model.output_weights):
-        for start in range(0, len(matrix), _SAVE_CHUNK_ROWS):
-            # An array is a bytes-like object: ``write`` takes its buffer as is.
-            handle.write(np.ascontiguousarray(matrix[start : start + _SAVE_CHUNK_ROWS], dtype="<f4"))
+        # An array is a bytes-like object: ``write`` takes its buffer as is,
+        # and a float32 table, trained or loaded, is written without a copy.
+        handle.write(np.ascontiguousarray(matrix, dtype="<f4"))
 
 
 def model_from_bytes(blob) -> NgramLangModel:

@@ -12,6 +12,7 @@ import random
 from bifocal.datasets import STRATEGIES, generate_negatives, mine_negatives_from_links
 from bifocal.errors import BifocalError, ConfigError, FrontierEmpty, NotAUrl
 from bifocal.frontier import SEED
+from bifocal.langid import NgramHyperparams, NgramLangModel
 from bifocal.metrics import confusion_matrix, prf
 from bifocal.pairscore import (
     LEARNING_RATE,
@@ -320,3 +321,43 @@ def cross_validate_combos_reference(positives, link_map, lang_map, langs, k, see
         key = "+".join(f"{m}:{mode}" for m, mode in combo)
         rows.append((key, *(sum(s[j] for s in scores) / len(scores) for j in range(3))))
     return rows
+
+
+def ngram_train_reference(data, hp=None, seed=0):
+    """The n-gram trainer over the whole float64 embedding table: drawn in one
+    call, every step reading and writing it in place."""
+    if hp is None:
+        hp = NgramHyperparams()
+    pairs = list(data)
+    labels = tuple(sorted({lang for _, lang in pairs}))
+    rng = np.random.default_rng(seed)
+    emb = (rng.random((hp.bucket_count, hp.dim)) * 2.0 - 1.0) / hp.dim
+    weights = np.zeros((hp.dim, len(labels)))
+    model = NgramLangModel(n_min=hp.n_min, n_max=hp.n_max, dim=hp.dim, bucket_count=hp.bucket_count,
+                           labels=labels, embeddings=emb, output_weights=weights)
+    encoded = [(model.feature_ids(url), labels.index(lang)) for url, lang in pairs]
+    total_updates = hp.epochs * len(encoded)
+    step = 0
+    losses = []
+    for _ in range(hp.epochs):
+        epoch_loss = 0.0
+        seen = 0
+        for idx in rng.permutation(len(encoded)):
+            ids, y = encoded[idx]
+            lr = hp.learning_rate * (1.0 - step / total_updates)
+            step += 1
+            if ids.size == 0:
+                continue
+            hidden = emb[ids].mean(axis=0)
+            z = hidden @ weights
+            e = np.exp(z - z.max())
+            dz = e / e.sum()
+            epoch_loss += -float(np.log(max(dz[y], 1e-300)))
+            seen += 1
+            dz[y] -= 1.0
+            grad_hidden = weights @ dz
+            weights -= lr * np.outer(hidden, dz)
+            np.add.at(emb, ids, -lr * grad_hidden / ids.size)
+        losses.append(epoch_loss / max(seen, 1))
+    model.epoch_losses = tuple(losses)
+    return model

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -296,6 +298,11 @@ def _predict_with_header(**header):
         "langid", "predict", "--model", str(_model_file(tmp, **header)), "https://a.com/"]
 
 
+def _latin1_seeds(tmp, graph, config):
+    seeds = _write_bytes(tmp, "latin1_seeds.txt", b"https://a.com/\xe9\n")
+    return _simulate_with_config_line(f'seeds_file = "{seeds}"')(tmp, graph, config)
+
+
 def _negsample(strategies):
     pairs = "https://a.com/en\thttps://a.com/fr\tpositive\teng\tfra\tgold:bi\n"
     return lambda tmp, graph, config: [
@@ -357,6 +364,11 @@ _BAD_INPUTS = [
     ("pairscore score with only --url-a",
      lambda tmp, graph, config: ["pairscore", "score", "--url-a", "https://a.com/en"],
      "--url-a and --url-b score one pair together"),
+    ("pairscore score with --pairs and a pair",
+     lambda tmp, graph, config: ["pairscore", "score", "--pairs", str(_write(
+         tmp, "pairs.tsv", "https://a.com/en\thttps://a.com/fr\n")),
+                                 "--url-a", "https://b.com/en", "--url-b", "https://b.com/fr"],
+     "--pairs and --url-a/--url-b"),
     ("pairscore score with only --url-b",
      lambda tmp, graph, config: ["pairscore", "score", "--url-b", "https://a.com/fr"],
      "--url-a and --url-b score one pair together"),
@@ -460,6 +472,11 @@ _BAD_INPUTS = [
      lambda tmp, graph, config: ["splits", "--out-prefix", str(tmp / "s"), "--data", str(
          _write_bytes(tmp, "latin1.tsv", b"https://a.com/\xe9\teng\n"))],
      "latin1.tsv: not UTF-8 text"),
+    ("config that is not UTF-8",
+     lambda tmp, graph, config: ["simulate", "--graph", str(graph), "--log", str(tmp / "l.tsv"),
+                                 "--config", str(_write_bytes(tmp, "utf16.cfg", b"\xff\xfeb\x00"))],
+     "utf16.cfg: not UTF-8 text"),
+    ("seeds file that is not UTF-8", _latin1_seeds, "latin1_seeds.txt: not UTF-8 text"),
     ("graph that is not UTF-8",
      lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv"),
                                  "--graph", str(_write_bytes(tmp, "latin1.json", b'{"\xe9": 1}'))],
@@ -605,6 +622,44 @@ def test_empty_log_report(tmp_path):
 
 # ---------------------------------------------------------------------------
 # langid commands
+
+@contextlib.contextmanager
+def _hard_timeout(seconds):
+    """Fail the test from the main thread if the block runs ``seconds`` or
+    more, so a hang fails instead of stalling the suite."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _model_with_huge_n_max(tmp):
+    """A model trained with n_max 4 whose header then says 3,523,215,364."""
+    model = tmp / "lang.bin"
+    assert dispatch(_langid_train(tmp, "--buckets", "64", "--dim", "2")) == 0
+    blob = bytearray(model.read_bytes())
+    struct.pack_into("<I", blob, 12, 3_523_215_364)
+    model.write_bytes(bytes(blob))
+    return model
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: _langid_train(tmp, "--n-max", "1000000000", "--buckets", "64", "--dim", "2"),
+    lambda tmp: ["langid", "predict", "--model", str(_model_with_huge_n_max(tmp)),
+                 "https://a.com/en/x", "https://a.com/fr/x"],
+], ids=["train", "predict"])
+def test_huge_n_max_finishes(tmp_path, capsys, argv):
+    argv = argv(tmp_path)
+    with _hard_timeout(5):
+        assert dispatch(argv) == 0
+    assert capsys.readouterr().out
+
 
 def test_langid_train_predict_eval(tmp_path, capsys):
     data = lang_url_corpus(200, seed=1, langs=("deu", "fra"))

@@ -595,6 +595,16 @@ def test_stopword_detector_self_consistency():
         assert detector.detect(sample) == lang
 
 
+def test_stopword_detector_counts_only_text_outside_markup():
+    links = "".join(f'<a href="/p{i}">p{i}</a>' for i in range(20))
+    page = f"<html><body><p>The cat is on the mat and it is in the house.</p>{links}</body></html>"
+    detector = StopwordLanguageDetector()
+    assert detector.detect(page.encode("utf-8")) == "eng"
+    # Script and style bodies are not text; entities are decoded.
+    hidden = "<script>var a = de la le</script><style>a { color: red }</style>"
+    assert detector.detect(f"{hidden}<p>der&nbsp;und die&#32;das</p>".encode("utf-8")) == "deu"
+
+
 def test_stopword_detector_empty_is_unknown():
     assert StopwordLanguageDetector().detect(b"") == "unk"
     assert StopwordLanguageDetector().detect(b"zzz qqq xxx") == "unk"

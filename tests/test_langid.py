@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from bifocal.langid import (
 from bifocal.urls import normalize_url, parse_components
 
 from golden import RULE_ORDER_CASES
+from references import ngram_train_reference
 from synthdata import lang_url_corpus, toy_bilingual_corpus
 
 TINY_HP = NgramHyperparams(dim=8, bucket_count=4096, epochs=10, learning_rate=0.1)
@@ -210,6 +212,67 @@ def test_gradient_check_matches_finite_differences():
                 assert rel <= 1e-3, (i, j, analytic, numeric_grad)
 
 
+# A table of three chunks, the last one 3 rows long.
+_ODD_HP = NgramHyperparams(n_min=2, n_max=4, dim=3, bucket_count=2 * langid._CHUNK_ROWS + 3, epochs=3)
+# "ccxdj" has an n-gram in row 0 of that table, "kvhc" one in its last row.
+_EDGE_ROWS_DATA = [("https://ccxdj.com/", "deu"), ("https://kvhc.com/", "fra"),
+                   ("https://a.com/de/x", "deu"), ("https://a.com/fr/x", "fra")]
+
+
+@pytest.mark.parametrize("data, hp", [
+    (toy_bilingual_corpus(), TINY_HP),
+    (toy_bilingual_corpus(), NgramHyperparams()),
+    (lang_url_corpus(120, seed=4, langs=("deu", "fra")), _ODD_HP),
+    (_EDGE_ROWS_DATA, _ODD_HP),
+    ([("https://", "deu"), *lang_url_corpus(40, seed=6, langs=("deu", "fra")), ("https://", "fra")],
+     TINY_HP),
+], ids=["tiny", "defaults", "odd_chunks", "edge_rows", "featureless_url"])
+def test_training_equals_the_full_table_reference(data, hp):
+    model = ngram_train(data, hp, seed=7)
+    want = ngram_train_reference(data, hp, seed=7)
+    assert model.embeddings.dtype == np.float32
+    assert np.array_equal(model.embeddings, want.embeddings.astype(np.float32))
+    # Both matrices are kept at the precision the file holds.
+    assert np.array_equal(model.output_weights, want.output_weights.astype(np.float32))
+    assert model.epoch_losses == want.epoch_losses
+
+
+def test_edge_rows_data_hashes_to_the_first_and_last_row():
+    model = NgramLangModel(n_min=_ODD_HP.n_min, n_max=_ODD_HP.n_max, dim=_ODD_HP.dim,
+                           bucket_count=_ODD_HP.bucket_count, labels=("deu", "fra"),
+                           embeddings=None, output_weights=None)
+    ids = {i for url, _ in _EDGE_ROWS_DATA for i in model.feature_ids(url).tolist()}
+    assert {0, _ODD_HP.bucket_count - 1} <= ids
+
+
+def test_training_peak_memory_stays_below_one_and_a_half_float32_tables():
+    hp = NgramHyperparams()
+    table_bytes = hp.bucket_count * hp.dim * 4
+    tracemalloc.start()
+    try:
+        ngram_train(toy_bilingual_corpus(), hp, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table_bytes, peak
+
+
+def test_trained_model_predicts_like_its_saved_and_loaded_self(tmp_path, toy_model):
+    path = tmp_path / "model.bin"
+    save_model(toy_model, path)
+    loaded = load_model(path)
+    for url, _ in lang_url_corpus(300, seed=9, langs=("deu", "fra")):
+        got = ngram_predict(toy_model, url)
+        want = ngram_predict(loaded, url)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+def test_n_max_beyond_the_marked_token_adds_no_features():
+    for token in ("", "a", "abc", "fr"):
+        longest = len(token) + 2
+        assert ngram_features(token, 1, longest + 50) == ngram_features(token, 1, longest)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -241,8 +304,8 @@ def _reference_bytes(model):
 
 
 def _odd_sized_model():
-    """A model whose bucket count is not a multiple of the save chunk."""
-    buckets = langid._SAVE_CHUNK_ROWS * 2 + 3
+    """A float64 model whose bucket count is not a multiple of the training chunk."""
+    buckets = langid._CHUNK_ROWS * 2 + 3
     rng = np.random.default_rng(4)
     return NgramLangModel(
         n_min=2, n_max=3, dim=2, bucket_count=buckets, labels=("deu", "français"),
