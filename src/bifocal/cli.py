@@ -126,7 +126,7 @@ def write_report(log: crawler.CrawlLog, out_dir) -> None:
         handle.write("site\tpercent\tparallel_documents\n")
         for site in sorted(by_site):
             site_curve = metrics.decile_curve(by_site[site])
-            for percent, count in site_curve.points:
+            for percent, count in zip(metrics.DECILE_PERCENTS, site_curve):
                 handle.write(f"{site}\t{percent}\t{count}\n")
 
     counts = log.outcome_counts()
@@ -188,6 +188,11 @@ def _cmd_langid_train(args) -> int:
     return 0
 
 
+def _best_label(dist: "dict[str, float]") -> str:
+    """The most probable label; a tie goes to the first label in sorted order."""
+    return max(sorted(dist), key=dist.__getitem__)
+
+
 def _cmd_langid_predict(args) -> int:
     model = langid.load_model(args.model)
     for url in _iter_lines(args.input, args.urls):
@@ -196,7 +201,7 @@ def _cmd_langid_predict(args) -> int:
             ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
             print(url + "\t" + " ".join(f"{code}\t{prob:.6f}" for code, prob in ranked))
         else:
-            best = max(sorted(dist), key=lambda code: dist[code])
+            best = _best_label(dist)
             print(f"{url}\t{best}\t{dist[best]:.6f}")
     return 0
 
@@ -213,10 +218,7 @@ def _cmd_langid_eval(args) -> int:
                 f"gold label {lang!r} (for {url}) is not among the model labels"
             )
     gold = [lang for _, lang in data]
-    predicted = [
-        max(sorted(dist := langid.ngram_predict(model, url)), key=lambda c: dist[c])
-        for url, _ in data
-    ]
+    predicted = [_best_label(langid.ngram_predict(model, url)) for url, _ in data]
     cm = metrics.confusion_matrix(gold, predicted, labels=model.labels)
     _print_prf_table(cm, "label")
     return 0
@@ -461,10 +463,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.set_defaults(func=_cmd_pairscore_train)
 
-    p = pair_sub.add_parser("score", help="score URL pairs")
-    p.add_argument("--scorer", dest="pair_scorer", default="baseline",
-                   choices=("baseline", "model"))
-    p.add_argument("--model", dest="pair_model_path")
+    scorer_flags = argparse.ArgumentParser(add_help=False)
+    scorer_flags.add_argument("--scorer", dest="pair_scorer", default="baseline",
+                              choices=("baseline", "model"))
+    scorer_flags.add_argument("--model", dest="pair_model_path")
+
+    p = pair_sub.add_parser("score", help="score URL pairs", parents=[scorer_flags])
     p.add_argument("--pairs", help="TSV url_a<TAB>url_b")
     p.add_argument("--url-a")
     p.add_argument("--url-b")
@@ -472,20 +476,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang-b")
     p.set_defaults(func=_cmd_pairscore_score)
 
-    p = pair_sub.add_parser("align", help="1-to-1 alignment of two URL lists")
-    p.add_argument("--scorer", dest="pair_scorer", default="baseline",
-                   choices=("baseline", "model"))
-    p.add_argument("--model", dest="pair_model_path")
+    p = pair_sub.add_parser("align", help="1-to-1 alignment of two URL lists",
+                            parents=[scorer_flags])
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--lang-a")
     p.add_argument("--lang-b")
     p.set_defaults(func=_cmd_pairscore_align)
 
-    p = pair_sub.add_parser("eval", help="classification metrics on labeled pairs")
-    p.add_argument("--scorer", dest="pair_scorer", default="baseline",
-                   choices=("baseline", "model"))
-    p.add_argument("--model", dest="pair_model_path")
+    p = pair_sub.add_parser("eval", help="classification metrics on labeled pairs",
+                            parents=[scorer_flags])
     p.add_argument("--data", required=True)
     p.set_defaults(func=_cmd_pairscore_eval)
 

@@ -240,11 +240,9 @@ class StopwordLanguageDetector:
     """Counts bundled function words per language in the text outside markup;
     most matches wins."""
 
-    def __init__(self, profiles: "dict[str, list[str]] | None" = None):
-        if profiles is None:
-            text = resources.files("bifocal").joinpath("data/stopword_profiles.json").read_text("utf-8")
-            profiles = json.loads(text)
-        self.profiles = {lang: frozenset(words) for lang, words in profiles.items()}
+    def __init__(self):
+        text = resources.files("bifocal").joinpath("data/stopword_profiles.json").read_text("utf-8")
+        self.profiles = {lang: frozenset(words) for lang, words in json.loads(text).items()}
 
     def detect(self, content: bytes, hint: str | None = None) -> str:
         if not content:
@@ -431,19 +429,15 @@ class LiveFetcher:
 # ---------------------------------------------------------------------------
 # Scorer plumbing
 
-class UniformLanguageScorer:
-    """Constant 1.0; with the uniform pair scorer the crawl is breadth-first."""
+class UniformScorer:
+    """Constant 1.0 for any question; as both scorers, the crawl is breadth-first."""
 
-    def probability(self, url: str, target: str) -> float:
+    def probability(self, *question) -> float:
         return 1.0
 
 
-class UniformPairScorer:
-    def probability(self, url_a, url_b, lang_a=None, lang_b=None) -> float:
-        return 1.0
-
-
-def _external_client(spec: str):
+def _external_scorer(spec: str, kind: str):
+    """The scorer ``external.<kind>`` on a connection to ``external:HOST:PORT``."""
     from . import external
 
     host, _, port = spec.removeprefix("external:").partition(":")
@@ -451,7 +445,7 @@ def _external_client(spec: str):
         port_number = int(port)
     except ValueError:
         raise ConfigError(f"scorer {spec!r} needs an integer port: external:HOST:PORT") from None
-    return external.ScorerClient.connect_tcp(host, port_number)
+    return getattr(external, kind)(external.ScorerClient.connect_tcp(host, port_number))
 
 
 def build_lang_scorer(cfg):
@@ -468,11 +462,9 @@ def build_lang_scorer(cfg):
             raise ConfigError("lang_scorer 'ngram' needs lang_model_path")
         return langid.NgramLanguageScorer(langid.load_model(cfg.lang_model_path))
     if cfg.lang_scorer == "uniform":
-        return UniformLanguageScorer()
+        return UniformScorer()
     if cfg.lang_scorer.startswith("external:"):
-        from . import external
-
-        return external.ExternalLanguageScorer(_external_client(cfg.lang_scorer))
+        return _external_scorer(cfg.lang_scorer, "ExternalLanguageScorer")
     raise ConfigError(f"unknown language scorer {cfg.lang_scorer!r}")
 
 
@@ -490,11 +482,9 @@ def build_pair_scorer(cfg):
             raise ConfigError("pair_scorer 'model' needs pair_model_path")
         return pairscore.FeaturePairScorer(pairscore.load_pair_model(cfg.pair_model_path))
     if cfg.pair_scorer == "uniform":
-        return UniformPairScorer()
+        return UniformScorer()
     if cfg.pair_scorer.startswith("external:"):
-        from . import external
-
-        return external.ExternalPairScorer(_external_client(cfg.pair_scorer))
+        return _external_scorer(cfg.pair_scorer, "ExternalPairScorer")
     raise ConfigError(f"unknown pair scorer {cfg.pair_scorer!r}")
 
 
@@ -514,8 +504,9 @@ def score_links(url: str, lang_u: str, links, cfg: CrawlConfig, lang_scorer, pai
     The language target flips to the other member of the configured pair.
     Every link gets its language probability first; the pair scorer is asked
     only about links whose language probability is not 0, since the product
-    is 0 whatever the pair scores.  A scorer failure zeroes that link's
-    priority and the crawl continues.  A scorer with a ``prefetch`` method is
+    is 0 whatever the pair scores.  A scorer failure, or a priority outside
+    [0, 1] (a NaN from a broken model), zeroes that link's priority and the
+    crawl continues.  A scorer with a ``prefetch`` method is
     first asked about all of the page's links it will score, at once; if that
     fails, each link is still asked on its own, so each failed link gets its
     own warning.
@@ -539,6 +530,9 @@ def score_links(url: str, lang_u: str, links, cfg: CrawlConfig, lang_scorer, pai
             except BifocalError as exc:
                 logger.warning("scoring %s failed (%s); priority 0", link, exc)
                 priority = 0.0
+        if not 0.0 <= priority <= 1.0:
+            logger.warning("scoring %s failed (priority %r); priority 0", link, priority)
+            priority = 0.0
         scored.append((link, priority))
     return scored
 

@@ -160,9 +160,10 @@ def split_by_domain(corpus, ratios, seed: int = 0):
         ConfigError: fewer domains than requested parts.
     """
     ratios = tuple(ratios)
-    if any(r <= 0 for r in ratios):
+    # Written so that a NaN fails them too.
+    if any(not r > 0 for r in ratios):
         raise ValueError("ratios must be positive")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
         raise ValueError("ratios must sum to 1")
     corpus = list(corpus)
     parts = [[] for _ in ratios]

@@ -32,11 +32,10 @@ import functools
 import socket
 
 from .errors import ScorerUnavailable
+from .urls import CACHE_SIZE
 
 # Requests in flight on one connection.
 WINDOW = 64
-# URLs whose language distribution one scorer keeps (the bound of the URL caches).
-_LANG_MEMO_URLS = 1 << 16
 
 
 def parse_distribution(line: str) -> dict[str, float]:
@@ -152,7 +151,7 @@ class ExternalLanguageScorer:
     """Language scorer backed by a :class:`ScorerClient`.
 
     A crawl reaches the same URL from many parents, so each instance memoizes
-    the distribution of up to ``1 << 16`` URLs.  A malformed reply is not
+    the distribution of up to ``CACHE_SIZE`` URLs.  A malformed reply is not
     memoized: the URL is asked again the next time it is scored.
     """
 
@@ -183,7 +182,7 @@ class ExternalLanguageScorer:
             if line is None:
                 line = self.client.roundtrips([f"LANG\t{url}"])[0]
             dist = parse_distribution(line)
-            if len(self._memo) >= _LANG_MEMO_URLS:
+            if len(self._memo) >= CACHE_SIZE:
                 del self._memo[next(iter(self._memo))]
             self._memo[url] = dist
         return dist.get(target, 0.0)

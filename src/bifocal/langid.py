@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .errors import ConfigError, NotAUrl
 from .isodata import UNKNOWN_LANG, bundled_languages
-from .urls import NormalizedUrl, UrlComponents, normalize_url, parse_components
+from .urls import CACHE_SIZE, NormalizedUrl, UrlComponents, normalize_url, parse_components
 
 # ---------------------------------------------------------------------------
 # Rule baseline
@@ -92,7 +92,7 @@ def ngram_features(token: str, n_min: int, n_max: int) -> list[str]:
     return feats
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=CACHE_SIZE)
 def _token_bucket_ids(token: str, n_min: int, n_max: int, bucket_count: int) -> tuple[int, ...]:
     """Bucket ids of a token's n-grams; URL tokens repeat across URLs."""
     return tuple(
@@ -355,8 +355,9 @@ def _write_model(model: NgramLangModel, handle) -> None:
 
 def model_from_bytes(blob) -> NgramLangModel:
     """The model in ``blob`` (bytes or a mapping); its embedding is a float32
-    view of ``blob``.  A header that ``_check_shape`` rejects is a
-    ``ConfigError``; another bad blob is a ``ValueError`` or ``struct.error``."""
+    view of ``blob``, not scanned for NaN, which would read all of it.  A header
+    that ``_check_shape`` rejects is a ``ConfigError``; another bad blob, such
+    as non-finite output weights, is a ``ValueError`` or ``struct.error``."""
     import numpy as np
 
     if blob[:4] != _MAGIC:
@@ -375,6 +376,8 @@ def model_from_bytes(blob) -> NgramLangModel:
     emb = np.frombuffer(blob, dtype="<f4", count=buckets * dim, offset=offset)
     offset += emb.nbytes
     weights = np.frombuffer(blob, dtype="<f4", count=dim * n_labels, offset=offset)
+    if not np.isfinite(weights).all():
+        raise ValueError("output weights are not all finite")
     return NgramLangModel(
         n_min=n_min,
         n_max=n_max,
@@ -446,14 +449,14 @@ class NgramLanguageScorer:
     """Scorer backed by a trained n-gram model.
 
     A crawl reaches the same URL from many parents, so each instance memoizes
-    the distribution of up to ``1 << 16`` URLs (the bound of the URL caches).
+    the distribution of up to ``CACHE_SIZE`` URLs.
     """
 
     def __init__(self, model: NgramLangModel):
         self.model = model
         # ``ngram_predict`` is looked up at call time, so a rebound module
         # attribute still sees every prediction.
-        self._predict = lru_cache(maxsize=1 << 16)(lambda url: ngram_predict(model, url))
+        self._predict = lru_cache(maxsize=CACHE_SIZE)(lambda url: ngram_predict(model, url))
 
     def probability(self, url: str, target: str) -> float:
         return self._predict(url).get(target, 0.0)

@@ -68,22 +68,15 @@ def macro_prf(cm: ConfusionMatrix) -> tuple[float, float, float]:
     )
 
 
-def alignment_recall(predicted, gold) -> float:
-    """|predicted ∩ gold| / |gold| over pair sets.
+def alignment_recall(predicted, gold, equiv=None) -> float:
+    """Share of the gold pairs that a predicted pair hits.
+
+    With ``equiv``, a gold pair is hit by any prediction in the same
+    equivalence classes componentwise; without it, only by itself.
 
     Raises:
         ConfigError: the gold set is empty.
     """
-    gold = set(gold)
-    if not gold:
-        raise ConfigError("recall is undefined for an empty gold set")
-    return len(set(predicted) & gold) / len(gold)
-
-
-def soft_alignment_recall(predicted, gold, equiv=None) -> float:
-    """Recall where a gold pair is hit by any prediction in the same
-    equivalence classes componentwise.  With the identity mapping (the
-    default) this equals plain recall."""
     gold = set(gold)
     if not gold:
         raise ConfigError("recall is undefined for an empty gold set")
@@ -92,24 +85,6 @@ def soft_alignment_recall(predicted, gold, equiv=None) -> float:
     predicted_classes = {(equiv(a), equiv(b)) for a, b in predicted}
     hits = sum(1 for a, b in gold if (equiv(a), equiv(b)) in predicted_classes)
     return hits / len(gold)
-
-
-@dataclass(frozen=True)
-class DecileCurve:
-    """Cumulative hit counts at 0%,10%,...,100% of downloads."""
-
-    points: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        percents = tuple(p for p, _ in self.points)
-        if percents != DECILE_PERCENTS:
-            raise ValueError("curve must have the 11 decile points")
-        counts = [c for _, c in self.points]
-        if counts[0] != 0 or any(a > b for a, b in zip(counts, counts[1:])):
-            raise ValueError("curve must start at 0 and be non-decreasing")
-
-    def counts(self) -> tuple[int, ...]:
-        return tuple(c for _, c in self.points)
 
 
 def _site_curve_counts(hits: "list[bool]") -> list[int]:
@@ -121,8 +96,9 @@ def _site_curve_counts(hits: "list[bool]") -> list[int]:
     return out
 
 
-def decile_curve(events) -> DecileCurve:
-    """Aggregate curve over ``(site, is_hit)`` download events in crawl order.
+def decile_curve(events) -> "tuple[int, ...]":
+    """Aggregate curve over ``(site, is_hit)`` download events in crawl order:
+    the cumulative hit counts at each of ``DECILE_PERCENTS`` of the downloads.
 
     Deciles are taken per site against that site's own download total, then
     summed across sites.  An empty log yields the all-zero curve.
@@ -134,13 +110,13 @@ def decile_curve(events) -> DecileCurve:
     for hits in per_site.values():
         for i, count in enumerate(_site_curve_counts(hits)):
             totals[i] += count
-    return DecileCurve(points=tuple(zip(DECILE_PERCENTS, totals)))
+    return tuple(totals)
 
 
-def write_curve_tsv(curve: DecileCurve, path) -> None:
+def write_curve_tsv(curve: "tuple[int, ...]", path) -> None:
     """Write ``percent<TAB>count`` rows; the '#' header keeps the file
     directly consumable by gnuplot."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("# percent\tparallel_documents\n")
-        for percent, count in curve.points:
+        for percent, count in zip(DECILE_PERCENTS, curve):
             handle.write(f"{percent}\t{count}\n")

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .errors import ConfigError, NotAUrl, UnknownLanguage
 from .inputs import read_json
 from .isodata import UNKNOWN_LANG, bundled_languages
-from .urls import jaccard, normalize_url, parse_components
+from .urls import CACHE_SIZE, jaccard, normalize_url, parse_components
 
 # Longest run of URL tokens that can form one language marker, e.g. a
 # hyphenated code such as "en-us" tokenizes into three tokens.
@@ -108,7 +108,7 @@ def _residuals(tokens: tuple[str, ...], marker_tokens: frozenset[str]) -> tuple[
     return full, frozenset(residuals)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=CACHE_SIZE)
 def _pair_view(url: str, marker_tokens: frozenset[str]) -> tuple:
     """One URL's share of the pair features under one marker set.
 
@@ -298,7 +298,10 @@ class PairFeatureModel:
 
     def probability(self, features: "tuple[float, ...]") -> float:
         z = self.bias + sum(map(operator.mul, self.weights, features))
-        return 1.0 / (1.0 + math.exp(-z))
+        try:
+            return 1.0 / (1.0 + math.exp(-z))
+        except OverflowError:  # z below about -709: the sigmoid's limit
+            return 0.0
 
 
 def pair_train(data, masks=None) -> "PairFeatureModel | list[PairFeatureModel]":
@@ -396,8 +399,8 @@ def load_pair_model(path) -> PairFeatureModel:
     """Read a model written by ``save_pair_model``.
 
     Raises:
-        ConfigError: the file is not JSON, lacks a field, or is not a model
-            of this schema.
+        ConfigError: the file is not JSON, lacks a field, is not a model of
+            this schema, or holds a weight or bias that is not finite.
     """
     payload = read_json(path, "pair model")
     try:
@@ -411,6 +414,8 @@ def load_pair_model(path) -> PairFeatureModel:
         raise ConfigError(f"{path}: not a pair model: {exc!r}") from None
     if len(weights) != len(FEATURE_NAMES):
         raise ConfigError(f"{path}: pair model has {len(weights)} weights, not {len(FEATURE_NAMES)}")
+    if not all(map(math.isfinite, (*weights, bias))):
+        raise ConfigError(f"{path}: pair model weights and bias must be finite numbers")
     return PairFeatureModel(weights=weights, bias=bias)
 
 

@@ -18,6 +18,9 @@ from functools import lru_cache
 from .errors import NotAUrl
 from .psl import default_psl
 
+# The bound of every memo of per-URL or per-token work, here and in the scorers.
+CACHE_SIZE = 1 << 16
+
 START_TOKEN = "<s>"
 END_TOKEN = "</s>"
 
@@ -108,7 +111,7 @@ def segment_text(text: str) -> list[str]:
     return tokens
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=CACHE_SIZE)
 def normalize_url(raw: str) -> NormalizedUrl:
     """Preprocess and pre-tokenize a URL.
 
@@ -128,7 +131,7 @@ def normalize_url(raw: str) -> NormalizedUrl:
     return NormalizedUrl(tokens=tokens, source=raw)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=CACHE_SIZE)
 def parse_components(raw: str) -> UrlComponents:
     """Split a URL into scheme, host parts, path segments, and query pairs.
 

@@ -28,7 +28,6 @@ from bifocal.metrics import (
     decile_curve,
     macro_prf,
     prf,
-    soft_alignment_recall,
 )
 from bifocal.crawler import STORED, CrawlConfig, simulate
 from bifocal.pairscore import baseline_align, build_language_tokens
@@ -252,7 +251,7 @@ def test_criterion_08_metric_oracles():
                 (f"a{rng.randint(0, 9)}", f"b{rng.randint(0, 9)}")
                 for _ in range(rng.randint(0, 10))
             }
-            assert soft_alignment_recall(pred, gold) == alignment_recall(pred, gold)
+            assert alignment_recall(pred, gold, lambda url: url) == alignment_recall(pred, gold)
 
 
 def test_criterion_09_frontier_semantics():
@@ -341,8 +340,8 @@ def test_criterion_12_smart_beats_bfs_on_planted_benchmark():
         )
         smart_log = simulate(graph, smart_cfg)
         bfs_log = simulate(graph, _uniform_cfg(seeds, budget))
-        smart = decile_curve(smart_log.download_events()).counts()
-        bfs = decile_curve(bfs_log.download_events()).counts()
+        smart = decile_curve(smart_log.download_events())
+        bfs = decile_curve(bfs_log.download_events())
         elapsed = time.monotonic() - start
         print(f"  [criterion 12] smart {smart}")
         print(f"  [criterion 12] bfs   {bfs} ({elapsed:.0f}s)")

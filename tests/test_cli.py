@@ -1,16 +1,19 @@
 import contextlib
+import http.server
 import json
 import os
 import signal
 import struct
 import subprocess
 import sys
+import threading
+import urllib.request
 from pathlib import Path
 
 import pytest
 
 from bifocal.cli import dispatch, load_config
-from bifocal.crawler import CrawlLog
+from bifocal.crawler import CrawlLog, SiteGraph
 from bifocal.datasets import read_labeled_pairs, write_labeled_pairs, write_labeled_urls, LabeledUrl
 from bifocal.errors import ConfigError
 from bifocal.pairscore import FEATURE_NAMES
@@ -303,6 +306,28 @@ def _latin1_seeds(tmp, graph, config):
     return _simulate_with_config_line(f'seeds_file = "{seeds}"')(tmp, graph, config)
 
 
+def _pair_model(tmp, bias):
+    """A pair model file with zero weights and ``bias``; ``json`` writes a NaN
+    as ``NaN``, which it also reads back."""
+    return _write(tmp, "bias.json", json.dumps({
+        "schema_version": 1, "feature_names": list(FEATURE_NAMES),
+        "weights": [0.0] * len(FEATURE_NAMES), "bias": bias,
+    }))
+
+
+def _pair_model_config(tmp, config, model):
+    """The simulate config with the model pair scorer reading ``model``."""
+    return _write(tmp, "model.cfg",
+                  config.read_text() + f'pair_scorer = "model"\npair_model_path = "{model}"\n')
+
+
+def _nan_weight_model(tmp):
+    """A language model file whose last output weight is NaN."""
+    path = _model_file(tmp)
+    path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+    return path
+
+
 def _negsample(strategies):
     pairs = "https://a.com/en\thttps://a.com/fr\tpositive\teng\tfra\tgold:bi\n"
     return lambda tmp, graph, config: [
@@ -477,6 +502,27 @@ _BAD_INPUTS = [
                                  "--config", str(_write_bytes(tmp, "utf16.cfg", b"\xff\xfeb\x00"))],
      "utf16.cfg: not UTF-8 text"),
     ("seeds file that is not UTF-8", _latin1_seeds, "latin1_seeds.txt: not UTF-8 text"),
+    ("pair model with a NaN bias",
+     lambda tmp, graph, config: ["pairscore", "score", "--scorer", "model",
+                                 "--model", str(_pair_model(tmp, float("nan"))),
+                                 "--url-a", "https://a.com/en", "--url-b", "https://a.com/fr"],
+     "bias.json: pair model weights and bias must be finite"),
+    ("simulate with a NaN pair bias",
+     lambda tmp, graph, config: ["simulate", "--graph", str(graph), "--log", str(tmp / "l.tsv"),
+                                 "--config", str(_pair_model_config(
+                                     tmp, config, _pair_model(tmp, float("nan"))))],
+     "bias.json: pair model weights and bias must be finite"),
+    ("language model with a NaN output weight",
+     lambda tmp, graph, config: ["langid", "predict", "--model", str(_nan_weight_model(tmp)),
+                                 "https://a.com/"],
+     "header.bin: not a language model: output weights are not all finite"),
+    ("simulate with a NaN output weight",
+     lambda tmp, graph, config: ["simulate", "--graph", str(graph), "--log", str(tmp / "l.tsv"),
+                                 "--config", str(_ngram_config(tmp, config, _nan_weight_model(tmp)))],
+     "header.bin: not a language model: output weights are not all finite"),
+    ("simulate without a graph",
+     lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv")],
+     "simulate needs --graph or a 'graph' config key"),
     ("graph that is not UTF-8",
      lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv"),
                                  "--graph", str(_write_bytes(tmp, "latin1.json", b'{"\xe9": 1}'))],
@@ -527,6 +573,8 @@ _BAD_NUMBERS = [
     ("cv-combos folds -2",
      lambda tmp: _cv_combos(tmp, _write(tmp, "links.json", "{}")) + ["--folds", "-2"],
      "at least 2 folds", "cv.tsv"),
+    ("splits ratios nan,nan", lambda tmp: _splits(tmp, "nan,nan"), "--ratios nan,nan: ratios must",
+     "s.train.tsv"),
     ("seeds top 0", lambda tmp: _seeds(tmp, "0"), "at least 1 site", "seeds_out.txt"),
     ("seeds top -1", lambda tmp: _seeds(tmp, "-1"), "at least 1 site", "seeds_out.txt"),
 ]
@@ -539,6 +587,16 @@ def test_out_of_range_number_is_an_error_line(tmp_path, capsys, argv, expected, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expected in err
     assert not (tmp_path / output).exists()
+
+
+def test_pair_model_with_a_huge_negative_bias_scores_0(sim_setup, capsys):
+    tmp, graph, config = sim_setup
+    model = _pair_model(tmp, -1000.0)
+    assert dispatch(["pairscore", "score", "--scorer", "model", "--model", str(model),
+                     "--url-a", "https://a.com/en", "--url-b", "https://a.com/fr"]) == 0
+    assert capsys.readouterr().out == "https://a.com/en\thttps://a.com/fr\t0.000000\n"
+    assert dispatch(["simulate", "--graph", str(graph), "--log", str(tmp / "l.tsv"),
+                     "--config", str(_pair_model_config(tmp, config, model))]) == 0
 
 
 def test_pairscore_train_has_no_seed_flag(tmp_path):
@@ -758,6 +816,17 @@ def test_splits_command(tmp_path, capsys):
     assert (tmp_path / "corpus.dev.tsv").exists()
 
 
+def test_negsample_with_strategies(tmp_path, capsys):
+    positives, _, _ = parallel_pair_corpus(n_sites=4, pairs_per_site=3, seed=4)
+    pos_path = tmp_path / "pos.tsv"
+    write_labeled_pairs(positives, pos_path)
+    neg_path = tmp_path / "neg.tsv"
+    assert dispatch(["negsample", "--pairs", str(pos_path), "--strategies",
+                     "random_match:bi, max_jaccard:mono", "--out", str(neg_path)]) == 0
+    negatives = read_labeled_pairs(neg_path)
+    assert negatives and {n.provenance for n in negatives} == {"random_match:bi", "max_jaccard:mono"}
+
+
 def test_cv_combos_command(tmp_path, capsys):
     positives, link_map, lang_map = parallel_pair_corpus(n_sites=5, pairs_per_site=3, seed=5)
     pos_path = tmp_path / "pos.tsv"
@@ -793,6 +862,10 @@ def test_seeds_command(tmp_path, capsys):
     )
     assert dispatch(["seeds", "--urls", str(urls_path), "--top", "1"]) == 0
     assert capsys.readouterr().out.strip() == "https://big.com/"
+    out_path = tmp_path / "seeds.txt"
+    assert dispatch(["seeds", "--urls", str(urls_path), "--top", "1", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_path.read_text() == "https://big.com/\n"
 
 
 def test_seeds_command_drops_dead_urls(tmp_path, capsys):
@@ -809,3 +882,90 @@ def test_langid_predict_full_prints_every_label(tmp_path, capsys):
     assert dispatch(["langid", "predict", "--full", "--model", str(model), "https://a.com/x"]) == 0
     p = f"{1 / 3:.6f}"
     assert capsys.readouterr().out == f"https://a.com/x\tdeu\t{p} eng\t{p} fra\t{p}\n"
+
+
+# ---------------------------------------------------------------------------
+# crawl over a loopback site
+
+# About 20 function words of each page language; the detector counts them.
+_PAGE_WORDS = {
+    "eng": "the and of to that it was for on are with as they at be this have from or by",
+    "fra": "le la les et est un une dans que qui pour pas sur avec plus son par ce il elle",
+    "deu": "der die das und ist nicht ein eine mit auf sich dem den von zu im als auch wird aus",
+}
+
+
+def _loopback_graph(base):
+    """An eng/fra site under ``base`` with one German page; ``/en/gone`` is
+    linked but not in the graph."""
+    pages = {
+        "/": ("eng", ["/en/a", "/fr/a", "/de/a", "/en/gone"], []),
+        "/en/a": ("eng", ["/fr/a", "/en/b", "/fr/c"], ["/fr/a"]),
+        "/fr/a": ("fra", ["/fr/b", "/en/a", "/"], ["/en/a"]),
+        "/en/b": ("eng", ["/fr/b"], ["/fr/b"]),
+        "/fr/b": ("fra", ["/en/b", "/en/c"], ["/en/b"]),
+        "/de/a": ("deu", ["/en/c"], []),
+        "/en/c": ("eng", ["/fr/c"], ["/fr/c"]),
+        "/fr/c": ("fra", [], ["/en/c"]),
+    }
+    return SiteGraph.from_dict({"pages": {
+        base + path: {"lang": lang, "links": [base + link for link in links],
+                      "parallel_with": [base + partner for partner in partners]}
+        for path, (lang, links, partners) in pages.items()
+    }})
+
+
+class _GraphSite(http.server.BaseHTTPRequestHandler):
+    """Serves ``server.graph`` as HTML: 404 for robots.txt, and a dropped
+    connection for a page outside the graph."""
+
+    def do_GET(self):
+        if self.path == "/robots.txt":
+            self.send_error(404)
+            return
+        base = f"http://127.0.0.1:{self.server.server_port}"
+        page = self.server.graph.pages.get(base + self.path)
+        if page is None:
+            return  # no reply: the connection closes
+        links = "".join(f'<a href="{link}"></a>' for link in page.links)
+        body = f"<html><body><p>{_PAGE_WORDS[page.lang]}</p>{links}</body></html>".encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "text/html; charset=utf-8")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_crawl_logs_what_simulate_logs(tmp_path, capsys, monkeypatch):
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    # urlopen's cached opener may hold proxies read before they were removed.
+    monkeypatch.setattr(urllib.request, "_opener", None)
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _GraphSite)
+    base = f"http://127.0.0.1:{server.server_port}"
+    server.graph = _loopback_graph(base)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        graph_path = tmp_path / "graph.json"
+        server.graph.save(graph_path)
+        seeds = _write(tmp_path, "seeds.txt", base + "/\n")
+        config = _write(tmp_path, "crawl.cfg", f'lang_a = "eng"\nlang_b = "fra"\n'
+                        f'seeds_file = "{seeds}"\nbudget = 20\nper_host_delay_ms = 0\n')
+        assert dispatch(["crawl", "--config", str(config), "--log", str(tmp_path / "live.tsv")]) == 0
+        assert capsys.readouterr().out == "fetch events: 9\n"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert dispatch(["simulate", "--graph", str(graph_path), "--config", str(config),
+                     "--log", str(tmp_path / "sim.tsv")]) == 0
+    live = (tmp_path / "live.tsv").read_text()
+    assert live == (tmp_path / "sim.tsv").read_text()
+    outcomes = [row.split("\t")[2] for row in live.splitlines()]
+    assert sorted(set(outcomes)) == ["discarded_language", "error", "stored"]

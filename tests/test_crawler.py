@@ -23,8 +23,7 @@ from bifocal.crawler import (
     SiteGraph,
     SitePage,
     StopwordLanguageDetector,
-    UniformLanguageScorer,
-    UniformPairScorer,
+    UniformScorer,
     build_seed_list,
     crawl_live,
     crawl_step,
@@ -139,15 +138,38 @@ def test_score_links_target_flips():
             return 1.0
 
     cfg = _cfg(["https://s/"])
-    score_links("https://s/", "eng", ["https://s/x"], cfg, SpyLang(), UniformPairScorer())
-    score_links("https://s/", "fra", ["https://s/y"], cfg, SpyLang(), UniformPairScorer())
+    score_links("https://s/", "eng", ["https://s/x"], cfg, SpyLang(), UniformScorer())
+    score_links("https://s/", "fra", ["https://s/y"], cfg, SpyLang(), UniformScorer())
     assert seen == ["fra", "eng"]
 
 
 def test_score_links_failure_gives_zero():
     cfg = _cfg(["https://s/"])
-    scored = score_links("https://s/", "eng", ["https://s/x"], cfg, _FailingScorer(), UniformPairScorer())
+    scored = score_links("https://s/", "eng", ["https://s/x"], cfg, _FailingScorer(), UniformScorer())
     assert scored == [("https://s/x", 0.0)]
+
+
+@pytest.mark.parametrize("p_lang", [float("nan"), 1.5, -0.5])
+def test_score_links_priority_outside_0_1_gives_zero(p_lang, caplog):
+    class BrokenLang:
+        def probability(self, url, target):
+            return p_lang
+
+    links = ["https://s/x", "https://s/y"]
+    scored = score_links("https://s/", "eng", links, _cfg(["https://s/"]), BrokenLang(), UniformScorer())
+    assert scored == [(link, 0.0) for link in links]
+    assert _warned_links(caplog) == links
+
+
+def test_nan_language_model_does_not_end_a_crawl(crawl_models, caplog):
+    lang_model, pair_model = crawl_models
+    broken = dataclasses.replace(lang_model, embeddings=lang_model.embeddings * float("nan"))
+    graph, seeds = dense_planted_graph()
+    log = simulate(graph, _cfg(seeds, budget=50), NgramLanguageScorer(broken),
+                   FeaturePairScorer(pair_model))
+    assert len(log) == 50
+    assert {e.priority for e in log if e.priority is not SEED} == {0.0}
+    assert _warned_links(caplog)
 
 
 def test_score_links_rule_unknown_language_is_zero():
@@ -201,7 +223,7 @@ def test_crawl_step_by_step():
     })
     cfg = _cfg(["https://a/"], budget=10)
     state = CrawlState(cfg, GraphFetcher(graph), GroundTruthDetector(),
-                       UniformLanguageScorer(), UniformPairScorer())
+                       UniformScorer(), UniformScorer())
     first = crawl_step(state)
     assert first.url == "https://a/" and first.outcome == STORED
     assert len(state.frontier) == 2  # both links pushed
@@ -290,7 +312,7 @@ def trained_scorers(crawl_models):
     return {
         "rule+baseline": lambda graph: (RuleLanguageScorer(), BaselinePairScorer()),
         "ngram+model": lambda graph: (NgramLanguageScorer(lang_model), FeaturePairScorer(pair_model)),
-        "uniform": lambda graph: (UniformLanguageScorer(), UniformPairScorer()),
+        "uniform": lambda graph: (UniformScorer(), UniformScorer()),
         "oracle": lambda graph: (OracleLangScorer(graph), OraclePairScorer(graph)),
     }
 

@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 import stub_scorer
+from bifocal import external
 from bifocal.crawler import STORED, CrawlConfig, GraphFetcher, GroundTruthDetector, crawl_live, simulate
 from bifocal.errors import ScorerUnavailable
 from bifocal.external import (
@@ -238,6 +239,18 @@ def test_language_scorer_memoizes_parsed_answers_only():
         lang.prefetch(["https://a.com/fr/x", "https://a.com/bad"])
         assert lang._pending.keys() == {"https://a.com/bad"}
         assert lang.probability("https://a.com/fr/x", "eng") == 0.05
+    finally:
+        client.close()
+
+
+def test_language_memo_forgets_its_oldest_url_when_full(monkeypatch):
+    monkeypatch.setattr(external, "CACHE_SIZE", 2)
+    client = stub_scorer.client()
+    lang = ExternalLanguageScorer(client)
+    try:
+        for url in ("https://a.com/fr/1", "https://a.com/en/2", "https://a.com/fr/3"):
+            lang.probability(url, "fra")
+        assert list(lang._memo) == ["https://a.com/en/2", "https://a.com/fr/3"]
     finally:
         client.close()
 

@@ -13,7 +13,6 @@ from bifocal.metrics import (
     decile_curve,
     macro_prf,
     prf,
-    soft_alignment_recall,
     write_curve_tsv,
 )
 
@@ -130,7 +129,7 @@ def test_alignment_recall_empty_gold():
     with pytest.raises(ConfigError, match="recall is undefined for an empty gold set"):
         alignment_recall({("a", "b")}, set())
     with pytest.raises(ConfigError, match="recall is undefined for an empty gold set"):
-        soft_alignment_recall({("a", "b")}, set())
+        alignment_recall({("a", "b")}, set(), lambda url: url)
 
 
 def test_soft_recall_identity_equals_recall():
@@ -138,14 +137,14 @@ def test_soft_recall_identity_equals_recall():
     for _ in range(30):
         gold = {(f"g{rng.randint(0, 9)}", f"h{rng.randint(0, 9)}") for _ in range(rng.randint(1, 8))}
         pred = {(f"g{rng.randint(0, 9)}", f"h{rng.randint(0, 9)}") for _ in range(rng.randint(0, 8))}
-        assert soft_alignment_recall(pred, gold) == alignment_recall(pred, gold)
+        assert alignment_recall(pred, gold, lambda url: url) == alignment_recall(pred, gold)
 
 
 def test_soft_recall_merging_classes():
     gold = {("u1", "v1")}
     pred = {("u1x", "v1")}
     equiv = lambda u: u.rstrip("x")
-    assert soft_alignment_recall(pred, gold, equiv) == 1.0
+    assert alignment_recall(pred, gold, equiv) == 1.0
 
 
 def test_soft_recall_matches_double_loop_oracle():
@@ -160,7 +159,7 @@ def test_soft_recall_matches_double_loop_oracle():
                 if equiv(p[0]) == equiv(g[0]) and equiv(p[1]) == equiv(g[1]):
                     hits += 1
                     break
-        assert soft_alignment_recall(pred, gold, equiv) == pytest.approx(hits / len(gold))
+        assert alignment_recall(pred, gold, equiv) == pytest.approx(hits / len(gold))
 
 
 @given(st.integers(0, 100_000))
@@ -170,7 +169,7 @@ def test_soft_recall_at_least_recall(seed):
     gold = {(f"a{rng.randint(0, 5)}", f"b{rng.randint(0, 5)}") for _ in range(rng.randint(1, 6))}
     pred = {(f"a{rng.randint(0, 5)}", f"b{rng.randint(0, 5)}") for _ in range(rng.randint(0, 6))}
     equiv = lambda u: u[:2]
-    assert soft_alignment_recall(pred, gold, equiv) >= alignment_recall(pred, gold)
+    assert alignment_recall(pred, gold, equiv) >= alignment_recall(pred, gold)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +177,7 @@ def test_soft_recall_at_least_recall(seed):
 
 def test_curve_hits_at_start():
     events = [("s", True)] * 3 + [("s", False)] * 7
-    curve = decile_curve(events)
-    counts = curve.counts()
+    counts = decile_curve(events)
     assert counts[0] == 0
     assert counts[3] == 3  # 30% of 10 downloads covers all three hits
     assert all(c == 3 for c in counts[3:])
@@ -196,7 +194,7 @@ def test_two_sites_sum_pointwise():
     combined = decile_curve(merged)
     ca = decile_curve(site_a)
     cb = decile_curve(site_b)
-    assert combined.counts() == tuple(x + y for x, y in zip(ca.counts(), cb.counts()))
+    assert combined == tuple(x + y for x, y in zip(ca, cb))
 
 
 def test_curve_matches_brute_force_recount():
@@ -216,18 +214,17 @@ def test_curve_matches_brute_force_recount():
                 prefix = (percent * len(hits)) // 100
                 total += sum(hits[:prefix])
             expected.append(total)
-        assert list(decile_curve(events).counts()) == expected
+        assert list(decile_curve(events)) == expected
 
 
 def test_empty_log_zero_curve():
-    assert decile_curve([]).counts() == (0,) * 11
+    assert decile_curve([]) == (0,) * 11
 
 
 def test_curve_monotone_and_final_total():
     rng = random.Random(9)
     events = [("s", rng.random() < 0.5) for _ in range(37)]
-    curve = decile_curve(events)
-    counts = curve.counts()
+    counts = decile_curve(events)
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     assert counts[-1] == sum(1 for _, h in events if h)
 

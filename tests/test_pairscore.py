@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import random
 
 import numpy as np
@@ -12,6 +14,7 @@ from bifocal.pairscore import (
     FEATURE_NAMES,
     BaselinePairScorer,
     FeaturePairScorer,
+    PairFeatureModel,
     _residuals,
     _token_edit_distance,
     baseline_align,
@@ -355,6 +358,30 @@ def test_pair_model_round_trip(tmp_path):
     loaded = load_pair_model(path)
     assert loaded.weights == pytest.approx(model.weights)
     assert loaded.bias == pytest.approx(model.bias)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bias", float("nan")),
+    ("bias", float("-inf")),
+    ("weights", [0.0] * (len(FEATURE_NAMES) - 1) + [float("nan")]),
+])
+def test_pair_model_with_a_number_that_is_not_finite_is_rejected(tmp_path, field, value):
+    path = tmp_path / "pair.json"
+    save_pair_model(PairFeatureModel(weights=(0.0,) * len(FEATURE_NAMES), bias=0.0), path)
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))  # as NaN or -Infinity, which json reads back
+    with pytest.raises(ConfigError, match="pair.json: pair model weights and bias must be finite"):
+        load_pair_model(path)
+
+
+def test_pair_probability_is_0_where_exp_overflows():
+    features = (1.0,) * len(FEATURE_NAMES)
+    weights = (0.5,) * len(FEATURE_NAMES)
+    assert PairFeatureModel(weights, bias=-1000.0).probability(features) == 0.0
+    assert PairFeatureModel(weights, bias=1000.0).probability(features) == 1.0
+    z = -700.0 + 0.5 * len(FEATURE_NAMES)
+    assert PairFeatureModel(weights, bias=-700.0).probability(features) == 1.0 / (1.0 + math.exp(-z))
 
 
 # ---------------------------------------------------------------------------
