@@ -111,11 +111,11 @@ def _crawl_config(path, **flags) -> "tuple[crawler.CrawlConfig, str | None]":
 # ---------------------------------------------------------------------------
 # Report writing
 
-def write_report(log: crawler.CrawlLog, out_dir) -> None:
-    """Decile curves (aggregate and per site) plus a totals summary of a log
-    whose parallel hits are marked."""
+def write_report(log: crawler.CrawlLog, graph: crawler.SiteGraph, out_dir) -> None:
+    """Decile curves (aggregate and per site) plus a totals summary of a log,
+    with its parallel hits counted against ``graph``."""
     os.makedirs(out_dir, exist_ok=True)
-    events = log.download_events()
+    events = log.download_events(graph)
     aggregate = metrics.decile_curve(events)
     metrics.write_curve_tsv(aggregate, os.path.join(out_dir, "curve_aggregate.tsv"))
 
@@ -355,14 +355,12 @@ def _cmd_cv_combos(args) -> int:
 def _cmd_seeds(args) -> int:
     url_to_site = {}
     alive = {}
-    has_flags = False
     for line in _iter_lines(args.urls, []):
         parts = line.split("\t")
         url_to_site[parts[0]] = parts[1] if len(parts) > 1 else crawler.site_of(parts[0])
         if len(parts) > 2:
-            has_flags = True
             alive[parts[0]] = parts[2].lower() in ("1", "true", "ok", "yes", "200")
-    seeds = crawler.build_seed_list(url_to_site, n=args.top, alive=alive if has_flags else None)
+    seeds = crawler.build_seed_list(url_to_site, n=args.top, alive=alive)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for seed_url in seeds:
@@ -385,7 +383,7 @@ def _cmd_simulate(args) -> int:
     log = crawler.simulate(graph, crawl_cfg)
     log.to_tsv(args.log)
     if args.report:
-        write_report(log, args.report)
+        write_report(log, graph, args.report)
     counts = log.outcome_counts()
     print(
         f"fetches={len(log)} stored={counts.get(crawler.STORED, 0)} "
@@ -405,9 +403,7 @@ def _cmd_crawl(args) -> int:
 
 def _cmd_report(args) -> int:
     log = crawler.CrawlLog.from_tsv(args.log)
-    if args.graph:
-        log.mark_parallel_hits(crawler.SiteGraph.load(args.graph))
-    write_report(log, args.out)
+    write_report(log, crawler.SiteGraph.load(args.graph), args.out)
     print(f"report written to {args.out}")
     return 0
 
@@ -537,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="decile curves and summary from a crawl log")
     p.add_argument("--log", required=True)
-    p.add_argument("--graph", help="site graph for parallel ground truth")
+    p.add_argument("--graph", required=True, help="site graph for parallel ground truth")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 

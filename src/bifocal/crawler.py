@@ -1,13 +1,14 @@
 """The focused bilingual crawl loop.
 
-One step: pop the best frontier entry, fetch the document, detect its content
+One step: pop the best frontier entry, fetch the document and its content
 language; documents outside the configured pair are discarded without link
 extraction, stored documents have their outlinks scored with
 ``P(link is in the other language) * P(pair is parallel)`` and pushed with the
 max-update rule.  Seeds always download first.
 
 Fetching is pluggable: an offline site-graph fetcher drives deterministic
-simulations, a live fetcher does plain HTTP GETs honoring robots exclusion.
+simulations with the graph's languages, a live fetcher does plain HTTP GETs
+honoring robots exclusion and detects each page's language from its text.
 Only the live fetcher imports the HTTP stack.
 """
 from __future__ import annotations
@@ -19,6 +20,7 @@ import re
 import time
 from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 from urllib.parse import urljoin
 
 from . import langid, pairscore
@@ -140,7 +142,6 @@ class CrawlEvent:
     outcome: str  # stored | discarded_language | error
     lang: str
     priority: float  # SEED (+inf) for a seed
-    is_parallel_hit: bool = False
 
 
 def site_of(url: str) -> str:
@@ -167,34 +168,24 @@ class CrawlLog:
             counts[event.outcome] = counts.get(event.outcome, 0) + 1
         return counts
 
-    def mark_parallel_hits(self, graph: SiteGraph) -> None:
-        """Flag events that complete a stored parallel pair.
+    def download_events(self, graph: SiteGraph) -> "list[tuple[str, bool]]":
+        """(site, hit) rows for decile curves; failed fetches downloaded nothing.
 
-        A stored document is a hit when one of its partners was stored
-        earlier, so each completed pair contributes exactly one hit at the
-        moment it becomes usable.
+        A stored document is a hit when one of its partners in ``graph`` was
+        stored earlier, so each completed pair contributes exactly one hit at
+        the moment it becomes usable.
         """
-        stored_seq: dict[str, int] = {}
-        for event in self.events:
-            if event.outcome == STORED:
-                stored_seq[event.url] = event.seq
-        for event in self.events:
-            if event.outcome != STORED:
-                event.is_parallel_hit = False
+        stored_seq = {e.url: e.seq for e in self.events if e.outcome == STORED}
+        rows = []
+        for e in self.events:
+            if e.outcome == ERROR:
                 continue
-            page = graph.pages.get(event.url)
-            event.is_parallel_hit = page is not None and any(
-                stored_seq.get(partner, event.seq) < event.seq
-                for partner in page.parallel_with
+            page = graph.pages.get(e.url) if e.outcome == STORED else None
+            hit = page is not None and any(
+                stored_seq.get(partner, e.seq) < e.seq for partner in page.parallel_with
             )
-
-    def download_events(self) -> "list[tuple[str, bool]]":
-        """(site, hit) rows for decile curves; failed fetches downloaded nothing."""
-        return [
-            (site_of(e.url), e.is_parallel_hit)
-            for e in self.events
-            if e.outcome in (STORED, DISCARDED_LANGUAGE)
-        ]
+            rows.append((site_of(e.url), hit))
+        return rows
 
     def to_tsv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -224,13 +215,6 @@ class CrawlLog:
 # ---------------------------------------------------------------------------
 # Content-language detection
 
-class GroundTruthDetector:
-    """Returns the fixture-provided language; the simulator's detector."""
-
-    def detect(self, content: bytes, hint: str | None = None) -> str:
-        return hint if hint else UNKNOWN_LANG
-
-
 # Markup that holds no page text: comments, ``<script>`` and ``<style>``
 # elements with their bodies, and every other tag.
 _MARKUP_RE = re.compile(r"<!--.*?-->|<(script|style)\b.*?</\1\s*>|<[^>]*>", re.IGNORECASE | re.DOTALL)
@@ -244,7 +228,7 @@ class StopwordLanguageDetector:
         text = resources.files("bifocal").joinpath("data/stopword_profiles.json").read_text("utf-8")
         self.profiles = {lang: frozenset(words) for lang, words in json.loads(text).items()}
 
-    def detect(self, content: bytes, hint: str | None = None) -> str:
+    def detect(self, content: bytes) -> str:
         if not content:
             return UNKNOWN_LANG
         import html
@@ -266,9 +250,8 @@ class StopwordLanguageDetector:
 
 @dataclass(frozen=True)
 class FetchResult:
-    content: bytes
+    lang: str  # the page's content language, or ``unk``
     links: tuple[str, ...]
-    lang_hint: str | None = None
 
 
 class GraphFetcher:
@@ -279,7 +262,7 @@ class GraphFetcher:
         page = self.graph.pages.get(url)
         if page is None:
             raise FetchFailed(f"{url} is not in the site graph")
-        return FetchResult(content=b"", links=page.links, lang_hint=page.lang)
+        return FetchResult(page.lang or UNKNOWN_LANG, page.links)
 
 
 _HREF_RE = re.compile(r"""href\s*=\s*["']([^"'<>\s]+)["']""", re.IGNORECASE)
@@ -351,7 +334,8 @@ def _default_opener(url: str, headers: dict, timeout: float):
 
 
 class LiveFetcher:
-    """Plain HTTP GET fetcher with robots exclusion and politeness delays."""
+    """Plain HTTP GET fetcher with robots exclusion and politeness delays; a
+    page's language is what ``StopwordLanguageDetector`` finds in its body."""
 
     def __init__(
         self,
@@ -364,6 +348,7 @@ class LiveFetcher:
         self.user_agent = user_agent
         self.opener = opener
         self.gate = PolitenessGate(per_host_delay_ms, clock=clock, sleeper=sleeper)
+        self.detector = StopwordLanguageDetector()
         self._robots: dict[str, urllib.robotparser.RobotFileParser] = {}
 
     def _robots_for(self, url: str) -> urllib.robotparser.RobotFileParser:
@@ -423,7 +408,7 @@ class LiveFetcher:
         links: tuple[str, ...] = ()
         if "html" in content_type or not content_type:
             links = extract_links(body.decode("utf-8", "replace"), url)
-        return FetchResult(content=body, links=links)
+        return FetchResult(self.detector.detect(body), links)
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +526,9 @@ def score_links(url: str, lang_u: str, links, cfg: CrawlConfig, lang_scorer, pai
 # Crawl loop
 
 class CrawlState:
-    def __init__(self, cfg: CrawlConfig, fetcher, detector, lang_scorer, pair_scorer):
+    def __init__(self, cfg: CrawlConfig, fetcher, lang_scorer, pair_scorer):
         self.cfg = cfg
         self.fetcher = fetcher
-        self.detector = detector
         self.lang_scorer = lang_scorer
         self.pair_scorer = pair_scorer
         self.frontier = Frontier()
@@ -556,7 +540,7 @@ class CrawlState:
 
 
 def crawl_step(state: CrawlState) -> CrawlEvent:
-    """One pop-fetch-detect-score-push cycle; returns the logged event.
+    """One pop-fetch-score-push cycle; returns the logged event.
 
     Raises:
         FrontierEmpty: nothing left to fetch.
@@ -568,7 +552,7 @@ def crawl_step(state: CrawlState) -> CrawlEvent:
         logger.info("fetch failed: %s", exc)
         outcome, lang = ERROR, UNKNOWN_LANG
     else:
-        lang = state.detector.detect(result.content, hint=result.lang_hint)
+        lang = result.lang
         # Off-language documents end here: no link extraction.
         outcome = STORED if lang in (state.cfg.lang_a, state.cfg.lang_b) else DISCARDED_LANGUAGE
     event = CrawlEvent(len(state.events) + 1, entry.url, outcome, lang, entry.priority)
@@ -598,8 +582,8 @@ def run_crawl(state: CrawlState) -> CrawlLog:
 def simulate(graph: SiteGraph, cfg: CrawlConfig, lang_scorer=None, pair_scorer=None) -> CrawlLog:
     """Deterministic offline crawl over a site-graph fixture.
 
-    Content language comes from the fixture's ground truth; parallel hits are
-    marked on the log afterwards.
+    Content language comes from the fixture's ground truth; the log's parallel
+    hits are ``CrawlLog.download_events(graph)``.
 
     Raises:
         ConfigError: a seed URL is missing from the graph.
@@ -607,22 +591,16 @@ def simulate(graph: SiteGraph, cfg: CrawlConfig, lang_scorer=None, pair_scorer=N
     for seed_url in cfg.seeds:
         if seed_url not in graph.pages:
             raise ConfigError(f"seed {seed_url} is not in the graph")
-    with _crawl_scorers(cfg, lang_scorer, pair_scorer) as (lang_scorer, pair_scorer):
-        state = CrawlState(cfg, GraphFetcher(graph), GroundTruthDetector(), lang_scorer, pair_scorer)
-        log = run_crawl(state)
-    log.mark_parallel_hits(graph)
-    return log
+    return crawl_live(cfg, lang_scorer, pair_scorer, GraphFetcher(graph))
 
 
-def crawl_live(cfg: CrawlConfig, detector=None, lang_scorer=None, pair_scorer=None,
-               fetcher=None) -> CrawlLog:
-    """Live crawl using HTTP fetching; detector defaults to the builtin one."""
+def crawl_live(cfg: CrawlConfig, lang_scorer=None, pair_scorer=None, fetcher=None) -> CrawlLog:
+    """A crawl through ``fetcher``, by default a ``LiveFetcher`` with
+    ``cfg``'s user agent and politeness delay."""
     if fetcher is None:
         fetcher = LiveFetcher(user_agent=cfg.user_agent, per_host_delay_ms=cfg.per_host_delay_ms)
-    if detector is None:
-        detector = StopwordLanguageDetector()
     with _crawl_scorers(cfg, lang_scorer, pair_scorer) as (lang_scorer, pair_scorer):
-        return run_crawl(CrawlState(cfg, fetcher, detector, lang_scorer, pair_scorer))
+        return run_crawl(CrawlState(cfg, fetcher, lang_scorer, pair_scorer))
 
 
 @contextlib.contextmanager
@@ -645,22 +623,20 @@ def _crawl_scorers(cfg: CrawlConfig, lang_scorer, pair_scorer):
 # ---------------------------------------------------------------------------
 # Seed lists
 
-def build_seed_list(url_to_site, n: int = 200, alive=None) -> "list[str]":
+def build_seed_list(url_to_site, n: int = 200, alive=MappingProxyType({})) -> "list[str]":
     """Home pages of the ``n`` sites with the most unique URLs.
 
-    ``url_to_site`` maps URLs to a website identity.  When ``alive`` flags are
-    provided, dead URLs are dropped before counting.  Sites are ranked by
-    unique-URL count, ties broken lexicographically; each home page is the
-    scheme and host of the site's lexicographically first URL.
+    ``url_to_site`` maps URLs to a website identity.  URLs that ``alive`` flags
+    as dead are dropped before counting; a URL it leaves out is alive.  Sites
+    are ranked by unique-URL count, ties broken lexicographically; each home
+    page is the scheme and host of the site's lexicographically first URL.
 
     Raises:
         ConfigError: ``n`` is below 1, or nothing to rank.
     """
     if n < 1:
         raise ConfigError(f"a seed list needs at least 1 site, got {n}")
-    urls = sorted(set(url_to_site))
-    if alive is not None:
-        urls = [u for u in urls if alive.get(u, True)]
+    urls = [u for u in sorted(set(url_to_site)) if alive.get(u, True)]
     if not urls:
         raise ConfigError("no URLs to build seeds from")
     by_site: dict[str, list[str]] = {}

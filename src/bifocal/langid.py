@@ -14,6 +14,7 @@ the rule scorer works without it.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -154,12 +155,12 @@ def _mean_embedding(emb: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return emb[ids].astype(np.float64, copy=False).mean(axis=0)
 
 
-def _forward_backward(emb: np.ndarray, weights: np.ndarray, ids: np.ndarray, y: int):
-    """Cross-entropy of one example and its gradients.
+def _sgd_step(emb: np.ndarray, weights: np.ndarray, ids: np.ndarray, y: int, lr: float) -> float:
+    """One SGD step on the cross-entropy of the example ``(ids, y)``, in place.
 
-    Returns ``(loss, hidden, dz, weights @ dz)``: the loss, the mean embedding,
-    the gradient with respect to the logits and the one with respect to
-    ``hidden``.
+    ``weights`` and the rows ``ids`` of ``emb`` each move by ``lr`` times
+    their gradient, so with ``lr = 1`` the change is the gradient itself and
+    with ``lr = 0`` nothing moves.  Returns the loss before the step.
     """
     import numpy as np
 
@@ -167,7 +168,10 @@ def _forward_backward(emb: np.ndarray, weights: np.ndarray, ids: np.ndarray, y: 
     dz = _softmax(hidden @ weights)
     loss = -float(np.log(max(dz[y], 1e-300)))
     dz[y] -= 1.0
-    return loss, hidden, dz, weights @ dz
+    grad_hidden = weights @ dz
+    weights -= lr * np.outer(hidden, dz)
+    np.add.at(emb, ids, -lr * grad_hidden / ids.size)
+    return loss
 
 
 def _check_shape(n_min: int, n_max: int, dim: int, bucket_count: int, labels) -> None:
@@ -267,11 +271,8 @@ def ngram_train(
             step += 1
             if ids.size == 0:
                 continue
-            loss, hidden, dz, grad_hidden = _forward_backward(emb, weights, ids, y)
-            epoch_loss += loss
+            epoch_loss += _sgd_step(emb, weights, ids, y, lr)
             seen += 1
-            weights -= lr * np.outer(hidden, dz)
-            np.add.at(emb, ids, -lr * grad_hidden / ids.size)
         losses.append(epoch_loss / max(seen, 1))
     table[rows] = emb
     model.embeddings = table
@@ -286,40 +287,20 @@ def ngram_predict(model: NgramLangModel, url: "str | NormalizedUrl") -> dict[str
     """Probability distribution over the model's labels.
 
     A URL with no features (sentinels only) yields the uniform distribution.
+
+    Raises:
+        ConfigError: a probability is not finite (the URL hashes to an
+            embedding row that holds a NaN or an infinity).
     """
     ids = model.feature_ids(url)
     if ids.size == 0:
         p = 1.0 / len(model.labels)
         return {label: p for label in model.labels}
-    probs = _softmax(_mean_embedding(model.embeddings, ids) @ model.output_weights)
-    return dict(zip(model.labels, probs.tolist()))
-
-
-def loss_and_gradients(model: NgramLangModel, batch) -> "tuple[float, np.ndarray, np.ndarray]":
-    """Mean cross-entropy and analytic gradients over ``(url, label_idx)`` pairs.
-
-    Exposed so the gradients can be checked against finite differences.
-    """
-    import numpy as np
-
-    grad_emb = np.zeros(model.embeddings.shape)
-    grad_w = np.zeros(model.output_weights.shape)
-    total = 0.0
-    count = 0
-    for url, y in batch:
-        ids = model.feature_ids(url)
-        if ids.size == 0:
-            continue
-        loss, hidden, dz, grad_hidden = _forward_backward(
-            model.embeddings, model.output_weights, ids, y
-        )
-        total += loss
-        count += 1
-        grad_w += np.outer(hidden, dz)
-        np.add.at(grad_emb, ids, grad_hidden / ids.size)
-    if count == 0:
-        return 0.0, grad_emb, grad_w
-    return total / count, grad_emb / count, grad_w / count
+    probs = _softmax(_mean_embedding(model.embeddings, ids) @ model.output_weights).tolist()
+    if not all(map(math.isfinite, probs)):
+        source = url if isinstance(url, str) else url.source
+        raise ConfigError(f"{source}: the language model's probabilities are not finite")
+    return dict(zip(model.labels, probs))
 
 
 # ---------------------------------------------------------------------------

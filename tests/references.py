@@ -12,7 +12,7 @@ import random
 from bifocal.datasets import STRATEGIES, generate_negatives, mine_negatives_from_links
 from bifocal.errors import BifocalError, ConfigError, FrontierEmpty, NotAUrl
 from bifocal.frontier import SEED
-from bifocal.langid import NgramHyperparams, NgramLangModel
+from bifocal.langid import NgramHyperparams, NgramLangModel, _sgd_step
 from bifocal.metrics import confusion_matrix, prf
 from bifocal.pairscore import (
     LEARNING_RATE,
@@ -361,3 +361,39 @@ def ngram_train_reference(data, hp=None, seed=0):
         losses.append(epoch_loss / max(seen, 1))
     model.epoch_losses = tuple(losses)
     return model
+
+
+def sgd_step_gradient_check(model, data, step=1e-4, tolerance=1e-3):
+    """Check the trainer's own step, ``_sgd_step``, against central differences
+    of the loss it returns; returns the number of entries compared.
+
+    For each ``(url, lang)`` example, a step with ``lr = 1`` on float64 copies
+    of the model moves each parameter by its gradient, so before - after is the
+    analytic gradient.  The numeric one comes from steps with ``lr = 0``, which
+    must leave every parameter where it was.
+    """
+    emb = model.embeddings.astype(np.float64)
+    weights = model.output_weights.astype(np.float64)
+    before = emb.copy(), weights.copy()
+    checked = 0
+    for url, lang in data:
+        ids, y = model.feature_ids(url), model.labels.index(lang)
+        moved = emb.copy(), weights.copy()
+        assert _sgd_step(*moved, ids, y, 1.0) > 0
+        for param, after in zip((emb, weights), moved):
+            for index in np.ndindex(param.shape):
+                original = param[index]
+                param[index] = original + step
+                up = _sgd_step(emb, weights, ids, y, 0.0)
+                param[index] = original - step
+                down = _sgd_step(emb, weights, ids, y, 0.0)
+                param[index] = original
+                numeric = (up - down) / (2 * step)
+                analytic = original - after[index]
+                if abs(analytic) < 1e-8 and abs(numeric) < 1e-8:
+                    continue
+                rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric))
+                assert rel <= tolerance, (url, index, analytic, numeric)
+                checked += 1
+    assert np.array_equal(emb, before[0]) and np.array_equal(weights, before[1])
+    return checked

@@ -181,6 +181,8 @@ def test_config_missing_lang_b_fails_simulate(sim_setup, tmp_path):
     ["--lang-scorer", "no-such-scorer"],
     ["--pair-scorer", "model"],  # and no pair_model_path
     ["--lang-scorer", "external:localhost:port"],
+    ["--lang-scorer", "ngram"],  # and no lang_model_path
+    ["--pair-scorer", "no-such-scorer"],
 ])
 def test_bad_scorer_choice_is_a_config_error(sim_setup, capsys, flags):
     tmp, graph_path, config_path = sim_setup
@@ -273,8 +275,9 @@ def _simulate_with_config_line(line):
 
 def _report_on_first_row(first_row):
     """``report`` on a two-row log: ``first_row``, then a good stored row."""
-    return lambda tmp, graph, config: ["report", "--out", str(tmp / "rep"), "--log", str(_write(
-        tmp, "log.tsv", first_row + "\n2\thttps://a.com/x\tstored\teng\t0.5\n"))]
+    return lambda tmp, graph, config: [
+        "report", "--out", str(tmp / "rep"), "--graph", str(graph), "--log", str(_write(
+            tmp, "log.tsv", first_row + "\n2\thttps://a.com/x\tstored\teng\t0.5\n"))]
 
 
 def _pair_command(command):
@@ -328,6 +331,17 @@ def _nan_weight_model(tmp):
     return path
 
 
+def _nan_embedding_model(tmp):
+    """A language model file (eng, fra; 4 buckets, dim 2) whose embedding is
+    all NaN and whose output weights are 0."""
+    path = _model_file(tmp)
+    blob = path.read_bytes()
+    weights = 4 * 2 * 2
+    embedding = struct.pack("<8f", *[float("nan")] * 8)
+    path.write_bytes(blob[:-weights - len(embedding)] + embedding + blob[-weights:])
+    return path
+
+
 def _negsample(strategies):
     pairs = "https://a.com/en\thttps://a.com/fr\tpositive\teng\tfra\tgold:bi\n"
     return lambda tmp, graph, config: [
@@ -351,7 +365,7 @@ _BAD_INPUTS = [
      "not symmetric"),
     ("4-column log row",
      lambda tmp, graph, config: ["report", "--log", str(_short_log(tmp)),
-                                 "--out", str(tmp / "rep")],
+                                 "--graph", str(graph), "--out", str(tmp / "rep")],
      "short.tsv:1:"),
     ("5-column pair row",
      lambda tmp, graph, config: ["negsample", "--pairs", str(_write(
@@ -520,6 +534,23 @@ _BAD_INPUTS = [
      lambda tmp, graph, config: ["simulate", "--graph", str(graph), "--log", str(tmp / "l.tsv"),
                                  "--config", str(_ngram_config(tmp, config, _nan_weight_model(tmp)))],
      "header.bin: not a language model: output weights are not all finite"),
+    ("langid predict with a NaN embedding",
+     lambda tmp, graph, config: ["langid", "predict", "--model", str(_nan_embedding_model(tmp)),
+                                 "https://a.com/fr/x"],
+     "https://a.com/fr/x: the language model's probabilities are not finite"),
+    ("langid eval with a NaN embedding",
+     lambda tmp, graph, config: ["langid", "eval", "--model", str(_nan_embedding_model(tmp)),
+                                 "--data", str(_write(tmp, "gold.tsv", "https://a.com/fr/x\tfra\n"))],
+     "https://a.com/fr/x: the language model's probabilities are not finite"),
+    ("pair model with other feature names",
+     lambda tmp, graph, config: ["pairscore", "score", "--scorer", "model",
+                                 "--model", str(_write(tmp, "names.json", json.dumps({
+                                     "schema_version": 1, "feature_names": ["x"], "weights": [0.0],
+                                     "bias": 0.0}))),
+                                 "--url-a", "https://a.com/en", "--url-b", "https://a.com/fr"],
+     "names.json: pair model feature schema mismatch"),
+    ("config line without =", _simulate_with_config_line("budget 40"),
+     "extra.cfg:8: expected 'key = value'"),
     ("simulate without a graph",
      lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv")],
      "simulate needs --graph or a 'graph' config key"),
@@ -666,11 +697,22 @@ def test_report_command_writes_the_simulate_report(sim_setup):
     assert "parallel_hits\t0\n" not in (tmp / "rep" / "summary.tsv").read_text()
 
 
+def test_report_needs_the_graph(sim_setup):
+    tmp, graph_path, config_path = sim_setup
+    log_path = tmp / "log.tsv"
+    assert dispatch(["simulate", "--graph", str(graph_path), "--config", str(config_path),
+                     "--log", str(log_path)]) == 0
+    assert dispatch(["report", "--log", str(log_path), "--out", str(tmp / "rep")]) == 2
+    assert not (tmp / "rep").exists()
+
+
 def test_empty_log_report(tmp_path):
     log_path = tmp_path / "empty.tsv"
     log_path.write_text("")
+    graph_path = _write(tmp_path, "graph.json", '{"pages": {}}')
     out = tmp_path / "rep"
-    assert dispatch(["report", "--log", str(log_path), "--out", str(out)]) == 0
+    assert dispatch(["report", "--log", str(log_path), "--graph", str(graph_path),
+                     "--out", str(out)]) == 0
     summary = dict(
         line.split("\t") for line in (out / "summary.tsv").read_text().splitlines()
     )

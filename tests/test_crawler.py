@@ -17,7 +17,6 @@ from bifocal.crawler import (
     CrawlLog,
     CrawlState,
     GraphFetcher,
-    GroundTruthDetector,
     LiveFetcher,
     PolitenessGate,
     SiteGraph,
@@ -222,8 +221,7 @@ def test_crawl_step_by_step():
         "https://a/2": ("eng", [], []),
     })
     cfg = _cfg(["https://a/"], budget=10)
-    state = CrawlState(cfg, GraphFetcher(graph), GroundTruthDetector(),
-                       UniformScorer(), UniformScorer())
+    state = CrawlState(cfg, GraphFetcher(graph), UniformScorer(), UniformScorer())
     first = crawl_step(state)
     assert first.url == "https://a/" and first.outcome == STORED
     assert len(state.frontier) == 2  # both links pushed
@@ -325,7 +323,7 @@ class _NeverFetchedFrontier(Frontier):
 
 
 def _log_rows(log):
-    return [(e.seq, e.url, e.outcome, e.lang, repr(e.priority), e.is_parallel_hit) for e in log]
+    return [(e.seq, e.url, e.outcome, e.lang, repr(e.priority)) for e in log]
 
 
 def _simulate_with(graph, seeds, scorers):
@@ -565,7 +563,7 @@ def test_external_scorers_crawl_alike_without_prefetch(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Parallel-hit marking
+# Parallel hits
 
 def test_hits_flag_pair_completion_only():
     graph = _graph({
@@ -575,7 +573,9 @@ def test_hits_flag_pair_completion_only():
         "https://a/x": ("eng", [], []),
     })
     log = simulate(graph, _cfg(["https://a/"], budget=10))
-    hits = {e.url: e.is_parallel_hit for e in log}
+    events = log.download_events(graph)
+    assert len(events) == len(log)  # no fetch failed, so every event is a download
+    hits = {e.url: hit for e, (_, hit) in zip(log, events)}
     assert hits["https://a/fr"] is True   # second member completes the pair
     assert hits["https://a/en"] is False  # first member alone is not yet usable
     assert hits["https://a/x"] is False
@@ -598,12 +598,15 @@ def test_crawl_log_tsv_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Detectors
+# Page languages
 
-def test_detector_ground_truth_and_empty():
-    detector = GroundTruthDetector()
-    assert detector.detect(b"", hint="fra") == "fra"
-    assert detector.detect(b"") == "unk"
+def test_graph_fetcher_gives_the_page_language_or_unknown():
+    fetcher = GraphFetcher(_graph({
+        "https://a/": ("fra", ["https://a/x"], []),
+        "https://a/x": ("", [], []),
+    }))
+    assert fetcher.fetch("https://a/").lang == "fra"
+    assert fetcher.fetch("https://a/x").lang == "unk"
 
 
 def test_stopword_detector_self_consistency():
@@ -811,7 +814,7 @@ def test_live_fetcher_respects_robots():
     fetcher = LiveFetcher(opener=_opener_factory(responses), per_host_delay_ms=0)
     with pytest.raises(FetchFailed):
         fetcher.fetch("https://h.com/private/x")
-    assert fetcher.fetch("https://h.com/open").content == b""
+    assert fetcher.fetch("https://h.com/open").lang == "unk"
 
 
 def test_live_fetcher_non_200_fails():
@@ -857,7 +860,7 @@ def test_robots_client_error_allows_everything(status):
         "https://h.com/page": (200, "text/html", b""),
     }
     fetcher = LiveFetcher(opener=_opener_factory(responses), per_host_delay_ms=0)
-    assert fetcher.fetch("https://h.com/page").content == b""
+    assert fetcher.fetch("https://h.com/page").lang == "unk"
 
 
 class _FakeResponse:
@@ -924,6 +927,15 @@ def test_default_opener_caps_the_body(monkeypatch):
         ("https://h.com/fit", STORED),
     ]
 
+
+
+def test_robots_body_over_the_cap_allows_everything(monkeypatch):
+    monkeypatch.setattr(crawler, "_MAX_BODY_BYTES", 64)
+    _fake_urlopen(monkeypatch, {
+        "https://h.com/robots.txt": b"User-agent: *\nDisallow: /\n".ljust(65, b"#"),
+        "https://h.com/page": b"<p>the page is for you</p>",
+    })
+    assert LiveFetcher(per_host_delay_ms=0).fetch("https://h.com/page").lang == "eng"
 
 def _html(text, *links):
     anchors = "".join(f'<a href="{link}"></a>' for link in links)

@@ -11,7 +11,7 @@ import pytest
 
 import stub_scorer
 from bifocal import external
-from bifocal.crawler import STORED, CrawlConfig, GraphFetcher, GroundTruthDetector, crawl_live, simulate
+from bifocal.crawler import STORED, CrawlConfig, GraphFetcher, crawl_live, simulate
 from bifocal.errors import ScorerUnavailable
 from bifocal.external import (
     WINDOW,
@@ -98,6 +98,20 @@ def test_distribution_parsing_rejects_missing_tab():
 def test_distribution_parsing_rejects_out_of_range_probabilities(reply):
     with pytest.raises(ScorerUnavailable, match="out of range"):
         parse_distribution(reply)
+
+
+@pytest.mark.parametrize("reply, message", [
+    ("fra\tabc", "malformed probability 'abc'"),
+    ("", "empty distribution response"),
+    ("  ", "empty distribution response"),
+])
+def test_distribution_parsing_rejects_malformed_replies(reply, message):
+    with pytest.raises(ScorerUnavailable, match=message):
+        parse_distribution(reply)
+
+
+def test_distribution_parsing_skips_empty_units():
+    assert parse_distribution("fra\t0.25  eng\t0.75") == {"fra": 0.25, "eng": 0.75}
 
 
 def test_distribution_parsing_accepts_the_bounds():
@@ -302,7 +316,7 @@ def test_out_of_range_language_reply_zeroes_only_its_link(line_server, caplog):
 
 
 def _graph_crawl_live(graph, cfg, *scorers):
-    return crawl_live(cfg, GroundTruthDetector(), *scorers, fetcher=GraphFetcher(graph))
+    return crawl_live(cfg, *scorers, fetcher=GraphFetcher(graph))
 
 
 @pytest.mark.parametrize("crawl", [simulate, _graph_crawl_live])

@@ -41,6 +41,11 @@ def test_percent_decoding_matches_independent_decoder():
     assert "café" in normalize_url(raw).tokens
 
 
+def test_undecodable_percent_run_stays_verbatim():
+    assert normalize_url("https://a.com/%ff%fe").core_tokens() == (
+        "a", ".", "com", "/", "%", "ff", "%", "fe")
+
+
 # A URL-ish alphabet with no '%', '&', '<', '>' so decoding is the identity.
 _plain_urlish = st.text(
     alphabet=string.ascii_lowercase + string.digits + "./-_?=:~",
