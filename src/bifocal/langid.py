@@ -137,11 +137,13 @@ class NgramLangModel:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
+    """The softmax of the logits ``z``, computed in ``z`` itself."""
     import numpy as np
 
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    z -= np.maximum.reduce(z)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z)
+    return z
 
 
 def _mean_embedding(emb: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -155,22 +157,93 @@ def _mean_embedding(emb: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return emb[ids].astype(np.float64, copy=False).mean(axis=0)
 
 
-def _sgd_step(emb: np.ndarray, weights: np.ndarray, ids: np.ndarray, y: int, lr: float) -> float:
-    """One SGD step on the cross-entropy of the example ``(ids, y)``, in place.
+# Examples that ``_plans`` plans together: enough to keep numpy's per-call
+# cost small, few enough to keep its temporaries small.
+_PLAN_EXAMPLES = 32
 
-    ``weights`` and the rows ``ids`` of ``emb`` each move by ``lr`` times
-    their gradient, so with ``lr = 1`` the change is the gradient itself and
-    with ``lr = 0`` nothing moves.  Returns the loss before the step.
+
+def _plans(examples: "list[np.ndarray]") -> list:
+    """The update plan of each example, given as an array of its ids:
+    ``None`` for an example with no ids, else ``(distinct, pos, repeats, n)``.
+
+    ``distinct`` holds the example's distinct rows, most repeated first, and
+    ``pos`` each id's position among them, so ``distinct[pos]`` gives the ids
+    back in order.  ``repeats[k - 1]`` counts the rows that occur more than
+    ``k`` times; they are the first ``repeats[k - 1]`` rows of ``distinct``.
+    ``n`` is the id count.
+
+    Each example's array is overwritten with its positions and becomes its
+    ``pos``, so the plans hold little more than the ids did.
     """
     import numpy as np
 
-    hidden = _mean_embedding(emb, ids)
+    plans = []
+    for start in range(0, len(examples), _PLAN_EXAMPLES):
+        block = examples[start : start + _PLAN_EXAMPLES]
+        lengths = [ids.size for ids in block]
+        ids = np.concatenate(block)
+        id_example = np.repeat(np.arange(len(block)), lengths)
+        # One group per distinct (example, row) pair, sorted by example, then
+        # row; example i has the groups from edges[i] to edges[i + 1].
+        width = int(ids.max(initial=0)) + 1
+        keys, group, counts = np.unique(id_example * width + ids, return_inverse=True,
+                                        return_counts=True)
+        group_example = keys // width
+        edges = np.searchsorted(group_example, np.arange(len(block) + 1))
+        # Within each example, the most repeated rows first; equal counts keep row order.
+        top = int(counts.max(initial=1))
+        order = np.argsort(group_example * (top + 1) + (top - counts), kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        pos = rank[group] - edges[id_example]
+        distinct = (keys % width)[order]
+        # Column k - 1: how many rows of each example occur more than k times.
+        layers = np.zeros((len(block), top - 1), dtype=np.intp)
+        for k in range(1, top):
+            layers[:, k - 1] = np.bincount(group_example[counts > k], minlength=len(block))
+        edges = edges.tolist()
+        end = 0
+        for i, (example, layer) in enumerate(zip(block, layers.tolist())):
+            n = example.size
+            example[:] = pos[end : end + n]
+            end += n
+            plans.append((distinct[edges[i] : edges[i + 1]], example,
+                          tuple(size for size in layer if size), n) if n else None)
+    return plans
+
+
+def _sgd_step(emb: np.ndarray, weights: np.ndarray, plan, y: int, lr: float) -> float:
+    """One SGD step on the cross-entropy of the example ``(plan, y)``, in place.
+
+    ``plan`` is the example's update plan from ``_plans``.  The step gathers
+    the example's distinct rows of ``emb`` once, sums them in id order, and
+    writes them back once.  A row that occurs k times gets its update added k
+    times in sequence, a repeat layer at a time, as ``np.add.at`` over the ids
+    would: every float operation is the plain step's, in the same order.
+    ``weights`` and the rows move by ``lr`` times their gradient, so with
+    ``lr = 1`` the change is the gradient itself and with ``lr = 0`` nothing
+    moves.  Returns the loss before the step.
+    """
+    import numpy as np
+
+    distinct, pos, repeats, n = plan
+    rows = emb.take(distinct, axis=0)
+    # The sum and the division of ``mean`` over the ids' rows.
+    hidden = np.add.reduce(rows.take(pos, axis=0), axis=0)
+    hidden /= n
     dz = _softmax(hidden @ weights)
     loss = -float(np.log(max(dz[y], 1e-300)))
     dz[y] -= 1.0
-    grad_hidden = weights @ dz
-    weights -= lr * np.outer(hidden, dz)
-    np.add.at(emb, ids, -lr * grad_hidden / ids.size)
+    grad = weights @ dz
+    outer = np.multiply.outer(hidden, dz)
+    outer *= lr
+    weights -= outer
+    grad *= -lr
+    grad /= n
+    rows += grad
+    for size in repeats:
+        rows[:size] += grad
+    emb[distinct] = rows
     return loss
 
 
@@ -180,6 +253,10 @@ def _check_shape(n_min: int, n_max: int, dim: int, bucket_count: int, labels) ->
     if not (1 <= n_min <= n_max and bucket_count >= 1 and dim >= 1):
         raise ConfigError(f"need 1 <= n_min <= n_max, bucket_count >= 1 and dim >= 1, got "
                           f"n_min={n_min}, n_max={n_max}, bucket_count={bucket_count}, dim={dim}")
+    if max(n_min, n_max, dim, bucket_count) >= 1 << 32:
+        raise ConfigError(f"need n_min, n_max, bucket_count and dim below 2**32, the model file's "
+                          f"limit, got n_min={n_min}, n_max={n_max}, bucket_count={bucket_count}, "
+                          f"dim={dim}")
     if len(labels) < 2:
         raise ConfigError(f"need at least 2 labels, got {tuple(labels)}")
 
@@ -227,7 +304,9 @@ def ngram_train(
 
     Raises:
         ConfigError: ``hp`` breaks epochs >= 1 or a finite learning_rate > 0,
-            or the model would break ``_check_shape``.
+            ``seed`` is negative, the model would break ``_check_shape``, or
+            training diverged: a trained row or an output weight is not
+            finite in float32.
     """
     import numpy as np
 
@@ -235,6 +314,8 @@ def ngram_train(
         hp = NgramHyperparams()
     if not (hp.epochs >= 1 and 0.0 < hp.learning_rate < float("inf")):
         raise ConfigError(f"need epochs >= 1 and a finite learning_rate > 0, got {hp}")
+    if seed < 0:
+        raise ConfigError(f"need a seed >= 0, got {seed}")
     pairs = list(data)
     labels = tuple(sorted({lang for _, lang in pairs}))
     _check_shape(hp.n_min, hp.n_max, hp.dim, hp.bucket_count, labels)
@@ -249,36 +330,49 @@ def ngram_train(
         embeddings=None,
         output_weights=None,
     )
-    encoded = [(model.feature_ids(url), label_index[lang]) for url, lang in pairs]
+    examples = [model.feature_ids(url) for url, _ in pairs]
     # SGD reads and writes only the rows the examples hash to: train a float64
-    # copy of those rows, with each example's ids remapped onto it.
-    rows = np.unique(np.concatenate([ids for ids, _ in encoded]))
-    encoded = [(np.searchsorted(rows, ids), y) for ids, y in encoded]
+    # copy of those rows, with each example's ids renumbered onto it in place.
+    rows, compact = np.unique(np.concatenate(examples), return_inverse=True)
+    end = 0
+    for ids in examples:
+        ids[:] = compact[end : end + ids.size]
+        end += ids.size
+    del compact
+    plans = _plans(examples)
+    ys = [label_index[lang] for _, lang in pairs]
     rng = np.random.default_rng(seed)
     table, emb = _init_embeddings(rng, hp.bucket_count, hp.dim, rows)
     weights = np.zeros((hp.dim, len(labels)))
 
-    total_updates = hp.epochs * len(encoded)
+    total_updates = hp.epochs * len(plans)
     step = 0
     losses = []
-    for _ in range(hp.epochs):
-        order = rng.permutation(len(encoded))
-        epoch_loss = 0.0
-        seen = 0
-        for idx in order:
-            ids, y = encoded[idx]
-            lr = hp.learning_rate * (1.0 - step / total_updates)
-            step += 1
-            if ids.size == 0:
-                continue
-            epoch_loss += _sgd_step(emb, weights, ids, y, lr)
-            seen += 1
-        losses.append(epoch_loss / max(seen, 1))
-    table[rows] = emb
+    # A run that diverges overflows: it is one error, raised below, instead of
+    # numpy warnings at every step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(hp.epochs):
+            order = rng.permutation(len(plans))
+            epoch_loss = 0.0
+            seen = 0
+            for idx in order.tolist():
+                plan = plans[idx]
+                lr = hp.learning_rate * (1.0 - step / total_updates)
+                step += 1
+                if plan is None:
+                    continue
+                epoch_loss += _sgd_step(emb, weights, plan, ys[idx], lr)
+                seen += 1
+            losses.append(epoch_loss / max(seen, 1))
+        table[rows] = emb
+        # The file holds the weights in float32 too: round them as saving does, so
+        # that a trained model predicts bit for bit like its saved-and-loaded self.
+        weights = weights.astype(np.float32).astype(np.float64)
+    if not (np.isfinite(table[rows]).all() and np.isfinite(weights).all()):
+        raise ConfigError(f"training diverged: a trained embedding row or output weight is not "
+                          f"finite in float32; try a learning_rate below {hp.learning_rate}")
     model.embeddings = table
-    # The file holds the weights in float32 too: round them as saving does, so
-    # that a trained model predicts bit for bit like its saved-and-loaded self.
-    model.output_weights = weights.astype(np.float32).astype(np.float64)
+    model.output_weights = weights
     model.epoch_losses = tuple(losses)
     return model
 

@@ -12,7 +12,7 @@ import random
 from bifocal.datasets import STRATEGIES, generate_negatives, mine_negatives_from_links
 from bifocal.errors import BifocalError, ConfigError, FrontierEmpty, NotAUrl
 from bifocal.frontier import SEED
-from bifocal.langid import NgramHyperparams, NgramLangModel, _sgd_step
+from bifocal.langid import NgramHyperparams, NgramLangModel, _plans, _sgd_step
 from bifocal.metrics import confusion_matrix, prf
 from bifocal.pairscore import (
     LEARNING_RATE,
@@ -364,8 +364,9 @@ def ngram_train_reference(data, hp=None, seed=0):
 
 
 def sgd_step_gradient_check(model, data, step=1e-4, tolerance=1e-3):
-    """Check the trainer's own step, ``_sgd_step``, against central differences
-    of the loss it returns; returns the number of entries compared.
+    """Check the trainer's own step, ``_sgd_step`` on the example's plan from
+    ``_plans``, against central differences of the loss it returns; returns
+    the number of entries compared.
 
     For each ``(url, lang)`` example, a step with ``lr = 1`` on float64 copies
     of the model moves each parameter by its gradient, so before - after is the
@@ -377,16 +378,16 @@ def sgd_step_gradient_check(model, data, step=1e-4, tolerance=1e-3):
     before = emb.copy(), weights.copy()
     checked = 0
     for url, lang in data:
-        ids, y = model.feature_ids(url), model.labels.index(lang)
+        (plan,), y = _plans([model.feature_ids(url)]), model.labels.index(lang)
         moved = emb.copy(), weights.copy()
-        assert _sgd_step(*moved, ids, y, 1.0) > 0
+        assert _sgd_step(*moved, plan, y, 1.0) > 0
         for param, after in zip((emb, weights), moved):
             for index in np.ndindex(param.shape):
                 original = param[index]
                 param[index] = original + step
-                up = _sgd_step(emb, weights, ids, y, 0.0)
+                up = _sgd_step(emb, weights, plan, y, 0.0)
                 param[index] = original - step
-                down = _sgd_step(emb, weights, ids, y, 0.0)
+                down = _sgd_step(emb, weights, plan, y, 0.0)
                 param[index] = original
                 numeric = (up - down) / (2 * step)
                 analytic = original - after[index]

@@ -576,6 +576,14 @@ def _langid_train(tmp, *flags):
     return ["langid", "train", "--data", str(data), "--model", str(tmp / "lang.bin"), *flags]
 
 
+def _diverging_langid_train(tmp):
+    """40 English and French URLs, on which a learning rate of 50 diverges."""
+    rows = "".join(f"{url}\t{lang}\n" for url, lang in lang_url_corpus(40, seed=3, langs=("eng", "fra")))
+    data = _write(tmp, "eng_fra.tsv", rows)
+    return ["langid", "train", "--data", str(data), "--model", str(tmp / "lang.bin"),
+            "--learning-rate", "50", "--buckets", "4096"]
+
+
 def _seeds(tmp, top):
     urls = _write(tmp, "inventory.tsv", "https://big.com/a\tbig.com\nhttps://small.net/x\tsmall.net\n")
     return ["seeds", "--urls", str(urls), "--top", top, "--out", str(tmp / "seeds_out.txt")]
@@ -595,6 +603,10 @@ _BAD_NUMBERS = [
     *[(f"langid learning rate {rate}", lambda tmp, rate=rate: _langid_train(
         tmp, "--learning-rate", rate), "finite learning_rate > 0", "lang.bin")
       for rate in ("0", "-5", "nan", "inf")],
+    ("langid seed -1", lambda tmp: _langid_train(tmp, "--seed", "-1"), "need a seed >= 0, got -1",
+     "lang.bin"),
+    ("langid learning rate 50 diverges", _diverging_langid_train,
+     "training diverged: a trained embedding row or output weight is not finite", "lang.bin"),
     ("cv-combos folds 1",
      lambda tmp: _cv_combos(tmp, _write(tmp, "links.json", "{}")) + ["--folds", "1"],
      "at least 2 folds", "cv.tsv"),
@@ -618,6 +630,19 @@ def test_out_of_range_number_is_an_error_line(tmp_path, capsys, argv, expected, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expected in err
     assert not (tmp_path / output).exists()
+
+
+def test_langid_train_refuses_a_size_the_model_file_cannot_hold(tmp_path, capsys, monkeypatch):
+    from bifocal import langid
+
+    def allocate(*args):
+        raise AssertionError("the embedding table was allocated before the shape was checked")
+
+    monkeypatch.setattr(langid, "_init_embeddings", allocate)
+    assert dispatch(_langid_train(tmp_path, "--buckets", str(1 << 32), "--dim", "1")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "below 2**32" in err and "bucket_count=4294967296" in err
+    assert not (tmp_path / "lang.bin").exists()
 
 
 def test_pair_model_with_a_huge_negative_bias_scores_0(sim_setup, capsys):

@@ -195,14 +195,22 @@ _EDGE_ROWS_DATA = [("https://ccxdj.com/", "deu"), ("https://kvhc.com/", "fra"),
                    ("https://a.com/de/x", "deu"), ("https://a.com/fr/x", "fra")]
 
 
+# "aaaaaaaaaa" holds the 2-gram "aa" 9 times, and in 61 buckets distinct
+# n-grams share rows, so examples repeat rows up to 9 times.
+_REPEATS_HP = NgramHyperparams(n_min=2, n_max=3, dim=4, bucket_count=61, epochs=3)
+_REPEATS_DATA = [("https://aaaaaaaaaa.com/aa/aaaa", "deu"), ("https://ababab.fr/bababa", "fra"),
+                 *lang_url_corpus(30, seed=8, langs=("deu", "fra"))]
+
+
 @pytest.mark.parametrize("data, hp", [
     (toy_bilingual_corpus(), TINY_HP),
     (toy_bilingual_corpus(), NgramHyperparams()),
     (lang_url_corpus(120, seed=4, langs=("deu", "fra")), _ODD_HP),
     (_EDGE_ROWS_DATA, _ODD_HP),
+    (_REPEATS_DATA, _REPEATS_HP),
     ([("https://", "deu"), *lang_url_corpus(40, seed=6, langs=("deu", "fra")), ("https://", "fra")],
      TINY_HP),
-], ids=["tiny", "defaults", "odd_chunks", "edge_rows", "featureless_url"])
+], ids=["tiny", "defaults", "odd_chunks", "edge_rows", "repeats_and_collisions", "featureless_url"])
 def test_training_equals_the_full_table_reference(data, hp):
     model = ngram_train(data, hp, seed=7)
     want = ngram_train_reference(data, hp, seed=7)
@@ -213,12 +221,67 @@ def test_training_equals_the_full_table_reference(data, hp):
     assert model.epoch_losses == want.epoch_losses
 
 
+@pytest.mark.parametrize("field", ["n_min", "n_max", "dim", "bucket_count"])
+def test_a_size_of_2_to_the_32_is_refused_before_allocating(monkeypatch, field):
+    def allocate(*args):
+        raise AssertionError("the embedding table was allocated before the shape was checked")
+
+    monkeypatch.setattr(langid, "_init_embeddings", allocate)
+    sizes = {"n_min": 2, "n_max": 4, "dim": 1, "bucket_count": 64, field: 1 << 32}
+    sizes["n_max"] = max(sizes["n_min"], sizes["n_max"])
+    with pytest.raises(ConfigError, match=r"below 2\*\*32, the model file's limit"):
+        ngram_train(toy_bilingual_corpus(), NgramHyperparams(**sizes))
+
+
 def test_edge_rows_data_hashes_to_the_first_and_last_row():
     model = NgramLangModel(n_min=_ODD_HP.n_min, n_max=_ODD_HP.n_max, dim=_ODD_HP.dim,
                            bucket_count=_ODD_HP.bucket_count, labels=("deu", "fra"),
                            embeddings=None, output_weights=None)
     ids = {i for url, _ in _EDGE_ROWS_DATA for i in model.feature_ids(url).tolist()}
     assert {0, _ODD_HP.bucket_count - 1} <= ids
+
+
+def test_repeats_data_repeats_rows_and_collides():
+    hp = _REPEATS_HP
+    model = NgramLangModel(n_min=hp.n_min, n_max=hp.n_max, dim=hp.dim, bucket_count=hp.bucket_count,
+                           labels=("deu", "fra"), embeddings=None, output_weights=None)
+    assert max(np.bincount(model.feature_ids(url)).max() for url, _ in _REPEATS_DATA) >= 4
+    grams = {feat for url, _ in _REPEATS_DATA for token in normalize_url(url).core_tokens()
+             for feat in ngram_features(token, hp.n_min, hp.n_max)}
+    assert len({fnv1a64(gram.encode()) % hp.bucket_count for gram in grams}) < len(grams)
+
+
+def test_plan_of_ids_that_are_all_equal():
+    (plan,) = langid._plans([np.array([5, 5, 5, 5])])
+    distinct, pos, repeats, n = plan
+    assert distinct.tolist() == [5] and pos.tolist() == [0, 0, 0, 0]
+    assert repeats == (1, 1, 1) and n == 4
+
+
+def test_plan_of_ids_that_are_all_distinct():
+    (plan,) = langid._plans([np.array([7, 2, 9])])
+    distinct, pos, repeats, n = plan
+    assert sorted(distinct.tolist()) == [2, 7, 9] and distinct[pos].tolist() == [7, 2, 9]
+    assert repeats == () and n == 3
+
+
+def test_plans_match_counting_each_example():
+    rng = np.random.default_rng(3)
+    # More examples than one planning block, some empty, rows up to 2**20.
+    examples = [rng.integers(0, rng.choice([3, 50, 1 << 20]), size=rng.integers(0, 40))
+                for _ in range(3 * langid._PLAN_EXAMPLES + 5)]
+    originals = [ids.copy() for ids in examples]
+    for ids, plan in zip(originals, langid._plans(examples), strict=True):
+        if ids.size == 0:
+            assert plan is None
+            continue
+        distinct, pos, repeats, n = plan
+        counts = {row: ids.tolist().count(row) for row in set(ids.tolist())}
+        assert sorted(distinct.tolist()) == sorted(counts) and distinct[pos].tolist() == ids.tolist()
+        by_row = [counts[row] for row in distinct.tolist()]
+        assert by_row == sorted(by_row, reverse=True)
+        assert repeats == tuple(sum(c > k for c in by_row) for k in range(1, by_row[0]))
+        assert n == ids.size
 
 
 def test_training_peak_memory_stays_below_one_and_a_half_float32_tables():
