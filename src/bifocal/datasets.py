@@ -1,4 +1,4 @@
-"""Dataset construction: capping, domain-disjoint splits, negative mining
+"""Dataset construction: domain-disjoint splits, negative mining
 from link graphs, synthetic negative strategies, and the strategy-combination
 cross-validation harness.
 
@@ -51,10 +51,6 @@ class LabeledPair:
         return f"{self.method}:{self.mode}"
 
 
-def gold_pair(url_a: str, url_b: str, lang_a: str, lang_b: str) -> LabeledPair:
-    return LabeledPair(url_a, url_b, "positive", lang_a, lang_b, "gold", "bi")
-
-
 # ---------------------------------------------------------------------------
 # TSV formats (URLs are written byte-for-byte, never re-encoded)
 
@@ -96,32 +92,7 @@ def read_labeled_pairs(path) -> "list[LabeledPair]":
 
 
 # ---------------------------------------------------------------------------
-# Capping and splits
-
-def cap_per_language(corpus, cap: int, seed: int = 0):
-    """Uniformly subsample each over-cap language down to exactly ``cap``.
-
-    Under-cap languages pass through untouched; input order is preserved.
-
-    Raises:
-        ConfigError: ``cap`` is not positive.
-    """
-    if cap <= 0:
-        raise ConfigError(f"cap must be positive, got {cap}")
-    corpus = list(corpus)
-    rng = random.Random(seed)
-    by_lang: dict[str, list[int]] = {}
-    for i, rec in enumerate(corpus):
-        by_lang.setdefault(rec.lang, []).append(i)
-    kept: set[int] = set()
-    for lang in sorted(by_lang):
-        indices = by_lang[lang]
-        if len(indices) <= cap:
-            kept.update(indices)
-        else:
-            kept.update(rng.sample(indices, cap))
-    return [rec for i, rec in enumerate(corpus) if i in kept]
-
+# Splits
 
 def _domain_parts(domains, ratios, seed: int) -> "list[int]":
     """The part of each record, given the domain of each record.

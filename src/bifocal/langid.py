@@ -114,17 +114,36 @@ class NgramHyperparams:
 
 @dataclass
 class NgramLangModel:
+    """A trained classifier: ``bucket_count`` x ``dim`` embedding rows, averaged
+    over a URL's n-gram buckets, then ``output_weights``.
+
+    Only the rows training moved are stored.  Every other row is still its
+    seeded initial value, ``_initial_rows(seed, dim, ...)`` cast to float32:
+    it is drawn the first time a URL hashes to it, then kept with the stored
+    rows for later predictions, but never saved.
+    """
+
     n_min: int
     n_max: int
     dim: int
     bucket_count: int
     labels: tuple[str, ...]
-    # bucket_count x dim, float32: the table ``ngram_train`` builds, or a
-    # read-only view of the file's bytes once loaded.
-    embeddings: np.ndarray
+    seed: int
+    # The stored rows' bucket ids, strictly increasing, and their values:
+    # len(row_ids) x dim, float32.
+    row_ids: np.ndarray
+    rows: np.ndarray
     # dim x len(labels), float64 holding float32 values, as the file does.
     output_weights: np.ndarray
     epoch_losses: tuple[float, ...] = field(default=())
+
+    def __post_init__(self):
+        # Predictions gather rows of ``_table``: the stored rows, then each row
+        # drawn so far.  ``_position`` maps a bucket id to its row there.
+        self._table = None
+        self._position = None
+        # A token's rows in ``_table``: URL tokens repeat across URLs.
+        self._token_positions = lru_cache(maxsize=CACHE_SIZE)(self._positions_of)
 
     def feature_ids(self, url: "str | NormalizedUrl") -> np.ndarray:
         import numpy as np
@@ -135,6 +154,52 @@ class NgramLangModel:
             ids.extend(_token_bucket_ids(token, self.n_min, self.n_max, self.bucket_count))
         return np.asarray(ids, dtype=np.int64)
 
+    def mean_embedding(self, url: "str | NormalizedUrl") -> "np.ndarray | None":
+        """The mean of the embedding rows of ``url``'s n-grams, in float64, or
+        ``None`` for a URL with no features.
+
+        Only the gathered rows are cast, so float32 rows give the same bits as
+        their float64 copy would.
+        """
+        import numpy as np
+
+        norm = normalize_url(url) if isinstance(url, str) else url
+        positions = []
+        for token in norm.core_tokens():
+            positions.extend(self._token_positions(token))
+        if not positions:
+            return None
+        rows = self._table[np.asarray(positions, dtype=np.int64)]
+        return rows.astype(np.float64, copy=False).mean(axis=0)
+
+    def _positions_of(self, token: str) -> tuple[int, ...]:
+        """The rows of ``_table`` that ``token``'s n-grams hash to, drawing
+        those that are neither stored nor drawn yet."""
+        import numpy as np
+
+        if self._table is None:
+            self._table = np.array(self.rows)
+            self._position = {bucket: i for i, bucket in enumerate(self.row_ids.tolist())}
+        ids = _token_bucket_ids(token, self.n_min, self.n_max, self.bucket_count)
+        missing = sorted({i for i in ids if i not in self._position})
+        if missing:
+            self._draw(missing)
+        return tuple(map(self._position.__getitem__, ids))
+
+    def _draw(self, ids: "list[int]") -> None:
+        """Add rows ``ids`` (sorted), drawn from the seed and cast to float32,
+        to ``_table``, doubling its capacity when it is full."""
+        import numpy as np
+
+        start = len(self._position)
+        end = start + len(ids)
+        if end > len(self._table):
+            grown = np.empty((max(end, 2 * len(self._table)), self.dim), dtype=self._table.dtype)
+            grown[:start] = self._table[:start]
+            self._table = grown
+        self._table[start:end] = _initial_rows(self.seed, self.dim, ids).astype(np.float32)
+        self._position.update(zip(ids, range(start, end)))
+
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     """The softmax of the logits ``z``, computed in ``z`` itself."""
@@ -144,17 +209,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= np.add.reduce(z)
     return z
-
-
-def _mean_embedding(emb: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Mean of the rows ``ids`` of ``emb``, in float64.
-
-    Only the gathered rows are cast, so a float32 table gives the same bits as
-    its float64 copy would.
-    """
-    import numpy as np
-
-    return emb[ids].astype(np.float64, copy=False).mean(axis=0)
 
 
 # Examples that ``_plans`` plans together: enough to keep numpy's per-call
@@ -259,36 +313,35 @@ def _check_shape(n_min: int, n_max: int, dim: int, bucket_count: int, labels) ->
                           f"dim={dim}")
     if len(labels) < 2:
         raise ConfigError(f"need at least 2 labels, got {tuple(labels)}")
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"need distinct labels, got {tuple(labels)}")
 
 
-# Rows per chunk of the initial embedding that training draws in float64.
-_CHUNK_ROWS = 1 << 12
+def _initial_rows(seed: int, dim: int, ids) -> np.ndarray:
+    """Rows ``ids`` (sorted, distinct) of the seeded initial embedding, in float64.
 
-
-def _init_embeddings(rng, bucket_count: int, dim: int, rows: np.ndarray):
-    """The seeded initial embedding as a float32 table, and a float64 copy of
-    its ``rows`` (sorted ids).
-
-    The table is drawn a chunk at a time, with the same draws and the same
-    arithmetic per element as ``(rng.random((bucket_count, dim)) * 2.0 - 1.0)
-    / dim``, so ``rng`` ends in the same state and the float64 rows are that
-    expression's.
+    Row ``r`` of the ``bucket_count`` x ``dim`` table that
+    ``(rng.random((bucket_count, dim)) * 2.0 - 1.0) / dim`` draws from
+    ``rng = default_rng(seed)`` is made of draws ``r * dim`` to
+    ``(r + 1) * dim - 1``: the generator skips to them with ``advance``, so no
+    other row is drawn, and a run of consecutive ids is drawn in one call.
     """
     import numpy as np
 
-    table = np.empty((bucket_count, dim), dtype=np.float32)
-    copy = np.empty((len(rows), dim))
-    chunk = np.empty((min(_CHUNK_ROWS, bucket_count), dim))
-    for start in range(0, bucket_count, _CHUNK_ROWS):
-        part = chunk[: min(_CHUNK_ROWS, bucket_count - start)]
-        rng.random(out=part)
-        part *= 2.0
-        part -= 1.0
-        part /= dim
-        table[start : start + len(part)] = part
-        lo, hi = np.searchsorted(rows, (start, start + len(part)))
-        copy[lo:hi] = part[rows[lo:hi] - start]
-    return table, copy
+    ids = np.asarray(ids, dtype=np.int64)
+    out = np.empty((len(ids), dim))
+    rng = np.random.default_rng(seed)
+    starts = [0, *(np.flatnonzero(np.diff(ids) != 1) + 1).tolist()] if len(ids) else []
+    passed = 0  # rows the generator has drawn or skipped
+    for start, stop in zip(starts, [*starts[1:], len(ids)]):
+        first = int(ids[start])
+        rng.bit_generator.advance((first - passed) * dim)
+        rng.random(out=out[start:stop])
+        passed = first + stop - start
+    out *= 2.0
+    out -= 1.0
+    out /= dim
+    return out
 
 
 def ngram_train(
@@ -304,7 +357,8 @@ def ngram_train(
 
     Raises:
         ConfigError: ``hp`` breaks epochs >= 1 or a finite learning_rate > 0,
-            ``seed`` is negative, the model would break ``_check_shape``, or
+            ``seed`` is negative or 2**64 or more (the model file's limit), the
+            model would break ``_check_shape``, or
             training diverged: a trained row or an output weight is not
             finite in float32.
     """
@@ -316,6 +370,8 @@ def ngram_train(
         raise ConfigError(f"need epochs >= 1 and a finite learning_rate > 0, got {hp}")
     if seed < 0:
         raise ConfigError(f"need a seed >= 0, got {seed}")
+    if seed >= 1 << 64:
+        raise ConfigError(f"need a seed below 2**64, the model file's limit, got {seed}")
     pairs = list(data)
     labels = tuple(sorted({lang for _, lang in pairs}))
     _check_shape(hp.n_min, hp.n_max, hp.dim, hp.bucket_count, labels)
@@ -327,7 +383,9 @@ def ngram_train(
         dim=hp.dim,
         bucket_count=hp.bucket_count,
         labels=labels,
-        embeddings=None,
+        seed=seed,
+        row_ids=None,
+        rows=None,
         output_weights=None,
     )
     examples = [model.feature_ids(url) for url, _ in pairs]
@@ -341,8 +399,10 @@ def ngram_train(
     del compact
     plans = _plans(examples)
     ys = [label_index[lang] for _, lang in pairs]
+    emb = _initial_rows(seed, hp.dim, rows)
+    # The epochs' permutations come after the whole table's draws.
     rng = np.random.default_rng(seed)
-    table, emb = _init_embeddings(rng, hp.bucket_count, hp.dim, rows)
+    rng.bit_generator.advance(hp.bucket_count * hp.dim)
     weights = np.zeros((hp.dim, len(labels)))
 
     total_updates = hp.epochs * len(plans)
@@ -364,14 +424,15 @@ def ngram_train(
                 epoch_loss += _sgd_step(emb, weights, plan, ys[idx], lr)
                 seen += 1
             losses.append(epoch_loss / max(seen, 1))
-        table[rows] = emb
+        emb = emb.astype(np.float32)
         # The file holds the weights in float32 too: round them as saving does, so
         # that a trained model predicts bit for bit like its saved-and-loaded self.
         weights = weights.astype(np.float32).astype(np.float64)
-    if not (np.isfinite(table[rows]).all() and np.isfinite(weights).all()):
+    if not (np.isfinite(emb).all() and np.isfinite(weights).all()):
         raise ConfigError(f"training diverged: a trained embedding row or output weight is not "
                           f"finite in float32; try a learning_rate below {hp.learning_rate}")
-    model.embeddings = table
+    model.row_ids = rows
+    model.rows = emb
     model.output_weights = weights
     model.epoch_losses = tuple(losses)
     return model
@@ -384,13 +445,14 @@ def ngram_predict(model: NgramLangModel, url: "str | NormalizedUrl") -> dict[str
 
     Raises:
         ConfigError: a probability is not finite (the URL hashes to an
-            embedding row that holds a NaN or an infinity).
+            embedding row that holds a NaN or an infinity, which no loaded
+            model has).
     """
-    ids = model.feature_ids(url)
-    if ids.size == 0:
+    hidden = model.mean_embedding(url)
+    if hidden is None:
         p = 1.0 / len(model.labels)
         return {label: p for label in model.labels}
-    probs = _softmax(_mean_embedding(model.embeddings, ids) @ model.output_weights).tolist()
+    probs = _softmax(hidden @ model.output_weights).tolist()
     if not all(map(math.isfinite, probs)):
         source = url if isinstance(url, str) else url.source
         raise ConfigError(f"{source}: the language model's probabilities are not finite")
@@ -398,14 +460,19 @@ def ngram_predict(model: NgramLangModel, url: "str | NormalizedUrl") -> dict[str
 
 
 # ---------------------------------------------------------------------------
-# Serialization: versioned binary container, little-endian float32 matrices.
+# Serialization: versioned binary container, little-endian.
+#
+# Version 2: "NGLM"; u32 version, n_min, n_max, dim, bucket_count, label
+# count; each label as a u32 length and UTF-8 bytes; the u64 seed; the u32
+# count of stored rows; their bucket ids as u32, strictly increasing; their
+# values as float32, row by row; the dim x labels output weights as float32.
 
 _MAGIC = b"NGLM"
-_VERSION = 1
+_VERSION = 2
 
 
 def _write_model(model: NgramLangModel, handle) -> None:
-    """Write ``model`` to a binary file object: the header, then the matrices."""
+    """Write ``model`` to a binary file object: the header, then the arrays."""
     import numpy as np
 
     handle.write(_MAGIC)
@@ -422,17 +489,17 @@ def _write_model(model: NgramLangModel, handle) -> None:
         encoded = label.encode("utf-8")
         handle.write(struct.pack("<I", len(encoded)))
         handle.write(encoded)
-    for matrix in (model.embeddings, model.output_weights):
-        # An array is a bytes-like object: ``write`` takes its buffer as is,
-        # and a float32 table, trained or loaded, is written without a copy.
+    handle.write(struct.pack("<QI", model.seed, len(model.row_ids)))
+    handle.write(np.ascontiguousarray(model.row_ids, dtype="<u4"))
+    for matrix in (model.rows, model.output_weights):
         handle.write(np.ascontiguousarray(matrix, dtype="<f4"))
 
 
 def model_from_bytes(blob) -> NgramLangModel:
-    """The model in ``blob`` (bytes or a mapping); its embedding is a float32
-    view of ``blob``, not scanned for NaN, which would read all of it.  A header
-    that ``_check_shape`` rejects is a ``ConfigError``; another bad blob, such
-    as non-finite output weights, is a ``ValueError`` or ``struct.error``."""
+    """The model in ``blob``.  A header that ``_check_shape`` rejects is a
+    ``ConfigError``; another bad blob, such as a length that does not add up,
+    row ids out of order or a stored row or output weight that is not finite,
+    is a ``ValueError`` or ``struct.error``."""
     import numpy as np
 
     if blob[:4] != _MAGIC:
@@ -448,9 +515,23 @@ def model_from_bytes(blob) -> NgramLangModel:
         labels.append(blob[offset : offset + length].decode("utf-8"))
         offset += length
     _check_shape(n_min, n_max, dim, buckets, labels)
-    emb = np.frombuffer(blob, dtype="<f4", count=buckets * dim, offset=offset)
-    offset += emb.nbytes
-    weights = np.frombuffer(blob, dtype="<f4", count=dim * n_labels, offset=offset)
+    seed, count = struct.unpack_from("<QI", blob, offset)
+    offset += 12
+    # Checked before any array is made, so a count or size too large for the
+    # blob allocates nothing.
+    size = offset + 4 * count * (1 + dim) + 4 * dim * n_labels
+    if len(blob) != size:
+        raise ValueError(f"{count} stored rows of dim {dim} and {n_labels} labels need "
+                         f"{size} bytes, not {len(blob)}")
+    row_ids = np.frombuffer(blob, dtype="<u4", count=count, offset=offset).astype(np.int64)
+    offset += 4 * count
+    if count and not ((row_ids[1:] > row_ids[:-1]).all() and row_ids[-1] < buckets):
+        raise ValueError(f"stored row ids are not strictly increasing and below {buckets}")
+    rows = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=offset)
+    offset += rows.nbytes
+    if not np.isfinite(rows).all():
+        raise ValueError("stored embedding rows are not all finite")
+    weights = np.frombuffer(blob, dtype="<f4", offset=offset)
     if not np.isfinite(weights).all():
         raise ValueError("output weights are not all finite")
     return NgramLangModel(
@@ -459,18 +540,20 @@ def model_from_bytes(blob) -> NgramLangModel:
         dim=dim,
         bucket_count=buckets,
         labels=tuple(labels),
-        embeddings=emb.reshape(buckets, dim),
+        seed=seed,
+        row_ids=row_ids,
+        rows=rows.reshape(count, dim),
         output_weights=weights.reshape(dim, n_labels).astype(np.float64),
     )
 
 
 def save_model(model: NgramLangModel, path) -> None:
-    """Write ``model`` to ``path`` atomically.
+    """Write ``model`` to ``path`` atomically, without the rows its
+    predictions drew.
 
     The bytes go to a temporary file in the same directory, which then
-    replaces ``path``.  A model loaded from ``path`` maps the old file, which
-    stays intact; truncating it in place would kill that reader.  If writing
-    fails, ``path`` is left as it was and the temporary file is removed.
+    replaces ``path``, so a reader never sees half a model.  If writing fails,
+    ``path`` is left as it was and the temporary file is removed.
     """
     directory, name = os.path.split(os.fspath(path))
     tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
@@ -485,21 +568,14 @@ def save_model(model: NgramLangModel, path) -> None:
 
 
 def load_model(path) -> NgramLangModel:
-    """Map a model written by ``save_model``.
-
-    The file is mapped read-only, not read: the embedding is a view of the
-    mapping, and no copy of it is made.
+    """Read a model written by ``save_model``.
 
     Raises:
-        ConfigError: the file is not a classifier model or is cut short.
+        ConfigError: the file is not a classifier model of this version, is
+            cut short or too long, or holds a number that is not finite.
     """
-    import mmap
-
     with open(path, "rb") as handle:
-        try:
-            blob = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except ValueError as exc:  # an empty file cannot be mapped
-            raise ConfigError(f"{path}: not a language model: {exc}") from None
+        blob = handle.read()
     try:
         return model_from_bytes(blob)
     except (ConfigError, ValueError, struct.error) as exc:

@@ -325,7 +325,8 @@ def cross_validate_combos_reference(positives, link_map, lang_map, langs, k, see
 
 def ngram_train_reference(data, hp=None, seed=0):
     """The n-gram trainer over the whole float64 embedding table: drawn in one
-    call, every step reading and writing it in place."""
+    call, every step reading and writing it in place.  The model it returns
+    stores every row, in float64."""
     if hp is None:
         hp = NgramHyperparams()
     pairs = list(data)
@@ -334,7 +335,8 @@ def ngram_train_reference(data, hp=None, seed=0):
     emb = (rng.random((hp.bucket_count, hp.dim)) * 2.0 - 1.0) / hp.dim
     weights = np.zeros((hp.dim, len(labels)))
     model = NgramLangModel(n_min=hp.n_min, n_max=hp.n_max, dim=hp.dim, bucket_count=hp.bucket_count,
-                           labels=labels, embeddings=emb, output_weights=weights)
+                           labels=labels, seed=seed, row_ids=np.arange(hp.bucket_count), rows=emb,
+                           output_weights=weights)
     encoded = [(model.feature_ids(url), labels.index(lang)) for url, lang in pairs]
     total_updates = hp.epochs * len(encoded)
     step = 0
@@ -371,14 +373,18 @@ def sgd_step_gradient_check(model, data, step=1e-4, tolerance=1e-3):
     For each ``(url, lang)`` example, a step with ``lr = 1`` on float64 copies
     of the model moves each parameter by its gradient, so before - after is the
     analytic gradient.  The numeric one comes from steps with ``lr = 0``, which
-    must leave every parameter where it was.
+    must leave every parameter where it was.  Every row the examples hash to
+    must be one of the model's stored rows.
     """
-    emb = model.embeddings.astype(np.float64)
+    emb = model.rows.astype(np.float64)
     weights = model.output_weights.astype(np.float64)
     before = emb.copy(), weights.copy()
     checked = 0
     for url, lang in data:
-        (plan,), y = _plans([model.feature_ids(url)]), model.labels.index(lang)
+        ids = model.feature_ids(url)
+        stored = np.searchsorted(model.row_ids, ids)
+        assert np.array_equal(model.row_ids[stored], ids), url
+        (plan,), y = _plans([stored]), model.labels.index(lang)
         moved = emb.copy(), weights.copy()
         assert _sgd_step(*moved, plan, y, 1.0) > 0
         for param, after in zip((emb, weights), moved):

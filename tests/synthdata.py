@@ -10,10 +10,15 @@ import math
 import random
 
 from bifocal.crawler import SiteGraph, SitePage, site_of
-from bifocal.datasets import LabeledPair, gold_pair
+from bifocal.datasets import LabeledPair
 from bifocal.isodata import bundled_languages
 
 SYNTH_LANGS = ("deu", "eng", "eus", "fin", "fra", "isl", "mlt", "spa")
+
+
+def gold_pair(url_a: str, url_b: str, lang_a: str, lang_b: str) -> LabeledPair:
+    """A positive pair from gold data, bilingual."""
+    return LabeledPair(url_a, url_b, "positive", lang_a, lang_b, "gold", "bi")
 
 # Slug words chosen to never collide with language-marker tokens.
 NEUTRAL_WORDS = (

@@ -9,7 +9,6 @@ from contextlib import contextmanager
 
 from bifocal.datasets import (
     cross_validate_combos,
-    gold_pair,
     neg_max_jaccard,
     neg_remove_tokens,
 )
@@ -38,6 +37,7 @@ from synthdata import (
     NEUTRAL_WORDS,
     OracleLangScorer,
     OraclePairScorer,
+    gold_pair,
     lang_url_corpus,
     parallel_pair_corpus,
     planted_graph,

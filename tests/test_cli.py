@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 import urllib.request
 from pathlib import Path
 
@@ -289,13 +290,15 @@ def _pair_command(command):
         *(["--model", str(tmp / "p.json")] if command == "train" else [])]
 
 
-def _model_file(tmp, n_min=2, n_max=4, dim=2, buckets=4, labels=("eng", "fra")):
-    """A language model file with this header and all-zero matrices."""
-    blob = b"NGLM" + struct.pack("<IIIIII", 1, n_min, n_max, dim, buckets, len(labels))
+def _model_file(tmp, n_min=2, n_max=4, dim=2, buckets=4, labels=("eng", "fra"), row_ids=()):
+    """A language model file with this header, seed 0, the stored rows
+    ``row_ids`` and all-zero rows and output weights."""
+    blob = b"NGLM" + struct.pack("<IIIIII", 2, n_min, n_max, dim, buckets, len(labels))
     for label in labels:
         blob += struct.pack("<I", len(label)) + label.encode()
+    blob += struct.pack(f"<QI{len(row_ids)}I", 0, len(row_ids), *row_ids)
     path = tmp / "header.bin"
-    path.write_bytes(blob + bytes(4 * dim * (buckets + len(labels))))
+    path.write_bytes(blob + bytes(4 * dim * (len(row_ids) + len(labels))))
     return path
 
 
@@ -332,9 +335,9 @@ def _nan_weight_model(tmp):
 
 
 def _nan_embedding_model(tmp):
-    """A language model file (eng, fra; 4 buckets, dim 2) whose embedding is
-    all NaN and whose output weights are 0."""
-    path = _model_file(tmp)
+    """A language model file (eng, fra; 4 buckets, dim 2) that stores all 4
+    rows, all NaN, and whose output weights are 0."""
+    path = _model_file(tmp, row_ids=(0, 1, 2, 3))
     blob = path.read_bytes()
     weights = 4 * 2 * 2
     embedding = struct.pack("<8f", *[float("nan")] * 8)
@@ -537,11 +540,11 @@ _BAD_INPUTS = [
     ("langid predict with a NaN embedding",
      lambda tmp, graph, config: ["langid", "predict", "--model", str(_nan_embedding_model(tmp)),
                                  "https://a.com/fr/x"],
-     "https://a.com/fr/x: the language model's probabilities are not finite"),
+     "header.bin: not a language model: stored embedding rows are not all finite"),
     ("langid eval with a NaN embedding",
      lambda tmp, graph, config: ["langid", "eval", "--model", str(_nan_embedding_model(tmp)),
                                  "--data", str(_write(tmp, "gold.tsv", "https://a.com/fr/x\tfra\n"))],
-     "https://a.com/fr/x: the language model's probabilities are not finite"),
+     "header.bin: not a language model: stored embedding rows are not all finite"),
     ("pair model with other feature names",
      lambda tmp, graph, config: ["pairscore", "score", "--scorer", "model",
                                  "--model", str(_write(tmp, "names.json", json.dumps({
@@ -605,6 +608,8 @@ _BAD_NUMBERS = [
       for rate in ("0", "-5", "nan", "inf")],
     ("langid seed -1", lambda tmp: _langid_train(tmp, "--seed", "-1"), "need a seed >= 0, got -1",
      "lang.bin"),
+    ("langid seed 2**64", lambda tmp: _langid_train(tmp, "--seed", str(1 << 64)),
+     "need a seed below 2**64, the model file's limit", "lang.bin"),
     ("langid learning rate 50 diverges", _diverging_langid_train,
      "training diverged: a trained embedding row or output weight is not finite", "lang.bin"),
     ("cv-combos folds 1",
@@ -638,11 +643,29 @@ def test_langid_train_refuses_a_size_the_model_file_cannot_hold(tmp_path, capsys
     def allocate(*args):
         raise AssertionError("the embedding table was allocated before the shape was checked")
 
-    monkeypatch.setattr(langid, "_init_embeddings", allocate)
+    monkeypatch.setattr(langid, "_initial_rows", allocate)
     assert dispatch(_langid_train(tmp_path, "--buckets", str(1 << 32), "--dim", "1")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "below 2**32" in err and "bucket_count=4294967296" in err
     assert not (tmp_path / "lang.bin").exists()
+
+
+def test_langid_train_with_the_largest_table_the_model_file_holds_stays_small(tmp_path, capsys):
+    # 2**32 - 1 rows of 4 float32 would be 64 GiB; only the trained rows are
+    # made.  The modules are imported first, so the peak is the command's own.
+    import numpy  # noqa: F401
+    from bifocal import datasets, langid  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        assert dispatch(_langid_train(tmp_path, "--buckets", str((1 << 32) - 1), "--dim", "4")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert dispatch(["langid", "predict", "--model", str(tmp_path / "lang.bin"),
+                     "https://a.com/fr/x", "https://b.org/unseen/words"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("https://a.com/fr/x\tfra\t")
 
 
 def test_pair_model_with_a_huge_negative_bias_scores_0(sim_setup, capsys):

@@ -162,7 +162,7 @@ def test_score_links_priority_outside_0_1_gives_zero(p_lang, caplog):
 
 def test_nan_language_model_does_not_end_a_crawl(crawl_models, caplog):
     lang_model, pair_model = crawl_models
-    broken = dataclasses.replace(lang_model, embeddings=lang_model.embeddings * float("nan"))
+    broken = dataclasses.replace(lang_model, rows=lang_model.rows * float("nan"))
     graph, seeds = dense_planted_graph()
     log = simulate(graph, _cfg(seeds, budget=50), NgramLanguageScorer(broken),
                    FeaturePairScorer(pair_model))

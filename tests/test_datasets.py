@@ -11,10 +11,8 @@ from bifocal.datasets import (
     DEFAULT_STRATEGIES,
     STRATEGIES,
     LabeledUrl,
-    cap_per_language,
     cross_validate_combos,
     generate_negatives,
-    gold_pair,
     mine_negatives_from_links,
     neg_max_jaccard,
     neg_random_match,
@@ -30,7 +28,7 @@ from bifocal.pairscore import FEATURE_NAMES, PairFeatureModel
 from bifocal.urls import jaccard, normalize_url, parse_components
 
 from references import cross_validate_combos_reference, fold_domains_reference, max_jaccard_reference
-from synthdata import parallel_pair_corpus
+from synthdata import gold_pair, parallel_pair_corpus
 
 
 def _corpus(groups):
@@ -40,38 +38,6 @@ def _corpus(groups):
         for i in range(count):
             out.append(LabeledUrl(f"https://{domain}/{lang}/{i}", lang))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Capping
-
-def test_cap_subsamples_to_exact_cap():
-    corpus = _corpus([("a.com", "eng", 10)])
-    capped = cap_per_language(corpus, 5, seed=1)
-    assert len(capped) == 5
-    assert set(capped) <= set(corpus)
-
-
-def test_cap_keeps_small_languages():
-    corpus = _corpus([("a.com", "eng", 3)])
-    assert cap_per_language(corpus, 5) == corpus
-
-
-def test_cap_deterministic():
-    corpus = _corpus([("a.com", "eng", 50), ("b.org", "fra", 40)])
-    assert cap_per_language(corpus, 7, seed=9) == cap_per_language(corpus, 7, seed=9)
-
-
-def test_cap_rejects_nonpositive():
-    with pytest.raises(ConfigError, match="cap must be positive"):
-        cap_per_language(_corpus([("a.com", "eng", 2)]), 0)
-
-
-def test_cap_preserves_input_order():
-    corpus = _corpus([("a.com", "eng", 30)])
-    capped = cap_per_language(corpus, 10, seed=3)
-    indices = [corpus.index(rec) for rec in capped]
-    assert indices == sorted(indices)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import dataclasses
+import functools
+import signal
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bifocal import langid
 from bifocal.errors import ConfigError
@@ -136,10 +140,10 @@ def test_training_is_deterministic():
     data = toy_bilingual_corpus()
     m1 = ngram_train(data, TINY_HP, seed=5)
     m2 = ngram_train(data, TINY_HP, seed=5)
-    assert np.array_equal(m1.embeddings, m2.embeddings)
+    assert np.array_equal(m1.row_ids, m2.row_ids) and np.array_equal(m1.rows, m2.rows)
     assert np.array_equal(m1.output_weights, m2.output_weights)
     m3 = ngram_train(data, TINY_HP, seed=6)
-    assert not np.array_equal(m1.embeddings, m3.embeddings)
+    assert not np.array_equal(m1.rows, m3.rows)
 
 
 def test_degenerate_labels():
@@ -188,8 +192,8 @@ def test_gradient_check_matches_finite_differences():
     assert sgd_step_gradient_check(model, data) > 0
 
 
-# A table of three chunks, the last one 3 rows long.
-_ODD_HP = NgramHyperparams(n_min=2, n_max=4, dim=3, bucket_count=2 * langid._CHUNK_ROWS + 3, epochs=3)
+# A table whose size is not a power of 2.
+_ODD_HP = NgramHyperparams(n_min=2, n_max=4, dim=3, bucket_count=8195, epochs=3)
 # "ccxdj" has an n-gram in row 0 of that table, "kvhc" one in its last row.
 _EDGE_ROWS_DATA = [("https://ccxdj.com/", "deu"), ("https://kvhc.com/", "fra"),
                    ("https://a.com/de/x", "deu"), ("https://a.com/fr/x", "fra")]
@@ -214,8 +218,17 @@ _REPEATS_DATA = [("https://aaaaaaaaaa.com/aa/aaaa", "deu"), ("https://ababab.fr/
 def test_training_equals_the_full_table_reference(data, hp):
     model = ngram_train(data, hp, seed=7)
     want = ngram_train_reference(data, hp, seed=7)
-    assert model.embeddings.dtype == np.float32
-    assert np.array_equal(model.embeddings, want.embeddings.astype(np.float32))
+    # The stored rows are the rows the data hashes to.
+    assert model.row_ids.tolist() == sorted({i for url, _ in data for i in model.feature_ids(url).tolist()})
+    assert model.rows.dtype == np.float32
+    assert np.array_equal(model.rows, want.rows[model.row_ids].astype(np.float32))
+    # Every other row is the one its seed draws, a block of the table at a time.
+    stored = np.zeros(hp.bucket_count, dtype=bool)
+    stored[model.row_ids] = True
+    for start in range(0, hp.bucket_count, 1 << 16):
+        ids = np.arange(start, min(start + (1 << 16), hp.bucket_count))
+        ids = ids[~stored[ids]]
+        assert np.array_equal(langid._initial_rows(model.seed, hp.dim, ids), want.rows[ids])
     # Both matrices are kept at the precision the file holds.
     assert np.array_equal(model.output_weights, want.output_weights.astype(np.float32))
     assert model.epoch_losses == want.epoch_losses
@@ -226,7 +239,7 @@ def test_a_size_of_2_to_the_32_is_refused_before_allocating(monkeypatch, field):
     def allocate(*args):
         raise AssertionError("the embedding table was allocated before the shape was checked")
 
-    monkeypatch.setattr(langid, "_init_embeddings", allocate)
+    monkeypatch.setattr(langid, "_initial_rows", allocate)
     sizes = {"n_min": 2, "n_max": 4, "dim": 1, "bucket_count": 64, field: 1 << 32}
     sizes["n_max"] = max(sizes["n_min"], sizes["n_max"])
     with pytest.raises(ConfigError, match=r"below 2\*\*32, the model file's limit"):
@@ -236,7 +249,7 @@ def test_a_size_of_2_to_the_32_is_refused_before_allocating(monkeypatch, field):
 def test_edge_rows_data_hashes_to_the_first_and_last_row():
     model = NgramLangModel(n_min=_ODD_HP.n_min, n_max=_ODD_HP.n_max, dim=_ODD_HP.dim,
                            bucket_count=_ODD_HP.bucket_count, labels=("deu", "fra"),
-                           embeddings=None, output_weights=None)
+                           seed=0, row_ids=None, rows=None, output_weights=None)
     ids = {i for url, _ in _EDGE_ROWS_DATA for i in model.feature_ids(url).tolist()}
     assert {0, _ODD_HP.bucket_count - 1} <= ids
 
@@ -244,7 +257,8 @@ def test_edge_rows_data_hashes_to_the_first_and_last_row():
 def test_repeats_data_repeats_rows_and_collides():
     hp = _REPEATS_HP
     model = NgramLangModel(n_min=hp.n_min, n_max=hp.n_max, dim=hp.dim, bucket_count=hp.bucket_count,
-                           labels=("deu", "fra"), embeddings=None, output_weights=None)
+                           labels=("deu", "fra"), seed=0, row_ids=None, rows=None,
+                           output_weights=None)
     assert max(np.bincount(model.feature_ids(url)).max() for url, _ in _REPEATS_DATA) >= 4
     grams = {feat for url, _ in _REPEATS_DATA for token in normalize_url(url).core_tokens()
              for feat in ngram_features(token, hp.n_min, hp.n_max)}
@@ -306,6 +320,52 @@ def test_trained_model_predicts_like_its_saved_and_loaded_self(tmp_path, toy_mod
         assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
+def test_a_seed_the_model_file_cannot_hold_is_refused():
+    with pytest.raises(ConfigError, match=r"below 2\*\*64, the model file's limit"):
+        ngram_train(toy_bilingual_corpus(), TINY_HP, seed=1 << 64)
+
+
+def test_rows_no_training_url_hashes_to_predict_like_the_reference_table(tmp_path):
+    data = toy_bilingual_corpus()
+    model = ngram_train(data, TINY_HP, seed=7)
+    want = ngram_train_reference(data, TINY_HP, seed=7)
+    # The reference's table as the model would hold it, every row stored.
+    table = dataclasses.replace(want, rows=want.rows.astype(np.float32),
+                                output_weights=want.output_weights.astype(np.float32).astype(np.float64))
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    blob = path.read_bytes()
+    loaded = load_model(path)
+    urls = [url for url, _ in lang_url_corpus(200, seed=13, langs=("eng", "spa"))]
+    # Each URL hashes to rows no training URL reaches, and to stored ones.
+    stored = set(model.row_ids.tolist())
+    drawn = [set(model.feature_ids(url).tolist()) - stored for url in urls]
+    assert all(drawn) and len(set().union(*drawn)) > 500
+    for url in urls + urls[::-1]:
+        expected = {k: v.hex() for k, v in ngram_predict(table, url).items()}
+        for m in (model, loaded):
+            assert {k: v.hex() for k, v in ngram_predict(m, url).items()} == expected, url
+    # The rows those predictions drew are not saved.
+    save_model(loaded, path)
+    assert path.read_bytes() == blob
+    save_model(model, path)
+    assert path.read_bytes() == blob
+
+
+def test_the_largest_finite_numbers_predict_a_distribution(tmp_path):
+    # Loading refuses a row or weight that is not finite; with finite float32
+    # numbers the float64 logits cannot overflow, so a loaded model always
+    # predicts a distribution.
+    big = float(np.finfo(np.float32).max)
+    model = NgramLangModel(n_min=1, n_max=2, dim=3, bucket_count=7, labels=("deu", "eng", "fra"),
+                           seed=5, row_ids=np.arange(7), rows=np.full((7, 3), big),
+                           output_weights=np.array([[big, -big, 0.0]] * 3))
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    dist = ngram_predict(load_model(path), "https://a.com/de/x")
+    assert dist == {"deu": 1.0, "eng": 0.0, "fra": 0.0}
+
+
 def test_n_max_beyond_the_marked_token_adds_no_features():
     for token in ("", "a", "abc", "fr"):
         longest = len(token) + 2
@@ -323,8 +383,9 @@ def test_model_round_trip(tmp_path, toy_model):
     assert (loaded.n_min, loaded.n_max, loaded.dim, loaded.bucket_count) == (
         toy_model.n_min, toy_model.n_max, toy_model.dim, toy_model.bucket_count,
     )
-    # Stored as float32, so compare at that precision.
-    assert np.allclose(loaded.embeddings, toy_model.embeddings, atol=1e-6)
+    assert loaded.seed == toy_model.seed
+    assert np.array_equal(loaded.row_ids, toy_model.row_ids)
+    assert np.array_equal(loaded.rows, toy_model.rows)
     for url, lang in toy_bilingual_corpus()[:10]:
         d1 = ngram_predict(toy_model, url)
         d2 = ngram_predict(loaded, url)
@@ -333,22 +394,31 @@ def test_model_round_trip(tmp_path, toy_model):
 
 def _reference_bytes(model):
     """The model file format, encoded in one piece."""
-    parts = [b"NGLM", struct.pack("<IIIIII", 1, model.n_min, model.n_max, model.dim,
+    parts = [b"NGLM", struct.pack("<IIIIII", 2, model.n_min, model.n_max, model.dim,
                                   model.bucket_count, len(model.labels))]
     for label in model.labels:
         parts += [struct.pack("<I", len(label.encode())), label.encode()]
-    parts.append(np.asarray(model.embeddings, dtype="<f4").tobytes())
+    parts.append(struct.pack("<QI", model.seed, len(model.row_ids)))
+    parts += [struct.pack("<I", i) for i in model.row_ids.tolist()]
+    parts += [struct.pack("<f", v) for v in model.rows.ravel().tolist()]
     parts.append(np.asarray(model.output_weights, dtype="<f4").tobytes())
     return b"".join(parts)
 
 
+def _stored_rows_at(model):
+    """The offset of ``model``'s stored row ids in its file."""
+    return 4 + 24 + sum(4 + len(label.encode()) for label in model.labels) + 12
+
+
 def _odd_sized_model():
-    """A float64 model whose bucket count is not a multiple of the training chunk."""
-    buckets = langid._CHUNK_ROWS * 2 + 3
+    """A float64 model with a bucket count that is not a power of 2, a seed
+    above 2**63 and stored rows that include its first and last."""
+    buckets = 8195
     rng = np.random.default_rng(4)
+    row_ids = np.array([0, 1, 2, 700, 4096, buckets - 1])
     return NgramLangModel(
         n_min=2, n_max=3, dim=2, bucket_count=buckets, labels=("deu", "français"),
-        embeddings=rng.standard_normal((buckets, 2)),
+        seed=(1 << 64) - 5, row_ids=row_ids, rows=rng.standard_normal((len(row_ids), 2)),
         output_weights=rng.standard_normal((2, 2)),
     )
 
@@ -369,8 +439,8 @@ def test_loaded_model_keeps_float32_embeddings(tmp_path, toy_model):
     path = tmp_path / "model.bin"
     save_model(toy_model, path)
     loaded = load_model(path)
-    assert loaded.embeddings.dtype == np.float32
-    assert loaded.embeddings.shape == (toy_model.bucket_count, toy_model.dim)
+    assert loaded.rows.dtype == np.float32
+    assert loaded.rows.shape == (len(toy_model.row_ids), toy_model.dim)
     assert loaded.output_weights.dtype == np.float64
 
 
@@ -378,7 +448,7 @@ def test_loaded_model_predicts_like_a_float64_copy(tmp_path, toy_model):
     path = tmp_path / "model.bin"
     save_model(toy_model, path)
     loaded = load_model(path)
-    upcast = dataclasses.replace(loaded, embeddings=loaded.embeddings.astype(np.float64))
+    upcast = dataclasses.replace(loaded, rows=loaded.rows.astype(np.float64))
     for url, _ in lang_url_corpus(300, seed=9, langs=("deu", "fra")):
         got = ngram_predict(loaded, url)
         want = ngram_predict(upcast, url)
@@ -413,15 +483,115 @@ def test_failed_save_keeps_the_old_file(tmp_path, toy_model, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
 
-@pytest.mark.parametrize("cut", ["empty", "header", "labels", "embedding", "weights"])
+@pytest.mark.parametrize("cut", ["empty", "header", "labels", "seed", "row_ids", "embedding",
+                                 "weights"])
 def test_load_rejects_a_cut_model_file(tmp_path, toy_model, cut):
     blob = _reference_bytes(toy_model)
-    ends = {"empty": 0, "header": 10, "labels": 4 + 24 + 2,
-            "embedding": len(blob) // 2, "weights": len(blob) - 1}
+    seed_at = _stored_rows_at(toy_model) - 12
+    ends = {"empty": 0, "header": 10, "labels": 4 + 24 + 2, "seed": seed_at + 5,
+            "row_ids": seed_at + 12 + 6, "embedding": len(blob) // 2, "weights": len(blob) - 1}
     path = tmp_path / "model.bin"
     path.write_bytes(blob[: ends[cut]])
     with pytest.raises(ConfigError, match="not a language model"):
         load_model(path)
+
+
+@pytest.mark.parametrize("case, error", [
+    ("version 1", "unsupported model version 1"),
+    ("label repeated", r"need distinct labels, got \('deu', 'deu'\)"),
+    ("ids out of order", "not strictly increasing"),
+    ("id repeated", "not strictly increasing"),
+    ("id past the table", "not strictly increasing and below 4096"),
+    ("count too large", "need"),
+    ("trailing byte", "need"),
+    ("NaN row", "stored embedding rows are not all finite"),
+    ("infinite row", "stored embedding rows are not all finite"),
+])
+def test_load_rejects_a_model_file_that_does_not_add_up(tmp_path, toy_model, case, error):
+    blob = bytearray(_reference_bytes(toy_model))
+    ids_at = _stored_rows_at(toy_model)
+    rows_at = ids_at + 4 * len(toy_model.row_ids)
+    if case == "version 1":
+        # The first layout: every row of the table, then the weights.
+        blob = _reference_bytes(toy_model)[: ids_at - 12] + bytes(
+            4 * TINY_HP.dim * (TINY_HP.bucket_count + len(toy_model.labels)))
+        blob = blob[:4] + struct.pack("<I", 1) + blob[8:]
+    elif case == "label repeated":
+        blob = blob.replace(b"fra", b"deu", 1)
+    elif case == "ids out of order":
+        blob[ids_at : ids_at + 8] = blob[ids_at + 4 : ids_at + 8] + blob[ids_at : ids_at + 4]
+    elif case == "id repeated":
+        blob[ids_at + 4 : ids_at + 8] = blob[ids_at : ids_at + 4]
+    elif case == "id past the table":
+        blob[rows_at - 4 : rows_at] = struct.pack("<I", TINY_HP.bucket_count)
+    elif case == "count too large":
+        blob[ids_at - 4 : ids_at] = struct.pack("<I", (1 << 32) - 1)
+    elif case == "trailing byte":
+        blob += b"\0"
+    else:
+        blob[rows_at + 4 : rows_at + 8] = struct.pack("<f", float("nan" if case == "NaN row" else "inf"))
+    path = tmp_path / "model.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match=f"model.bin: not a language model: .*{error}"):
+        load_model(path)
+
+
+@functools.cache
+def _fuzz_model():
+    """A small trained model: 64 buckets of dim 2, a few dozen stored rows."""
+    hp = NgramHyperparams(dim=2, bucket_count=64, epochs=1)
+    return ngram_train(lang_url_corpus(12, seed=2, langs=("deu", "fra")), hp, seed=3)
+
+
+def _hang(signum, frame):
+    raise TimeoutError("one case ran for more than 2 s")
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_model_file_loads_or_is_a_config_error(tmp_path, data):
+    model = _fuzz_model()
+    blob = bytearray(_reference_bytes(model))
+    ids_at, count = _stored_rows_at(model), len(model.row_ids)
+    kind = data.draw(st.sampled_from(["flip", "truncate", "shuffle ids", "oversized count"]))
+    if kind == "flip":
+        for at, mask in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)),
+                                           min_size=1, max_size=6)):
+            blob[at] ^= mask
+    elif kind == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    elif kind == "shuffle ids":
+        ids = [blob[ids_at + 4 * i : ids_at + 4 * i + 4] for i in range(count)]
+        blob[ids_at : ids_at + 4 * count] = b"".join(ids[i] for i in data.draw(st.permutations(range(count))))
+    else:
+        # The stored row count, a header size (n_min, n_max, dim, buckets,
+        # labels) or the first label's length.
+        at = data.draw(st.sampled_from([ids_at - 4, 8, 12, 16, 20, 24, 28]))
+        size = data.draw(st.one_of(st.sampled_from([count + 1, 1 << 31, (1 << 32) - 1]),
+                                   st.integers(0, (1 << 32) - 1)))
+        blob[at : at + 4] = struct.pack("<I", size)
+    path = tmp_path / "model.bin"
+    path.write_bytes(bytes(blob))
+    # A hang is a failure too; Hypothesis's deadline could not stop one.
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        try:
+            loaded = load_model(path)
+        except ConfigError:
+            return
+        for url in ("https://a.com/de/x", "https://b.org/fr/y?q=1", "https://"):
+            try:
+                dist = ngram_predict(loaded, url)
+            except ConfigError:
+                continue
+            assert list(dist) == list(loaded.labels)
+        # What loads is what saving that model writes.
+        save_model(loaded, path)
+        assert path.read_bytes() == blob
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_load_rejects_a_file_that_is_not_a_model(tmp_path):
@@ -434,7 +604,8 @@ def test_load_rejects_a_file_that_is_not_a_model(tmp_path):
 def test_feature_ids_equal_the_uncached_loop():
     def model(n_min, n_max, buckets):
         return NgramLangModel(n_min=n_min, n_max=n_max, dim=1, bucket_count=buckets,
-                              labels=("deu", "fra"), embeddings=None, output_weights=None)
+                              labels=("deu", "fra"), seed=0, row_ids=None, rows=None,
+                              output_weights=None)
 
     # The same tokens under three settings, asked in turn.
     models = [model(2, 4, 4096), model(1, 3, 4096), model(2, 4, 1021)]

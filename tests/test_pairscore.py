@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bifocal.datasets import STRATEGIES, generate_negatives, gold_pair, neg_random_match
+from bifocal.datasets import STRATEGIES, generate_negatives, neg_random_match
 from bifocal.errors import ConfigError, UnknownLanguage
 from bifocal.pairscore import (
     FEATURE_NAMES,
@@ -33,7 +33,7 @@ from references import (
     pair_features_reference,
     pair_train_reference,
 )
-from synthdata import NEUTRAL_WORDS
+from synthdata import NEUTRAL_WORDS, gold_pair
 
 ENG = build_language_tokens("eng")
 FRA = build_language_tokens("fra")
