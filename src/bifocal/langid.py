@@ -93,13 +93,17 @@ def ngram_features(token: str, n_min: int, n_max: int) -> list[str]:
     return feats
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _token_bucket_ids(token: str, n_min: int, n_max: int, bucket_count: int) -> tuple[int, ...]:
-    """Bucket ids of a token's n-grams; URL tokens repeat across URLs."""
+def _bucket_ids(token: str, n_min: int, n_max: int, bucket_count: int) -> tuple[int, ...]:
+    """Bucket ids of a token's n-grams."""
     return tuple(
         fnv1a64(feat.encode("utf-8")) % bucket_count
         for feat in ngram_features(token, n_min, n_max)
     )
+
+
+# URL tokens repeat across training URLs.  Predictions memoize each token's
+# rows instead, so they do not hold its ids here too.
+_token_bucket_ids = lru_cache(maxsize=CACHE_SIZE)(_bucket_ids)
 
 
 @dataclass
@@ -118,9 +122,9 @@ class NgramLangModel:
     over a URL's n-gram buckets, then ``output_weights``.
 
     Only the rows training moved are stored.  Every other row is still its
-    seeded initial value, ``_initial_rows(seed, dim, ...)`` cast to float32:
-    it is drawn the first time a URL hashes to it, then kept with the stored
-    rows for later predictions, but never saved.
+    seeded initial value, ``_initial_rows`` of ``default_rng(seed)`` cast to
+    float32: it is drawn when a URL's token hashes to it, kept with that
+    token's rows while the token is memoized, and never saved.
     """
 
     n_min: int
@@ -138,12 +142,11 @@ class NgramLangModel:
     epoch_losses: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        # Predictions gather rows of ``_table``: the stored rows, then each row
-        # drawn so far.  ``_position`` maps a bucket id to its row there.
-        self._table = None
-        self._position = None
-        # A token's rows in ``_table``: URL tokens repeat across URLs.
-        self._token_positions = lru_cache(maxsize=CACHE_SIZE)(self._positions_of)
+        # ``default_rng(seed)``, made when the first row is drawn.
+        self._rng = None
+        # A token's rows: URL tokens repeat across URLs.  The memo's bound is
+        # the bound of the drawn rows held, too.
+        self._token_rows = lru_cache(maxsize=CACHE_SIZE)(self._rows_of)
 
     def feature_ids(self, url: "str | NormalizedUrl") -> np.ndarray:
         import numpy as np
@@ -164,41 +167,36 @@ class NgramLangModel:
         import numpy as np
 
         norm = normalize_url(url) if isinstance(url, str) else url
-        positions = []
-        for token in norm.core_tokens():
-            positions.extend(self._token_positions(token))
-        if not positions:
+        parts = [self._token_rows(token) for token in norm.core_tokens()]
+        if not parts:
             return None
-        rows = self._table[np.asarray(positions, dtype=np.int64)]
-        return rows.astype(np.float64, copy=False).mean(axis=0)
+        rows = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        return rows.astype(np.float64).mean(axis=0)
 
-    def _positions_of(self, token: str) -> tuple[int, ...]:
-        """The rows of ``_table`` that ``token``'s n-grams hash to, drawing
-        those that are neither stored nor drawn yet."""
+    def _rows_of(self, token: str) -> np.ndarray:
+        """The rows of ``token``'s n-grams in order, read-only and of the
+        stored rows' dtype: each row is stored or drawn from the seed."""
         import numpy as np
 
-        if self._table is None:
-            self._table = np.array(self.rows)
-            self._position = {bucket: i for i, bucket in enumerate(self.row_ids.tolist())}
-        ids = _token_bucket_ids(token, self.n_min, self.n_max, self.bucket_count)
-        missing = sorted({i for i in ids if i not in self._position})
-        if missing:
-            self._draw(missing)
-        return tuple(map(self._position.__getitem__, ids))
-
-    def _draw(self, ids: "list[int]") -> None:
-        """Add rows ``ids`` (sorted), drawn from the seed and cast to float32,
-        to ``_table``, doubling its capacity when it is full."""
-        import numpy as np
-
-        start = len(self._position)
-        end = start + len(ids)
-        if end > len(self._table):
-            grown = np.empty((max(end, 2 * len(self._table)), self.dim), dtype=self._table.dtype)
-            grown[:start] = self._table[:start]
-            self._table = grown
-        self._table[start:end] = _initial_rows(self.seed, self.dim, ids).astype(np.float32)
-        self._position.update(zip(ids, range(start, end)))
+        ids = np.array(_bucket_ids(token, self.n_min, self.n_max, self.bucket_count),
+                       dtype=np.int64)
+        out = np.empty((ids.size, self.dim), dtype=self.rows.dtype)
+        at = np.searchsorted(self.row_ids, ids)
+        if len(self.row_ids):
+            stored = self.row_ids.take(at, mode="clip") == ids
+            out[stored] = self.rows[at[stored]]
+        else:
+            stored = np.zeros(ids.size, dtype=bool)
+        if not stored.all():
+            if self._rng is None:
+                self._rng = np.random.default_rng(self.seed)
+            missing = ids[~stored]
+            order = missing.argsort()
+            drawn = np.empty((missing.size, self.dim), dtype=out.dtype)
+            drawn[order] = _initial_rows(self._rng, self.dim, missing[order]).astype(np.float32)
+            out[~stored] = drawn
+        out.flags.writeable = False
+        return out
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -317,27 +315,35 @@ def _check_shape(n_min: int, n_max: int, dim: int, bucket_count: int, labels) ->
         raise ConfigError(f"need distinct labels, got {tuple(labels)}")
 
 
-def _initial_rows(seed: int, dim: int, ids) -> np.ndarray:
-    """Rows ``ids`` (sorted, distinct) of the seeded initial embedding, in float64.
+def _initial_rows(rng: np.random.Generator, dim: int, ids) -> np.ndarray:
+    """Rows ``ids`` of the seeded initial embedding, in float64.
 
-    Row ``r`` of the ``bucket_count`` x ``dim`` table that
-    ``(rng.random((bucket_count, dim)) * 2.0 - 1.0) / dim`` draws from
-    ``rng = default_rng(seed)`` is made of draws ``r * dim`` to
-    ``(r + 1) * dim - 1``: the generator skips to them with ``advance``, so no
-    other row is drawn, and a run of consecutive ids is drawn in one call.
+    ``rng`` is ``default_rng(seed)`` at its start, and is wound back there
+    afterwards.  Row ``r`` of the ``bucket_count`` x ``dim`` table that
+    ``(rng.random((bucket_count, dim)) * 2.0 - 1.0) / dim`` draws is made of
+    draws ``r * dim`` to ``(r + 1) * dim - 1``: the generator skips to them
+    with ``advance``, so no other row is drawn.  The ids may repeat and come
+    in any order, but increasing ids are cheapest: each skip is forward, and a
+    run of consecutive ids is drawn in one call.
     """
     import numpy as np
 
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64).tolist()
     out = np.empty((len(ids), dim))
-    rng = np.random.default_rng(seed)
-    starts = [0, *(np.flatnonzero(np.diff(ids) != 1) + 1).tolist()] if len(ids) else []
+    advance = rng.bit_generator.advance
     passed = 0  # rows the generator has drawn or skipped
-    for start, stop in zip(starts, [*starts[1:], len(ids)]):
-        first = int(ids[start])
-        rng.bit_generator.advance((first - passed) * dim)
+    start = 0
+    while start < len(ids):
+        first = ids[start]
+        stop = start + 1
+        while stop < len(ids) and ids[stop] == first + stop - start:
+            stop += 1
+        # PCG64 advances modulo its period, so a negative skip goes back.
+        advance((first - passed) * dim)
         rng.random(out=out[start:stop])
         passed = first + stop - start
+        start = stop
+    advance(-passed * dim)
     out *= 2.0
     out -= 1.0
     out /= dim
@@ -399,9 +405,9 @@ def ngram_train(
     del compact
     plans = _plans(examples)
     ys = [label_index[lang] for _, lang in pairs]
-    emb = _initial_rows(seed, hp.dim, rows)
-    # The epochs' permutations come after the whole table's draws.
     rng = np.random.default_rng(seed)
+    emb = _initial_rows(rng, hp.dim, rows)
+    # The epochs' permutations come after the whole table's draws.
     rng.bit_generator.advance(hp.bucket_count * hp.dim)
     weights = np.zeros((hp.dim, len(labels)))
 

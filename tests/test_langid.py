@@ -222,13 +222,15 @@ def test_training_equals_the_full_table_reference(data, hp):
     assert model.row_ids.tolist() == sorted({i for url, _ in data for i in model.feature_ids(url).tolist()})
     assert model.rows.dtype == np.float32
     assert np.array_equal(model.rows, want.rows[model.row_ids].astype(np.float32))
-    # Every other row is the one its seed draws, a block of the table at a time.
+    # Every other row is the one its seed draws, a block of the table at a
+    # time; the generator is wound back after each block.
     stored = np.zeros(hp.bucket_count, dtype=bool)
     stored[model.row_ids] = True
+    rng = np.random.default_rng(model.seed)
     for start in range(0, hp.bucket_count, 1 << 16):
         ids = np.arange(start, min(start + (1 << 16), hp.bucket_count))
         ids = ids[~stored[ids]]
-        assert np.array_equal(langid._initial_rows(model.seed, hp.dim, ids), want.rows[ids])
+        assert np.array_equal(langid._initial_rows(rng, hp.dim, ids), want.rows[ids])
     # Both matrices are kept at the precision the file holds.
     assert np.array_equal(model.output_weights, want.output_weights.astype(np.float32))
     assert model.epoch_losses == want.epoch_losses
@@ -350,6 +352,35 @@ def test_rows_no_training_url_hashes_to_predict_like_the_reference_table(tmp_pat
     assert path.read_bytes() == blob
     save_model(model, path)
     assert path.read_bytes() == blob
+
+
+def test_rows_drawn_for_predictions_are_held_only_while_their_token_is_memoized(monkeypatch):
+    # A crawl of new sites meets new tokens without end: the rows drawn for
+    # them must not pile up.
+    monkeypatch.setattr(langid, "CACHE_SIZE", 64)
+    model = ngram_train(toy_bilingual_corpus(), dataclasses.replace(TINY_HP, bucket_count=1 << 20),
+                        seed=7)
+    words = np.random.default_rng(5).integers(ord("a"), ord("z") + 1, size=(1200, 9))
+    urls = [f"https://{bytes(word.tolist()).decode()}.com/" for word in words]
+
+    def numpy_bytes_held():
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
+    tracemalloc.start()
+    try:
+        for url in urls[:200]:
+            ngram_predict(model, url)
+        before = numpy_bytes_held()
+        # About 27,000 more rows drawn: 0.9 MB if they were all kept.
+        for url in urls[200:]:
+            ngram_predict(model, url)
+        after = numpy_bytes_held()
+    finally:
+        tracemalloc.stop()
+    assert model._token_rows.cache_info().currsize == 64
+    assert after - before < 64 << 10, (before, after)
 
 
 def test_the_largest_finite_numbers_predict_a_distribution(tmp_path):
