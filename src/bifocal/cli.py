@@ -102,10 +102,7 @@ def _crawl_config(path, **flags) -> "tuple[crawler.CrawlConfig, str | None]":
         raise ConfigError(f"config is missing required keys: {', '.join(missing)}")
     graph = cfg.pop("graph", None)
     seeds = tuple(line.strip() for _, line in numbered_lines(cfg.pop("seeds_file")) if line.strip())
-    try:
-        return crawler.CrawlConfig(seeds=seeds, **cfg), graph
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return crawler.CrawlConfig(seeds=seeds, **cfg), graph
 
 
 # ---------------------------------------------------------------------------

@@ -123,16 +123,16 @@ class CrawlConfig:
 
     def __post_init__(self):
         if self.lang_a == self.lang_b:
-            raise ValueError("crawl needs two distinct languages")
+            raise ConfigError("crawl needs two distinct languages")
         if self.budget <= 0:
-            raise ValueError("budget must be positive")
+            raise ConfigError("budget must be positive")
         if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
+            raise ConfigError(f"max_depth must be at least 0, got {self.max_depth}")
         if self.per_host_delay_ms < 0:
-            raise ValueError(f"per_host_delay_ms must be at least 0, got {self.per_host_delay_ms}")
+            raise ConfigError(f"per_host_delay_ms must be at least 0, got {self.per_host_delay_ms}")
         self.seeds = tuple(self.seeds)
         if not self.seeds:
-            raise ValueError("crawl needs at least one seed URL")
+            raise ConfigError("crawl needs at least one seed URL")
 
 
 @dataclass

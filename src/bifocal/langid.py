@@ -18,11 +18,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ConfigError, NotAUrl
 from .isodata import UNKNOWN_LANG, bundled_languages
-from .urls import CACHE_SIZE, NormalizedUrl, UrlComponents, normalize_url, parse_components
+from .urls import CACHE_SIZE, UrlComponents, normalize_url, parse_components
 
 # ---------------------------------------------------------------------------
 # Rule baseline
@@ -37,20 +37,11 @@ def rule_langid(components: UrlComponents) -> str:
     decides.
     """
     table = bundled_languages()
-    for _, value in components.query_params:
+    for value in (*(value for _, value in components.query_params), *components.path_segments,
+                  components.public_suffix, components.subdomain):
         code = table.canonical(value)
         if code:
             return code
-    for segment in components.path_segments:
-        code = table.canonical(segment)
-        if code:
-            return code
-    code = table.canonical(components.public_suffix)
-    if code:
-        return code
-    code = table.canonical(components.subdomain)
-    if code:
-        return code
     return UNKNOWN_LANG
 
 
@@ -101,11 +92,6 @@ def _bucket_ids(token: str, n_min: int, n_max: int, bucket_count: int) -> tuple[
     )
 
 
-# URL tokens repeat across training URLs.  Predictions memoize each token's
-# rows instead, so they do not hold its ids here too.
-_token_bucket_ids = lru_cache(maxsize=CACHE_SIZE)(_bucket_ids)
-
-
 @dataclass
 class NgramHyperparams:
     n_min: int = 2
@@ -142,36 +128,17 @@ class NgramLangModel:
     epoch_losses: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        # ``default_rng(seed)``, made when the first row is drawn.
-        self._rng = None
         # A token's rows: URL tokens repeat across URLs.  The memo's bound is
         # the bound of the drawn rows held, too.
         self._token_rows = lru_cache(maxsize=CACHE_SIZE)(self._rows_of)
 
-    def feature_ids(self, url: "str | NormalizedUrl") -> np.ndarray:
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        """``default_rng(seed)``, which draws the rows no stored row holds.
+        Made at the first draw: ``numpy.random`` costs 6 MiB to import."""
         import numpy as np
 
-        norm = normalize_url(url) if isinstance(url, str) else url
-        ids = []
-        for token in norm.core_tokens():
-            ids.extend(_token_bucket_ids(token, self.n_min, self.n_max, self.bucket_count))
-        return np.asarray(ids, dtype=np.int64)
-
-    def mean_embedding(self, url: "str | NormalizedUrl") -> "np.ndarray | None":
-        """The mean of the embedding rows of ``url``'s n-grams, in float64, or
-        ``None`` for a URL with no features.
-
-        Only the gathered rows are cast, so float32 rows give the same bits as
-        their float64 copy would.
-        """
-        import numpy as np
-
-        norm = normalize_url(url) if isinstance(url, str) else url
-        parts = [self._token_rows(token) for token in norm.core_tokens()]
-        if not parts:
-            return None
-        rows = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        return rows.astype(np.float64).mean(axis=0)
+        return np.random.default_rng(self.seed)
 
     def _rows_of(self, token: str) -> np.ndarray:
         """The rows of ``token``'s n-grams in order, read-only and of the
@@ -188,8 +155,6 @@ class NgramLangModel:
         else:
             stored = np.zeros(ids.size, dtype=bool)
         if not stored.all():
-            if self._rng is None:
-                self._rng = np.random.default_rng(self.seed)
             missing = ids[~stored]
             order = missing.argsort()
             drawn = np.empty((missing.size, self.dim), dtype=out.dtype)
@@ -323,8 +288,7 @@ def _initial_rows(rng: np.random.Generator, dim: int, ids) -> np.ndarray:
     ``(rng.random((bucket_count, dim)) * 2.0 - 1.0) / dim`` draws is made of
     draws ``r * dim`` to ``(r + 1) * dim - 1``: the generator skips to them
     with ``advance``, so no other row is drawn.  The ids may repeat and come
-    in any order, but increasing ids are cheapest: each skip is forward, and a
-    run of consecutive ids is drawn in one call.
+    in any order, but increasing ids are cheapest: each skip is forward.
     """
     import numpy as np
 
@@ -332,17 +296,11 @@ def _initial_rows(rng: np.random.Generator, dim: int, ids) -> np.ndarray:
     out = np.empty((len(ids), dim))
     advance = rng.bit_generator.advance
     passed = 0  # rows the generator has drawn or skipped
-    start = 0
-    while start < len(ids):
-        first = ids[start]
-        stop = start + 1
-        while stop < len(ids) and ids[stop] == first + stop - start:
-            stop += 1
+    for i, row in enumerate(ids):
         # PCG64 advances modulo its period, so a negative skip goes back.
-        advance((first - passed) * dim)
-        rng.random(out=out[start:stop])
-        passed = first + stop - start
-        start = stop
+        advance((row - passed) * dim)
+        rng.random(out=out[i])
+        passed = row + 1
     advance(-passed * dim)
     out *= 2.0
     out -= 1.0
@@ -383,18 +341,16 @@ def ngram_train(
     _check_shape(hp.n_min, hp.n_max, hp.dim, hp.bucket_count, labels)
     label_index = {lab: i for i, lab in enumerate(labels)}
 
-    model = NgramLangModel(
-        n_min=hp.n_min,
-        n_max=hp.n_max,
-        dim=hp.dim,
-        bucket_count=hp.bucket_count,
-        labels=labels,
-        seed=seed,
-        row_ids=None,
-        rows=None,
-        output_weights=None,
-    )
-    examples = [model.feature_ids(url) for url, _ in pairs]
+    # URL tokens repeat across training URLs: each distinct one is hashed once.
+    token_ids: dict[str, tuple[int, ...]] = {}
+    examples = []
+    for url, _ in pairs:
+        ids = []
+        for token in normalize_url(url).core_tokens():
+            if token not in token_ids:
+                token_ids[token] = _bucket_ids(token, hp.n_min, hp.n_max, hp.bucket_count)
+            ids.extend(token_ids[token])
+        examples.append(np.array(ids, dtype=np.int64))
     # SGD reads and writes only the rows the examples hash to: train a float64
     # copy of those rows, with each example's ids renumbered onto it in place.
     rows, compact = np.unique(np.concatenate(examples), return_inverse=True)
@@ -437,31 +393,34 @@ def ngram_train(
     if not (np.isfinite(emb).all() and np.isfinite(weights).all()):
         raise ConfigError(f"training diverged: a trained embedding row or output weight is not "
                           f"finite in float32; try a learning_rate below {hp.learning_rate}")
-    model.row_ids = rows
-    model.rows = emb
-    model.output_weights = weights
-    model.epoch_losses = tuple(losses)
-    return model
+    return NgramLangModel(n_min=hp.n_min, n_max=hp.n_max, dim=hp.dim, bucket_count=hp.bucket_count,
+                          labels=labels, seed=seed, row_ids=rows, rows=emb, output_weights=weights,
+                          epoch_losses=tuple(losses))
 
 
-def ngram_predict(model: NgramLangModel, url: "str | NormalizedUrl") -> dict[str, float]:
+def ngram_predict(model: NgramLangModel, url: str) -> dict[str, float]:
     """Probability distribution over the model's labels.
 
-    A URL with no features (sentinels only) yields the uniform distribution.
+    The softmax reads the mean of the embedding rows of ``url``'s n-grams,
+    taken in float64.  Only the gathered rows are cast, so float32 rows give
+    the same bits as their float64 copy would.  A URL with no features
+    (sentinels only) yields the uniform distribution.
 
     Raises:
         ConfigError: a probability is not finite (the URL hashes to an
             embedding row that holds a NaN or an infinity, which no loaded
             model has).
     """
-    hidden = model.mean_embedding(url)
-    if hidden is None:
+    import numpy as np
+
+    parts = [model._token_rows(token) for token in normalize_url(url).core_tokens()]
+    if not parts:
         p = 1.0 / len(model.labels)
         return {label: p for label in model.labels}
-    probs = _softmax(hidden @ model.output_weights).tolist()
+    rows = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    probs = _softmax(rows.astype(np.float64).mean(axis=0) @ model.output_weights).tolist()
     if not all(map(math.isfinite, probs)):
-        source = url if isinstance(url, str) else url.source
-        raise ConfigError(f"{source}: the language model's probabilities are not finite")
+        raise ConfigError(f"{url}: the language model's probabilities are not finite")
     return dict(zip(model.labels, probs))
 
 

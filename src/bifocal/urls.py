@@ -69,17 +69,6 @@ class UrlComponents:
         port = f":{self.port}" if self.port is not None else ""
         return f"{self.scheme}://{self.host}{port}"
 
-    def unparse(self) -> str:
-        """Reassemble scheme + host + path + query."""
-        out = self.origin
-        if self.path_segments:
-            out += "/" + "/".join(self.path_segments)
-        if self.query_params:
-            out += "?" + "&".join(
-                f"{k}={v}" if v else k for k, v in self.query_params
-            )
-        return out
-
 
 def _decode_percent_once(text: str) -> str:
     # Runs of %XX escapes are decoded together as one UTF-8 byte string so

@@ -12,7 +12,14 @@ import random
 from bifocal.datasets import STRATEGIES, generate_negatives, mine_negatives_from_links
 from bifocal.errors import BifocalError, ConfigError, FrontierEmpty, NotAUrl
 from bifocal.frontier import SEED
-from bifocal.langid import NgramHyperparams, NgramLangModel, _plans, _sgd_step
+from bifocal.langid import (
+    NgramHyperparams,
+    NgramLangModel,
+    _plans,
+    _sgd_step,
+    fnv1a64,
+    ngram_features,
+)
 from bifocal.metrics import confusion_matrix, prf
 from bifocal.pairscore import (
     LEARNING_RATE,
@@ -323,6 +330,15 @@ def cross_validate_combos_reference(positives, link_map, lang_map, langs, k, see
     return rows
 
 
+def feature_ids(model, url):
+    """The bucket ids of ``url``'s n-grams in order, hashed one n-gram at a
+    time.  ``model`` is anything with ``n_min``, ``n_max`` and
+    ``bucket_count``: a model or its hyperparameters."""
+    return np.array([fnv1a64(feat.encode("utf-8")) % model.bucket_count
+                     for token in normalize_url(url).core_tokens()
+                     for feat in ngram_features(token, model.n_min, model.n_max)], dtype=np.int64)
+
+
 def ngram_train_reference(data, hp=None, seed=0):
     """The n-gram trainer over the whole float64 embedding table: drawn in one
     call, every step reading and writing it in place.  The model it returns
@@ -337,7 +353,7 @@ def ngram_train_reference(data, hp=None, seed=0):
     model = NgramLangModel(n_min=hp.n_min, n_max=hp.n_max, dim=hp.dim, bucket_count=hp.bucket_count,
                            labels=labels, seed=seed, row_ids=np.arange(hp.bucket_count), rows=emb,
                            output_weights=weights)
-    encoded = [(model.feature_ids(url), labels.index(lang)) for url, lang in pairs]
+    encoded = [(feature_ids(model, url), labels.index(lang)) for url, lang in pairs]
     total_updates = hp.epochs * len(encoded)
     step = 0
     losses = []
@@ -381,7 +397,7 @@ def sgd_step_gradient_check(model, data, step=1e-4, tolerance=1e-3):
     before = emb.copy(), weights.copy()
     checked = 0
     for url, lang in data:
-        ids = model.feature_ids(url)
+        ids = feature_ids(model, url)
         stored = np.searchsorted(model.row_ids, ids)
         assert np.array_equal(model.row_ids[stored], ids), url
         (plan,), y = _plans([stored]), model.labels.index(lang)

@@ -70,7 +70,7 @@ def test_module_entry_point_runs_the_cli():
 
 # Runs one command in a fresh interpreter, then prints which of the heavy
 # modules it loaded.
-_HEAVY = ("numpy", "urllib.request", "bifocal.datasets", "bifocal.external")
+_HEAVY = ("numpy", "numpy.random", "urllib.request", "bifocal.datasets", "bifocal.external")
 _PROBE = (
     "import json, sys\n"
     "from bifocal.cli import dispatch\n"

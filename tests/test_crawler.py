@@ -214,6 +214,11 @@ def test_budget_halts_crawl():
     assert len(log) == 7
 
 
+def test_a_budget_of_0_is_a_config_error():
+    with pytest.raises(ConfigError, match="budget must be positive"):
+        _cfg(["https://a/"], budget=0)
+
+
 def test_crawl_step_by_step():
     graph = _graph({
         "https://a/": ("eng", ["https://a/1", "https://a/2"], []),

@@ -28,7 +28,7 @@ from bifocal.langid import (
 from bifocal.urls import normalize_url, parse_components
 
 from golden import RULE_ORDER_CASES
-from references import ngram_train_reference, sgd_step_gradient_check
+from references import feature_ids, ngram_train_reference, sgd_step_gradient_check
 from synthdata import lang_url_corpus, toy_bilingual_corpus
 
 TINY_HP = NgramHyperparams(dim=8, bucket_count=4096, epochs=10, learning_rate=0.1)
@@ -219,7 +219,7 @@ def test_training_equals_the_full_table_reference(data, hp):
     model = ngram_train(data, hp, seed=7)
     want = ngram_train_reference(data, hp, seed=7)
     # The stored rows are the rows the data hashes to.
-    assert model.row_ids.tolist() == sorted({i for url, _ in data for i in model.feature_ids(url).tolist()})
+    assert model.row_ids.tolist() == sorted({i for url, _ in data for i in feature_ids(model, url).tolist()})
     assert model.rows.dtype == np.float32
     assert np.array_equal(model.rows, want.rows[model.row_ids].astype(np.float32))
     # Every other row is the one its seed draws, a block of the table at a
@@ -249,19 +249,13 @@ def test_a_size_of_2_to_the_32_is_refused_before_allocating(monkeypatch, field):
 
 
 def test_edge_rows_data_hashes_to_the_first_and_last_row():
-    model = NgramLangModel(n_min=_ODD_HP.n_min, n_max=_ODD_HP.n_max, dim=_ODD_HP.dim,
-                           bucket_count=_ODD_HP.bucket_count, labels=("deu", "fra"),
-                           seed=0, row_ids=None, rows=None, output_weights=None)
-    ids = {i for url, _ in _EDGE_ROWS_DATA for i in model.feature_ids(url).tolist()}
+    ids = {i for url, _ in _EDGE_ROWS_DATA for i in feature_ids(_ODD_HP, url).tolist()}
     assert {0, _ODD_HP.bucket_count - 1} <= ids
 
 
 def test_repeats_data_repeats_rows_and_collides():
     hp = _REPEATS_HP
-    model = NgramLangModel(n_min=hp.n_min, n_max=hp.n_max, dim=hp.dim, bucket_count=hp.bucket_count,
-                           labels=("deu", "fra"), seed=0, row_ids=None, rows=None,
-                           output_weights=None)
-    assert max(np.bincount(model.feature_ids(url)).max() for url, _ in _REPEATS_DATA) >= 4
+    assert max(np.bincount(feature_ids(hp, url)).max() for url, _ in _REPEATS_DATA) >= 4
     grams = {feat for url, _ in _REPEATS_DATA for token in normalize_url(url).core_tokens()
              for feat in ngram_features(token, hp.n_min, hp.n_max)}
     assert len({fnv1a64(gram.encode()) % hp.bucket_count for gram in grams}) < len(grams)
@@ -341,7 +335,7 @@ def test_rows_no_training_url_hashes_to_predict_like_the_reference_table(tmp_pat
     urls = [url for url, _ in lang_url_corpus(200, seed=13, langs=("eng", "spa"))]
     # Each URL hashes to rows no training URL reaches, and to stored ones.
     stored = set(model.row_ids.tolist())
-    drawn = [set(model.feature_ids(url).tolist()) - stored for url in urls]
+    drawn = [set(feature_ids(model, url).tolist()) - stored for url in urls]
     assert all(drawn) and len(set().union(*drawn)) > 500
     for url in urls + urls[::-1]:
         expected = {k: v.hex() for k, v in ngram_predict(table, url).items()}
@@ -632,26 +626,26 @@ def test_load_rejects_a_file_that_is_not_a_model(tmp_path):
         load_model(path)
 
 
-def test_feature_ids_equal_the_uncached_loop():
-    def model(n_min, n_max, buckets):
-        return NgramLangModel(n_min=n_min, n_max=n_max, dim=1, bucket_count=buckets,
-                              labels=("deu", "fra"), seed=0, row_ids=None, rows=None,
-                              output_weights=None)
+def test_training_hashes_each_distinct_token_once(monkeypatch):
+    # The same tokens under three settings, trained in turn: each call hashes
+    # each of its distinct tokens once, and stores the rows they hash to.
+    data = lang_url_corpus(60, seed=5, langs=("deu", "fra"))
+    tokens = {token for url, _ in data for token in normalize_url(url).core_tokens()}
+    hashed = []
 
-    # The same tokens under three settings, asked in turn.
-    models = [model(2, 4, 4096), model(1, 3, 4096), model(2, 4, 1021)]
-    langid._token_bucket_ids.cache_clear()
-    for url, _ in lang_url_corpus(60, seed=5):
-        tokens = normalize_url(url).core_tokens()
-        for m in models:
-            expected = [
-                fnv1a64(feat.encode("utf-8")) % m.bucket_count
-                for token in tokens
-                for feat in ngram_features(token, m.n_min, m.n_max)
-            ]
-            ids = m.feature_ids(url)
-            assert ids.dtype == np.int64
-            assert ids.tolist() == expected, (url, m.n_min, m.n_max, m.bucket_count)
+    def counted(token, *shape):
+        hashed.append(token)
+        return bucket_ids(token, *shape)
+
+    bucket_ids = langid._bucket_ids
+    monkeypatch.setattr(langid, "_bucket_ids", counted)
+    for n_min, n_max, buckets in [(2, 4, 4096), (1, 3, 4096), (2, 4, 1021)]:
+        hp = NgramHyperparams(n_min=n_min, n_max=n_max, dim=2, bucket_count=buckets, epochs=1)
+        hashed.clear()
+        model = ngram_train(data, hp, seed=3)
+        assert sorted(hashed) == sorted(tokens), hp
+        want = sorted({i for url, _ in data for i in feature_ids(hp, url).tolist()})
+        assert model.row_ids.tolist() == want, hp
 
 
 def test_model_bytes_reject_bad_magic(toy_model):

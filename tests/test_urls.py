@@ -208,19 +208,6 @@ def test_host_reconstruction():
         assert c.host == host
 
 
-@pytest.mark.parametrize(
-    "url",
-    [
-        "https://en.example.co.uk/fr/p?lang=de",
-        "http://example.com",
-        "https://a.io:8080/x/y?a=1&b=2",
-        "ftp://files.example.org/pub/file.tar.gz",
-    ],
-)
-def test_unparse_round_trip(url):
-    assert parse_components(url).unparse() == url
-
-
 def test_jaccard_examples():
     assert jaccard({"a", "b"}, {"b", "c"}) == pytest.approx(1 / 3)
     assert jaccard({"x", "y"}, {"x", "y"}) == 1.0
