@@ -140,12 +140,9 @@ def write_report(log: crawler.CrawlLog, graph: crawler.SiteGraph, out_dir) -> No
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
-def _iter_lines(path: str | None, inline: "list[str]"):
-    if inline:
-        yield from inline
-    if path or not inline:
-        for _, line in numbered_lines(path):
-            yield line
+def _lines(path: str | None):
+    """The non-empty lines of ``path``, or of stdin when ``path`` is ``None``."""
+    return (line for _, line in numbered_lines(path))
 
 
 def _print_prf_table(cm: metrics.ConfusionMatrix, first_column: str) -> None:
@@ -159,7 +156,7 @@ def _print_prf_table(cm: metrics.ConfusionMatrix, first_column: str) -> None:
 
 
 def _cmd_normalize(args) -> int:
-    for url in _iter_lines(args.input, args.urls):
+    for url in args.urls or _lines(None):
         print(" ".join(normalize_url(url).tokens))
     return 0
 
@@ -192,7 +189,7 @@ def _best_label(dist: "dict[str, float]") -> str:
 
 def _cmd_langid_predict(args) -> int:
     model = langid.load_model(args.model)
-    for url in _iter_lines(args.input, args.urls):
+    for url in args.urls or _lines(None):
         dist = langid.ngram_predict(model, url)
         if args.full:
             ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -249,8 +246,8 @@ def _cmd_pairscore_score(args) -> int:
 
 def _cmd_pairscore_align(args) -> int:
     scorer = crawler.build_pair_scorer(args)
-    left = list(_iter_lines(args.left, []))
-    right = list(_iter_lines(args.right, []))
+    left = list(_lines(args.left))
+    right = list(_lines(args.right))
     scores = {
         (a, b): scorer.probability(a, b, args.lang_a, args.lang_b)
         for a in left
@@ -352,7 +349,7 @@ def _cmd_cv_combos(args) -> int:
 def _cmd_seeds(args) -> int:
     url_to_site = {}
     alive = {}
-    for line in _iter_lines(args.urls, []):
+    for line in _lines(args.urls):
         parts = line.split("\t")
         url_to_site[parts[0]] = parts[1] if len(parts) > 1 else crawler.site_of(parts[0])
         if len(parts) > 2:
@@ -418,7 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="pre-tokenize URLs")
     p.add_argument("urls", nargs="*", help="URLs (default: stdin)")
-    p.add_argument("--input", help="file with one URL per line")
     p.set_defaults(func=_cmd_normalize)
 
     lang = sub.add_parser("langid", help="URL language identification")
@@ -437,8 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_langid_train)
 
     p = lang_sub.add_parser("predict", help="predict language from URLs")
-    p.add_argument("urls", nargs="*")
-    p.add_argument("--input")
+    p.add_argument("urls", nargs="*", help="URLs (default: stdin)")
     p.add_argument("--model", required=True)
     p.add_argument("--full", action="store_true", help="print the whole distribution")
     p.set_defaults(func=_cmd_langid_predict)

@@ -311,7 +311,8 @@ _MAX_BODY_BYTES = 10 * 1024 * 1024
 
 
 def _default_opener(url: str, headers: dict, timeout: float):
-    """``(status, headers, body)`` of a GET; an HTTP error status is returned too.
+    """``(status, headers, body, final URL)`` of a GET, which follows
+    redirects; an HTTP error status is returned too.
 
     Raises:
         FetchFailed: the body is longer than ``_MAX_BODY_BYTES``.
@@ -325,12 +326,12 @@ def _default_opener(url: str, headers: dict, timeout: float):
         response = urllib.request.urlopen(request, timeout=timeout)
     except urllib.error.HTTPError as exc:
         exc.close()
-        return exc.code, dict(exc.headers or {}), b""
+        return exc.code, dict(exc.headers or {}), b"", exc.url
     with response:
         body = response.read(_MAX_BODY_BYTES + 1)
         if len(body) > _MAX_BODY_BYTES:
             raise FetchFailed(f"GET {url}: body is longer than {_MAX_BODY_BYTES} bytes")
-        return response.status, dict(response.headers), body
+        return response.status, dict(response.headers), body, response.url
 
 
 class LiveFetcher:
@@ -375,7 +376,7 @@ class LiveFetcher:
             robots_url = f"{origin}/robots.txt"
             self.gate.wait(robots_url)
             try:
-                status, _, body = self.opener(
+                status, _, body, _ = self.opener(
                     robots_url, {"User-Agent": self.user_agent}, _FETCH_TIMEOUT_S
                 )
             except OSError:
@@ -397,7 +398,7 @@ class LiveFetcher:
             raise FetchFailed(f"robots.txt disallows {url}")
         self.gate.wait(url)
         try:
-            status, headers, body = self.opener(
+            status, headers, body, served_url = self.opener(
                 url, {"User-Agent": self.user_agent}, _FETCH_TIMEOUT_S
             )
         except OSError as exc:
@@ -407,7 +408,8 @@ class LiveFetcher:
         content_type = str(headers.get("Content-Type", "")).lower()
         links: tuple[str, ...] = ()
         if "html" in content_type or not content_type:
-            links = extract_links(body.decode("utf-8", "replace"), url)
+            # Relative links resolve against the URL after any redirect.
+            links = extract_links(body.decode("utf-8", "replace"), served_url)
         return FetchResult(self.detector.detect(body), links)
 
 
@@ -445,7 +447,7 @@ def build_lang_scorer(cfg):
     if cfg.lang_scorer == "ngram":
         if not cfg.lang_model_path:
             raise ConfigError("lang_scorer 'ngram' needs lang_model_path")
-        return langid.NgramLanguageScorer(langid.load_model(cfg.lang_model_path))
+        return langid.load_model(cfg.lang_model_path)
     if cfg.lang_scorer == "uniform":
         return UniformScorer()
     if cfg.lang_scorer.startswith("external:"):
@@ -465,7 +467,7 @@ def build_pair_scorer(cfg):
     if cfg.pair_scorer == "model":
         if not cfg.pair_model_path:
             raise ConfigError("pair_scorer 'model' needs pair_model_path")
-        return pairscore.FeaturePairScorer(pairscore.load_pair_model(cfg.pair_model_path))
+        return pairscore.load_pair_model(cfg.pair_model_path)
     if cfg.pair_scorer == "uniform":
         return UniformScorer()
     if cfg.pair_scorer.startswith("external:"):

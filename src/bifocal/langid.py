@@ -1,10 +1,9 @@
 """Language inference from URLs alone.
 
-Three interchangeable scorers:
-
-* a rule baseline that scans URL components for ISO 639 codes,
-* a trainable linear classifier over hashed character n-grams,
-* a client for an external scorer process (see :mod:`bifocal.external`).
+A crawl asks a language scorer ``probability(url, target)``.  Three answer:
+a rule baseline that scans URL components for ISO 639 codes, the trainable
+``NgramLangModel``, a linear classifier over hashed character n-grams, and a
+client for an external scorer process (see :mod:`bifocal.external`).
 
 The n-gram model hashes character n-grams of each token (sentinels excluded)
 into a fixed number of buckets, averages their embeddings, and applies a
@@ -131,6 +130,14 @@ class NgramLangModel:
         # A token's rows: URL tokens repeat across URLs.  The memo's bound is
         # the bound of the drawn rows held, too.
         self._token_rows = lru_cache(maxsize=CACHE_SIZE)(self._rows_of)
+        # A URL's distribution: a crawl reaches the same URL from many
+        # parents.  ``ngram_predict`` is looked up at call time, so a rebound
+        # module attribute still sees every prediction.
+        self._predict = lru_cache(maxsize=CACHE_SIZE)(lambda url: ngram_predict(self, url))
+
+    def probability(self, url: str, target: str) -> float:
+        """P(``target`` | ``url``): the crawl's language scorer."""
+        return self._predict(url).get(target, 0.0)
 
     @cached_property
     def _rng(self) -> np.random.Generator:
@@ -560,19 +567,3 @@ class RuleLanguageScorer:
             return 0.0
         return 1.0 if code == target != UNKNOWN_LANG else 0.0
 
-
-class NgramLanguageScorer:
-    """Scorer backed by a trained n-gram model.
-
-    A crawl reaches the same URL from many parents, so each instance memoizes
-    the distribution of up to ``CACHE_SIZE`` URLs.
-    """
-
-    def __init__(self, model: NgramLangModel):
-        self.model = model
-        # ``ngram_predict`` is looked up at call time, so a rebound module
-        # attribute still sees every prediction.
-        self._predict = lru_cache(maxsize=CACHE_SIZE)(lambda url: ngram_predict(model, url))
-
-    def probability(self, url: str, target: str) -> float:
-        return self._predict(url).get(target, 0.0)

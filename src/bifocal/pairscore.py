@@ -1,9 +1,10 @@
 """Scoring the probability that two URLs link parallel documents.
 
-Three interchangeable scorers: a token-removal baseline (two URLs align if
-deleting language-marker tokens makes them the same string), a trainable
-logistic model over URL-pair features, and an external scorer client.  Also
-provides greedy 1-to-1 alignment resolution over a score table.
+A crawl asks a pair scorer ``probability(url_a, url_b, lang_a, lang_b)``.
+Three answer: a token-removal baseline (two URLs align if deleting
+language-marker tokens makes them the same string), the trainable logistic
+``PairFeatureModel`` over URL-pair features, and an external scorer client.
+Also provides greedy 1-to-1 alignment resolution over a score table.
 """
 from __future__ import annotations
 
@@ -296,7 +297,9 @@ class PairFeatureModel:
     weights: tuple[float, ...]
     bias: float
 
-    def probability(self, features: "tuple[float, ...]") -> float:
+    def probability(self, url_a: str, url_b: str, lang_a: str | None = None, lang_b: str | None = None) -> float:
+        """The sigmoid of the pair's ``pair_feature_vector``: the crawl's pair scorer."""
+        features = pair_feature_vector(url_a, url_b, lang_a, lang_b)
         z = self.bias + sum(map(operator.mul, self.weights, features))
         try:
             return 1.0 / (1.0 + math.exp(-z))
@@ -428,16 +431,6 @@ class BaselinePairScorer:
     def probability(self, url_a: str, url_b: str, lang_a: str | None = None, lang_b: str | None = None) -> float:
         aligned = baseline_align(url_a, url_b, _token_set_or_empty(lang_a), _token_set_or_empty(lang_b))
         return 1.0 if aligned else 0.0
-
-
-class FeaturePairScorer:
-    """Probability from the trained logistic feature model."""
-
-    def __init__(self, model: PairFeatureModel):
-        self.model = model
-
-    def probability(self, url_a: str, url_b: str, lang_a: str | None = None, lang_b: str | None = None) -> float:
-        return self.model.probability(pair_feature_vector(url_a, url_b, lang_a, lang_b))
 
 
 def resolve_one_to_one(scores: "dict[tuple[str, str], float]") -> "set[tuple[str, str]]":

@@ -24,7 +24,6 @@ from bifocal.metrics import confusion_matrix, prf
 from bifocal.pairscore import (
     LEARNING_RATE,
     TRAIN_STEPS,
-    FeaturePairScorer,
     PairFeatureModel,
     pair_feature_vector,
 )
@@ -122,55 +121,52 @@ def levenshtein_reference(a, b):
     return table[len(a)][len(b)]
 
 
-# Longest run of URL tokens that can form one language marker.
-_MAX_SPAN = 3
-_MAX_SPANS_EXACT = 12
+def _marker_runs_reference(tokens, marker_tokens):
+    """``(start, end)`` of each run of 1 to 3 tokens whose concatenation is a
+    marker (a hyphenated code such as "en-us" is three tokens)."""
+    return [(start, start + length)
+            for start in range(len(tokens))
+            for length in (1, 2, 3)
+            if start + length <= len(tokens)
+            and "".join(tokens[start : start + length]) in marker_tokens]
 
 
-def _marker_spans_reference(tokens, marker_tokens):
-    spans = []
-    for i in range(len(tokens)):
-        joined = ""
-        for j in range(i, min(i + _MAX_SPAN, len(tokens))):
-            joined += tokens[j]
-            if joined in marker_tokens:
-                spans.append((i, j + 1))
-    return spans
+def residuals_reference(tokens, marker_tokens):
+    """Full concatenation plus every residual reachable by deleting >= 1 marker.
+
+    A walk over the token positions from the end keeps each token or skips
+    one marker run that starts there: ``tails[k]`` holds each text the walk
+    makes of ``tokens[k:]``, with whether it skipped a run.  Beyond 12 marker
+    runs, ``_fallback_residuals_reference`` decides instead.
+    """
+    runs = _marker_runs_reference(tokens, marker_tokens)
+    if len(runs) > 12:
+        return "".join(tokens), _fallback_residuals_reference(tokens, runs)
+    tails = [set() for _ in tokens] + [{("", False)}]
+    for k in reversed(range(len(tokens))):
+        tails[k] = {(tokens[k] + text, skipped) for text, skipped in tails[k + 1]}
+        for start, end in runs:
+            if start == k:
+                tails[k] |= {(text, True) for text, _ in tails[end]}
+    return "".join(tokens), frozenset(text for text, skipped in tails[0] if skipped)
 
 
-def _residuals_reference(tokens, marker_tokens):
-    """Full concatenation plus every residual reachable by deleting >= 1 marker."""
-    full = "".join(tokens)
-    spans = _marker_spans_reference(tokens, marker_tokens)
-    residuals = set()
-
-    def build(chosen):
-        drop = set()
-        for start, end in chosen:
-            drop.update(range(start, end))
-        return "".join(tok for k, tok in enumerate(tokens) if k not in drop)
-
-    if len(spans) <= _MAX_SPANS_EXACT:
-        def walk(idx, chosen):
-            if idx == len(spans):
-                if chosen:
-                    residuals.add(build(chosen))
-                return
-            walk(idx + 1, chosen)
-            start, end = spans[idx]
-            if not chosen or start >= chosen[-1][1]:
-                walk(idx + 1, chosen + [(start, end)])
-
-        walk(0, [])
-    elif spans:
-        for span in spans:
-            residuals.add(build([span]))
-        greedy = []
-        for span in spans:
-            if not greedy or span[0] >= greedy[-1][1]:
-                greedy.append(span)
-        residuals.add(build(greedy))
-    return full, frozenset(residuals)
+def _fallback_residuals_reference(tokens, runs):
+    """Each marker run deleted alone, plus what a left-to-right scan leaves
+    when it deletes the shortest run at each position it reaches."""
+    residuals = {"".join(tokens[:start] + tokens[end:]) for start, end in runs}
+    shortest = {}
+    for start, end in runs:
+        shortest[start] = min(end, shortest.get(start, end))
+    kept, k = [], 0
+    while k < len(tokens):
+        if k in shortest:
+            k = shortest[k]
+        else:
+            kept.append(tokens[k])
+            k += 1
+    residuals.add("".join(kept))
+    return frozenset(residuals)
 
 
 def baseline_align_reference(url_a, url_b, tokens_a, tokens_b):
@@ -179,8 +175,8 @@ def baseline_align_reference(url_a, url_b, tokens_a, tokens_b):
         return False
     core_a = normalize_url(url_a).core_tokens()
     core_b = normalize_url(url_b).core_tokens()
-    full_a, plus_a = _residuals_reference(core_a, tokens_a)
-    full_b, plus_b = _residuals_reference(core_b, tokens_b)
+    full_a, plus_a = residuals_reference(core_a, tokens_a)
+    full_b, plus_b = residuals_reference(core_b, tokens_b)
     if plus_a & plus_b:
         return True
     return full_b in plus_a or full_a in plus_b
@@ -315,8 +311,7 @@ def cross_validate_combos_reference(positives, link_map, lang_map, langs, k, see
         combo = [s for i, s in enumerate(STRATEGIES) if bits & (1 << i)]
         scores = []
         for train_pos, negatives, test in fold_data:
-            scorer = FeaturePairScorer(pair_train_reference(
-                train_pos + [neg for s in combo for neg in negatives[s]]))
+            scorer = pair_train_reference(train_pos + [neg for s in combo for neg in negatives[s]])
             predicted = [
                 "positive" if scorer.probability(p.url_a, p.url_b, p.lang_a, p.lang_b) > 0.5
                 else "negative"

@@ -1,5 +1,6 @@
 import contextlib
 import http.server
+import io
 import json
 import os
 import signal
@@ -120,10 +121,14 @@ def test_langid_eval_loads_numpy_itself(tmp_path):
     assert loaded == ["numpy", "bifocal.datasets"]
 
 
-def test_normalize_output(capsys):
+def test_normalize_output(capsys, monkeypatch):
     assert dispatch(["normalize", "https://a.com/contact-us"]) == 0
     out = capsys.readouterr().out
     assert out.strip() == "<s> a . com / contact - us </s>"
+    # Without URL arguments the URLs come from stdin, one a line.
+    monkeypatch.setattr(sys, "stdin", io.StringIO("https://a.com/contact-us\n\nhttps://b.org\n"))
+    assert dispatch(["normalize"]) == 0
+    assert capsys.readouterr().out == "<s> a . com / contact - us </s>\n<s> b . org </s>\n"
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +722,30 @@ def test_simulate_writes_deterministic_log_and_report(sim_setup):
         line.split("\t") for line in (report_dir / "summary.tsv").read_text().splitlines()
     )
     assert int(summary["fetch_events"]) == 40
+
+
+def test_traced_simulate_logs_what_an_untraced_one_logs(sim_setup):
+    # perfbench/traced.py shims the crawl's scorers; the shims must see both
+    # trained models and leave the log as it is.
+    tmp, graph_path, config_path = sim_setup
+    assert dispatch(_langid_train(tmp, "--buckets", "4096", "--dim", "4")) == 0
+    config = _pair_model_config(tmp, _ngram_config(tmp, config_path, tmp / "lang.bin"),
+                                _pair_model(tmp, -1.0))
+    argv = ["simulate", "--graph", str(graph_path), "--config", str(config), "--log"]
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    counters = tmp / "counters.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced.py"), str(counters), "--",
+         *argv, str(tmp / "traced.tsv")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert dispatch([*argv, str(tmp / "untraced.tsv")]) == 0
+    assert (tmp / "traced.tsv").read_bytes() == (tmp / "untraced.tsv").read_bytes()
+    values = json.loads(counters.read_text())
+    assert values["langid.score_calls"] > 0
+    assert values["pairscore.score_calls"] > 0
 
 
 def test_report_command_round_trip(sim_setup):

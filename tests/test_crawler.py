@@ -1,7 +1,11 @@
 import dataclasses
+import http.server
 import io
 import logging
+import math
+import os
 import re
+import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -36,14 +40,12 @@ from bifocal.external import ExternalLanguageScorer, ExternalPairScorer
 from bifocal.frontier import SEED, Frontier
 from bifocal.langid import (
     NgramHyperparams,
-    NgramLanguageScorer,
     RuleLanguageScorer,
     ngram_predict,
     ngram_train,
 )
 from bifocal.pairscore import (
     BaselinePairScorer,
-    FeaturePairScorer,
     PairFeatureModel,
     build_language_tokens,
 )
@@ -164,8 +166,7 @@ def test_nan_language_model_does_not_end_a_crawl(crawl_models, caplog):
     lang_model, pair_model = crawl_models
     broken = dataclasses.replace(lang_model, rows=lang_model.rows * float("nan"))
     graph, seeds = dense_planted_graph()
-    log = simulate(graph, _cfg(seeds, budget=50), NgramLanguageScorer(broken),
-                   FeaturePairScorer(pair_model))
+    log = simulate(graph, _cfg(seeds, budget=50), broken, pair_model)
     assert len(log) == 50
     assert {e.priority for e in log if e.priority is not SEED} == {0.0}
     assert _warned_links(caplog)
@@ -273,7 +274,8 @@ class _PredictEveryLink:
 
 
 class _FeaturesEveryLink:
-    """Reference pair scorer: the features computed from scratch per call, no memo."""
+    """Reference pair scorer: the features computed from scratch per call, no
+    memo, and the model's sigmoid."""
 
     def __init__(self, model):
         self.model = model
@@ -282,7 +284,11 @@ class _FeaturesEveryLink:
         feats = pair_features_reference(
             normalize_url(url_a), normalize_url(url_b),
             build_language_tokens(lang_a), build_language_tokens(lang_b))
-        return self.model.probability(feats)
+        z = self.model.bias + sum(w * f for w, f in zip(self.model.weights, feats))
+        try:
+            return 1.0 / (1.0 + math.exp(-z))
+        except OverflowError:
+            return 0.0
 
 
 @pytest.fixture(scope="module")
@@ -299,7 +305,7 @@ def test_memoizing_scorers_crawl_like_unmemoized_ones(crawl_models):
     lang_model, pair_model = crawl_models
     cfg = _cfg(seeds, budget=50)
 
-    memoized = simulate(graph, cfg, NgramLanguageScorer(lang_model), FeaturePairScorer(pair_model))
+    memoized = simulate(graph, cfg, lang_model, pair_model)
     reference_lang = _PredictEveryLink(lang_model)
     reference = simulate(graph, cfg, reference_lang, _FeaturesEveryLink(pair_model))
 
@@ -310,11 +316,12 @@ def test_memoizing_scorers_crawl_like_unmemoized_ones(crawl_models):
 
 @pytest.fixture(scope="module")
 def trained_scorers(crawl_models):
-    """Factories for each crawl scorer pairing; a fresh pair per call."""
+    """Factories for each crawl scorer pairing; a fresh pair per call, except
+    for the trained models, which are shared."""
     lang_model, pair_model = crawl_models
     return {
         "rule+baseline": lambda graph: (RuleLanguageScorer(), BaselinePairScorer()),
-        "ngram+model": lambda graph: (NgramLanguageScorer(lang_model), FeaturePairScorer(pair_model)),
+        "ngram+model": lambda graph: (lang_model, pair_model),
         "uniform": lambda graph: (UniformScorer(), UniformScorer()),
         "oracle": lambda graph: (OracleLangScorer(graph), OraclePairScorer(graph)),
     }
@@ -712,7 +719,7 @@ def test_politeness_gate_spacing():
 def _opener_factory(responses):
     def opener(url, headers, timeout):
         status, content_type, body = responses[url]
-        return status, {"Content-Type": content_type}, body
+        return status, {"Content-Type": content_type}, body, url
     return opener
 
 
@@ -789,7 +796,7 @@ def test_robots_origin_drops_an_explicit_default_port():
 
     def opener(url, headers, timeout):
         requests.append(url)
-        return 404 if url.endswith("/robots.txt") else 200, {"Content-Type": "text/html"}, b""
+        return 404 if url.endswith("/robots.txt") else 200, {"Content-Type": "text/html"}, b"", url
 
     fetcher = LiveFetcher(opener=opener, per_host_delay_ms=0)
     pages = ["https://h.com/a", "https://h.com:443/b", "http://h.com:80/c", "http://h.com/d"]
@@ -869,7 +876,8 @@ def test_robots_client_error_allows_everything(status):
 
 
 class _FakeResponse:
-    def __init__(self, body):
+    def __init__(self, url, body):
+        self.url = url
         self.status = 200
         self.headers = {"Content-Type": "text/html"}
         self.body = io.BytesIO(body)
@@ -894,7 +902,7 @@ def _fake_urlopen(monkeypatch, bodies):
         body = bodies[request.full_url]
         if isinstance(body, int):
             raise urllib.error.HTTPError(request.full_url, body, "error", {}, io.BytesIO(b""))
-        responses.append(_FakeResponse(body))
+        responses.append(_FakeResponse(request.full_url, body))
         return responses[-1]
 
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
@@ -903,8 +911,10 @@ def _fake_urlopen(monkeypatch, bodies):
 
 def test_default_opener_returns_http_error_statuses(monkeypatch):
     _fake_urlopen(monkeypatch, {"https://h.com/robots.txt": 503, "https://h.com/gone": 404})
-    assert crawler._default_opener("https://h.com/robots.txt", {}, 1.0) == (503, {}, b"")
-    assert crawler._default_opener("https://h.com/gone", {}, 1.0) == (404, {}, b"")
+    assert crawler._default_opener("https://h.com/robots.txt", {}, 1.0) == (
+        503, {}, b"", "https://h.com/robots.txt")
+    assert crawler._default_opener("https://h.com/gone", {}, 1.0) == (
+        404, {}, b"", "https://h.com/gone")
     fetcher = LiveFetcher(per_host_delay_ms=0)
     with pytest.raises(FetchFailed, match="robots.txt disallows"):
         fetcher.fetch("https://h.com/gone")
@@ -922,7 +932,7 @@ def test_default_opener_caps_the_body(monkeypatch):
         crawler._default_opener("https://h.com/", {}, 1.0)
     assert responses[-1].reads == [65]
     assert crawler._default_opener("https://h.com/fit", {}, 1.0) == (
-        200, {"Content-Type": "text/html"}, page)
+        200, {"Content-Type": "text/html"}, page, "https://h.com/fit")
 
     cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=("https://h.com/", "https://h.com/fit"),
                       budget=5)
@@ -932,6 +942,48 @@ def test_default_opener_caps_the_body(monkeypatch):
         ("https://h.com/fit", STORED),
     ]
 
+
+class _RedirectingSite(http.server.BaseHTTPRequestHandler):
+    """``/fr`` answers 301 to ``/fr/``, a French page that links ``page.html``;
+    robots.txt is 404."""
+
+    def do_GET(self):
+        if self.path == "/fr":
+            self.send_response(301)
+            self.send_header("Location", "/fr/")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+        elif self.path == "/fr/":
+            body = b'<p>le site est pour vous</p><a href="page.html">page</a>'
+            self.send_response(200)
+            self.send_header("Content-Type", "text/html; charset=utf-8")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        else:
+            self.send_error(404)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_live_links_resolve_against_the_url_a_redirect_ends_at(monkeypatch):
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    # urlopen's cached opener may hold proxies read before they were removed.
+    monkeypatch.setattr(urllib.request, "_opener", None)
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _RedirectingSite)
+    base = f"http://127.0.0.1:{server.server_port}"
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        result = LiveFetcher(per_host_delay_ms=0).fetch(base + "/fr")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert result == crawler.FetchResult("fra", (base + "/fr/page.html",))
 
 
 def test_robots_body_over_the_cap_allows_everything(monkeypatch):

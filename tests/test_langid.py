@@ -14,7 +14,6 @@ from bifocal.errors import ConfigError
 from bifocal.langid import (
     NgramHyperparams,
     NgramLangModel,
-    NgramLanguageScorer,
     RuleLanguageScorer,
     fnv1a64,
     load_model,
@@ -667,14 +666,12 @@ def test_lang_probability_rule():
 
 
 def test_ngram_scorer_memo_answers_like_predict(toy_model):
-    scorer = NgramLanguageScorer(toy_model)
     urls = ["https://any.com/de/seite", "https://x.fr/fr/page", "https://any.com/de/seite"]
     for url in urls + urls[::-1]:
         for target in ("deu", "fra", "zzz"):
-            assert scorer.probability(url, target) == ngram_predict(toy_model, url).get(target, 0.0)
+            assert toy_model.probability(url, target) == ngram_predict(toy_model, url).get(target, 0.0)
 
 
 def test_lang_probability_ngram(toy_model):
-    scorer = NgramLanguageScorer(toy_model)
-    assert scorer.probability("https://any.com/de/seite", "deu") >= 0.5
-    assert scorer.probability("https://any.com/de/seite", "zzz") == 0.0
+    assert toy_model.probability("https://any.com/de/seite", "deu") >= 0.5
+    assert toy_model.probability("https://any.com/de/seite", "zzz") == 0.0

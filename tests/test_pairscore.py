@@ -13,7 +13,6 @@ from bifocal.errors import ConfigError, UnknownLanguage
 from bifocal.pairscore import (
     FEATURE_NAMES,
     BaselinePairScorer,
-    FeaturePairScorer,
     PairFeatureModel,
     _residuals,
     _token_edit_distance,
@@ -32,6 +31,7 @@ from references import (
     levenshtein_reference,
     pair_features_reference,
     pair_train_reference,
+    residuals_reference,
 )
 from synthdata import NEUTRAL_WORDS, gold_pair
 
@@ -135,6 +135,17 @@ def test_residuals_are_immutable():
     full, residuals = _residuals(normalize_url("https://a.com/en/x").core_tokens(), ENG)
     assert full == "a.com/en/x"
     assert isinstance(residuals, frozenset) and "a.com//x" in residuals
+
+
+# Token runs with markers side by side ("en", "en-us", "english"), so that a
+# draw can hold more than 12 marker runs, some overlapping.
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["en", "-", "us", "english", "x", "/"]), max_size=18).map(tuple))
+@example(("en",) * 12)
+@example(("en",) * 13)
+@example(("en", "-", "us") * 5)
+def test_residuals_equal_the_reference(tokens):
+    assert _residuals(tokens, ENG) == residuals_reference(tokens, ENG)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +261,10 @@ def test_pair_train_separates_toy_data():
     data = _toy_labeled_pairs()
     random.Random(7).shuffle(data)
     train, held = data[: int(len(data) * 0.7)], data[int(len(data) * 0.7):]
-    scorer = FeaturePairScorer(pair_train(train))
+    model = pair_train(train)
     tp = fp = fn = 0
     for rec in held:
-        predicted = scorer.probability(rec.url_a, rec.url_b, rec.lang_a, rec.lang_b) > 0.5
+        predicted = model.probability(rec.url_a, rec.url_b, rec.lang_a, rec.lang_b) > 0.5
         if predicted and rec.label == "positive":
             tp += 1
         elif predicted:
@@ -376,12 +387,12 @@ def test_pair_model_with_a_number_that_is_not_finite_is_rejected(tmp_path, field
 
 
 def test_pair_probability_is_0_where_exp_overflows():
-    features = (1.0,) * len(FEATURE_NAMES)
+    pair = ("https://a.com/en/x", "https://a.com/fr/x", "eng", "fra")
     weights = (0.5,) * len(FEATURE_NAMES)
-    assert PairFeatureModel(weights, bias=-1000.0).probability(features) == 0.0
-    assert PairFeatureModel(weights, bias=1000.0).probability(features) == 1.0
-    z = -700.0 + 0.5 * len(FEATURE_NAMES)
-    assert PairFeatureModel(weights, bias=-700.0).probability(features) == 1.0 / (1.0 + math.exp(-z))
+    assert PairFeatureModel(weights, bias=-1000.0).probability(*pair) == 0.0
+    assert PairFeatureModel(weights, bias=1000.0).probability(*pair) == 1.0
+    z = -700.0 + sum(0.5 * feature for feature in pair_feature_vector(*pair))
+    assert PairFeatureModel(weights, bias=-700.0).probability(*pair) == 1.0 / (1.0 + math.exp(-z))
 
 
 # ---------------------------------------------------------------------------
@@ -397,17 +408,17 @@ def test_pair_probability_baseline():
 
 def test_pair_probability_model_positive():
     data = _toy_labeled_pairs()
-    scorer = FeaturePairScorer(pair_train(data))
-    prob = scorer.probability("https://fresh.com/en/story-9", "https://fresh.com/fr/story-9",
-                              "eng", "fra")
+    model = pair_train(data)
+    prob = model.probability("https://fresh.com/en/story-9", "https://fresh.com/fr/story-9",
+                             "eng", "fra")
     assert prob > 0.5
 
 
 def test_pair_probability_in_range():
     data = _toy_labeled_pairs()
-    scorer = FeaturePairScorer(pair_train(data))
+    model = pair_train(data)
     for rec in data:
-        assert 0.0 <= scorer.probability(rec.url_a, rec.url_b, rec.lang_a, rec.lang_b) <= 1.0
+        assert 0.0 <= model.probability(rec.url_a, rec.url_b, rec.lang_a, rec.lang_b) <= 1.0
 
 
 # ---------------------------------------------------------------------------
