@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 domain error or unreadable file, 2 usage error.
 Every subcommand that uses randomness accepts ``--seed``; flags override
 config-file values.  numpy comes in only with what needs it: the commands
 that read labeled data import :mod:`bifocal.datasets` themselves, and the
-n-gram model and pair training import numpy on first use.
+n-gram model and pair training import numpy on first use.  Importing this
+module sets ``OPENBLAS_NUM_THREADS=1`` unless it is already set, so numpy
+loads a BLAS with no worker threads.
 """
 from __future__ import annotations
 
@@ -17,6 +19,12 @@ import dataclasses
 import os
 import sys
 import typing
+
+# numpy's bundled OpenBLAS starts one worker thread per extra CPU when it
+# loads, which costs about 65 ms of start-up; no product bifocal makes is
+# large enough for a second thread to help.  Set before any bifocal module
+# can import numpy; a value the user sets is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import crawler, langid, metrics, pairscore
 from .errors import BifocalError, ConfigError, UnknownLanguage

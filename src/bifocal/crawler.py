@@ -308,11 +308,14 @@ class PolitenessGate:
 _FETCH_TIMEOUT_S = 20.0
 # Largest response body a live fetch reads; a longer one fails the fetch.
 _MAX_BODY_BYTES = 10 * 1024 * 1024
+# Redirects one fetch follows, as many as urllib's own redirect handler.
+_MAX_REDIRECTS = 10
+_REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
 
 
 def _default_opener(url: str, headers: dict, timeout: float):
-    """``(status, headers, body, final URL)`` of a GET, which follows
-    redirects; an HTTP error status is returned too.
+    """``(status, headers, body)`` of one GET.  A redirect is not followed and
+    an HTTP error is not raised: each comes back as its status and headers.
 
     Raises:
         FetchFailed: the body is longer than ``_MAX_BODY_BYTES``.
@@ -321,17 +324,26 @@ def _default_opener(url: str, headers: dict, timeout: float):
     import urllib.error
     import urllib.request
 
+    class Unfollowed(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None  # so urllib raises the 3xx as an HTTPError, caught below
+
     request = urllib.request.Request(url, headers=headers)
     try:
-        response = urllib.request.urlopen(request, timeout=timeout)
+        response = urllib.request.build_opener(Unfollowed).open(request, timeout=timeout)
     except urllib.error.HTTPError as exc:
         exc.close()
-        return exc.code, dict(exc.headers or {}), b"", exc.url
+        return exc.code, _header_dict(exc.headers or {}), b""
     with response:
         body = response.read(_MAX_BODY_BYTES + 1)
         if len(body) > _MAX_BODY_BYTES:
             raise FetchFailed(f"GET {url}: body is longer than {_MAX_BODY_BYTES} bytes")
-        return response.status, dict(response.headers), body, response.url
+        return response.status, _header_dict(response.headers), body
+
+
+def _header_dict(headers) -> dict:
+    """Response headers by name in title case, which is how callers ask."""
+    return {name.title(): value for name, value in headers.items()}
 
 
 class LiveFetcher:
@@ -358,8 +370,9 @@ class LiveFetcher:
         names the same origin as none (RFC 3986 §6.2.3).
 
         A 5xx answer or an unreachable server means the whole origin is
-        disallowed; any other non-200 answer or a body over the size cap
-        allows all.
+        disallowed; any other non-200 answer, a body over the size cap or a
+        redirect that cannot be followed allows all.  Its redirects are
+        followed, across origins too (RFC 9309 §2.3.1.2).
         """
         import urllib.robotparser
 
@@ -373,12 +386,8 @@ class LiveFetcher:
         parser = self._robots.get(origin)
         if parser is None:
             parser = urllib.robotparser.RobotFileParser()
-            robots_url = f"{origin}/robots.txt"
-            self.gate.wait(robots_url)
             try:
-                status, _, body, _ = self.opener(
-                    robots_url, {"User-Agent": self.user_agent}, _FETCH_TIMEOUT_S
-                )
+                status, _, body, _ = self._get(f"{origin}/robots.txt", obey_robots=False)
             except OSError:
                 parser.disallow_all = True
             except FetchFailed:
@@ -393,18 +402,39 @@ class LiveFetcher:
             self._robots[origin] = parser
         return parser
 
-    def fetch(self, url: str) -> FetchResult:
-        if not self._robots_for(url).can_fetch(self.user_agent, url):
-            raise FetchFailed(f"robots.txt disallows {url}")
-        self.gate.wait(url)
-        try:
-            status, headers, body, served_url = self.opener(
+    def _get(self, url: str, obey_robots: bool = True):
+        """``(status, headers, body, final URL)`` of a GET that follows up to
+        ``_MAX_REDIRECTS`` redirects.  Every hop waits at the politeness gate
+        and, if ``obey_robots``, must be allowed by its own origin's
+        robots.txt; a ``Location`` resolves against the hop that sent it.
+
+        Raises:
+            FetchFailed: robots.txt disallows a hop, a redirect leaves HTTP,
+                there are too many redirects, or a body is over the cap.
+            OSError: a server could not be reached.
+        """
+        for _ in range(_MAX_REDIRECTS + 1):
+            if obey_robots and not self._robots_for(url).can_fetch(self.user_agent, url):
+                raise FetchFailed(f"robots.txt disallows {url}")
+            self.gate.wait(url)
+            status, headers, body = self.opener(
                 url, {"User-Agent": self.user_agent}, _FETCH_TIMEOUT_S
             )
+            location = headers.get("Location")
+            if status not in _REDIRECT_STATUSES or location is None:
+                return status, headers, body, url
+            url = urljoin(url, location)
+            if not url.startswith(("http://", "https://")):
+                raise FetchFailed(f"redirect to a non-HTTP URL: {url}")
+        raise FetchFailed(f"more than {_MAX_REDIRECTS} redirects, the last to {url}")
+
+    def fetch(self, url: str) -> FetchResult:
+        try:
+            status, headers, body, served_url = self._get(url)
         except OSError as exc:
             raise FetchFailed(f"GET {url} failed: {exc}") from exc
         if status != 200:
-            raise FetchFailed(f"GET {url} returned {status}")
+            raise FetchFailed(f"GET {served_url} returned {status}")
         content_type = str(headers.get("Content-Type", "")).lower()
         links: tuple[str, ...] = ()
         if "html" in content_type or not content_type:

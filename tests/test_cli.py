@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -70,27 +69,37 @@ def test_module_entry_point_runs_the_cli():
 
 
 # Runs one command in a fresh interpreter, then prints which of the heavy
-# modules it loaded.
+# modules it loaded and how many threads the process has (null where
+# /proc/self/task does not exist).
 _HEAVY = ("numpy", "numpy.random", "urllib.request", "bifocal.datasets", "bifocal.external")
+_TASKS = "/proc/self/task"
 _PROBE = (
-    "import json, sys\n"
+    "import json, os, sys\n"
     "from bifocal.cli import dispatch\n"
     "code = dispatch(sys.argv[1:])\n"
-    f"print(json.dumps([code, [m for m in {_HEAVY!r} if m in sys.modules]]))\n"
+    f"threads = len(os.listdir({_TASKS!r})) if os.path.isdir({_TASKS!r}) else None\n"
+    f"print(json.dumps([code, [m for m in {_HEAVY!r} if m in sys.modules], threads]))\n"
 )
 
 
-def _probe(argv):
-    """(exit code, heavy modules loaded) of ``bifocal argv`` in a fresh interpreter."""
+def _probe(argv, openblas_threads=None):
+    """(exit code, heavy modules loaded, threads at the end) of ``bifocal
+    argv`` in a fresh interpreter, whose ``OPENBLAS_NUM_THREADS`` is
+    ``openblas_threads`` or unset."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    # Importing bifocal.cli in this process has set it, and children inherit it.
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(openblas_threads)
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *map(str, argv)],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    return code, loaded
+    code, loaded, threads = json.loads(proc.stdout.splitlines()[-1])
+    return code, loaded, threads
 
 
 def test_commands_without_models_load_no_numpy_nor_http(sim_setup):
@@ -106,7 +115,7 @@ def test_commands_without_models_load_no_numpy_nor_http(sim_setup):
         ["seeds", "--urls", urls, "--out", tmp / "seeds.out"],
     ]
     for argv in commands:
-        assert _probe(argv) == (0, []), argv
+        assert _probe(argv)[:2] == (0, []), argv
 
 
 def test_langid_eval_loads_numpy_itself(tmp_path):
@@ -116,9 +125,69 @@ def test_langid_eval_loads_numpy_itself(tmp_path):
     model_path = tmp_path / "model.bin"
     assert dispatch(["langid", "train", "--data", str(train_path), "--model", str(model_path),
                      "--buckets", "1024", "--dim", "4", "--epochs", "2"]) == 0
-    code, loaded = _probe(["langid", "eval", "--model", model_path, "--data", train_path])
+    code, loaded, _ = _probe(["langid", "eval", "--model", model_path, "--data", train_path])
     assert code == 0
     assert loaded == ["numpy", "bifocal.datasets"]
+
+
+def _numpy_blas() -> str:
+    import numpy
+
+    config = getattr(numpy.__config__, "CONFIG", {})
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
+
+
+@pytest.mark.skipif(not os.path.isdir(_TASKS), reason=f"needs {_TASKS}")
+@pytest.mark.skipif("openblas" not in _numpy_blas(), reason="numpy is not built on OpenBLAS")
+@pytest.mark.parametrize("setting, threads", [(None, 1), (2, 2)])
+def test_cli_starts_openblas_with_one_thread_unless_told(tmp_path, setting, threads):
+    # OpenBLAS never starts more threads than the process has CPUs.
+    if threads > len(os.sched_getaffinity(0)):
+        pytest.skip(f"needs {threads} CPUs")
+    data = lang_url_corpus(80, seed=2, langs=("deu", "fra"))
+    train_path = tmp_path / "train.tsv"
+    train_path.write_text("".join(f"{u}\t{l}\n" for u, l in data))
+    model_path = tmp_path / "model.bin"
+    assert dispatch(["langid", "train", "--data", str(train_path), "--model", str(model_path),
+                     "--buckets", "1024", "--dim", "4", "--epochs", "2"]) == 0
+    argv = ["langid", "eval", "--model", model_path, "--data", train_path]
+    code, loaded, count = _probe(argv, openblas_threads=setting)
+    assert (code, "numpy" in loaded, count) == (0, True, threads)
+
+
+def _model_commands(tmp):
+    """``langid train``, ``pairscore train`` and ``cv-combos`` on small
+    fixtures, with the files they write."""
+    urls = _write(tmp, "urls.tsv", "".join(
+        f"{u}\t{l}\n" for u, l in lang_url_corpus(200, seed=1, langs=("deu", "fra"))))
+    positives, link_map, lang_map = parallel_pair_corpus(n_sites=5, pairs_per_site=3, seed=5)
+    pairs = tmp / "pos.tsv"
+    write_labeled_pairs(positives, pairs)
+    assert dispatch(["negsample", "--pairs", str(pairs), "--seed", "1",
+                     "--out", str(tmp / "neg.tsv")]) == 0
+    labeled = tmp / "labeled.tsv"
+    write_labeled_pairs(positives + read_labeled_pairs(tmp / "neg.tsv"), labeled)
+    links = _write(tmp, "links.json", json.dumps({u: list(v) for u, v in link_map.items()}))
+    langs = _write(tmp, "url_langs.tsv", "".join(f"{u}\t{l}\n" for u, l in lang_map.items()))
+    return [
+        (["langid", "train", "--data", urls, "--model", tmp / "lang.bin",
+          "--buckets", "4096", "--dim", "8", "--seed", "3"], tmp / "lang.bin"),
+        (["pairscore", "train", "--data", labeled, "--model", tmp / "pair.json"], tmp / "pair.json"),
+        (["cv-combos", "--pairs", pairs, "--links", links, "--url-langs", langs,
+          "--langs", "eng,fra", "--folds", "3", "--out", tmp / "combos.tsv"], tmp / "combos.tsv"),
+    ]
+
+
+def test_openblas_threads_do_not_change_a_model(tmp_path, capsys):
+    commands = _model_commands(tmp_path)
+    outputs = {}
+    for threads in (1, 2):
+        for argv, path in commands:
+            assert _probe(argv, openblas_threads=threads)[0] == 0, argv
+            outputs.setdefault(path.name, []).append(path.read_bytes())
+            path.unlink()
+    for name, (one, two) in outputs.items():
+        assert one == two, name
 
 
 def test_normalize_output(capsys, monkeypatch):
@@ -1062,8 +1131,6 @@ def test_crawl_logs_what_simulate_logs(tmp_path, capsys, monkeypatch):
     for name in list(os.environ):
         if name.lower().endswith("_proxy"):
             monkeypatch.delenv(name)
-    # urlopen's cached opener may hold proxies read before they were removed.
-    monkeypatch.setattr(urllib.request, "_opener", None)
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _GraphSite)
     base = f"http://127.0.0.1:{server.server_port}"
     server.graph = _loopback_graph(base)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import http.server
 import io
@@ -719,7 +720,7 @@ def test_politeness_gate_spacing():
 def _opener_factory(responses):
     def opener(url, headers, timeout):
         status, content_type, body = responses[url]
-        return status, {"Content-Type": content_type}, body, url
+        return status, {"Content-Type": content_type}, body
     return opener
 
 
@@ -796,7 +797,7 @@ def test_robots_origin_drops_an_explicit_default_port():
 
     def opener(url, headers, timeout):
         requests.append(url)
-        return 404 if url.endswith("/robots.txt") else 200, {"Content-Type": "text/html"}, b"", url
+        return 404 if url.endswith("/robots.txt") else 200, {"Content-Type": "text/html"}, b""
 
     fetcher = LiveFetcher(opener=opener, per_host_delay_ms=0)
     pages = ["https://h.com/a", "https://h.com:443/b", "http://h.com:80/c", "http://h.com/d"]
@@ -876,8 +877,7 @@ def test_robots_client_error_allows_everything(status):
 
 
 class _FakeResponse:
-    def __init__(self, url, body):
-        self.url = url
+    def __init__(self, body):
         self.status = 200
         self.headers = {"Content-Type": "text/html"}
         self.body = io.BytesIO(body)
@@ -895,26 +895,25 @@ class _FakeResponse:
 
 
 def _fake_urlopen(monkeypatch, bodies):
-    """Serve ``bodies[url]``; a URL mapped to an int answers with that HTTP error."""
+    """Serve ``bodies[url]`` to every urllib opener; a URL mapped to an int
+    answers with that HTTP error."""
     responses = []
 
-    def urlopen(request, timeout):
+    def open(opener, request, timeout):
         body = bodies[request.full_url]
         if isinstance(body, int):
             raise urllib.error.HTTPError(request.full_url, body, "error", {}, io.BytesIO(b""))
-        responses.append(_FakeResponse(request.full_url, body))
+        responses.append(_FakeResponse(body))
         return responses[-1]
 
-    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", open)
     return responses
 
 
 def test_default_opener_returns_http_error_statuses(monkeypatch):
     _fake_urlopen(monkeypatch, {"https://h.com/robots.txt": 503, "https://h.com/gone": 404})
-    assert crawler._default_opener("https://h.com/robots.txt", {}, 1.0) == (
-        503, {}, b"", "https://h.com/robots.txt")
-    assert crawler._default_opener("https://h.com/gone", {}, 1.0) == (
-        404, {}, b"", "https://h.com/gone")
+    assert crawler._default_opener("https://h.com/robots.txt", {}, 1.0) == (503, {}, b"")
+    assert crawler._default_opener("https://h.com/gone", {}, 1.0) == (404, {}, b"")
     fetcher = LiveFetcher(per_host_delay_ms=0)
     with pytest.raises(FetchFailed, match="robots.txt disallows"):
         fetcher.fetch("https://h.com/gone")
@@ -932,7 +931,7 @@ def test_default_opener_caps_the_body(monkeypatch):
         crawler._default_opener("https://h.com/", {}, 1.0)
     assert responses[-1].reads == [65]
     assert crawler._default_opener("https://h.com/fit", {}, 1.0) == (
-        200, {"Content-Type": "text/html"}, page, "https://h.com/fit")
+        200, {"Content-Type": "text/html"}, page)
 
     cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=("https://h.com/", "https://h.com/fit"),
                       budget=5)
@@ -968,11 +967,7 @@ class _RedirectingSite(http.server.BaseHTTPRequestHandler):
 
 
 def test_live_links_resolve_against_the_url_a_redirect_ends_at(monkeypatch):
-    for name in list(os.environ):
-        if name.lower().endswith("_proxy"):
-            monkeypatch.delenv(name)
-    # urlopen's cached opener may hold proxies read before they were removed.
-    monkeypatch.setattr(urllib.request, "_opener", None)
+    _no_proxies(monkeypatch)
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _RedirectingSite)
     base = f"http://127.0.0.1:{server.server_port}"
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -984,6 +979,126 @@ def test_live_links_resolve_against_the_url_a_redirect_ends_at(monkeypatch):
         server.server_close()
         thread.join(timeout=10)
     assert result == crawler.FetchResult("fra", (base + "/fr/page.html",))
+
+
+def _no_proxies(monkeypatch):
+    """Let a loopback test's requests go straight to 127.0.0.1."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+class _RecordingSite(http.server.BaseHTTPRequestHandler):
+    """Answers ``server.routes[path]``, a ``(status, headers, body)``, or 404;
+    ``server.paths`` records every path asked for."""
+
+    def do_GET(self):
+        self.server.paths.append(self.path)
+        status, headers, body = self.server.routes.get(self.path, (404, {}, b""))
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _loopback_sites(count):
+    """``count`` servers on 127.0.0.1, each its own origin, with no routes yet."""
+    servers = [http.server.ThreadingHTTPServer(("127.0.0.1", 0), _RecordingSite)
+               for _ in range(count)]
+    threads = [threading.Thread(target=server.serve_forever, daemon=True) for server in servers]
+    for server, thread in zip(servers, threads):
+        server.routes, server.paths = {}, []
+        thread.start()
+    try:
+        yield servers
+    finally:
+        for server, thread in zip(servers, threads):
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+
+def test_a_redirect_to_another_origin_asks_that_origins_robots_txt(monkeypatch):
+    _no_proxies(monkeypatch)
+    with _loopback_sites(2) as (a, b):
+        secret = f"http://127.0.0.1:{b.server_port}/secret"
+        a.routes["/go"] = (301, {"Location": secret}, b"")
+        b.routes["/robots.txt"] = (200, {"Content-Type": "text/plain"}, b"User-agent: *\nDisallow: /\n")
+        b.routes["/secret"] = (200, {"Content-Type": "text/html"}, b"<p>the secret is for you</p>")
+        with pytest.raises(FetchFailed, match=f"robots.txt disallows {re.escape(secret)}$"):
+            LiveFetcher(per_host_delay_ms=0).fetch(f"http://127.0.0.1:{a.server_port}/go")
+    assert a.paths == ["/robots.txt", "/go"]
+    assert b.paths == ["/robots.txt"]
+
+
+def test_a_redirect_loop_fails_the_fetch(monkeypatch):
+    _no_proxies(monkeypatch)
+    with _loopback_sites(1) as (site,):
+        # A header's name may come in any case.
+        site.routes["/loop"] = (302, {"location": "/loop"}, b"")
+        with pytest.raises(FetchFailed, match="more than 10 redirects"):
+            LiveFetcher(per_host_delay_ms=0).fetch(f"http://127.0.0.1:{site.server_port}/loop")
+    assert site.paths == ["/robots.txt"] + ["/loop"] * 11
+
+
+def test_each_redirect_hop_waits_at_the_gate_and_resolves_against_its_sender():
+    now = [0.0]
+    requests = []
+
+    def sleeper(duration):
+        now[0] += duration
+
+    site = {
+        "https://h.com/robots.txt": (404, {}, b""),
+        "https://h.com/a": (301, {"Location": "/b/"}, b""),
+        "https://h.com/b/": (302, {"Location": "https://o.com/c/"}, b""),
+        # o.com's robots.txt is a redirect too, and it is followed.
+        "https://o.com/robots.txt": (301, {"Location": "https://h.com/o-robots"}, b""),
+        "https://h.com/o-robots": (200, {}, b"User-agent: *\nDisallow: /x\n"),
+        "https://o.com/c/": (307, {"Location": "d"}, b""),
+        "https://o.com/c/d": (200, {"Content-Type": "text/html"}, b'<a href="e">e</a>'),
+    }
+
+    def opener(url, headers, timeout):
+        requests.append((url, now[0]))
+        return site[url]
+
+    fetcher = LiveFetcher(opener=opener, per_host_delay_ms=1000,
+                          clock=lambda: now[0], sleeper=sleeper)
+    assert fetcher.fetch("https://h.com/a").links == ("https://o.com/c/e",)
+    assert requests == [
+        ("https://h.com/robots.txt", 0.0),
+        ("https://h.com/a", 1.0),
+        ("https://h.com/b/", 2.0),
+        ("https://o.com/robots.txt", 2.0),
+        ("https://h.com/o-robots", 3.0),
+        ("https://o.com/c/", 3.0),
+        ("https://o.com/c/d", 4.0),
+    ]
+    with pytest.raises(FetchFailed, match="robots.txt disallows https://o.com/x"):
+        fetcher.fetch("https://o.com/x")
+
+
+def test_a_redirect_off_http_fails_without_a_request():
+    site = {
+        "https://h.com/robots.txt": (404, {}, b""),
+        "https://h.com/a": (302, {"Location": "file:///etc/passwd"}, b""),
+    }
+    requests = []
+
+    def opener(url, headers, timeout):
+        requests.append(url)
+        return site[url]
+
+    with pytest.raises(FetchFailed, match="non-HTTP URL: file:///etc/passwd"):
+        LiveFetcher(opener=opener, per_host_delay_ms=0).fetch("https://h.com/a")
+    assert requests == ["https://h.com/robots.txt", "https://h.com/a"]
 
 
 def test_robots_body_over_the_cap_allows_everything(monkeypatch):
