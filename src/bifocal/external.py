@@ -28,7 +28,7 @@ thread; open several for concurrency.
 """
 from __future__ import annotations
 
-import functools
+import contextlib
 import socket
 
 from .errors import ScorerUnavailable
@@ -36,6 +36,8 @@ from .urls import CACHE_SIZE
 
 # Requests in flight on one connection.
 WINDOW = 64
+# Where the platform has it: acknowledge a reply at once (see above).
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 
 def parse_distribution(line: str) -> dict[str, float]:
@@ -80,16 +82,12 @@ def parse_pair(line: str) -> float:
 
 
 class ScorerClient:
-    """One connection to a scorer process.
+    """One TCP connection to a scorer process, opened by :meth:`connect_tcp`."""
 
-    ``ack``, if given, is called after each reply is read.
-    """
-
-    def __init__(self, reader, writer, closer=None, ack=None):
-        self._reader = reader
-        self._writer = writer
-        self._closer = closer
-        self._ack = ack
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._reader = sock.makefile("r", encoding="utf-8", newline="\n")
+        self._writer = sock.makefile("w", encoding="utf-8", newline="\n")
         self._broken: str | None = None
 
     @classmethod
@@ -100,17 +98,14 @@ class ScorerClient:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError as exc:
             raise ScorerUnavailable(f"cannot connect to {host}:{port}: {exc}") from exc
-        reader = sock.makefile("r", encoding="utf-8", newline="\n")
-        writer = sock.makefile("w", encoding="utf-8", newline="\n")
-        quickack = getattr(socket, "TCP_QUICKACK", None)
-        ack = None if quickack is None else functools.partial(
-            sock.setsockopt, socket.IPPROTO_TCP, quickack, 1
-        )
-        return cls(reader, writer, closer=sock.close, ack=ack)
+        return cls(sock)
 
     def close(self) -> None:
-        if self._closer is not None:
-            self._closer()
+        """Close both streams, then the socket: each stream holds it open."""
+        with contextlib.suppress(OSError):  # the unsent requests of a failed call
+            self._writer.close()
+        self._reader.close()
+        self._sock.close()
 
     def roundtrips(self, requests: "list[str]") -> "list[str]":
         """One reply line per request, in order, ``WINDOW`` requests at a time.
@@ -138,8 +133,8 @@ class ScorerClient:
                     if not line:
                         self._broken = "scorer closed the connection"
                         raise ScorerUnavailable(self._broken)
-                    if self._ack is not None:
-                        self._ack()
+                    if _QUICKACK is not None:
+                        self._sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
                     replies.append(line.rstrip("\n"))
             except (OSError, ValueError) as exc:
                 self._broken = f"scorer transport failed: {exc}"

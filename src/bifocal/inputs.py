@@ -1,4 +1,4 @@
-"""Reading input files: numbered lines, tab-separated rows and JSON.
+"""Reading input files (numbered lines, tab-separated rows and JSON), and replacing a file whole.
 
 Each reader reports a bad input as a ``ConfigError`` that names the file, and
 the line for a bad row.  No numpy.
@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
 
 from .errors import ConfigError
@@ -57,6 +58,22 @@ def url_list(value) -> "tuple[str, ...]":
     if not isinstance(value, list) or not all(isinstance(url, str) for url in value):
         raise TypeError(f"expected a list of URL strings, got {value!r:.80}")
     return tuple(value)
+
+
+def replace_file(path, write) -> None:
+    """Write ``path`` through ``write(binary_handle)`` to a temporary file in
+    its directory, which then replaces it, so a reader never sees half a file.
+    If writing fails, ``path`` is as it was and the temporary file is gone."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    handle = open(tmp_path, "xb")
+    try:
+        with handle:
+            write(handle)
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def _name(path) -> str:

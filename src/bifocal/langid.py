@@ -14,12 +14,12 @@ the rule scorer works without it.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import ConfigError, NotAUrl
+from .inputs import replace_file
 from .isodata import UNKNOWN_LANG, bundled_languages
 from .urls import CACHE_SIZE, UrlComponents, normalize_url, parse_components
 
@@ -520,23 +520,8 @@ def model_from_bytes(blob) -> NgramLangModel:
 
 
 def save_model(model: NgramLangModel, path) -> None:
-    """Write ``model`` to ``path`` atomically, without the rows its
-    predictions drew.
-
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path``, so a reader never sees half a model.  If writing fails,
-    ``path`` is left as it was and the temporary file is removed.
-    """
-    directory, name = os.path.split(os.fspath(path))
-    tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    handle = open(tmp_path, "xb")
-    try:
-        with handle:
-            _write_model(model, handle)
-        os.replace(tmp_path, path)
-    except BaseException:
-        os.unlink(tmp_path)
-        raise
+    """Write ``model``, without the rows its predictions drew, to ``path``."""
+    replace_file(path, lambda handle: _write_model(model, handle))
 
 
 def load_model(path) -> NgramLangModel:

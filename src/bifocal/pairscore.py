@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConfigError, NotAUrl, UnknownLanguage
-from .inputs import read_json
+from .inputs import read_json, replace_file
 from .isodata import UNKNOWN_LANG, bundled_languages
 from .urls import CACHE_SIZE, jaccard, normalize_url, parse_components
 
@@ -387,15 +387,18 @@ def pair_train(data, masks=None) -> "PairFeatureModel | list[PairFeatureModel]":
 
 
 def save_pair_model(model: PairFeatureModel, path) -> None:
+    """Write ``model`` to ``path`` as JSON, with ``replace_file``."""
+    replace_file(path, lambda handle: _write_pair_model(model, handle))
+
+
+def _write_pair_model(model: PairFeatureModel, handle) -> None:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "feature_names": list(FEATURE_NAMES),
         "weights": list(model.weights),
         "bias": model.bias,
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+    handle.write(json.dumps(payload, indent=1).encode("utf-8") + b"\n")
 
 
 def load_pair_model(path) -> PairFeatureModel:

@@ -1,13 +1,9 @@
-import contextlib
-import http.server
 import io
 import json
 import os
-import signal
 import struct
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -19,6 +15,7 @@ from bifocal.datasets import read_labeled_pairs, write_labeled_pairs, write_labe
 from bifocal.errors import ConfigError
 from bifocal.pairscore import FEATURE_NAMES
 
+from loopback import DROP, hard_timeout
 from synthdata import lang_url_corpus, parallel_pair_corpus, planted_graph
 
 
@@ -869,22 +866,6 @@ def test_empty_log_report(tmp_path):
 # ---------------------------------------------------------------------------
 # langid commands
 
-@contextlib.contextmanager
-def _hard_timeout(seconds):
-    """Fail the test from the main thread if the block runs ``seconds`` or
-    more, so a hang fails instead of stalling the suite."""
-    def expire(signum, frame):
-        pytest.fail(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _model_with_huge_n_max(tmp):
     """A model trained with n_max 4 whose header then says 3,523,215,364."""
     model = tmp / "lang.bin"
@@ -902,7 +883,7 @@ def _model_with_huge_n_max(tmp):
 ], ids=["train", "predict"])
 def test_huge_n_max_finishes(tmp_path, capsys, argv):
     argv = argv(tmp_path)
-    with _hard_timeout(5):
+    with hard_timeout(5):
         assert dispatch(argv) == 0
     assert capsys.readouterr().out
 
@@ -1103,52 +1084,25 @@ def _loopback_graph(base):
     }})
 
 
-class _GraphSite(http.server.BaseHTTPRequestHandler):
-    """Serves ``server.graph`` as HTML: 404 for robots.txt, and a dropped
-    connection for a page outside the graph."""
-
-    def do_GET(self):
-        if self.path == "/robots.txt":
-            self.send_error(404)
-            return
-        base = f"http://127.0.0.1:{self.server.server_port}"
-        page = self.server.graph.pages.get(base + self.path)
-        if page is None:
-            return  # no reply: the connection closes
-        links = "".join(f'<a href="{link}"></a>' for link in page.links)
-        body = f"<html><body><p>{_PAGE_WORDS[page.lang]}</p>{links}</body></html>".encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
+def _page_route(page):
+    links = "".join(f'<a href="{link}"></a>' for link in page.links)
+    body = f"<html><body><p>{_PAGE_WORDS[page.lang]}</p>{links}</body></html>".encode()
+    return 200, {"Content-Type": "text/html; charset=utf-8"}, body
 
 
-def test_crawl_logs_what_simulate_logs(tmp_path, capsys, monkeypatch):
-    for name in list(os.environ):
-        if name.lower().endswith("_proxy"):
-            monkeypatch.delenv(name)
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _GraphSite)
-    base = f"http://127.0.0.1:{server.server_port}"
-    server.graph = _loopback_graph(base)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        graph_path = tmp_path / "graph.json"
-        server.graph.save(graph_path)
-        seeds = _write(tmp_path, "seeds.txt", base + "/\n")
-        config = _write(tmp_path, "crawl.cfg", f'lang_a = "eng"\nlang_b = "fra"\n'
-                        f'seeds_file = "{seeds}"\nbudget = 20\nper_host_delay_ms = 0\n')
-        assert dispatch(["crawl", "--config", str(config), "--log", str(tmp_path / "live.tsv")]) == 0
-        assert capsys.readouterr().out == "fetch events: 9\n"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
+def test_crawl_logs_what_simulate_logs(tmp_path, capsys, web_site):
+    site = web_site()
+    graph = _loopback_graph(site.base)
+    site.routes = {url.removeprefix(site.base): _page_route(page) for url, page in graph.pages.items()}
+    site.routes["/robots.txt"] = (404, {}, b"")
+    site.default = DROP  # a page outside the graph
+    graph_path = tmp_path / "graph.json"
+    graph.save(graph_path)
+    seeds = _write(tmp_path, "seeds.txt", site.base + "/\n")
+    config = _write(tmp_path, "crawl.cfg", f'lang_a = "eng"\nlang_b = "fra"\n'
+                    f'seeds_file = "{seeds}"\nbudget = 20\nper_host_delay_ms = 0\n')
+    assert dispatch(["crawl", "--config", str(config), "--log", str(tmp_path / "live.tsv")]) == 0
+    assert capsys.readouterr().out == "fetch events: 9\n"
     assert dispatch(["simulate", "--graph", str(graph_path), "--config", str(config),
                      "--log", str(tmp_path / "sim.tsv")]) == 0
     live = (tmp_path / "live.tsv").read_text()

@@ -1,14 +1,7 @@
-import contextlib
 import dataclasses
-import http.server
-import io
 import logging
 import math
-import os
 import re
-import threading
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -52,7 +45,7 @@ from bifocal.pairscore import (
 )
 from bifocal.urls import normalize_url
 
-import stub_scorer
+from loopback import bad_url, hard_timeout, ok
 from references import bfs_reference, pair_features_reference, score_links_reference
 from synthdata import (
     OracleLangScorer,
@@ -340,24 +333,24 @@ def _log_rows(log):
 
 
 def _simulate_with(graph, seeds, scorers):
-    if scorers != "external":
-        return simulate(graph, _cfg(seeds, budget=len(graph.pages)), *scorers(graph))
-    clients = [stub_scorer.client(), stub_scorer.client()]
-    try:
-        return simulate(graph, _cfg(seeds, budget=len(graph.pages)),
-                        ExternalLanguageScorer(clients[0]), ExternalPairScorer(clients[1]))
-    finally:
-        for client in clients:
-            client.close()
+    """A crawl with ``scorers(graph)``, or with both scorers at the scorer
+    spec ``scorers``."""
+    if isinstance(scorers, str):
+        return simulate(graph, _cfg(seeds, budget=len(graph.pages),
+                                    lang_scorer=scorers, pair_scorer=scorers))
+    return simulate(graph, _cfg(seeds, budget=len(graph.pages)), *scorers(graph))
 
 
 @pytest.mark.parametrize("make_graph", [
     lambda: planted_graph(n_sites=2, pages_per_site=30, seed=5), dense_planted_graph,
 ], ids=["planted", "dense"])
 @pytest.mark.parametrize("kind", ["rule+baseline", "ngram+model", "uniform", "oracle", "external"])
-def test_crawl_logs_equal_full_scoring(monkeypatch, trained_scorers, make_graph, kind):
+def test_crawl_logs_equal_full_scoring(monkeypatch, request, trained_scorers, make_graph, kind):
     graph, seeds = make_graph()
-    scorers = trained_scorers.get(kind, kind)
+    if kind == "external":
+        scorers = request.getfixturevalue("scorer_server")().spec
+    else:
+        scorers = trained_scorers[kind]
     log = _simulate_with(graph, seeds, scorers)
     monkeypatch.setattr(crawler, "score_links", score_links_reference)
     monkeypatch.setattr(crawler, "Frontier", _NeverFetchedFrontier)
@@ -496,50 +489,36 @@ def _warned_links(caplog):
 
 
 @pytest.mark.parametrize("bad_scorer", ["lang", "pair"])
-def test_malformed_reply_zeroes_only_its_link(bad_scorer, caplog):
+def test_malformed_reply_zeroes_only_its_link(bad_scorer, caplog, scorer_server):
     bad = "https://s/fr/bad"
-    clients = {kind: stub_scorer.client(*(("bad-url", bad) if kind == bad_scorer else ()))
+    clients = {kind: scorer_server(bad_url(bad) if kind == bad_scorer else ok).client()
                for kind in ("lang", "pair")}
-    cfg = _cfg(["https://s/"])
-    try:
-        scored = score_links("https://s/en/a", "eng", ["https://s/fr/a", bad, "https://s/en/b"],
-                             cfg, ExternalLanguageScorer(clients["lang"]),
-                             ExternalPairScorer(clients["pair"]))
-    finally:
-        for client in clients.values():
-            client.close()
+    scored = score_links("https://s/en/a", "eng", ["https://s/fr/a", bad, "https://s/en/b"],
+                         _cfg(["https://s/"]), ExternalLanguageScorer(clients["lang"]),
+                         ExternalPairScorer(clients["pair"]))
     assert scored == [("https://s/fr/a", 0.9 * 0.75), (bad, 0.0), ("https://s/en/b", 0.1 * 0.25)]
     assert _warned_links(caplog) == [bad]
 
 
-def test_link_with_a_line_break_is_zeroed_alone(caplog):
+def test_link_with_a_line_break_is_zeroed_alone(caplog, scorer_server):
     bad = "https://s/fr/a\nPAIR\tx"
-    clients = [stub_scorer.client(), stub_scorer.client()]
-    cfg = _cfg(["https://s/"])
-    try:
-        scored = score_links("https://s/en/a", "eng", [bad, "https://s/fr/a", "https://s/en/b"],
-                             cfg, ExternalLanguageScorer(clients[0]),
-                             ExternalPairScorer(clients[1]))
-    finally:
-        for client in clients:
-            client.close()
+    server = scorer_server()
+    scored = score_links("https://s/en/a", "eng", [bad, "https://s/fr/a", "https://s/en/b"],
+                         _cfg(["https://s/"]), ExternalLanguageScorer(server.client()),
+                         ExternalPairScorer(server.client()))
     assert scored == [(bad, 0.0), ("https://s/fr/a", 0.9 * 0.75), ("https://s/en/b", 0.1 * 0.25)]
     assert _warned_links(caplog) == [bad]
 
 
-def test_dead_scorer_zeroes_every_later_link(caplog):
+def test_dead_scorer_zeroes_every_later_link(caplog, scorer_server):
     # Three replies: both of page 1's, then one of page 2's three.
-    lang_client, pair_client = stub_scorer.client("die-after", "3"), stub_scorer.client()
-    lang, pair = ExternalLanguageScorer(lang_client), ExternalPairScorer(pair_client)
+    lang = ExternalLanguageScorer(scorer_server(close_after=3).client())
+    pair = ExternalPairScorer(scorer_server().client())
     pages = [["https://s/fr/a", "https://s/en/b"],
              ["https://s/en/c", "https://s/fr/d", "https://s/fr/e"],
              ["https://s/fr/f"]]
     cfg = _cfg(["https://s/"])
-    try:
-        scored = [score_links("https://s/en/a", "eng", links, cfg, lang, pair) for links in pages]
-    finally:
-        lang_client.close()
-        pair_client.close()
+    scored = [score_links("https://s/en/a", "eng", links, cfg, lang, pair) for links in pages]
     assert scored[0] == [("https://s/fr/a", 0.9 * 0.75), ("https://s/en/b", 0.1 * 0.25)]
     later = pages[1] + pages[2]
     assert scored[1] + scored[2] == [(link, 0.0) for link in later]
@@ -556,18 +535,14 @@ class _ProbabilityOnly:
         return self.inner.probability(*args)
 
 
-def test_external_scorers_crawl_alike_without_prefetch(tmp_path):
+def test_external_scorers_crawl_alike_without_prefetch(tmp_path, scorer_server):
+    server = scorer_server()
     graph, seeds = dense_planted_graph()
     cfg = _cfg(seeds, budget=50)
     logs = []
     for wrap in (lambda scorer: scorer, _ProbabilityOnly):
-        lang_client, pair_client = stub_scorer.client(), stub_scorer.client()
-        try:
-            log = simulate(graph, cfg, wrap(ExternalLanguageScorer(lang_client)),
-                           wrap(ExternalPairScorer(pair_client)))
-        finally:
-            lang_client.close()
-            pair_client.close()
+        log = simulate(graph, cfg, wrap(ExternalLanguageScorer(server.client())),
+                       wrap(ExternalPairScorer(server.client())))
         path = tmp_path / f"log{len(logs)}.tsv"
         log.to_tsv(path)
         logs.append(path.read_bytes())
@@ -876,174 +851,67 @@ def test_robots_client_error_allows_everything(status):
     assert fetcher.fetch("https://h.com/page").lang == "unk"
 
 
-class _FakeResponse:
-    def __init__(self, body):
-        self.status = 200
-        self.headers = {"Content-Type": "text/html"}
-        self.body = io.BytesIO(body)
-        self.reads = []
-
-    def read(self, size=-1):
-        self.reads.append(size)
-        return self.body.read(size)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-def _fake_urlopen(monkeypatch, bodies):
-    """Serve ``bodies[url]`` to every urllib opener; a URL mapped to an int
-    answers with that HTTP error."""
-    responses = []
-
-    def open(opener, request, timeout):
-        body = bodies[request.full_url]
-        if isinstance(body, int):
-            raise urllib.error.HTTPError(request.full_url, body, "error", {}, io.BytesIO(b""))
-        responses.append(_FakeResponse(body))
-        return responses[-1]
-
-    monkeypatch.setattr(urllib.request.OpenerDirector, "open", open)
-    return responses
-
-
-def test_default_opener_returns_http_error_statuses(monkeypatch):
-    _fake_urlopen(monkeypatch, {"https://h.com/robots.txt": 503, "https://h.com/gone": 404})
-    assert crawler._default_opener("https://h.com/robots.txt", {}, 1.0) == (503, {}, b"")
-    assert crawler._default_opener("https://h.com/gone", {}, 1.0) == (404, {}, b"")
+def test_default_opener_returns_http_error_statuses(web_site):
+    site = web_site()
+    site.routes["/robots.txt"] = (503, {}, b"")
+    empty = {"Content-Length": "0"}
+    assert crawler._default_opener(site.base + "/robots.txt", {}, 1.0) == (503, empty, b"")
+    assert crawler._default_opener(site.base + "/gone", {}, 1.0) == (404, empty, b"")
     fetcher = LiveFetcher(per_host_delay_ms=0)
     with pytest.raises(FetchFailed, match="robots.txt disallows"):
-        fetcher.fetch("https://h.com/gone")
+        fetcher.fetch(site.base + "/gone")
 
 
-def test_default_opener_caps_the_body(monkeypatch):
+def test_default_opener_caps_the_body(monkeypatch, web_site):
     monkeypatch.setattr(crawler, "_MAX_BODY_BYTES", 64)
+    monkeypatch.setattr(crawler, "_FETCH_TIMEOUT_S", 4.0)
     page = b"<p>the page is for you</p>".ljust(64)
-    responses = _fake_urlopen(monkeypatch, {
-        "https://h.com/robots.txt": 404,
-        "https://h.com/": page + b'<a href="/big">big</a>',
-        "https://h.com/fit": page,
-    })
-    with pytest.raises(FetchFailed, match="longer than 64 bytes"):
-        crawler._default_opener("https://h.com/", {}, 1.0)
-    assert responses[-1].reads == [65]
-    assert crawler._default_opener("https://h.com/fit", {}, 1.0) == (
-        200, {"Content-Type": "text/html"}, page)
-
-    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=("https://h.com/", "https://h.com/fit"),
+    site = web_site()
+    # "/" sends 65 bytes of its longer body and then holds: only a read of
+    # more than the cap + 1 bytes would wait for the rest.
+    site.routes["/"] = (200, {"Content-Type": "text/html"}, page + b'<a href="/big">big</a>', 65)
+    site.routes["/fit"] = (200, {"Content-Type": "text/html"}, page)
+    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=(site.base + "/", site.base + "/fit"),
                       budget=5)
-    log = crawl_live(cfg, fetcher=LiveFetcher(per_host_delay_ms=0))
+    with hard_timeout(2):
+        with pytest.raises(FetchFailed, match="longer than 64 bytes"):
+            crawler._default_opener(site.base + "/", {}, 4.0)
+        assert crawler._default_opener(site.base + "/fit", {}, 4.0) == (
+            200, {"Content-Type": "text/html", "Content-Length": "64"}, page)
+        log = crawl_live(cfg, fetcher=LiveFetcher(per_host_delay_ms=0))
     assert [(e.url, e.outcome) for e in log] == [
-        ("https://h.com/", ERROR),
-        ("https://h.com/fit", STORED),
+        (site.base + "/", ERROR),
+        (site.base + "/fit", STORED),
     ]
 
 
-class _RedirectingSite(http.server.BaseHTTPRequestHandler):
-    """``/fr`` answers 301 to ``/fr/``, a French page that links ``page.html``;
-    robots.txt is 404."""
-
-    def do_GET(self):
-        if self.path == "/fr":
-            self.send_response(301)
-            self.send_header("Location", "/fr/")
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-        elif self.path == "/fr/":
-            body = b'<p>le site est pour vous</p><a href="page.html">page</a>'
-            self.send_response(200)
-            self.send_header("Content-Type", "text/html; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        else:
-            self.send_error(404)
-
-    def log_message(self, *args):
-        pass
+def test_live_links_resolve_against_the_url_a_redirect_ends_at(web_site):
+    site = web_site()
+    site.routes["/fr"] = (301, {"Location": "/fr/"}, b"")
+    site.routes["/fr/"] = (200, {"Content-Type": "text/html; charset=utf-8"},
+                           b'<p>le site est pour vous</p><a href="page.html">page</a>')
+    result = LiveFetcher(per_host_delay_ms=0).fetch(site.base + "/fr")
+    assert result == crawler.FetchResult("fra", (site.base + "/fr/page.html",))
 
 
-def test_live_links_resolve_against_the_url_a_redirect_ends_at(monkeypatch):
-    _no_proxies(monkeypatch)
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _RedirectingSite)
-    base = f"http://127.0.0.1:{server.server_port}"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        result = LiveFetcher(per_host_delay_ms=0).fetch(base + "/fr")
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-    assert result == crawler.FetchResult("fra", (base + "/fr/page.html",))
-
-
-def _no_proxies(monkeypatch):
-    """Let a loopback test's requests go straight to 127.0.0.1."""
-    for name in list(os.environ):
-        if name.lower().endswith("_proxy"):
-            monkeypatch.delenv(name)
-
-
-class _RecordingSite(http.server.BaseHTTPRequestHandler):
-    """Answers ``server.routes[path]``, a ``(status, headers, body)``, or 404;
-    ``server.paths`` records every path asked for."""
-
-    def do_GET(self):
-        self.server.paths.append(self.path)
-        status, headers, body = self.server.routes.get(self.path, (404, {}, b""))
-        self.send_response(status)
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@contextlib.contextmanager
-def _loopback_sites(count):
-    """``count`` servers on 127.0.0.1, each its own origin, with no routes yet."""
-    servers = [http.server.ThreadingHTTPServer(("127.0.0.1", 0), _RecordingSite)
-               for _ in range(count)]
-    threads = [threading.Thread(target=server.serve_forever, daemon=True) for server in servers]
-    for server, thread in zip(servers, threads):
-        server.routes, server.paths = {}, []
-        thread.start()
-    try:
-        yield servers
-    finally:
-        for server, thread in zip(servers, threads):
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-
-
-def test_a_redirect_to_another_origin_asks_that_origins_robots_txt(monkeypatch):
-    _no_proxies(monkeypatch)
-    with _loopback_sites(2) as (a, b):
-        secret = f"http://127.0.0.1:{b.server_port}/secret"
-        a.routes["/go"] = (301, {"Location": secret}, b"")
-        b.routes["/robots.txt"] = (200, {"Content-Type": "text/plain"}, b"User-agent: *\nDisallow: /\n")
-        b.routes["/secret"] = (200, {"Content-Type": "text/html"}, b"<p>the secret is for you</p>")
-        with pytest.raises(FetchFailed, match=f"robots.txt disallows {re.escape(secret)}$"):
-            LiveFetcher(per_host_delay_ms=0).fetch(f"http://127.0.0.1:{a.server_port}/go")
+def test_a_redirect_to_another_origin_asks_that_origins_robots_txt(web_site):
+    a, b = web_site(), web_site()
+    secret = b.base + "/secret"
+    a.routes["/go"] = (301, {"Location": secret}, b"")
+    b.routes["/robots.txt"] = (200, {"Content-Type": "text/plain"}, b"User-agent: *\nDisallow: /\n")
+    b.routes["/secret"] = (200, {"Content-Type": "text/html"}, b"<p>the secret is for you</p>")
+    with pytest.raises(FetchFailed, match=f"robots.txt disallows {re.escape(secret)}$"):
+        LiveFetcher(per_host_delay_ms=0).fetch(a.base + "/go")
     assert a.paths == ["/robots.txt", "/go"]
     assert b.paths == ["/robots.txt"]
 
 
-def test_a_redirect_loop_fails_the_fetch(monkeypatch):
-    _no_proxies(monkeypatch)
-    with _loopback_sites(1) as (site,):
-        # A header's name may come in any case.
-        site.routes["/loop"] = (302, {"location": "/loop"}, b"")
-        with pytest.raises(FetchFailed, match="more than 10 redirects"):
-            LiveFetcher(per_host_delay_ms=0).fetch(f"http://127.0.0.1:{site.server_port}/loop")
+def test_a_redirect_loop_fails_the_fetch(web_site):
+    site = web_site()
+    # A header's name may come in any case.
+    site.routes["/loop"] = (302, {"location": "/loop"}, b"")
+    with pytest.raises(FetchFailed, match="more than 10 redirects"):
+        LiveFetcher(per_host_delay_ms=0).fetch(site.base + "/loop")
     assert site.paths == ["/robots.txt"] + ["/loop"] * 11
 
 
@@ -1101,13 +969,13 @@ def test_a_redirect_off_http_fails_without_a_request():
     assert requests == ["https://h.com/robots.txt", "https://h.com/a"]
 
 
-def test_robots_body_over_the_cap_allows_everything(monkeypatch):
+def test_robots_body_over_the_cap_allows_everything(monkeypatch, web_site):
     monkeypatch.setattr(crawler, "_MAX_BODY_BYTES", 64)
-    _fake_urlopen(monkeypatch, {
-        "https://h.com/robots.txt": b"User-agent: *\nDisallow: /\n".ljust(65, b"#"),
-        "https://h.com/page": b"<p>the page is for you</p>",
-    })
-    assert LiveFetcher(per_host_delay_ms=0).fetch("https://h.com/page").lang == "eng"
+    site = web_site()
+    site.routes["/robots.txt"] = (200, {}, b"User-agent: *\nDisallow: /\n".ljust(65, b"#"))
+    site.routes["/page"] = (200, {"Content-Type": "text/html"}, b"<p>the page is for you</p>")
+    assert LiveFetcher(per_host_delay_ms=0).fetch(site.base + "/page").lang == "eng"
+
 
 def _html(text, *links):
     anchors = "".join(f'<a href="{link}"></a>' for link in links)

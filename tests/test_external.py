@@ -1,15 +1,12 @@
 import collections
 import gc
-import io
 import logging
 import socket
-import threading
 import time
 import warnings
 
 import pytest
 
-import stub_scorer
 from bifocal import external
 from bifocal.crawler import STORED, CrawlConfig, GraphFetcher, crawl_live, simulate
 from bifocal.errors import ScorerUnavailable
@@ -21,89 +18,69 @@ from bifocal.external import (
     parse_distribution,
     parse_pair,
 )
+from loopback import bad_url, ok
 from synthdata import dense_planted_graph, random_site_graph
 
-def test_language_distribution_over_pipes():
-    client = stub_scorer.client()
-    try:
-        dist = parse_distribution(client.roundtrips(["LANG\thttps://a.com/fr/page"])[0])
-        assert dist == {"fra": 0.9, "eng": 0.05, "unk": 0.05}
-        assert sum(dist.values()) == pytest.approx(1.0)
-    finally:
-        client.close()
+
+def test_tcp_transport(scorer_server):
+    client = scorer_server().client()
+    lang_reply, *pair_replies = client.roundtrips([
+        "LANG\thttps://a.com/fr/page",
+        "PAIR\thttps://a.com/en/x\thttps://a.com/fr/x",
+        "PAIR\thttps://a.com/en/x\thttps://a.com/fr/y",
+    ])
+    dist = parse_distribution(lang_reply)
+    assert dist == {"fra": 0.9, "eng": 0.05, "unk": 0.05}
+    assert sum(dist.values()) == pytest.approx(1.0)
+    assert [parse_pair(reply) for reply in pair_replies] == [0.75, 0.25]
 
 
-def test_pair_probability_over_pipes():
-    client = stub_scorer.client()
-    try:
-        replies = client.roundtrips(["PAIR\thttps://a.com/en/x\thttps://a.com/fr/x",
-                                     "PAIR\thttps://a.com/en/x\thttps://a.com/fr/y"])
-        assert [parse_pair(reply) for reply in replies] == [0.75, 0.25]
-    finally:
-        client.close()
+def test_scorer_wrappers(scorer_server):
+    client = scorer_server().client()
+    lang = ExternalLanguageScorer(client)
+    assert lang.probability("https://a.com/fr/p", "fra") == 0.9
+    assert lang.probability("https://a.com/fr/p", "zzz") == 0.0
+    pair = ExternalPairScorer(client)
+    assert pair.probability("https://a/x", "https://b/x") == 0.75
 
 
-def test_scorer_wrappers():
-    client = stub_scorer.client()
-    try:
-        lang = ExternalLanguageScorer(client)
-        assert lang.probability("https://a.com/fr/p", "fra") == 0.9
-        assert lang.probability("https://a.com/fr/p", "zzz") == 0.0
-        pair = ExternalPairScorer(client)
-        assert pair.probability("https://a/x", "https://b/x") == 0.75
-    finally:
-        client.close()
-
-
-def test_malformed_response_raises():
-    client = stub_scorer.client("garbage")
-    try:
-        reply = client.roundtrips(["PAIR\thttps://a/x\thttps://b/y"])[0]
-        with pytest.raises(ScorerUnavailable, match="malformed"):
-            parse_pair(reply)
-    finally:
-        client.close()
-
-
-def test_closed_stream_raises():
-    client = stub_scorer.client("truncate")
-    try:
-        with pytest.raises(ScorerUnavailable):
-            client.roundtrips(["LANG\thttps://a.com/x"])
-    finally:
-        client.close()
-
-
-def test_out_of_range_pair_probability():
-    reader = io.StringIO("1.5\n")
-    writer = io.StringIO()
-    client = ScorerClient(reader, writer)
-    reply = client.roundtrips(["PAIR\ta\tb"])[0]
-    with pytest.raises(ScorerUnavailable, match="out of range"):
+def test_malformed_response_raises(scorer_server):
+    client = scorer_server(lambda request: "not a number at all").client()
+    reply = client.roundtrips(["PAIR\thttps://a/x\thttps://b/y"])[0]
+    with pytest.raises(ScorerUnavailable, match="malformed"):
         parse_pair(reply)
 
 
-def test_distribution_parsing_rejects_missing_tab():
-    reader = io.StringIO("fra 0.9\n")
-    client = ScorerClient(reader, io.StringIO())
-    reply = client.roundtrips(["LANG\thttps://a.com/"])[0]
-    with pytest.raises(ScorerUnavailable, match="malformed"):
-        parse_distribution(reply)
+def test_closed_stream_raises(scorer_server):
+    client = scorer_server(close_after=0).client()
+    with pytest.raises(ScorerUnavailable):
+        client.roundtrips(["LANG\thttps://a.com/x"])
 
 
-@pytest.mark.parametrize("reply", [
-    "fra\tnan eng\t1.5 deu\t-2", "fra\tnan", "eng\t1.5", "fra\t0.5 eng\t-0.1",
-    "fra\tinf", "fra\t-inf", "fra\t1.0000001",
+def test_close_ends_the_connection(scorer_server):
+    server = scorer_server()
+    client = server.client()
+    assert client.roundtrips(["PAIR\ta\tb"]) == ["0.25"]
+    client.close()
+    assert server.hung_up.wait(1)
+
+
+@pytest.mark.parametrize("parse, reply", [
+    *(pytest.param(parse_distribution, reply, id=reply) for reply in [
+        "fra\tnan eng\t1.5 deu\t-2", "fra\tnan", "eng\t1.5", "fra\t0.5 eng\t-0.1",
+        "fra\tinf", "fra\t-inf", "fra\t1.0000001"]),
+    pytest.param(parse_pair, "1.5", id="PAIR 1.5"),
 ])
-def test_distribution_parsing_rejects_out_of_range_probabilities(reply):
+def test_distribution_parsing_rejects_out_of_range_probabilities(parse, reply):
     with pytest.raises(ScorerUnavailable, match="out of range"):
-        parse_distribution(reply)
+        parse(reply)
 
 
 @pytest.mark.parametrize("reply, message", [
     ("fra\tabc", "malformed probability 'abc'"),
     ("", "empty distribution response"),
     ("  ", "empty distribution response"),
+    ("fra 0.9", "malformed distribution unit"),
 ])
 def test_distribution_parsing_rejects_malformed_replies(reply, message):
     with pytest.raises(ScorerUnavailable, match=message):
@@ -123,158 +100,65 @@ def test_tcp_connect_refused():
         ScorerClient.connect_tcp("127.0.0.1", 1, timeout=0.2)
 
 
-class _LineServer:
-    """Loopback scorer that answers ``reply(request)`` and records every request."""
-
-    def __init__(self, reply):
-        self.reply = reply
-        self.requests = []
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            self.sock.bind(("127.0.0.1", 0))
-        except OSError:
-            self.sock.close()
-            pytest.skip("loopback sockets unavailable in this environment")
-        self.sock.listen(2)
-        self.port = self.sock.getsockname()[1]
-        threading.Thread(target=self._accept, daemon=True).start()
-
-    def _accept(self):
-        while True:
-            try:
-                conn, _ = self.sock.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
-
-    def _serve(self, conn):
-        # Separate streams: writing to a read-write text stream drops the
-        # requests it has read ahead.
-        with conn, conn.makefile("r", encoding="utf-8", newline="\n") as reader, \
-                conn.makefile("w", encoding="utf-8", newline="\n") as writer:
-            for line in reader:
-                request = line.rstrip("\n")
-                self.requests.append(request)
-                writer.write(self.reply(request) + "\n")
-                writer.flush()
-
-
-@pytest.fixture
-def line_server():
-    servers = []
-
-    def start(reply):
-        servers.append(_LineServer(reply))
-        return servers[-1]
-
-    yield start
-    for server in servers:
-        server.sock.close()
-
-
-def test_tcp_transport(line_server):
-    server = line_server(
-        lambda request: "eng\t0.6 fra\t0.4" if request.startswith("LANG") else "0.5"
-    )
-    client = ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
-    try:
-        lang_reply, pair_reply = client.roundtrips(
-            ["LANG\thttps://x.com/", "PAIR\thttps://a\thttps://b"]
-        )
-        assert parse_distribution(lang_reply) == {"eng": 0.6, "fra": 0.4}
-        assert parse_pair(pair_reply) == 0.5
-    finally:
-        client.close()
-
-
 _MANY = [f"PAIR\thttps://a.com/{i}\thttps://b.com/{i % 7}" for i in range(200)]
 
 
-def test_roundtrips_keep_order_over_pipes():
+def test_roundtrips_keep_order_over_tcp(scorer_server):
     assert len(_MANY) > 3 * WINDOW
-    client = stub_scorer.client("echo")
-    try:
-        assert client.roundtrips(_MANY) == _MANY
-        assert client.roundtrips([]) == []
-    finally:
-        client.close()
-
-
-def test_roundtrips_keep_order_over_tcp(line_server):
-    server = line_server(lambda request: request)
-    client = ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
-    try:
-        assert client.roundtrips(_MANY) == _MANY
-    finally:
-        client.close()
+    server = scorer_server(lambda request: request)
+    client = server.client()
+    assert client.roundtrips(_MANY) == _MANY
+    assert client.roundtrips([]) == []
     assert server.requests == _MANY
 
 
-class _ReaderFailingOnce:
-    """A stream whose first read fails; the reply it held arrives later."""
-
-    def __init__(self):
-        self.reads = 0
-
-    def readline(self):
-        self.reads += 1
-        if self.reads == 1:
-            raise TimeoutError("timed out")
-        return "0.5\n"
-
-
-def test_client_stays_broken_after_a_transport_failure():
-    reader = _ReaderFailingOnce()
-    client = ScorerClient(reader, io.StringIO())
+def test_client_stays_broken_after_a_transport_failure(scorer_server):
+    server = scorer_server(hold=True)
+    client = server.client(timeout=0.2)
     with pytest.raises(ScorerUnavailable, match="timed out"):
         client.roundtrips(["PAIR\thttps://a/x\thttps://b/x"])
-    # The late reply to the failed request must not answer the next one.
+    # The late reply to the failed request must not answer the next one,
+    # and the next one must not be sent.
+    server.released.set()
     with pytest.raises(ScorerUnavailable, match="timed out"):
         client.roundtrips(["PAIR\thttps://a/y\thttps://b/y"])
-    assert reader.reads == 1
+    client.close()
+    assert server.hung_up.wait(1)
+    assert server.requests == ["PAIR\thttps://a/x\thttps://b/x"]
 
 
-def test_client_stays_broken_after_a_short_window():
-    client = ScorerClient(io.StringIO("0.5\n"), io.StringIO())
+def test_client_stays_broken_after_a_short_window(scorer_server):
+    client = scorer_server(close_after=1).client()
     with pytest.raises(ScorerUnavailable, match="closed"):
         client.roundtrips(["PAIR\ta\tb", "PAIR\tc\td"])
     with pytest.raises(ScorerUnavailable, match="closed"):
         client.roundtrips(["PAIR\te\tf"])
 
 
-def test_language_scorer_memoizes_parsed_answers_only():
-    client = stub_scorer.client("bad-url", "https://a.com/bad")
-    lang = ExternalLanguageScorer(client)
-    try:
-        lang.prefetch(["https://a.com/fr/x", "https://a.com/bad", "https://a.com/fr/x"])
-        assert lang.probability("https://a.com/fr/x", "fra") == 0.9
-        with pytest.raises(ScorerUnavailable):
-            lang.probability("https://a.com/bad", "fra")
-        lang.prefetch(["https://a.com/fr/x", "https://a.com/bad"])
-        assert lang._pending.keys() == {"https://a.com/bad"}
-        assert lang.probability("https://a.com/fr/x", "eng") == 0.05
-    finally:
-        client.close()
+def test_language_scorer_memoizes_parsed_answers_only(scorer_server):
+    lang = ExternalLanguageScorer(scorer_server(bad_url("https://a.com/bad")).client())
+    lang.prefetch(["https://a.com/fr/x", "https://a.com/bad", "https://a.com/fr/x"])
+    assert lang.probability("https://a.com/fr/x", "fra") == 0.9
+    with pytest.raises(ScorerUnavailable):
+        lang.probability("https://a.com/bad", "fra")
+    lang.prefetch(["https://a.com/fr/x", "https://a.com/bad"])
+    assert lang._pending.keys() == {"https://a.com/bad"}
+    assert lang.probability("https://a.com/fr/x", "eng") == 0.05
 
 
-def test_language_memo_forgets_its_oldest_url_when_full(monkeypatch):
+def test_language_memo_forgets_its_oldest_url_when_full(monkeypatch, scorer_server):
     monkeypatch.setattr(external, "CACHE_SIZE", 2)
-    client = stub_scorer.client()
-    lang = ExternalLanguageScorer(client)
-    try:
-        for url in ("https://a.com/fr/1", "https://a.com/en/2", "https://a.com/fr/3"):
-            lang.probability(url, "fra")
-        assert list(lang._memo) == ["https://a.com/en/2", "https://a.com/fr/3"]
-    finally:
-        client.close()
+    lang = ExternalLanguageScorer(scorer_server().client())
+    for url in ("https://a.com/fr/1", "https://a.com/en/2", "https://a.com/fr/3"):
+        lang.probability(url, "fra")
+    assert list(lang._memo) == ["https://a.com/en/2", "https://a.com/fr/3"]
 
 
-def test_crawl_asks_each_url_language_once(line_server):
-    server = line_server(lambda request: stub_scorer.respond(request, "ok"))
+def test_crawl_asks_each_url_language_once(scorer_server):
+    server = scorer_server()
     graph, seeds = dense_planted_graph()
-    spec = f"external:127.0.0.1:{server.port}"
     cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=seeds, budget=len(graph.pages),
-                      lang_scorer=spec, pair_scorer=spec)
+                      lang_scorer=server.spec, pair_scorer=server.spec)
     log = simulate(graph, cfg)
 
     # A page's links that were fetched before it was stored are not scored.
@@ -288,17 +172,15 @@ def test_crawl_asks_each_url_language_once(line_server):
     assert asked == collections.Counter(set(scored))
 
 
-def test_out_of_range_language_reply_zeroes_only_its_link(line_server, caplog):
+def test_out_of_range_language_reply_zeroes_only_its_link(scorer_server, caplog):
     graph, seeds = dense_planted_graph()
     bad = sorted(url for url in graph.pages if "/fr/" in url)[0]
 
     def crawl(bad_reply):
         def reply(request):
-            if request == f"LANG\t{bad}":
-                return bad_reply
-            return stub_scorer.respond(request, "ok")
+            return bad_reply if request == f"LANG\t{bad}" else ok(request)
 
-        spec = f"external:127.0.0.1:{line_server(reply).port}"
+        spec = scorer_server(reply).spec
         cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=seeds, budget=len(graph.pages),
                           lang_scorer=spec, pair_scorer=spec)
         caplog.clear()
@@ -320,10 +202,9 @@ def _graph_crawl_live(graph, cfg, *scorers):
 
 
 @pytest.mark.parametrize("crawl", [simulate, _graph_crawl_live])
-def test_crawl_closes_the_clients_it_opens(line_server, crawl):
-    server = line_server(lambda request: stub_scorer.respond(request, "ok"))
+def test_crawl_closes_the_clients_it_opens(scorer_server, crawl):
+    spec = scorer_server().spec
     graph, seeds = random_site_graph(21, n_pages=30)
-    spec = f"external:127.0.0.1:{server.port}"
     cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=seeds, budget=30,
                       lang_scorer=spec, pair_scorer=spec)
     with warnings.catch_warnings(record=True) as caught:
@@ -335,29 +216,20 @@ def test_crawl_closes_the_clients_it_opens(line_server, crawl):
 
 
 @pytest.mark.parametrize("crawl", [simulate, _graph_crawl_live])
-def test_crawl_leaves_the_callers_scorers_open(line_server, crawl):
-    server = line_server(lambda request: stub_scorer.respond(request, "ok"))
+def test_crawl_leaves_the_callers_scorers_open(scorer_server, crawl):
+    client = scorer_server().client()
     graph, seeds = random_site_graph(21, n_pages=30)
     cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=seeds, budget=30)
-    client = ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
-    try:
-        crawl(graph, cfg, ExternalLanguageScorer(client), ExternalPairScorer(client))
-        assert client.roundtrips(["PAIR\thttps://a\thttps://b"]) == [
-            stub_scorer.respond("PAIR\thttps://a\thttps://b", "ok")]
-    finally:
-        client.close()
+    crawl(graph, cfg, ExternalLanguageScorer(client), ExternalPairScorer(client))
+    assert client.roundtrips(["PAIR\thttps://a\thttps://b"]) == [ok("PAIR\thttps://a\thttps://b")]
 
 
 @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK")
-def test_windows_do_not_wait_for_delayed_acks(line_server):
+def test_windows_do_not_wait_for_delayed_acks(scorer_server):
     # The server leaves Nagle's algorithm on: without an immediate ACK of its
     # first reply it holds the rest of each window for ~40 ms.
-    server = line_server(lambda request: "0.5")
-    client = ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
+    client = scorer_server(lambda request: "0.5").client()
     start = time.perf_counter()
-    try:
-        for _ in range(50):
-            assert client.roundtrips(_MANY[:12]) == ["0.5"] * 12
-    finally:
-        client.close()
+    for _ in range(50):
+        assert client.roundtrips(_MANY[:12]) == ["0.5"] * 12
     assert time.perf_counter() - start < 1.0

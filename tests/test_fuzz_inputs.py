@@ -10,7 +10,6 @@ import functools
 import io
 import json
 import operator
-import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 from bifocal.cli import dispatch
 from bifocal.datasets import write_labeled_pairs
 
+from loopback import hard_timeout
 from synthdata import lang_url_corpus, parallel_pair_corpus, planted_graph
 
 # Every command here takes well under a second on these inputs.
@@ -150,22 +150,6 @@ _CASES = [
 ]
 
 
-@contextlib.contextmanager
-def _hard_timeout(seconds):
-    """Fail from the main thread if the block runs ``seconds`` or more:
-    Hypothesis's deadline could not stop a hang."""
-    def expire(signum, frame):
-        pytest.fail(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("name, argv", [case[1:] for case in _CASES],
                          ids=[case[0] for case in _CASES])
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -174,6 +158,6 @@ def test_a_mutated_input_ends_with_an_exit_code(inputs, name, argv, data):
     mutant = inputs / "mutant" / name
     mutant.write_bytes(data.draw(_mutated((inputs / name).read_bytes(), name.endswith(".json"))))
     out, err = io.StringIO(), io.StringIO()
-    with _hard_timeout(_TIMEOUT_S), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with hard_timeout(_TIMEOUT_S), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = dispatch([str(arg) for arg in argv(inputs, mutant)])
     assert code in (0, 1, 2), err.getvalue()

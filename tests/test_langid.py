@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import signal
 import struct
 import tracemalloc
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bifocal import langid
+from bifocal import langid, pairscore
 from bifocal.errors import ConfigError
 from bifocal.langid import (
     NgramHyperparams,
@@ -27,6 +26,7 @@ from bifocal.langid import (
 from bifocal.urls import normalize_url, parse_components
 
 from golden import RULE_ORDER_CASES
+from loopback import hard_timeout
 from references import feature_ids, ngram_train_reference, sgd_step_gradient_check
 from synthdata import lang_url_corpus, toy_bilingual_corpus
 
@@ -491,18 +491,24 @@ def test_saving_over_a_mapped_model_keeps_it_predicting(tmp_path, toy_model):
     assert [ngram_predict(loaded, url) for url in urls] == before
 
 
-def test_failed_save_keeps_the_old_file(tmp_path, toy_model, monkeypatch):
+@pytest.mark.parametrize("kind", ["lang", "pair"])
+def test_failed_save_keeps_the_old_file(tmp_path, toy_model, monkeypatch, kind):
+    module, writer, save, model = {
+        "lang": (langid, "_write_model", save_model, toy_model),
+        "pair": (pairscore, "_write_pair_model", pairscore.save_pair_model,
+                 pairscore.PairFeatureModel(weights=(0.5,) * len(pairscore.FEATURE_NAMES), bias=-1.0)),
+    }[kind]
     path = tmp_path / "model.bin"
-    save_model(toy_model, path)
+    save(model, path)
     expected = path.read_bytes()
 
     def write_half(model, handle):
         handle.write(expected[: len(expected) // 2])
         raise OSError("disk full")
 
-    monkeypatch.setattr(langid, "_write_model", write_half)
+    monkeypatch.setattr(module, writer, write_half)
     with pytest.raises(OSError, match="disk full"):
-        save_model(toy_model, path)
+        save(model, path)
     assert path.read_bytes() == expected
     assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
@@ -567,10 +573,6 @@ def _fuzz_model():
     return ngram_train(lang_url_corpus(12, seed=2, langs=("deu", "fra")), hp, seed=3)
 
 
-def _hang(signum, frame):
-    raise TimeoutError("one case ran for more than 2 s")
-
-
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_a_mutated_model_file_loads_or_is_a_config_error(tmp_path, data):
@@ -597,9 +599,7 @@ def test_a_mutated_model_file_loads_or_is_a_config_error(tmp_path, data):
     path = tmp_path / "model.bin"
     path.write_bytes(bytes(blob))
     # A hang is a failure too; Hypothesis's deadline could not stop one.
-    previous = signal.signal(signal.SIGALRM, _hang)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with hard_timeout(2.0):
         try:
             loaded = load_model(path)
         except ConfigError:
@@ -613,9 +613,6 @@ def test_a_mutated_model_file_loads_or_is_a_config_error(tmp_path, data):
         # What loads is what saving that model writes.
         save_model(loaded, path)
         assert path.read_bytes() == blob
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_load_rejects_a_file_that_is_not_a_model(tmp_path):
