@@ -29,7 +29,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import crawler, langid, metrics, pairscore
 from .errors import BifocalError, ConfigError, UnknownLanguage
 from .inputs import numbered_lines, read_json, rows, url_list
-from .urls import normalize_url
+from .urls import END_TOKEN, START_TOKEN, normalize_url
 
 # ---------------------------------------------------------------------------
 # Config file: flat `key = value` lines, '#' comments, typed values.  The keys
@@ -165,7 +165,7 @@ def _print_prf_table(cm: metrics.ConfusionMatrix, first_column: str) -> None:
 
 def _cmd_normalize(args) -> int:
     for url in args.urls or _lines(None):
-        print(" ".join(normalize_url(url).tokens))
+        print(" ".join((START_TOKEN, *normalize_url(url), END_TOKEN)))
     return 0
 
 

@@ -69,8 +69,11 @@ class SiteGraph:
     def from_dict(cls, data: dict) -> "SiteGraph":
         pages = {}
         for url, record in data["pages"].items():
+            lang = record["lang"]
+            if not isinstance(lang, str):
+                raise TypeError(f"expected a language code string, got {lang!r:.80}")
             pages[url] = SitePage(
-                lang=record["lang"],
+                lang=lang,
                 links=url_list(record.get("links", [])),
                 parallel_with=frozenset(url_list(record.get("parallel_with", []))),
                 size_bytes=int(record.get("size_bytes", 0)),

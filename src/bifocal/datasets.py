@@ -301,7 +301,7 @@ def _max_jaccard_matches(pool) -> "dict[str, str | None]":
     token -> posting index, one ``bincount`` per target, so memory stays
     O(pool + postings).  ``inter / union`` divides integers like ``jaccard``.
     """
-    token_sets = [normalize_url(url).token_set() for url in pool]
+    token_sets = [frozenset(normalize_url(url)) for url in pool]
     n = len(pool)
     if n == 1:
         return {pool[0]: None}

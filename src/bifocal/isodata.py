@@ -45,9 +45,6 @@ class LanguageTable:
         canon = self.canonical(code)
         return self.records.get(canon) if canon else None
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(sorted(self.records))
-
 
 def _parse_table(text: str) -> LanguageTable:
     records = []

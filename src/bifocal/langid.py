@@ -5,11 +5,11 @@ a rule baseline that scans URL components for ISO 639 codes, the trainable
 ``NgramLangModel``, a linear classifier over hashed character n-grams, and a
 client for an external scorer process (see :mod:`bifocal.external`).
 
-The n-gram model hashes character n-grams of each token (sentinels excluded)
-into a fixed number of buckets, averages their embeddings, and applies a
-softmax layer.  Training is plain SGD on cross-entropy, fully deterministic
-for a fixed seed.  numpy is imported by the n-gram functions themselves, so
-the rule scorer works without it.
+The n-gram model hashes character n-grams of each URL token into a fixed
+number of buckets, averages their embeddings, and applies a softmax layer.
+Training is plain SGD on cross-entropy, fully deterministic for a fixed seed.
+numpy is imported by the n-gram functions themselves, so the rule scorer
+works without it.
 """
 from __future__ import annotations
 
@@ -353,7 +353,7 @@ def ngram_train(
     examples = []
     for url, _ in pairs:
         ids = []
-        for token in normalize_url(url).core_tokens():
+        for token in normalize_url(url):
             if token not in token_ids:
                 token_ids[token] = _bucket_ids(token, hp.n_min, hp.n_max, hp.bucket_count)
             ids.extend(token_ids[token])
@@ -410,8 +410,8 @@ def ngram_predict(model: NgramLangModel, url: str) -> dict[str, float]:
 
     The softmax reads the mean of the embedding rows of ``url``'s n-grams,
     taken in float64.  Only the gathered rows are cast, so float32 rows give
-    the same bits as their float64 copy would.  A URL with no features
-    (sentinels only) yields the uniform distribution.
+    the same bits as their float64 copy would.  A URL with no tokens yields
+    the uniform distribution.
 
     Raises:
         ConfigError: a probability is not finite (the URL hashes to an
@@ -420,7 +420,7 @@ def ngram_predict(model: NgramLangModel, url: str) -> dict[str, float]:
     """
     import numpy as np
 
-    parts = [model._token_rows(token) for token in normalize_url(url).core_tokens()]
+    parts = [model._token_rows(token) for token in normalize_url(url)]
     if not parts:
         p = 1.0 / len(model.labels)
         return {label: p for label in model.labels}

@@ -1,9 +1,7 @@
-"""Classification metrics, alignment recall, and download-decile curves."""
+"""Classification metrics and download-decile curves."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .errors import ConfigError
 
 DECILE_PERCENTS = tuple(range(0, 101, 10))
 
@@ -26,16 +24,13 @@ class ConfusionMatrix:
         return self.labels.index(label)
 
 
-def confusion_matrix(gold, predicted, labels=None) -> ConfusionMatrix:
-    """Tally gold/predicted label sequences into a matrix."""
+def confusion_matrix(gold, predicted, labels) -> ConfusionMatrix:
+    """Tally gold/predicted label sequences into a matrix over ``labels``."""
     gold = list(gold)
     predicted = list(predicted)
     if len(gold) != len(predicted):
         raise ValueError("gold and predicted must have equal length")
-    if labels is None:
-        labels = tuple(sorted(set(gold) | set(predicted)))
-    else:
-        labels = tuple(labels)
+    labels = tuple(labels)
     pos = {label: i for i, label in enumerate(labels)}
     counts = [[0] * len(labels) for _ in labels]
     for g, p in zip(gold, predicted):
@@ -66,25 +61,6 @@ def macro_prf(cm: ConfusionMatrix) -> tuple[float, float, float]:
         sum(r[1] for r in rows) / n,
         sum(r[2] for r in rows) / n,
     )
-
-
-def alignment_recall(predicted, gold, equiv=None) -> float:
-    """Share of the gold pairs that a predicted pair hits.
-
-    With ``equiv``, a gold pair is hit by any prediction in the same
-    equivalence classes componentwise; without it, only by itself.
-
-    Raises:
-        ConfigError: the gold set is empty.
-    """
-    gold = set(gold)
-    if not gold:
-        raise ConfigError("recall is undefined for an empty gold set")
-    if equiv is None:
-        equiv = lambda url: url
-    predicted_classes = {(equiv(a), equiv(b)) for a, b in predicted}
-    hits = sum(1 for a, b in gold if (equiv(a), equiv(b)) in predicted_classes)
-    return hits / len(gold)
 
 
 def _site_curve_counts(hits: "list[bool]") -> list[int]:

@@ -114,16 +114,15 @@ def _pair_view(url: str, marker_tokens: frozenset[str]) -> tuple:
     """One URL's share of the pair features under one marker set.
 
     The tuple ``(core, core_set, full, residuals, markers, segments,
-    query_keys)`` holds the normalized tokens without the sentinels and their
-    set, the two halves of ``_residuals``, the positions of the core tokens
-    that are markers, and the path segments and the set of query keys (both
-    ``None`` when the URL has no scheme or host).  Memoized: a crawl pairs
-    each URL with many others.
+    query_keys)`` holds the normalized tokens and their set, the two halves
+    of ``_residuals``, the positions of the tokens that are markers, and the
+    path segments and the set of query keys (both ``None`` when the URL has
+    no scheme or host).  Memoized: a crawl pairs each URL with many others.
 
     Raises:
         NotAUrl: ``url`` is empty.
     """
-    core = normalize_url(url).core_tokens()
+    core = normalize_url(url)
     full, residuals = _residuals(core, marker_tokens)
     markers = tuple(i for i, tok in enumerate(core) if tok in marker_tokens)
     try:

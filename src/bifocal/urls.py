@@ -3,8 +3,8 @@
 Normalization mirrors what the scorers expect: the protocol is stripped,
 percent escapes and HTML entities are decoded once, the text is case-folded,
 and it is segmented into maximal alphabetic runs with every other character
-emitted as its own single-character token, wrapped in ``<s>``/``</s>``
-sentinels.
+emitted as its own single-character token.  ``bifocal normalize`` prints the
+tokens between the ``<s>``/``</s>`` sentinels.
 
 Everything here is pure; results are cached and safe to share across threads.
 """
@@ -26,25 +26,6 @@ END_TOKEN = "</s>"
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*://")
 _PCT_RUN_RE = re.compile(r"(?:%[0-9A-Fa-f]{2})+")
-
-
-@dataclass(frozen=True)
-class NormalizedUrl:
-    """Token sequence of a preprocessed URL, including the sentinel tokens."""
-
-    tokens: tuple[str, ...]
-    source: str
-
-    def core_tokens(self) -> tuple[str, ...]:
-        """Tokens without the leading/trailing sentinels."""
-        return self.tokens[1:-1]
-
-    def token_set(self) -> frozenset[str]:
-        return frozenset(self.core_tokens())
-
-    def text(self) -> str:
-        """The decoded, case-folded text the tokens were segmented from."""
-        return "".join(self.core_tokens())
 
 
 @dataclass(frozen=True)
@@ -101,7 +82,7 @@ def segment_text(text: str) -> list[str]:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def normalize_url(raw: str) -> NormalizedUrl:
+def normalize_url(raw: str) -> tuple[str, ...]:
     """Preprocess and pre-tokenize a URL.
 
     Raises:
@@ -113,11 +94,10 @@ def normalize_url(raw: str) -> NormalizedUrl:
     text = _decode_percent_once(text)
     text = html.unescape(text)
     # Literal angle brackets cannot occur in a valid URL; treating them as
-    # blanks keeps the sentinel tokens unambiguous.
+    # blanks keeps the sentinels that ``bifocal normalize`` prints unambiguous.
     text = text.replace("<", " ").replace(">", " ")
     text = text.casefold()
-    tokens = (START_TOKEN, *segment_text(text), END_TOKEN)
-    return NormalizedUrl(tokens=tokens, source=raw)
+    return tuple(segment_text(text))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -178,14 +158,9 @@ def parse_components(raw: str) -> UrlComponents:
     )
 
 
-def jaccard(a, b) -> float:
-    """Set similarity |a∩b| / |a∪b|; two empty sets count as identical (1.0).
-
-    Sets are used as they are; other iterables are copied into sets first.
-    """
-    sa = a if isinstance(a, (set, frozenset)) else set(a)
-    sb = b if isinstance(b, (set, frozenset)) else set(b)
-    if not sa and not sb:
+def jaccard(a: set | frozenset, b: set | frozenset) -> float:
+    """Set similarity |a∩b| / |a∪b|; two empty sets count as identical (1.0)."""
+    if not a and not b:
         return 1.0
-    shared = len(sa & sb)
-    return shared / (len(sa) + len(sb) - shared)
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)

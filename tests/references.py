@@ -173,8 +173,8 @@ def baseline_align_reference(url_a, url_b, tokens_a, tokens_b):
     """The token-removal rule, re-normalizing both URLs on every call."""
     if url_a == url_b:
         return False
-    core_a = normalize_url(url_a).core_tokens()
-    core_b = normalize_url(url_b).core_tokens()
+    core_a = normalize_url(url_a)
+    core_b = normalize_url(url_b)
     full_a, plus_a = residuals_reference(core_a, tokens_a)
     full_b, plus_b = residuals_reference(core_b, tokens_b)
     if plus_a & plus_b:
@@ -182,11 +182,11 @@ def baseline_align_reference(url_a, url_b, tokens_a, tokens_b):
     return full_b in plus_a or full_a in plus_b
 
 
-def pair_features_reference(a, b, tokens_a, tokens_b):
+def pair_features_reference(url_a, url_b, tokens_a, tokens_b):
     """The pair features computed from scratch for one pair: the package's
     first ``pair_features``, with no per-URL memo and a full edit-distance
     table."""
-    core_a, core_b = a.core_tokens(), b.core_tokens()
+    core_a, core_b = normalize_url(url_a), normalize_url(url_b)
     set_a, set_b = set(core_a), set(core_b)
 
     feat_jaccard = jaccard(set_a, set_b)
@@ -202,7 +202,7 @@ def pair_features_reference(a, b, tokens_a, tokens_b):
     else:
         edit = levenshtein_reference(core_a, core_b) / max(len_a, len_b)
 
-    aligned = 1.0 if baseline_align_reference(a.source, b.source, tokens_a, tokens_b) else 0.0
+    aligned = 1.0 if baseline_align_reference(url_a, url_b, tokens_a, tokens_b) else 0.0
 
     mismatches = 0
     for tok_a, tok_b in zip(core_a, core_b):
@@ -210,8 +210,8 @@ def pair_features_reference(a, b, tokens_a, tokens_b):
             mismatches += 1
 
     try:
-        comp_a = parse_components(a.source)
-        comp_b = parse_components(b.source)
+        comp_a = parse_components(url_a)
+        comp_b = parse_components(url_b)
     except NotAUrl:
         prefix_frac = 0.0
         query_jaccard = 0.0
@@ -266,11 +266,11 @@ def pair_train_reference(data):
 def max_jaccard_reference(target, pool):
     """The URL of ``pool`` other than ``target`` with the highest token Jaccard
     similarity to it, the smallest URL among equals; ``None`` if there is none."""
-    target_tokens = normalize_url(target).token_set()
+    target_tokens = frozenset(normalize_url(target))
     candidates = [url for url in set(pool) if url != target]
     if not candidates:
         return None
-    return min(candidates, key=lambda url: (-jaccard(normalize_url(url).token_set(), target_tokens), url))
+    return min(candidates, key=lambda url: (-jaccard(frozenset(normalize_url(url)), target_tokens), url))
 
 
 def fold_domains_reference(positives, k, seed):
@@ -330,7 +330,7 @@ def feature_ids(model, url):
     time.  ``model`` is anything with ``n_min``, ``n_max`` and
     ``bucket_count``: a model or its hyperparameters."""
     return np.array([fnv1a64(feat.encode("utf-8")) % model.bucket_count
-                     for token in normalize_url(url).core_tokens()
+                     for token in normalize_url(url)
                      for feat in ngram_features(token, model.n_min, model.n_max)], dtype=np.int64)
 
 

@@ -15,6 +15,7 @@ from bifocal.datasets import read_labeled_pairs, write_labeled_pairs, write_labe
 from bifocal.errors import ConfigError
 from bifocal.pairscore import FEATURE_NAMES
 
+from golden import GOLDEN_NORMALIZATIONS
 from loopback import DROP, hard_timeout
 from synthdata import lang_url_corpus, parallel_pair_corpus, planted_graph
 
@@ -195,6 +196,10 @@ def test_normalize_output(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("https://a.com/contact-us\n\nhttps://b.org\n"))
     assert dispatch(["normalize"]) == 0
     assert capsys.readouterr().out == "<s> a . com / contact - us </s>\n<s> b . org </s>\n"
+    # The golden suite: each line is the hand-derived tokens, sentinels included.
+    assert dispatch(["normalize", *[raw for raw, _ in GOLDEN_NORMALIZATIONS]]) == 0
+    assert capsys.readouterr().out.split("\n")[:-1] == [
+        " ".join(expected) for _, expected in GOLDEN_NORMALIZATIONS]
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +479,14 @@ _BAD_INPUTS = [
      lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv"),
                                  "--graph", str(_graph_page(tmp, parallel_with="https://a.com/fr"))],
      "page.json: not a site graph: TypeError(\"expected a list of URL strings, got 'https"),
+    ("graph lang that is a number",
+     lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv"),
+                                 "--graph", str(_graph_page(tmp, lang=123))],
+     "page.json: not a site graph: TypeError('expected a language code string, got 123')"),
+    ("graph lang that is a list",
+     lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv"),
+                                 "--graph", str(_graph_page(tmp, lang=["fra"]))],
+     "page.json: not a site graph: TypeError(\"expected a language code string, got ['fra']\")"),
     ("pairscore score with only --url-a",
      lambda tmp, graph, config: ["pairscore", "score", "--url-a", "https://a.com/en"],
      "--url-a and --url-b score one pair together"),

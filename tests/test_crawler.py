@@ -43,7 +43,6 @@ from bifocal.pairscore import (
     PairFeatureModel,
     build_language_tokens,
 )
-from bifocal.urls import normalize_url
 
 from loopback import bad_url, hard_timeout, ok
 from references import bfs_reference, pair_features_reference, score_links_reference
@@ -276,8 +275,7 @@ class _FeaturesEveryLink:
 
     def probability(self, url_a, url_b, lang_a=None, lang_b=None):
         feats = pair_features_reference(
-            normalize_url(url_a), normalize_url(url_b),
-            build_language_tokens(lang_a), build_language_tokens(lang_b))
+            url_a, url_b, build_language_tokens(lang_a), build_language_tokens(lang_b))
         z = self.model.bias + sum(w * f for w, f in zip(self.model.weights, feats))
         try:
             return 1.0 / (1.0 + math.exp(-z))
@@ -589,10 +587,11 @@ def test_crawl_log_tsv_round_trip(tmp_path):
 # Page languages
 
 def test_graph_fetcher_gives_the_page_language_or_unknown():
-    fetcher = GraphFetcher(_graph({
-        "https://a/": ("fra", ["https://a/x"], []),
-        "https://a/x": ("", [], []),
-    }))
+    # Through the graph file's reader, which takes "" as a language string.
+    fetcher = GraphFetcher(SiteGraph.from_dict({"pages": {
+        "https://a/": {"lang": "fra", "links": ["https://a/x"]},
+        "https://a/x": {"lang": ""},
+    }}))
     assert fetcher.fetch("https://a/").lang == "fra"
     assert fetcher.fetch("https://a/x").lang == "unk"
 

@@ -276,13 +276,13 @@ def test_max_jaccard_matches_brute_force():
     negatives, _ = neg_max_jaccard(pairs, "bi")
     pool = sorted({p.url_b for p in pairs})
     for neg, pos in zip(negatives, pairs):
-        target = normalize_url(pos.url_b).token_set()
+        target = frozenset(normalize_url(pos.url_b))
         best = max(
             (c for c in pool if c != pos.url_b),
-            key=lambda c: (jaccard(normalize_url(c).token_set(), target), [-ord(ch) for ch in c]),
+            key=lambda c: (jaccard(frozenset(normalize_url(c)), target), [-ord(ch) for ch in c]),
         )
-        expected_score = jaccard(normalize_url(best).token_set(), target)
-        got_score = jaccard(normalize_url(neg.url_b).token_set(), target)
+        expected_score = jaccard(frozenset(normalize_url(best)), target)
+        got_score = jaccard(frozenset(normalize_url(neg.url_b)), target)
         assert got_score == pytest.approx(expected_score)
 
 
@@ -329,10 +329,10 @@ def test_max_jaccard_mono_matches_brute_force():
     negatives, _ = neg_max_jaccard(pairs, "mono")
     assert len(negatives) == len(starts)
     for neg, (url, lang) in zip(negatives, starts):
-        target = normalize_url(url).token_set()
+        target = frozenset(normalize_url(url))
         pool = {u for u, other in starts if other == lang and u != url}
         # Highest Jaccard first, then the lexicographically smallest URL.
-        best = min(pool, key=lambda c: (-jaccard(normalize_url(c).token_set(), target), c))
+        best = min(pool, key=lambda c: (-jaccard(frozenset(normalize_url(c)), target), c))
         assert neg.url_b == best
 
 

@@ -133,6 +133,9 @@ def test_client_stays_broken_after_a_short_window(scorer_server):
         client.roundtrips(["PAIR\ta\tb", "PAIR\tc\td"])
     with pytest.raises(ScorerUnavailable, match="closed"):
         client.roundtrips(["PAIR\te\tf"])
+    # A call that sends nothing still fails: the client remembers the break.
+    with pytest.raises(ScorerUnavailable, match="closed"):
+        client.roundtrips([])
 
 
 def test_language_scorer_memoizes_parsed_answers_only(scorer_server):

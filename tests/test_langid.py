@@ -166,7 +166,7 @@ def test_predict_argmax_on_markers(toy_model):
 
 
 def test_delimiter_only_input_uniform(toy_model):
-    # "https://" strips to nothing, so the sequence is sentinels only.
+    # "https://" strips to nothing, so the URL has no tokens.
     dist = ngram_predict(toy_model, "https://")
     assert set(dist) == set(toy_model.labels)
     for prob in dist.values():
@@ -255,7 +255,7 @@ def test_edge_rows_data_hashes_to_the_first_and_last_row():
 def test_repeats_data_repeats_rows_and_collides():
     hp = _REPEATS_HP
     assert max(np.bincount(feature_ids(hp, url)).max() for url, _ in _REPEATS_DATA) >= 4
-    grams = {feat for url, _ in _REPEATS_DATA for token in normalize_url(url).core_tokens()
+    grams = {feat for url, _ in _REPEATS_DATA for token in normalize_url(url)
              for feat in ngram_features(token, hp.n_min, hp.n_max)}
     assert len({fnv1a64(gram.encode()) % hp.bucket_count for gram in grams}) < len(grams)
 
@@ -626,7 +626,7 @@ def test_training_hashes_each_distinct_token_once(monkeypatch):
     # The same tokens under three settings, trained in turn: each call hashes
     # each of its distinct tokens once, and stores the rows they hash to.
     data = lang_url_corpus(60, seed=5, langs=("deu", "fra"))
-    tokens = {token for url, _ in data for token in normalize_url(url).core_tokens()}
+    tokens = {token for url, _ in data for token in normalize_url(url)}
     hashed = []
 
     def counted(token, *shape):

@@ -1,32 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from bifocal.errors import ConfigError
 from bifocal.metrics import (
     DECILE_PERCENTS,
     ConfusionMatrix,
-    alignment_recall,
     confusion_matrix,
     decile_curve,
     macro_prf,
     prf,
     write_curve_tsv,
 )
-
-
-def _brute_force_prf(counts, labels, label):
-    """Independent per-label metrics straight from the definitions."""
-    i = labels.index(label)
-    tp = counts[i][i]
-    fp = sum(counts[r][i] for r in range(len(labels)) if r != i)
-    fn = sum(counts[i][c] for c in range(len(labels)) if c != i)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+from references import brute_force_prf
 
 
 def test_prf_perfect():
@@ -69,7 +54,7 @@ def test_macro_matches_brute_force_on_random_matrices():
     rng = random.Random(123)
     for _ in range(50):
         cm = _random_cm(rng)
-        rows = [_brute_force_prf(cm.counts, list(cm.labels), lab) for lab in cm.labels]
+        rows = [brute_force_prf(cm.counts, list(cm.labels), lab) for lab in cm.labels]
         expected = tuple(sum(r[i] for r in rows) / len(rows) for i in range(3))
         got = macro_prf(cm)
         for g, e in zip(got, expected):
@@ -105,7 +90,7 @@ def test_f1_bounded_by_components():
 
 
 def test_confusion_matrix_builder():
-    cm = confusion_matrix(["a", "a", "b"], ["a", "b", "b"])
+    cm = confusion_matrix(["a", "a", "b"], ["a", "b", "b"], ("a", "b"))
     assert cm.labels == ("a", "b")
     assert cm.counts == ((1, 1), (0, 1))
 
@@ -113,63 +98,6 @@ def test_confusion_matrix_builder():
 def test_confusion_matrix_rejects_negative():
     with pytest.raises(ValueError):
         ConfusionMatrix(("a",), ((-1,),))
-
-
-# ---------------------------------------------------------------------------
-# Alignment recall
-
-def test_alignment_recall_cases():
-    gold = {("a", "b"), ("c", "d")}
-    assert alignment_recall(gold, gold) == 1.0
-    assert alignment_recall({("a", "b")}, gold) == 0.5
-    assert alignment_recall({("x", "y")}, gold) == 0.0
-
-
-def test_alignment_recall_empty_gold():
-    with pytest.raises(ConfigError, match="recall is undefined for an empty gold set"):
-        alignment_recall({("a", "b")}, set())
-    with pytest.raises(ConfigError, match="recall is undefined for an empty gold set"):
-        alignment_recall({("a", "b")}, set(), lambda url: url)
-
-
-def test_soft_recall_identity_equals_recall():
-    rng = random.Random(77)
-    for _ in range(30):
-        gold = {(f"g{rng.randint(0, 9)}", f"h{rng.randint(0, 9)}") for _ in range(rng.randint(1, 8))}
-        pred = {(f"g{rng.randint(0, 9)}", f"h{rng.randint(0, 9)}") for _ in range(rng.randint(0, 8))}
-        assert alignment_recall(pred, gold, lambda url: url) == alignment_recall(pred, gold)
-
-
-def test_soft_recall_merging_classes():
-    gold = {("u1", "v1")}
-    pred = {("u1x", "v1")}
-    equiv = lambda u: u.rstrip("x")
-    assert alignment_recall(pred, gold, equiv) == 1.0
-
-
-def test_soft_recall_matches_double_loop_oracle():
-    rng = random.Random(31)
-    for _ in range(30):
-        gold = {(f"a{rng.randint(0, 6)}", f"b{rng.randint(0, 6)}") for _ in range(rng.randint(1, 6))}
-        pred = {(f"a{rng.randint(0, 6)}", f"b{rng.randint(0, 6)}") for _ in range(rng.randint(0, 6))}
-        equiv = lambda u: u[0]  # coarse classes: first character
-        hits = 0
-        for g in gold:
-            for p in pred:
-                if equiv(p[0]) == equiv(g[0]) and equiv(p[1]) == equiv(g[1]):
-                    hits += 1
-                    break
-        assert alignment_recall(pred, gold, equiv) == pytest.approx(hits / len(gold))
-
-
-@given(st.integers(0, 100_000))
-@settings(max_examples=50)
-def test_soft_recall_at_least_recall(seed):
-    rng = random.Random(seed)
-    gold = {(f"a{rng.randint(0, 5)}", f"b{rng.randint(0, 5)}") for _ in range(rng.randint(1, 6))}
-    pred = {(f"a{rng.randint(0, 5)}", f"b{rng.randint(0, 5)}") for _ in range(rng.randint(0, 6))}
-    equiv = lambda u: u[:2]
-    assert alignment_recall(pred, gold, equiv) >= alignment_recall(pred, gold)
 
 
 # ---------------------------------------------------------------------------
