@@ -38,6 +38,12 @@ ERROR = "error"
 OUTCOMES = (STORED, DISCARDED_LANGUAGE, ERROR)
 
 
+def _breaks_a_log_row(text: str) -> bool:
+    """Whether ``text``, a URL or a language, holds a tab or line break, which
+    would split its crawl log row."""
+    return "\t" in text or "\n" in text or "\r" in text
+
+
 # ---------------------------------------------------------------------------
 # Offline site-graph fixture
 
@@ -46,7 +52,6 @@ class SitePage:
     lang: str
     links: tuple[str, ...]
     parallel_with: frozenset[str]
-    size_bytes: int = 0
 
 
 class SiteGraph:
@@ -67,31 +72,26 @@ class SiteGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SiteGraph":
+        """The graph in ``data["pages"]``; a page key it does not know is ignored.
+
+        Raises:
+            TypeError: a language is not a string, or links or partners are
+                not a list of strings.
+            ValueError: a page's URL, language, link or partner holds a tab or
+                line break.
+        """
         pages = {}
         for url, record in data["pages"].items():
             lang = record["lang"]
             if not isinstance(lang, str):
                 raise TypeError(f"expected a language code string, got {lang!r:.80}")
-            pages[url] = SitePage(
-                lang=lang,
-                links=url_list(record.get("links", [])),
-                parallel_with=frozenset(url_list(record.get("parallel_with", []))),
-                size_bytes=int(record.get("size_bytes", 0)),
-            )
+            links = url_list(record.get("links", []))
+            parallel_with = url_list(record.get("parallel_with", []))
+            if _breaks_a_log_row("".join((url, lang, *links, *parallel_with))):
+                raise ValueError(f"page {url!r:.80} has a tab or line break in its URL, "
+                                 "language, links or partners")
+            pages[url] = SitePage(lang=lang, links=links, parallel_with=frozenset(parallel_with))
         return cls(pages)
-
-    def to_dict(self) -> dict:
-        return {
-            "pages": {
-                url: {
-                    "lang": page.lang,
-                    "links": list(page.links),
-                    "parallel_with": sorted(page.parallel_with),
-                    "size_bytes": page.size_bytes,
-                }
-                for url, page in self.pages.items()
-            }
-        }
 
     @classmethod
     def load(cls, path) -> "SiteGraph":
@@ -100,11 +100,6 @@ class SiteGraph:
             return cls.from_dict(data)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: not a site graph: {exc!r}") from None
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1, sort_keys=True)
-            handle.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +131,9 @@ class CrawlConfig:
         self.seeds = tuple(self.seeds)
         if not self.seeds:
             raise ConfigError("crawl needs at least one seed URL")
+        for seed_url in self.seeds:
+            if _breaks_a_log_row(seed_url):
+                raise ConfigError(f"seed URL {seed_url!r:.80} holds a tab or line break")
 
 
 @dataclass
@@ -323,6 +321,8 @@ def _default_opener(url: str, headers: dict, timeout: float):
     Raises:
         FetchFailed: the body is longer than ``_MAX_BODY_BYTES``.
         OSError: the server could not be reached.
+        http.client.HTTPException: HTTP cannot send the URL, or the reply is
+            not HTTP.
     """
     import urllib.error
     import urllib.request
@@ -355,8 +355,8 @@ class LiveFetcher:
 
     def __init__(
         self,
-        user_agent: str = "bifocal/0.1",
-        per_host_delay_ms: int = 1000,
+        user_agent: str = CrawlConfig.user_agent,
+        per_host_delay_ms: int = CrawlConfig.per_host_delay_ms,
         opener=_default_opener,
         clock=time.monotonic,
         sleeper=time.sleep,
@@ -372,11 +372,12 @@ class LiveFetcher:
         once for each such origin (RFC 9309 §2.3); an explicit default port
         names the same origin as none (RFC 3986 §6.2.3).
 
-        A 5xx answer or an unreachable server means the whole origin is
-        disallowed; any other non-200 answer, a body over the size cap or a
-        redirect that cannot be followed allows all.  Its redirects are
-        followed, across origins too (RFC 9309 §2.3.1.2).
+        A 5xx answer, a reply that is not HTTP or an unreachable server means
+        the whole origin is disallowed; any other non-200 answer, a body over
+        the size cap or a redirect that cannot be followed allows all.  Its
+        redirects are followed, across origins too (RFC 9309 §2.3.1.2).
         """
+        import http.client
         import urllib.robotparser
 
         try:
@@ -391,7 +392,7 @@ class LiveFetcher:
             parser = urllib.robotparser.RobotFileParser()
             try:
                 status, _, body, _ = self._get(f"{origin}/robots.txt", obey_robots=False)
-            except OSError:
+            except (OSError, http.client.HTTPException):
                 parser.disallow_all = True
             except FetchFailed:
                 parser.allow_all = True
@@ -415,6 +416,8 @@ class LiveFetcher:
             FetchFailed: robots.txt disallows a hop, a redirect leaves HTTP,
                 there are too many redirects, or a body is over the cap.
             OSError: a server could not be reached.
+            http.client.HTTPException: HTTP cannot send the URL, or a reply
+                is not HTTP.
         """
         for _ in range(_MAX_REDIRECTS + 1):
             if obey_robots and not self._robots_for(url).can_fetch(self.user_agent, url):
@@ -432,9 +435,11 @@ class LiveFetcher:
         raise FetchFailed(f"more than {_MAX_REDIRECTS} redirects, the last to {url}")
 
     def fetch(self, url: str) -> FetchResult:
+        import http.client
+
         try:
             status, headers, body, served_url = self._get(url)
-        except OSError as exc:
+        except (OSError, http.client.HTTPException) as exc:
             raise FetchFailed(f"GET {url} failed: {exc}") from exc
         if status != 200:
             raise FetchFailed(f"GET {served_url} returned {status}")

@@ -18,9 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .inputs import rows
 from .isodata import UNKNOWN_LANG
-from . import pairscore
-from .pairscore import pair_train
-from .metrics import confusion_matrix, prf
+from . import metrics, pairscore
 from .urls import normalize_url, parse_components, segment_text
 
 
@@ -433,7 +431,7 @@ def cross_validate_combos(
             rows.extend(negatives)
             in_combo = (combo_bits >> bit) & 1
             masks.append(np.broadcast_to(in_combo, (len(negatives), len(combos))))
-        models = pair_train(rows, masks=np.concatenate(masks))
+        models = pairscore.pair_train(rows, masks=np.concatenate(masks))
 
         weights = np.array([model.weights for model in models]).T
         bias = np.array([model.bias for model in models])
@@ -443,9 +441,9 @@ def cross_validate_combos(
         positive = 1.0 / (1.0 + np.exp(-(features @ weights + bias))) > 0.5
         for combo_scores, predicted in zip(scores, positive.T):
             pred_labels = ["positive" if flag else "negative" for flag in predicted]
-            cm = confusion_matrix(gold_labels, pred_labels, labels=("negative", "positive"))
-            pos_f1 = prf(cm, "positive")[2]
-            neg_f1 = prf(cm, "negative")[2]
+            cm = metrics.confusion_matrix(gold_labels, pred_labels, labels=("negative", "positive"))
+            pos_f1 = metrics.prf(cm, "positive")[2]
+            neg_f1 = metrics.prf(cm, "negative")[2]
             combo_scores.append((pos_f1, neg_f1, (pos_f1 + neg_f1) / 2))
 
     results = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import ConfigError, NotAUrl
@@ -124,7 +124,6 @@ class NgramLangModel:
     rows: np.ndarray
     # dim x len(labels), float64 holding float32 values, as the file does.
     output_weights: np.ndarray
-    epoch_losses: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         # A token's rows: URL tokens repeat across URLs.  The memo's bound is
@@ -376,23 +375,18 @@ def ngram_train(
 
     total_updates = hp.epochs * len(plans)
     step = 0
-    losses = []
     # A run that diverges overflows: it is one error, raised below, instead of
     # numpy warnings at every step.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hp.epochs):
             order = rng.permutation(len(plans))
-            epoch_loss = 0.0
-            seen = 0
             for idx in order.tolist():
                 plan = plans[idx]
                 lr = hp.learning_rate * (1.0 - step / total_updates)
                 step += 1
                 if plan is None:
                     continue
-                epoch_loss += _sgd_step(emb, weights, plan, ys[idx], lr)
-                seen += 1
-            losses.append(epoch_loss / max(seen, 1))
+                _sgd_step(emb, weights, plan, ys[idx], lr)
         emb = emb.astype(np.float32)
         # The file holds the weights in float32 too: round them as saving does, so
         # that a trained model predicts bit for bit like its saved-and-loaded self.
@@ -401,8 +395,7 @@ def ngram_train(
         raise ConfigError(f"training diverged: a trained embedding row or output weight is not "
                           f"finite in float32; try a learning_rate below {hp.learning_rate}")
     return NgramLangModel(n_min=hp.n_min, n_max=hp.n_max, dim=hp.dim, bucket_count=hp.bucket_count,
-                          labels=labels, seed=seed, row_ids=rows, rows=emb, output_weights=weights,
-                          epoch_losses=tuple(losses))
+                          labels=labels, seed=seed, row_ids=rows, rows=emb, output_weights=weights)
 
 
 def ngram_predict(model: NgramLangModel, url: str) -> dict[str, float]:

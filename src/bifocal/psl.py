@@ -29,10 +29,6 @@ class PublicSuffixList:
             else:
                 self._exact.add(rule)
 
-    @classmethod
-    def from_text(cls, text: str) -> "PublicSuffixList":
-        return cls(text.splitlines())
-
     def suffix_label_count(self, host: str) -> int:
         """Number of trailing labels of ``host`` that form its public suffix."""
         labels = host.split(".")
@@ -73,4 +69,4 @@ class PublicSuffixList:
 def default_psl() -> PublicSuffixList:
     """The snapshot bundled with the package, parsed once."""
     text = resources.files("bifocal").joinpath("data/public_suffix_list.dat").read_text("utf-8")
-    return PublicSuffixList.from_text(text)
+    return PublicSuffixList(text.splitlines())

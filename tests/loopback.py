@@ -135,6 +135,9 @@ class _WebHandler(http.server.BaseHTTPRequestHandler):
         route = site.routes.get(self.path, site.default)
         if route is DROP:
             return  # no reply: the connection closes
+        if isinstance(route, bytes):
+            self.wfile.write(route)
+            return
         status, headers, body, *sent = route
         self.send_response_only(status)
         for name, value in headers.items():
@@ -156,9 +159,10 @@ class WebSite(_Server):
     ``(status, headers, body)``, or ``default`` for a path it has no route
     for; ``paths`` records every path asked for.
 
-    Route faults: ``DROP`` closes the connection without a reply; a fourth
-    item ``n`` sends only the first ``n`` bytes of the body under the whole
-    body's ``Content-Length`` and then holds until the site closes.
+    Route faults: ``DROP`` closes the connection without a reply; a
+    ``bytes`` route is the whole reply, written as it is; a fourth item ``n``
+    sends only the first ``n`` bytes of the body under the whole body's
+    ``Content-Length`` and then holds until the site closes.
     """
 
     def __init__(self):

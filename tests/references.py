@@ -351,10 +351,7 @@ def ngram_train_reference(data, hp=None, seed=0):
     encoded = [(feature_ids(model, url), labels.index(lang)) for url, lang in pairs]
     total_updates = hp.epochs * len(encoded)
     step = 0
-    losses = []
     for _ in range(hp.epochs):
-        epoch_loss = 0.0
-        seen = 0
         for idx in rng.permutation(len(encoded)):
             ids, y = encoded[idx]
             lr = hp.learning_rate * (1.0 - step / total_updates)
@@ -365,14 +362,10 @@ def ngram_train_reference(data, hp=None, seed=0):
             z = hidden @ weights
             e = np.exp(z - z.max())
             dz = e / e.sum()
-            epoch_loss += -float(np.log(max(dz[y], 1e-300)))
-            seen += 1
             dz[y] -= 1.0
             grad_hidden = weights @ dz
             weights -= lr * np.outer(hidden, dz)
             np.add.at(emb, ids, -lr * grad_hidden / ids.size)
-        losses.append(epoch_loss / max(seen, 1))
-    model.epoch_losses = tuple(losses)
     return model
 
 

@@ -6,6 +6,7 @@ across runs.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
 
@@ -214,19 +215,14 @@ def planted_graph(
         lefts = [f"{host}/en/{slug}" for slug in slugs]
         rights = [f"{host}/fr/{slug}" for slug in slugs]
         fillers = [f"{host}/en/read-{j}" for j in range(n_filler)]
-        pages[home] = SitePage(lang=lang_a, links=tuple(lefts), parallel_with=frozenset(),
-                               size_bytes=rng.randint(2000, 40000))
+        pages[home] = SitePage(lang=lang_a, links=tuple(lefts), parallel_with=frozenset())
         for i, (left, right) in enumerate(zip(lefts, rights)):
             chunk = tuple(fillers[i * per_left : (i + 1) * per_left])
             pages[left] = SitePage(lang=lang_a, links=(right, *chunk),
-                                   parallel_with=frozenset({right}),
-                                   size_bytes=rng.randint(2000, 40000))
-            pages[right] = SitePage(lang=lang_b, links=(left,),
-                                    parallel_with=frozenset({left}),
-                                    size_bytes=rng.randint(2000, 40000))
+                                   parallel_with=frozenset({right}))
+            pages[right] = SitePage(lang=lang_b, links=(left,), parallel_with=frozenset({left}))
         for url in fillers:
-            pages[url] = SitePage(lang=lang_a, links=(), parallel_with=frozenset(),
-                                  size_bytes=rng.randint(2000, 40000))
+            pages[url] = SitePage(lang=lang_a, links=(), parallel_with=frozenset())
     return SiteGraph(pages), seeds
 
 
@@ -256,6 +252,16 @@ def random_site_graph(seed: int, n_pages: int | None = None, langs=("eng", "fra"
         pages[url] = SitePage(lang=rng.choice(langs), links=links, parallel_with=frozenset())
     seeds = urls[: rng.randint(1, 3)]
     return SiteGraph(pages), seeds
+
+
+def write_graph(graph: SiteGraph, path) -> None:
+    """``graph`` as the site-graph JSON file that ``SiteGraph.load`` reads."""
+    pages = {url: {"lang": page.lang, "links": list(page.links),
+                   "parallel_with": sorted(page.parallel_with)}
+             for url, page in graph.pages.items()}
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"pages": pages}, handle, indent=1, sort_keys=True)
+        handle.write("\n")
 
 
 class OracleLangScorer:

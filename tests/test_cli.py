@@ -17,14 +17,14 @@ from bifocal.pairscore import FEATURE_NAMES
 
 from golden import GOLDEN_NORMALIZATIONS
 from loopback import DROP, hard_timeout
-from synthdata import lang_url_corpus, parallel_pair_corpus, planted_graph
+from synthdata import lang_url_corpus, parallel_pair_corpus, planted_graph, write_graph
 
 
 @pytest.fixture()
 def sim_setup(tmp_path):
     graph, seeds = planted_graph(n_sites=2, pages_per_site=20, seed=3)
     graph_path = tmp_path / "graph.json"
-    graph.save(graph_path)
+    write_graph(graph, graph_path)
     seeds_path = tmp_path / "seeds.txt"
     seeds_path.write_text("\n".join(seeds) + "\n")
     config_path = tmp_path / "crawl.cfg"
@@ -487,6 +487,40 @@ _BAD_INPUTS = [
      lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv"),
                                  "--graph", str(_graph_page(tmp, lang=["fra"]))],
      "page.json: not a site graph: TypeError(\"expected a language code string, got ['fra']\")"),
+    ("graph link with a tab",
+     lambda tmp, graph, config: ["simulate", "--config", str(_live_config(tmp, "https://a.com/en")),
+                                 "--log", str(tmp / "l.tsv"),
+                                 "--graph", str(_graph_page(tmp, links=["https://a.com/x\ty"]))],
+     "page.json: not a site graph: ValueError(\"page 'https://a.com/en' has a tab or line break in "
+     "its URL, language, links or partners"),
+    ("graph partner with a carriage return",
+     lambda tmp, graph, config: ["simulate", "--config", str(_live_config(tmp, "https://a.com/en")),
+                                 "--log", str(tmp / "l.tsv"),
+                                 "--graph", str(_graph_page(tmp, parallel_with=["https://a.com/fr\r"]))],
+     "page.json: not a site graph: ValueError(\"page 'https://a.com/en' has a tab or line break in "
+     "its URL, language, links or partners"),
+    ("graph page URL with a line feed",
+     lambda tmp, graph, config: ["simulate", "--config", str(_live_config(tmp, "https://a.com/en")),
+                                 "--log", str(tmp / "l.tsv"),
+                                 "--graph", str(_write(tmp, "lf.json", json.dumps({"pages": {
+                                     "https://a.com/\n": {"lang": "eng"},
+                                     "https://a.com/en": {"lang": "eng", "links": ["https://a.com/\n"]},
+                                 }})))],
+     "lf.json: not a site graph: ValueError(\"page 'https://a.com/\\\\n' has a tab or line break in "
+     "its URL, language, links or partners"),
+    ("graph lang with a tab",
+     lambda tmp, graph, config: ["simulate", "--config", str(_live_config(tmp, "https://a.com/en")),
+                                 "--log", str(tmp / "l.tsv"),
+                                 "--graph", str(_write(tmp, "de.json", json.dumps({"pages": {
+                                     "https://a.com/en": {"lang": "eng", "links": ["https://a.com/de"]},
+                                     "https://a.com/de": {"lang": "de\tu"},
+                                 }})))],
+     "de.json: not a site graph: ValueError(\"page 'https://a.com/de' has a tab or line break in "
+     "its URL, language, links or partners"),
+    ("seed with a tab",
+     lambda tmp, graph, config: ["simulate", "--graph", str(graph), "--log", str(tmp / "l.tsv"),
+                                 "--config", str(_live_config(tmp, "https://a.com/x\ty"))],
+     "seed URL 'https://a.com/x\\ty' holds a tab or line break"),
     ("pairscore score with only --url-a",
      lambda tmp, graph, config: ["pairscore", "score", "--url-a", "https://a.com/en"],
      "--url-a and --url-b score one pair together"),
@@ -1103,6 +1137,18 @@ def _page_route(page):
     return 200, {"Content-Type": "text/html; charset=utf-8"}, body
 
 
+def _live_config(tmp, *seeds):
+    """An eng/fra crawl config of budget 20 and no politeness delay."""
+    seeds_file = _write(tmp, "seeds.txt", "".join(f"{seed}\n" for seed in seeds))
+    return _write(tmp, "crawl.cfg", f'lang_a = "eng"\nlang_b = "fra"\n'
+                  f'seeds_file = "{seeds_file}"\nbudget = 20\nper_host_delay_ms = 0\n')
+
+
+def _log_rows(path):
+    """(URL, outcome) of each row of a crawl log."""
+    return [tuple(row.split("\t")[1:3]) for row in path.read_text().splitlines()]
+
+
 def test_crawl_logs_what_simulate_logs(tmp_path, capsys, web_site):
     site = web_site()
     graph = _loopback_graph(site.base)
@@ -1110,10 +1156,8 @@ def test_crawl_logs_what_simulate_logs(tmp_path, capsys, web_site):
     site.routes["/robots.txt"] = (404, {}, b"")
     site.default = DROP  # a page outside the graph
     graph_path = tmp_path / "graph.json"
-    graph.save(graph_path)
-    seeds = _write(tmp_path, "seeds.txt", site.base + "/\n")
-    config = _write(tmp_path, "crawl.cfg", f'lang_a = "eng"\nlang_b = "fra"\n'
-                    f'seeds_file = "{seeds}"\nbudget = 20\nper_host_delay_ms = 0\n')
+    write_graph(graph, graph_path)
+    config = _live_config(tmp_path, site.base + "/")
     assert dispatch(["crawl", "--config", str(config), "--log", str(tmp_path / "live.tsv")]) == 0
     assert capsys.readouterr().out == "fetch events: 9\n"
     assert dispatch(["simulate", "--graph", str(graph_path), "--config", str(config),
@@ -1122,3 +1166,46 @@ def test_crawl_logs_what_simulate_logs(tmp_path, capsys, web_site):
     assert live == (tmp_path / "sim.tsv").read_text()
     outcomes = [row.split("\t")[2] for row in live.splitlines()]
     assert sorted(set(outcomes)) == ["discarded_language", "error", "stored"]
+
+
+def test_a_url_http_cannot_send_is_a_fetch_error(tmp_path, web_site):
+    site = web_site()
+    site.routes["/robots.txt"] = (404, {}, b"")
+    # The pattern for href values keeps a control character.
+    site.routes["/"] = (200, {"Content-Type": "text/html"},
+                        f'<p>{_PAGE_WORDS["eng"]}</p><a href="/b\x01c"></a>'.encode())
+    with hard_timeout(10):
+        assert dispatch(["crawl", "--config", str(_live_config(tmp_path, site.base + "/a b",
+                                                                 site.base + "/")),
+                         "--log", str(tmp_path / "live.tsv")]) == 0
+    assert _log_rows(tmp_path / "live.tsv") == [
+        (site.base + "/a b", "error"),
+        (site.base + "/", "stored"),
+        (site.base + "/b\x01c", "error"),
+    ]
+    assert site.paths == ["/robots.txt", "/"]
+
+
+def test_a_reply_that_is_not_http_is_a_fetch_error(tmp_path, web_site):
+    site, broken = web_site(), web_site()
+    garbage = b"garbage\r\n\r\n"
+    site.routes["/robots.txt"] = (404, {}, b"")
+    site.routes["/"] = (200, {"Content-Type": "text/html"},
+                        f'<p>{_PAGE_WORDS["eng"]}</p><a href="/garbage"></a>'.encode())
+    site.routes["/garbage"] = garbage
+    # Its robots.txt answers garbage too, so the whole origin is disallowed,
+    # once for both of its pages.
+    broken.default = garbage
+    with hard_timeout(10):
+        assert dispatch(["crawl", "--config", str(_live_config(tmp_path, broken.base + "/",
+                                                                 broken.base + "/x",
+                                                                 site.base + "/")),
+                         "--log", str(tmp_path / "live.tsv")]) == 0
+    assert _log_rows(tmp_path / "live.tsv") == [
+        (broken.base + "/", "error"),
+        (broken.base + "/x", "error"),
+        (site.base + "/", "stored"),
+        (site.base + "/garbage", "error"),
+    ]
+    assert broken.paths == ["/robots.txt"]
+    assert site.paths == ["/robots.txt", "/", "/garbage"]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import logging
 import math
 import re
@@ -53,6 +54,7 @@ from synthdata import (
     lang_url_corpus,
     planted_graph,
     random_site_graph,
+    write_graph,
 )
 
 
@@ -96,9 +98,16 @@ def test_graph_rejects_same_language_partners():
 def test_graph_json_round_trip(tmp_path):
     graph, _ = random_site_graph(1)
     path = tmp_path / "graph.json"
-    graph.save(path)
+    write_graph(graph, path)
     loaded = SiteGraph.load(path)
     assert loaded.pages == graph.pages
+
+
+@pytest.mark.parametrize("size", ["x", None])
+def test_graph_loader_ignores_size_bytes(tmp_path, size):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"pages": {"https://a.com/": {"lang": "eng", "size_bytes": size}}}))
+    assert SiteGraph.load(path).pages == {"https://a.com/": SitePage("eng", (), frozenset())}
 
 
 # ---------------------------------------------------------------------------

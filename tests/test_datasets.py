@@ -501,7 +501,7 @@ def _cv_folds(positives, k, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datasets, "mine_negatives_from_links", record_fold)
         mp.setattr(datasets, "generate_negatives", lambda *_: ([], {}))
-        mp.setattr(datasets, "pair_train", lambda rows, masks: [zero_model] * masks.shape[1])
+        mp.setattr(datasets.pairscore, "pair_train", lambda rows, masks: [zero_model] * masks.shape[1])
         mp.setattr(datasets.pairscore, "pair_feature_vector", lambda *_: (0.0,) * len(FEATURE_NAMES))
         cross_validate_combos(positives, {}, {}, {"eng", "fra"}, k=k, seed=seed)
     return folds
@@ -529,13 +529,13 @@ def test_cv_combos_folds_equal_the_reference(sizes, k, seed):
 def test_cv_combos_fits_each_fold_once(monkeypatch):
     positives, link_map, lang_map = parallel_pair_corpus(n_sites=5, pairs_per_site=3, seed=2)
     calls = []
-    real_train = datasets.pair_train
+    real_train = datasets.pairscore.pair_train
 
     def counting_train(*args, **kwargs):
         calls.append(kwargs.get("masks"))
         return real_train(*args, **kwargs)
 
-    monkeypatch.setattr(datasets, "pair_train", counting_train)
+    monkeypatch.setattr(datasets.pairscore, "pair_train", counting_train)
     cross_validate_combos(positives, link_map, lang_map, {"eng", "fra"}, k=3, seed=4)
     assert len(calls) == 3
     assert all(masks.shape[1] == 63 for masks in calls)

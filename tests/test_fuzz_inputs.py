@@ -19,7 +19,7 @@ from bifocal.cli import dispatch
 from bifocal.datasets import write_labeled_pairs
 
 from loopback import hard_timeout
-from synthdata import lang_url_corpus, parallel_pair_corpus, planted_graph
+from synthdata import lang_url_corpus, parallel_pair_corpus, planted_graph, write_graph
 
 # Every command here takes well under a second on these inputs.
 _TIMEOUT_S = 5.0
@@ -102,7 +102,7 @@ def inputs(tmp_path_factory):
                      "--model", str(base / "pair.json")]) == 0
 
     graph, seeds = planted_graph(n_sites=2, pages_per_site=10, seed=3)
-    graph.save(base / "graph.json")
+    write_graph(graph, base / "graph.json")
     (base / "seeds.txt").write_text("".join(f"{seed}\n" for seed in seeds))
     for name, seeds_file in (("crawl.cfg", "seeds.txt"), ("mutant_seeds.cfg", "mutant/seeds.txt")):
         (base / name).write_text(f'lang_a = "eng"\nlang_b = "fra"\nseeds_file = "{base / seeds_file}"\n'

@@ -224,7 +224,7 @@ def test_jaccard_symmetric_and_bounded(a, b):
 
 
 def test_psl_parses_comments_and_blank_lines():
-    psl = PublicSuffixList.from_text("# comment\n\ncom\n*.ck\n!www.ck\n// alt comment\n")
+    psl = PublicSuffixList("# comment\n\ncom\n*.ck\n!www.ck\n// alt comment\n".splitlines())
     assert psl.split("a.example.com") == ("a", "example.com", "com")
     assert psl.split("www.ck") == ("", "www.ck", "ck")
 
