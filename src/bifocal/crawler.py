@@ -6,10 +6,10 @@ extraction, stored documents have their outlinks scored with
 ``P(link is in the other language) * P(pair is parallel)`` and pushed with the
 max-update rule.  Seeds always download first.
 
-Fetching is pluggable: an offline site-graph fetcher drives deterministic
-simulations with the graph's languages, a live fetcher does plain HTTP GETs
-honoring robots exclusion and detects each page's language from its text.
-Only the live fetcher imports the HTTP stack.
+Two fetchers drive the one loop: ``simulate`` crawls a site-graph fixture
+with the graph's languages, deterministically; ``crawl_live`` does plain
+HTTP GETs honoring robots exclusion and detects each page's language from
+its text.  Only the live fetcher imports the HTTP stack.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
-from urllib.parse import urljoin
+from urllib.parse import quote, urljoin
 
 from . import langid, pairscore
 from .errors import BifocalError, ConfigError, FetchFailed, FrontierEmpty, NotAUrl
@@ -274,7 +274,10 @@ def extract_links(html_text: str, base_url: str) -> tuple[str, ...]:
     seen = set()
     links = []
     for target in _HREF_RE.findall(html_text):
-        absolute = urljoin(base_url, target)
+        try:
+            absolute = urljoin(base_url, target)
+        except ValueError:  # urljoin cannot parse it, such as "http://[::1/x"
+            continue
         if not absolute.startswith(("http://", "https://")):
             continue
         absolute = absolute.split("#", 1)[0]
@@ -314,12 +317,27 @@ _MAX_REDIRECTS = 10
 _REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
 
 
-def _default_opener(url: str, headers: dict, timeout: float):
+# Characters a request target may hold as they are.
+_PRINTABLE_ASCII = "".join(map(chr, range(0x20, 0x7F)))
+
+
+def _sendable(url: str) -> str:
+    """``url`` with each character of its path and query that is outside
+    printable ASCII percent-encoded as UTF-8, as a browser sends it:
+    ``/café`` is ``/caf%C3%A9``.  The host is left to urllib, which sends
+    IDNA."""
+    scheme, sep, rest = url.partition("://")
+    authority = re.match(r"[^/?#]*", rest).group()
+    return scheme + sep + authority + quote(rest[len(authority):], safe=_PRINTABLE_ASCII)
+
+
+def _hop(url: str, user_agent: str):
     """``(status, headers, body)`` of one GET.  A redirect is not followed and
     an HTTP error is not raised: each comes back as its status and headers.
 
     Raises:
-        FetchFailed: the body is longer than ``_MAX_BODY_BYTES``.
+        FetchFailed: urllib cannot request the URL, or the body is longer
+            than ``_MAX_BODY_BYTES``.
         OSError: the server could not be reached.
         http.client.HTTPException: HTTP cannot send the URL, or the reply is
             not HTTP.
@@ -331,22 +349,19 @@ def _default_opener(url: str, headers: dict, timeout: float):
         def redirect_request(self, *args):
             return None  # so urllib raises the 3xx as an HTTPError, caught below
 
-    request = urllib.request.Request(url, headers=headers)
     try:
-        response = urllib.request.build_opener(Unfollowed).open(request, timeout=timeout)
+        request = urllib.request.Request(url, headers={"User-Agent": user_agent})
+        response = urllib.request.build_opener(Unfollowed).open(request, timeout=_FETCH_TIMEOUT_S)
     except urllib.error.HTTPError as exc:
         exc.close()
-        return exc.code, _header_dict(exc.headers or {}), b""
+        return exc.code, exc.headers, b""
+    except ValueError as exc:  # such as "Invalid IPv6 URL", or a host IDNA cannot encode
+        raise FetchFailed(f"cannot GET {url}: {exc}") from None
     with response:
         body = response.read(_MAX_BODY_BYTES + 1)
         if len(body) > _MAX_BODY_BYTES:
             raise FetchFailed(f"GET {url}: body is longer than {_MAX_BODY_BYTES} bytes")
-        return response.status, _header_dict(response.headers), body
-
-
-def _header_dict(headers) -> dict:
-    """Response headers by name in title case, which is how callers ask."""
-    return {name.title(): value for name, value in headers.items()}
+        return response.status, response.headers, body
 
 
 class LiveFetcher:
@@ -357,25 +372,23 @@ class LiveFetcher:
         self,
         user_agent: str = CrawlConfig.user_agent,
         per_host_delay_ms: int = CrawlConfig.per_host_delay_ms,
-        opener=_default_opener,
         clock=time.monotonic,
         sleeper=time.sleep,
     ):
         self.user_agent = user_agent
-        self.opener = opener
         self.gate = PolitenessGate(per_host_delay_ms, clock=clock, sleeper=sleeper)
         self.detector = StopwordLanguageDetector()
         self._robots: dict[str, urllib.robotparser.RobotFileParser] = {}
 
     def _robots_for(self, url: str) -> urllib.robotparser.RobotFileParser:
-        """The robots.txt rules of the URL's scheme, host and port, fetched
-        once for each such origin (RFC 9309 §2.3); an explicit default port
-        names the same origin as none (RFC 3986 §6.2.3).
+        """The robots.txt rules of the URL's origin, fetched once for each
+        origin (RFC 9309 §2.3).
 
         A 5xx answer, a reply that is not HTTP or an unreachable server means
         the whole origin is disallowed; any other non-200 answer, a body over
-        the size cap or a redirect that cannot be followed allows all.  Its
-        redirects are followed, across origins too (RFC 9309 §2.3.1.2).
+        the size cap, a URL urllib cannot request or a redirect that cannot
+        be followed allows all.  Its redirects are followed, across origins
+        too (RFC 9309 §2.3.1.2).
         """
         import http.client
         import urllib.robotparser
@@ -385,8 +398,6 @@ class LiveFetcher:
         except NotAUrl as exc:
             raise FetchFailed(f"cannot fetch {url}: {exc}") from exc
         origin = parts.origin
-        if parts.port == {"http": 80, "https": 443}.get(parts.scheme):
-            origin = f"{parts.scheme}://{parts.host}"
         parser = self._robots.get(origin)
         if parser is None:
             parser = urllib.robotparser.RobotFileParser()
@@ -408,28 +419,32 @@ class LiveFetcher:
 
     def _get(self, url: str, obey_robots: bool = True):
         """``(status, headers, body, final URL)`` of a GET that follows up to
-        ``_MAX_REDIRECTS`` redirects.  Every hop waits at the politeness gate
-        and, if ``obey_robots``, must be allowed by its own origin's
-        robots.txt; a ``Location`` resolves against the hop that sent it.
+        ``_MAX_REDIRECTS`` redirects.  Each hop's URL is first made
+        ``_sendable``; then, if ``obey_robots``, its own origin's robots.txt
+        must allow it, and it waits at the politeness gate.  A ``Location``
+        resolves against the hop that sent it.
 
         Raises:
-            FetchFailed: robots.txt disallows a hop, a redirect leaves HTTP,
-                there are too many redirects, or a body is over the cap.
+            FetchFailed: robots.txt disallows a hop, urllib cannot request a
+                URL, a redirect leaves HTTP or cannot be parsed, there are
+                too many redirects, or a body is over the cap.
             OSError: a server could not be reached.
             http.client.HTTPException: HTTP cannot send the URL, or a reply
                 is not HTTP.
         """
         for _ in range(_MAX_REDIRECTS + 1):
+            url = _sendable(url)
             if obey_robots and not self._robots_for(url).can_fetch(self.user_agent, url):
                 raise FetchFailed(f"robots.txt disallows {url}")
             self.gate.wait(url)
-            status, headers, body = self.opener(
-                url, {"User-Agent": self.user_agent}, _FETCH_TIMEOUT_S
-            )
+            status, headers, body = _hop(url, self.user_agent)
             location = headers.get("Location")
             if status not in _REDIRECT_STATUSES or location is None:
                 return status, headers, body, url
-            url = urljoin(url, location)
+            try:
+                url = urljoin(url, location)
+            except ValueError as exc:
+                raise FetchFailed(f"redirect from {url} to {location!r:.80}: {exc}") from None
             if not url.startswith(("http://", "https://")):
                 raise FetchFailed(f"redirect to a non-HTTP URL: {url}")
         raise FetchFailed(f"more than {_MAX_REDIRECTS} redirects, the last to {url}")
@@ -619,7 +634,7 @@ def run_crawl(state: CrawlState) -> CrawlLog:
     return CrawlLog(state.events)
 
 
-def simulate(graph: SiteGraph, cfg: CrawlConfig, lang_scorer=None, pair_scorer=None) -> CrawlLog:
+def simulate(graph: SiteGraph, cfg: CrawlConfig) -> CrawlLog:
     """Deterministic offline crawl over a site-graph fixture.
 
     Content language comes from the fixture's ground truth; the log's parallel
@@ -631,33 +646,24 @@ def simulate(graph: SiteGraph, cfg: CrawlConfig, lang_scorer=None, pair_scorer=N
     for seed_url in cfg.seeds:
         if seed_url not in graph.pages:
             raise ConfigError(f"seed {seed_url} is not in the graph")
-    return crawl_live(cfg, lang_scorer, pair_scorer, GraphFetcher(graph))
+    return _crawl(cfg, GraphFetcher(graph))
 
 
-def crawl_live(cfg: CrawlConfig, lang_scorer=None, pair_scorer=None, fetcher=None) -> CrawlLog:
-    """A crawl through ``fetcher``, by default a ``LiveFetcher`` with
-    ``cfg``'s user agent and politeness delay."""
-    if fetcher is None:
-        fetcher = LiveFetcher(user_agent=cfg.user_agent, per_host_delay_ms=cfg.per_host_delay_ms)
-    with _crawl_scorers(cfg, lang_scorer, pair_scorer) as (lang_scorer, pair_scorer):
+def crawl_live(cfg: CrawlConfig) -> CrawlLog:
+    """A crawl over HTTP, through a ``LiveFetcher`` with ``cfg``'s user agent
+    and politeness delay."""
+    return _crawl(cfg, LiveFetcher(user_agent=cfg.user_agent, per_host_delay_ms=cfg.per_host_delay_ms))
+
+
+def _crawl(cfg: CrawlConfig, fetcher) -> CrawlLog:
+    """A crawl through ``fetcher`` with the scorers ``cfg`` names; both are
+    closed on exit (an external scorer holds a connection)."""
+    with contextlib.ExitStack() as scorers:
+        lang_scorer = build_lang_scorer(cfg)
+        scorers.callback(getattr(lang_scorer, "close", lambda: None))
+        pair_scorer = build_pair_scorer(cfg)
+        scorers.callback(getattr(pair_scorer, "close", lambda: None))
         return run_crawl(CrawlState(cfg, fetcher, lang_scorer, pair_scorer))
-
-
-@contextlib.contextmanager
-def _crawl_scorers(cfg: CrawlConfig, lang_scorer, pair_scorer):
-    """The caller's scorers, or those ``cfg`` names.
-
-    Scorers built here are closed on exit (an external scorer holds a
-    connection); scorers the caller passed in are left open.
-    """
-    with contextlib.ExitStack() as built:
-        if lang_scorer is None:
-            lang_scorer = build_lang_scorer(cfg)
-            built.callback(getattr(lang_scorer, "close", lambda: None))
-        if pair_scorer is None:
-            pair_scorer = build_pair_scorer(cfg)
-            built.callback(getattr(pair_scorer, "close", lambda: None))
-        yield lang_scorer, pair_scorer
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +675,7 @@ def build_seed_list(url_to_site, n: int = 200, alive=MappingProxyType({})) -> "l
     ``url_to_site`` maps URLs to a website identity.  URLs that ``alive`` flags
     as dead are dropped before counting; a URL it leaves out is alive.  Sites
     are ranked by unique-URL count, ties broken lexicographically; each home
-    page is the scheme and host of the site's lexicographically first URL.
+    page is the origin of the site's lexicographically first URL.
 
     Raises:
         ConfigError: ``n`` is below 1, or nothing to rank.

@@ -26,6 +26,7 @@ END_TOKEN = "</s>"
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*://")
 _PCT_RUN_RE = re.compile(r"(?:%[0-9A-Fa-f]{2})+")
+_DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,9 @@ class UrlComponents:
 
     @property
     def origin(self) -> str:
-        """Scheme, host and port, as ``scheme://host[:port]``."""
-        port = f":{self.port}" if self.port is not None else ""
+        """Scheme, host and port, as ``scheme://host[:port]``; the scheme's
+        default port names the same origin as none (RFC 3986 §6.2.3)."""
+        port = "" if self.port in (None, _DEFAULT_PORTS.get(self.scheme)) else f":{self.port}"
         return f"{self.scheme}://{self.host}{port}"
 
 

@@ -4,7 +4,8 @@
   127.0.0.1 TCP, reached as ``external:127.0.0.1:PORT`` or through
   :meth:`ScorerServer.client`.
 * ``web_site`` starts :class:`WebSite`s: HTTP origins on 127.0.0.1, with the
-  ``*_proxy`` variables cleared so that urllib reaches them directly.
+  ``*_proxy`` variables cleared so that urllib reaches them directly;
+  :func:`serve_graph` serves a site graph from them.
 
 Each fixture closes every server it started, and every client those servers
 opened.  A test skips where a loopback socket cannot be bound.
@@ -20,7 +21,9 @@ import threading
 
 import pytest
 
+from bifocal.crawler import SiteGraph, SitePage, StopwordLanguageDetector
 from bifocal.external import ScorerClient
+from bifocal.urls import parse_components
 
 # A web route (or a site's ``default``) that answers nothing: the connection
 # closes without a reply.
@@ -171,6 +174,43 @@ class WebSite(_Server):
         self.paths = []
         super().__init__(_WebHandler)
         self.base = f"http://127.0.0.1:{self.port}"
+
+
+def serve_graph(start, graph, seeds):
+    """``(graph, seeds)`` moved onto loopback sites, one that ``start`` (the
+    ``web_site`` fixture) opens for each origin of the graph.
+
+    Each page is HTML: its links, and words that only its language's
+    stopword profile holds, so a live crawl finds the graph's languages.
+    robots.txt allows everything, and a path with no page is ``DROP``.
+    """
+    profiles = StopwordLanguageDetector().profiles
+    sites = {}
+
+    def served(url):
+        origin = parse_components(url).origin
+        assert url.startswith(origin), url
+        if origin not in sites:
+            sites[origin] = start()
+            sites[origin].routes["/robots.txt"] = (404, {}, b"")
+            sites[origin].default = DROP
+        return sites[origin], url[len(origin):]
+
+    def moved(url):
+        site, path = served(url)
+        return site.base + path
+
+    pages = {}
+    for url, page in graph.pages.items():
+        links = tuple(map(moved, page.links))
+        pages[moved(url)] = SitePage(page.lang, links, frozenset(map(moved, page.parallel_with)))
+        others = set().union(*(words for lang, words in profiles.items() if lang != page.lang))
+        text = " ".join(sorted(profiles[page.lang] - others))
+        anchors = "".join(f'<a href="{link}"></a>' for link in links)
+        site, path = served(url)
+        site.routes[path] = (200, {"Content-Type": "text/html; charset=utf-8"},
+                             f"<html><body><p>{text}</p>{anchors}</body></html>".encode())
+    return SiteGraph(pages), [moved(seed) for seed in seeds]
 
 
 @contextlib.contextmanager

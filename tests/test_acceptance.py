@@ -21,7 +21,7 @@ from bifocal.langid import (
     rule_langid,
 )
 from bifocal.metrics import ConfusionMatrix, decile_curve, macro_prf, prf
-from bifocal.crawler import STORED, CrawlConfig, simulate
+from bifocal.crawler import STORED, CrawlConfig, CrawlState, GraphFetcher, run_crawl, simulate
 from bifocal.pairscore import baseline_align, build_language_tokens
 from bifocal.urls import normalize_url, parse_components
 
@@ -277,11 +277,8 @@ def test_criterion_11_oracle_upper_bound():
         assert len(graph.pages) == 20 * 200
         pair_count = sum(len(p.parallel_with) for p in graph.pages.values()) // 2
         cfg = _uniform_cfg(seeds, budget=len(graph.pages))
-        log = simulate(
-            graph, cfg,
-            lang_scorer=OracleLangScorer(graph),
-            pair_scorer=OraclePairScorer(graph),
-        )
+        log = run_crawl(CrawlState(
+            cfg, GraphFetcher(graph), OracleLangScorer(graph), OraclePairScorer(graph)))
         stored_seq = {e.url: e.seq for e in log if e.outcome == STORED}
         bound = len(seeds) + 2 * pair_count
         for url, page in graph.pages.items():

@@ -16,7 +16,7 @@ from bifocal.errors import ConfigError
 from bifocal.pairscore import FEATURE_NAMES
 
 from golden import GOLDEN_NORMALIZATIONS
-from loopback import DROP, hard_timeout
+from loopback import hard_timeout, serve_graph
 from synthdata import lang_url_corpus, parallel_pair_corpus, planted_graph, write_graph
 
 
@@ -1107,11 +1107,10 @@ def test_langid_predict_full_prints_every_label(tmp_path, capsys):
 _PAGE_WORDS = {
     "eng": "the and of to that it was for on are with as they at be this have from or by",
     "fra": "le la les et est un une dans que qui pour pas sur avec plus son par ce il elle",
-    "deu": "der die das und ist nicht ein eine mit auf sich dem den von zu im als auch wird aus",
 }
 
 
-def _loopback_graph(base):
+def _small_site(base):
     """An eng/fra site under ``base`` with one German page; ``/en/gone`` is
     linked but not in the graph."""
     pages = {
@@ -1131,12 +1130,6 @@ def _loopback_graph(base):
     }})
 
 
-def _page_route(page):
-    links = "".join(f'<a href="{link}"></a>' for link in page.links)
-    body = f"<html><body><p>{_PAGE_WORDS[page.lang]}</p>{links}</body></html>".encode()
-    return 200, {"Content-Type": "text/html; charset=utf-8"}, body
-
-
 def _live_config(tmp, *seeds):
     """An eng/fra crawl config of budget 20 and no politeness delay."""
     seeds_file = _write(tmp, "seeds.txt", "".join(f"{seed}\n" for seed in seeds))
@@ -1150,14 +1143,10 @@ def _log_rows(path):
 
 
 def test_crawl_logs_what_simulate_logs(tmp_path, capsys, web_site):
-    site = web_site()
-    graph = _loopback_graph(site.base)
-    site.routes = {url.removeprefix(site.base): _page_route(page) for url, page in graph.pages.items()}
-    site.routes["/robots.txt"] = (404, {}, b"")
-    site.default = DROP  # a page outside the graph
+    graph, seeds = serve_graph(web_site, _small_site("https://a.com"), ["https://a.com/"])
     graph_path = tmp_path / "graph.json"
     write_graph(graph, graph_path)
-    config = _live_config(tmp_path, site.base + "/")
+    config = _live_config(tmp_path, *seeds)
     assert dispatch(["crawl", "--config", str(config), "--log", str(tmp_path / "live.tsv")]) == 0
     assert capsys.readouterr().out == "fetch events: 9\n"
     assert dispatch(["simulate", "--graph", str(graph_path), "--config", str(config),
@@ -1171,7 +1160,8 @@ def test_crawl_logs_what_simulate_logs(tmp_path, capsys, web_site):
 def test_a_url_http_cannot_send_is_a_fetch_error(tmp_path, web_site):
     site = web_site()
     site.routes["/robots.txt"] = (404, {}, b"")
-    # The pattern for href values keeps a control character.
+    # The pattern for href values keeps a control character, which is sent
+    # percent-encoded; a space is printable, so it is sent as it is.
     site.routes["/"] = (200, {"Content-Type": "text/html"},
                         f'<p>{_PAGE_WORDS["eng"]}</p><a href="/b\x01c"></a>'.encode())
     with hard_timeout(10):
@@ -1183,7 +1173,34 @@ def test_a_url_http_cannot_send_is_a_fetch_error(tmp_path, web_site):
         (site.base + "/", "stored"),
         (site.base + "/b\x01c", "error"),
     ]
-    assert site.paths == ["/robots.txt", "/"]
+    assert site.paths == ["/robots.txt", "/", "/b%01c"]
+
+
+def test_a_url_with_characters_http_cannot_send_is_sent_percent_encoded(tmp_path, web_site):
+    site = web_site()
+    site.routes["/robots.txt"] = (404, {}, b"")
+    links = ["/café", "/a?q=é", "/b\x01c", "http://[::1/x", "/r"]
+    anchors = "".join(f'<a href="{link}"></a>' for link in links)
+    site.routes["/"] = (200, {"Content-Type": "text/html"},
+                        f'<p>{_PAGE_WORDS["eng"]}</p>{anchors}'.encode())
+    site.routes["/caf%C3%A9"] = (200, {"Content-Type": "text/html"},
+                                 f'<p>{_PAGE_WORDS["fra"]}</p>'.encode())
+    site.routes["/r"] = (302, {"Location": "http://[::1/y"}, b"")
+    with hard_timeout(10):
+        assert dispatch(["crawl", "--config", str(_live_config(tmp_path, site.base + "/",
+                                                                 "http://[::1/z")),
+                         "--log", str(tmp_path / "live.tsv")]) == 0
+    # "http://[::1/x" is not a URL that urljoin can parse, so it is no link.
+    assert sorted(_log_rows(tmp_path / "live.tsv")) == sorted([
+        (site.base + "/", "stored"),
+        ("http://[::1/z", "error"),
+        (site.base + "/café", "stored"),
+        (site.base + "/a?q=é", "error"),
+        (site.base + "/b\x01c", "error"),
+        (site.base + "/r", "error"),
+    ])
+    assert sorted(site.paths) == sorted(
+        ["/robots.txt", "/", "/caf%C3%A9", "/a?q=%C3%A9", "/b%01c", "/r"])
 
 
 def test_a_reply_that_is_not_http_is_a_fetch_error(tmp_path, web_site):

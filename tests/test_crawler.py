@@ -1,11 +1,15 @@
+import contextlib
 import dataclasses
 import json
 import logging
 import math
 import re
+import socket
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifocal import crawler
 from bifocal.crawler import (
@@ -26,6 +30,7 @@ from bifocal.crawler import (
     crawl_live,
     crawl_step,
     extract_links,
+    run_crawl,
     score_links,
     simulate,
     site_of,
@@ -38,14 +43,16 @@ from bifocal.langid import (
     RuleLanguageScorer,
     ngram_predict,
     ngram_train,
+    save_model,
 )
 from bifocal.pairscore import (
     BaselinePairScorer,
     PairFeatureModel,
     build_language_tokens,
+    save_pair_model,
 )
 
-from loopback import bad_url, hard_timeout, ok
+from loopback import DROP, bad_url, hard_timeout, ok, serve_graph
 from references import bfs_reference, pair_features_reference, score_links_reference
 from synthdata import (
     OracleLangScorer,
@@ -74,6 +81,11 @@ def _cfg(seeds, budget=100, **kwargs):
     defaults = dict(lang_a="eng", lang_b="fra", lang_scorer="uniform", pair_scorer="uniform")
     defaults.update(kwargs)
     return CrawlConfig(seeds=tuple(seeds), budget=budget, **defaults)
+
+
+def _crawl_with(graph, cfg, lang_scorer, pair_scorer):
+    """A crawl of ``graph`` with the caller's scorers, which stay open."""
+    return run_crawl(CrawlState(cfg, GraphFetcher(graph), lang_scorer, pair_scorer))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +180,7 @@ def test_nan_language_model_does_not_end_a_crawl(crawl_models, caplog):
     lang_model, pair_model = crawl_models
     broken = dataclasses.replace(lang_model, rows=lang_model.rows * float("nan"))
     graph, seeds = dense_planted_graph()
-    log = simulate(graph, _cfg(seeds, budget=50), broken, pair_model)
+    log = _crawl_with(graph, _cfg(seeds, budget=50), broken, pair_model)
     assert len(log) == 50
     assert {e.priority for e in log if e.priority is not SEED} == {0.0}
     assert _warned_links(caplog)
@@ -306,9 +318,9 @@ def test_memoizing_scorers_crawl_like_unmemoized_ones(crawl_models):
     lang_model, pair_model = crawl_models
     cfg = _cfg(seeds, budget=50)
 
-    memoized = simulate(graph, cfg, lang_model, pair_model)
+    memoized = _crawl_with(graph, cfg, lang_model, pair_model)
     reference_lang = _PredictEveryLink(lang_model)
-    reference = simulate(graph, cfg, reference_lang, _FeaturesEveryLink(pair_model))
+    reference = _crawl_with(graph, cfg, reference_lang, _FeaturesEveryLink(pair_model))
 
     assert len(reference_lang.urls) > 2 * len(set(reference_lang.urls))
     assert len({e.priority for e in reference}) > 10
@@ -345,7 +357,7 @@ def _simulate_with(graph, seeds, scorers):
     if isinstance(scorers, str):
         return simulate(graph, _cfg(seeds, budget=len(graph.pages),
                                     lang_scorer=scorers, pair_scorer=scorers))
-    return simulate(graph, _cfg(seeds, budget=len(graph.pages)), *scorers(graph))
+    return _crawl_with(graph, _cfg(seeds, budget=len(graph.pages)), *scorers(graph))
 
 
 @pytest.mark.parametrize("make_graph", [
@@ -414,7 +426,7 @@ def test_scorers_are_asked_only_about_links_that_can_move_the_frontier(
     inner_lang, inner_pair = trained_scorers[kind](graph)
     lang = _AskedLang(inner_lang, frontiers)
     pair = _AskedPair(inner_pair, frontiers, lang)
-    log = simulate(graph, _cfg(seeds, budget=len(graph.pages)), lang, pair)
+    log = _crawl_with(graph, _cfg(seeds, budget=len(graph.pages)), lang, pair)
 
     fetched_at = {e.url: e.seq for e in log}
     links = [link for e in log if e.outcome == STORED for link in graph.pages[e.url].links]
@@ -478,9 +490,7 @@ def test_oracle_scorers_on_small_planted_graph():
     graph, seeds = planted_graph(n_sites=2, pages_per_site=20, seed=5)
     pairs = sum(len(p.parallel_with) for p in graph.pages.values()) // 2
     cfg = _cfg(seeds, budget=len(graph.pages))
-    log = simulate(graph, cfg,
-                   lang_scorer=OracleLangScorer(graph),
-                   pair_scorer=OraclePairScorer(graph))
+    log = _crawl_with(graph, cfg, OracleLangScorer(graph), OraclePairScorer(graph))
     stored_seq = {e.url: e.seq for e in log if e.outcome == STORED}
     parallel_pages = [u for u, p in graph.pages.items() if p.parallel_with]
     bound = len(seeds) + 2 * pairs
@@ -548,8 +558,8 @@ def test_external_scorers_crawl_alike_without_prefetch(tmp_path, scorer_server):
     cfg = _cfg(seeds, budget=50)
     logs = []
     for wrap in (lambda scorer: scorer, _ProbabilityOnly):
-        log = simulate(graph, cfg, wrap(ExternalLanguageScorer(server.client())),
-                       wrap(ExternalPairScorer(server.client())))
+        log = _crawl_with(graph, cfg, wrap(ExternalLanguageScorer(server.client())),
+                          wrap(ExternalPairScorer(server.client())))
         path = tmp_path / f"log{len(logs)}.tsv"
         log.to_tsv(path)
         logs.append(path.read_bytes())
@@ -648,6 +658,8 @@ def test_seed_ranking_and_home_pages():
 def test_seed_home_page_strips_resources():
     seeds = build_seed_list({"https://en.wikipedia.org/wiki/X": "wikipedia"}, n=1)
     assert seeds == ["https://en.wikipedia.org/"]
+    # The scheme's default port is the same origin as none (RFC 3986 6.2.3).
+    assert build_seed_list({"https://h.com:443/x": "h.com"}, n=1) == ["https://h.com/"]
 
 
 def test_seed_liveness_filter():
@@ -700,177 +712,113 @@ def test_politeness_gate_spacing():
     assert sleeps == [pytest.approx(0.8)]
 
 
-def _opener_factory(responses):
-    def opener(url, headers, timeout):
-        status, content_type, body = responses[url]
-        return status, {"Content-Type": content_type}, body
-    return opener
+class _Requests(list):
+    """A site's ``paths``, each recorded with the fake clock's time."""
+
+    def __init__(self, now):
+        super().__init__()
+        self.now = now
+
+    def append(self, path):
+        super().append((path, self.now[0]))
 
 
-def test_robots_fetch_waits_at_the_politeness_gate():
+def test_robots_fetch_waits_at_the_politeness_gate(web_site):
     now = [0.0]
     sleeps = []
-    requests = []
 
     def sleeper(duration):
         sleeps.append(duration)
         now[0] += duration
 
-    page = _opener_factory({
-        "https://h.com/robots.txt": (404, "text/plain", b""),
-        "https://h.com/a": (200, "text/html", b""),
-        "https://h.com/b": (200, "text/html", b""),
-        "https://o.com/robots.txt": (404, "text/plain", b""),
-        "https://o.com/c": (200, "text/html", b""),
-    })
-
-    def opener(url, headers, timeout):
-        requests.append((url, now[0]))
-        return page(url, headers, timeout)
-
-    fetcher = LiveFetcher(opener=opener, per_host_delay_ms=1000,
-                          clock=lambda: now[0], sleeper=sleeper)
-    for url in ("https://h.com/a", "https://h.com/b", "https://o.com/c"):
+    h, o = web_site(), web_site()
+    for site in (h, o):
+        site.paths = _Requests(now)
+        site.default = (200, {"Content-Type": "text/html"}, b"")
+        site.routes["/robots.txt"] = (404, {}, b"")
+    fetcher = LiveFetcher(per_host_delay_ms=1000, clock=lambda: now[0], sleeper=sleeper)
+    for url in (h.base + "/a", h.base + "/b", o.base + "/c"):
         fetcher.fetch(url)
-    assert requests == [
-        ("https://h.com/robots.txt", 0.0),
-        ("https://h.com/a", pytest.approx(1.0)),
-        ("https://h.com/b", pytest.approx(2.0)),
-        ("https://o.com/robots.txt", pytest.approx(2.0)),
-        ("https://o.com/c", pytest.approx(3.0)),
-    ]
-    assert sleeps == [pytest.approx(1.0)] * 3
+    assert h.paths == [("/robots.txt", 0.0), ("/a", 1.0), ("/b", 2.0)]
+    # The gate is per host, and both sites are on 127.0.0.1.
+    assert o.paths == [("/robots.txt", 3.0), ("/c", 4.0)]
+    assert sleeps == [pytest.approx(1.0)] * 4
 
 
-def test_robots_rules_are_kept_per_scheme_host_and_port():
+def test_robots_rules_are_kept_per_scheme_host_and_port(web_site):
     # RFC 9309 2.3: robots.txt applies to the scheme, host and port it came from.
-    page = _opener_factory({
-        "https://h.com:8443/robots.txt": (200, "text/plain", b"User-agent: *\nDisallow: /x\n"),
-        "https://h.com:8443/y": (200, "text/html", b""),
-        "http://h.com/robots.txt": (404, "text/plain", b""),
-        "http://h.com/x": (200, "text/html", b""),
-        "https://h.com/robots.txt": (404, "text/plain", b""),
-        "https://h.com/x": (200, "text/html", b""),
-    })
-    requests = []
-
-    def opener(url, headers, timeout):
-        requests.append(url)
-        return page(url, headers, timeout)
-
-    fetcher = LiveFetcher(opener=opener, per_host_delay_ms=0)
+    a, b = web_site(), web_site()
+    for site in (a, b):
+        site.default = (200, {"Content-Type": "text/html"}, b"")
+    a.routes["/robots.txt"] = (200, {"Content-Type": "text/plain"}, b"User-agent: *\nDisallow: /x\n")
+    b.routes["/robots.txt"] = (404, {}, b"")
+    fetcher = LiveFetcher(per_host_delay_ms=0)
     with pytest.raises(FetchFailed, match="robots.txt disallows"):
-        fetcher.fetch("https://h.com:8443/x")
-    fetcher.fetch("https://h.com:8443/y")
-    fetcher.fetch("http://h.com/x")
-    fetcher.fetch("https://h.com/x")
-    assert requests == [
-        "https://h.com:8443/robots.txt",
-        "https://h.com:8443/y",
-        "http://h.com/robots.txt",
-        "http://h.com/x",
-        "https://h.com/robots.txt",
-        "https://h.com/x",
-    ]
+        fetcher.fetch(a.base + "/x")
+    fetcher.fetch(a.base + "/y")
+    fetcher.fetch(b.base + "/x")
+    assert a.paths == ["/robots.txt", "/y"]
+    assert b.paths == ["/robots.txt", "/x"]
 
 
-def test_robots_origin_drops_an_explicit_default_port():
-    # RFC 3986 6.2.3: "https://h.com:443/" and "https://h.com/" are one origin.
-    requests = []
-
-    def opener(url, headers, timeout):
-        requests.append(url)
-        return 404 if url.endswith("/robots.txt") else 200, {"Content-Type": "text/html"}, b""
-
-    fetcher = LiveFetcher(opener=opener, per_host_delay_ms=0)
-    pages = ["https://h.com/a", "https://h.com:443/b", "http://h.com:80/c", "http://h.com/d"]
-    for url in pages:
-        fetcher.fetch(url)
-    assert [url for url in requests if url.endswith("/robots.txt")] == [
-        "https://h.com/robots.txt", "http://h.com/robots.txt"]
-    assert [url for url in requests if not url.endswith("/robots.txt")] == pages
+def test_live_fetcher_fetches_and_extracts(web_site):
+    site = web_site()
+    site.routes["/page"] = (200, {"Content-Type": "text/html"}, b'<a href="/x">x</a>')
+    result = LiveFetcher(per_host_delay_ms=0).fetch(site.base + "/page")
+    assert result.links == (site.base + "/x",)
+    assert site.paths == ["/robots.txt", "/page"]
 
 
-def test_live_fetcher_fetches_and_extracts():
-    responses = {
-        "https://h.com/robots.txt": (404, "text/plain", b""),
-        "https://h.com/page": (200, "text/html", b'<a href="/x">x</a>'),
-    }
-    fetcher = LiveFetcher(opener=_opener_factory(responses), per_host_delay_ms=0)
-    result = fetcher.fetch("https://h.com/page")
-    assert result.links == ("https://h.com/x",)
+def test_live_fetcher_respects_robots(web_site):
+    site = web_site()
+    site.routes["/robots.txt"] = (200, {"Content-Type": "text/plain"},
+                                  b"User-agent: *\nDisallow: /private\n")
+    site.default = (200, {"Content-Type": "text/html"}, b"")
+    fetcher = LiveFetcher(per_host_delay_ms=0)
+    with pytest.raises(FetchFailed, match="robots.txt disallows"):
+        fetcher.fetch(site.base + "/private/x")
+    assert fetcher.fetch(site.base + "/open").lang == "unk"
+    assert site.paths == ["/robots.txt", "/open"]
 
 
-def test_live_fetcher_respects_robots():
-    responses = {
-        "https://h.com/robots.txt": (200, "text/plain", b"User-agent: *\nDisallow: /private\n"),
-        "https://h.com/private/x": (200, "text/html", b""),
-        "https://h.com/open": (200, "text/html", b""),
-    }
-    fetcher = LiveFetcher(opener=_opener_factory(responses), per_host_delay_ms=0)
-    with pytest.raises(FetchFailed):
-        fetcher.fetch("https://h.com/private/x")
-    assert fetcher.fetch("https://h.com/open").lang == "unk"
-
-
-def test_live_fetcher_non_200_fails():
-    responses = {
-        "https://h.com/robots.txt": (404, "text/plain", b""),
-        "https://h.com/gone": (404, "text/html", b""),
-    }
-    fetcher = LiveFetcher(opener=_opener_factory(responses), per_host_delay_ms=0)
-    with pytest.raises(FetchFailed):
-        fetcher.fetch("https://h.com/gone")
+def test_live_fetcher_non_200_fails(web_site):
+    site = web_site()
+    with pytest.raises(FetchFailed, match="returned 404"):
+        LiveFetcher(per_host_delay_ms=0).fetch(site.base + "/gone")
+    assert site.paths == ["/robots.txt", "/gone"]
 
 
 @pytest.mark.parametrize("status", [500, 503, 599])
-def test_robots_server_error_disallows_the_host(status):
+def test_robots_server_error_disallows_the_host(web_site, status):
     # RFC 9309 2.3.1.4: an unreachable robots.txt means complete disallow.
-    responses = {
-        "https://h.com/robots.txt": (status, "text/plain", b"User-agent: *\nAllow: /\n"),
-        "https://h.com/page": (200, "text/html", b""),
-    }
-    fetcher = LiveFetcher(opener=_opener_factory(responses), per_host_delay_ms=0)
-    for url in ("https://h.com/page", "https://h.com/"):
+    site = web_site()
+    site.routes["/robots.txt"] = (status, {"Content-Type": "text/plain"}, b"User-agent: *\nAllow: /\n")
+    site.routes["/page"] = (200, {"Content-Type": "text/html"}, b"")
+    fetcher = LiveFetcher(per_host_delay_ms=0)
+    for url in (site.base + "/page", site.base + "/"):
         with pytest.raises(FetchFailed, match="robots.txt disallows"):
             fetcher.fetch(url)
+    assert site.paths == ["/robots.txt"]
 
 
-def test_robots_unreachable_disallows_the_host():
-    page = _opener_factory({"https://h.com/private": (200, "text/html", b"")})
-
-    def opener(url, headers, timeout):
-        if url.endswith("/robots.txt"):
-            raise ConnectionResetError("connection reset by peer")
-        return page(url, headers, timeout)
-
-    fetcher = LiveFetcher(opener=opener, per_host_delay_ms=0)
+def test_robots_unreachable_disallows_the_host(web_site):
+    site = web_site()
+    site.routes["/robots.txt"] = DROP
+    site.routes["/private"] = (200, {"Content-Type": "text/html"}, b"")
     with pytest.raises(FetchFailed, match="robots.txt disallows"):
-        fetcher.fetch("https://h.com/private")
+        LiveFetcher(per_host_delay_ms=0).fetch(site.base + "/private")
+    assert site.paths == ["/robots.txt"]
 
 
 @pytest.mark.parametrize("status", [400, 401, 403, 404, 410, 499])
-def test_robots_client_error_allows_everything(status):
-    responses = {
-        "https://h.com/robots.txt": (status, "text/plain", b"User-agent: *\nDisallow: /\n"),
-        "https://h.com/page": (200, "text/html", b""),
-    }
-    fetcher = LiveFetcher(opener=_opener_factory(responses), per_host_delay_ms=0)
-    assert fetcher.fetch("https://h.com/page").lang == "unk"
-
-
-def test_default_opener_returns_http_error_statuses(web_site):
+def test_robots_client_error_allows_everything(web_site, status):
     site = web_site()
-    site.routes["/robots.txt"] = (503, {}, b"")
-    empty = {"Content-Length": "0"}
-    assert crawler._default_opener(site.base + "/robots.txt", {}, 1.0) == (503, empty, b"")
-    assert crawler._default_opener(site.base + "/gone", {}, 1.0) == (404, empty, b"")
-    fetcher = LiveFetcher(per_host_delay_ms=0)
-    with pytest.raises(FetchFailed, match="robots.txt disallows"):
-        fetcher.fetch(site.base + "/gone")
+    site.routes["/robots.txt"] = (status, {"Content-Type": "text/plain"}, b"User-agent: *\nDisallow: /\n")
+    site.routes["/page"] = (200, {"Content-Type": "text/html"}, b"")
+    assert LiveFetcher(per_host_delay_ms=0).fetch(site.base + "/page").lang == "unk"
 
 
-def test_default_opener_caps_the_body(monkeypatch, web_site):
+def test_a_body_over_the_cap_fails_the_fetch(monkeypatch, web_site):
     monkeypatch.setattr(crawler, "_MAX_BODY_BYTES", 64)
     monkeypatch.setattr(crawler, "_FETCH_TIMEOUT_S", 4.0)
     page = b"<p>the page is for you</p>".ljust(64)
@@ -880,13 +828,13 @@ def test_default_opener_caps_the_body(monkeypatch, web_site):
     site.routes["/"] = (200, {"Content-Type": "text/html"}, page + b'<a href="/big">big</a>', 65)
     site.routes["/fit"] = (200, {"Content-Type": "text/html"}, page)
     cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=(site.base + "/", site.base + "/fit"),
-                      budget=5)
+                      budget=5, per_host_delay_ms=0)
     with hard_timeout(2):
+        fetcher = LiveFetcher(per_host_delay_ms=0)
         with pytest.raises(FetchFailed, match="longer than 64 bytes"):
-            crawler._default_opener(site.base + "/", {}, 4.0)
-        assert crawler._default_opener(site.base + "/fit", {}, 4.0) == (
-            200, {"Content-Type": "text/html", "Content-Length": "64"}, page)
-        log = crawl_live(cfg, fetcher=LiveFetcher(per_host_delay_ms=0))
+            fetcher.fetch(site.base + "/")
+        assert fetcher.fetch(site.base + "/fit") == crawler.FetchResult("eng", ())
+        log = crawl_live(cfg)
     assert [(e.url, e.outcome) for e in log] == [
         (site.base + "/", ERROR),
         (site.base + "/fit", STORED),
@@ -923,58 +871,44 @@ def test_a_redirect_loop_fails_the_fetch(web_site):
     assert site.paths == ["/robots.txt"] + ["/loop"] * 11
 
 
-def test_each_redirect_hop_waits_at_the_gate_and_resolves_against_its_sender():
+def test_each_redirect_hop_waits_at_the_gate_and_resolves_against_its_sender(web_site):
     now = [0.0]
-    requests = []
 
     def sleeper(duration):
         now[0] += duration
 
-    site = {
-        "https://h.com/robots.txt": (404, {}, b""),
-        "https://h.com/a": (301, {"Location": "/b/"}, b""),
-        "https://h.com/b/": (302, {"Location": "https://o.com/c/"}, b""),
-        # o.com's robots.txt is a redirect too, and it is followed.
-        "https://o.com/robots.txt": (301, {"Location": "https://h.com/o-robots"}, b""),
-        "https://h.com/o-robots": (200, {}, b"User-agent: *\nDisallow: /x\n"),
-        "https://o.com/c/": (307, {"Location": "d"}, b""),
-        "https://o.com/c/d": (200, {"Content-Type": "text/html"}, b'<a href="e">e</a>'),
-    }
-
-    def opener(url, headers, timeout):
-        requests.append((url, now[0]))
-        return site[url]
-
-    fetcher = LiveFetcher(opener=opener, per_host_delay_ms=1000,
-                          clock=lambda: now[0], sleeper=sleeper)
-    assert fetcher.fetch("https://h.com/a").links == ("https://o.com/c/e",)
-    assert requests == [
-        ("https://h.com/robots.txt", 0.0),
-        ("https://h.com/a", 1.0),
-        ("https://h.com/b/", 2.0),
-        ("https://o.com/robots.txt", 2.0),
-        ("https://h.com/o-robots", 3.0),
-        ("https://o.com/c/", 3.0),
-        ("https://o.com/c/d", 4.0),
-    ]
-    with pytest.raises(FetchFailed, match="robots.txt disallows https://o.com/x"):
-        fetcher.fetch("https://o.com/x")
+    h, o = web_site(), web_site()
+    h.paths, o.paths = _Requests(now), _Requests(now)
+    h.routes["/a"] = (301, {"Location": "/b/"}, b"")
+    h.routes["/b/"] = (302, {"Location": o.base + "/c/"}, b"")
+    # o's robots.txt is a redirect too, and it is followed.
+    o.routes["/robots.txt"] = (301, {"Location": h.base + "/o-robots"}, b"")
+    h.routes["/o-robots"] = (200, {}, b"User-agent: *\nDisallow: /x\n")
+    o.routes["/c/"] = (307, {"Location": "d"}, b"")
+    o.routes["/c/d"] = (200, {"Content-Type": "text/html"}, b'<a href="e">e</a>')
+    fetcher = LiveFetcher(per_host_delay_ms=1000, clock=lambda: now[0], sleeper=sleeper)
+    assert fetcher.fetch(h.base + "/a").links == (o.base + "/c/e",)
+    # Both sites are on 127.0.0.1, so every request waits behind the one before.
+    assert h.paths == [("/robots.txt", 0.0), ("/a", 1.0), ("/b/", 2.0), ("/o-robots", 4.0)]
+    assert o.paths == [("/robots.txt", 3.0), ("/c/", 5.0), ("/c/d", 6.0)]
+    with pytest.raises(FetchFailed, match=f"robots.txt disallows {re.escape(o.base)}/x"):
+        fetcher.fetch(o.base + "/x")
 
 
-def test_a_redirect_off_http_fails_without_a_request():
-    site = {
-        "https://h.com/robots.txt": (404, {}, b""),
-        "https://h.com/a": (302, {"Location": "file:///etc/passwd"}, b""),
-    }
-    requests = []
-
-    def opener(url, headers, timeout):
-        requests.append(url)
-        return site[url]
-
+def test_a_redirect_off_http_fails_without_a_request(web_site):
+    site = web_site()
+    site.routes["/a"] = (302, {"Location": "file:///etc/passwd"}, b"")
     with pytest.raises(FetchFailed, match="non-HTTP URL: file:///etc/passwd"):
-        LiveFetcher(opener=opener, per_host_delay_ms=0).fetch("https://h.com/a")
-    assert requests == ["https://h.com/robots.txt", "https://h.com/a"]
+        LiveFetcher(per_host_delay_ms=0).fetch(site.base + "/a")
+    assert site.paths == ["/robots.txt", "/a"]
+
+
+def test_a_redirect_urljoin_cannot_parse_fails_the_fetch(web_site):
+    site = web_site()
+    site.routes["/a"] = (302, {"Location": "http://[::1/x"}, b"")
+    with pytest.raises(FetchFailed, match="Invalid IPv6 URL"):
+        LiveFetcher(per_host_delay_ms=0).fetch(site.base + "/a")
+    assert site.paths == ["/robots.txt", "/a"]
 
 
 def test_robots_body_over_the_cap_allows_everything(monkeypatch, web_site):
@@ -987,48 +921,105 @@ def test_robots_body_over_the_cap_allows_everything(monkeypatch, web_site):
 
 def _html(text, *links):
     anchors = "".join(f'<a href="{link}"></a>' for link in links)
-    return 200, "text/html", f"<p>{text}</p>{anchors}".encode()
+    return 200, {"Content-Type": "text/html"}, f"<p>{text}</p>{anchors}".encode()
 
 
 # An English home page, a French and a German page, and a page robots.txt
 # forbids; the German page's link is reachable through it alone.
 _LIVE_SITE = {
-    "https://h.com/robots.txt": (200, "text/plain", b"User-agent: *\nDisallow: /private\n"),
-    "https://h.com/": _html("the site is in english and it is for you and for all of them",
-                            "/fr/page", "/de/seite", "/private/x"),
-    "https://h.com/fr/page": _html("le site est pour vous et les autres, il est à nous", "/"),
-    "https://h.com/de/seite": _html("die seite ist nicht für dich und das", "/en/next"),
-    "https://h.com/en/next": _html("the next page is for them"),
-    "https://h.com/private/x": _html("the private page is not for you"),
+    "/robots.txt": (200, {"Content-Type": "text/plain"}, b"User-agent: *\nDisallow: /private\n"),
+    "/": _html("the site is in english and it is for you and for all of them",
+               "/fr/page", "/de/seite", "/private/x"),
+    "/fr/page": _html("le site est pour vous et les autres, il est à nous", "/"),
+    "/de/seite": _html("die seite ist nicht für dich und das", "/en/next"),
+    "/en/next": _html("the next page is for them"),
+    "/private/x": _html("the private page is not for you"),
 }
 
 
 @pytest.mark.parametrize("budget, fetched", [(10, 4), (2, 2)])
-def test_crawl_live_over_a_fake_site(budget, fetched):
-    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=("https://h.com/",), budget=budget)
-    fetcher = LiveFetcher(opener=_opener_factory(_LIVE_SITE), per_host_delay_ms=0)
-    log = crawl_live(cfg, fetcher=fetcher)
-    assert [(e.url, e.outcome, e.lang) for e in log] == [
-        ("https://h.com/", STORED, "eng"),
-        ("https://h.com/fr/page", STORED, "fra"),
-        ("https://h.com/de/seite", DISCARDED_LANGUAGE, "deu"),
-        ("https://h.com/private/x", ERROR, "unk"),
+def test_crawl_live_over_a_fake_site(web_site, budget, fetched):
+    site = web_site()
+    site.routes = dict(_LIVE_SITE)
+    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=(site.base + "/",), budget=budget,
+                      per_host_delay_ms=0)
+    log = crawl_live(cfg)
+    assert [(e.url.removeprefix(site.base), e.outcome, e.lang) for e in log] == [
+        ("/", STORED, "eng"),
+        ("/fr/page", STORED, "fra"),
+        ("/de/seite", DISCARDED_LANGUAGE, "deu"),
+        ("/private/x", ERROR, "unk"),
     ][:fetched]
     assert log.events[0].priority is SEED
 
 
-def test_crawl_live_logs_a_link_without_a_host_as_an_error():
+def test_crawl_live_logs_a_link_without_a_host_as_an_error(web_site):
     # The link passes as http(s), but it names no host whose robots.txt to ask.
-    site = {
-        "https://h.com/robots.txt": (404, "text/plain", b""),
-        "https://h.com/": _html("the site is in english and it is for you", "http://:80/y"),
-    }
-    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=("https://h.com/",), budget=5)
-    log = crawl_live(cfg, fetcher=LiveFetcher(opener=_opener_factory(site), per_host_delay_ms=0))
-    assert [(e.url, e.outcome) for e in log] == [
-        ("https://h.com/", STORED),
+    site = web_site()
+    site.routes["/"] = _html("the site is in english and it is for you", "http://:80/y")
+    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=(site.base + "/",), budget=5,
+                      per_host_delay_ms=0)
+    assert [(e.url, e.outcome) for e in crawl_live(cfg)] == [
+        (site.base + "/", STORED),
         ("http://:80/y", ERROR),
     ]
+
+
+def test_every_href_of_a_page_fetches_or_fails_the_fetch(monkeypatch, web_site):
+    site = web_site()
+    site.default = (200, {"Content-Type": "text/html"}, b"")
+    resolve = socket.getaddrinfo
+
+    def loopback_only(host, *args, **kwargs):
+        # A link to any other host must not leave the machine.
+        if host != "127.0.0.1":
+            raise OSError(f"{host!r} is not the loopback site's host")
+        return resolve(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", loopback_only)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.text(), max_size=4))
+    def fetch_each_link(hrefs):
+        anchors = "".join(f'<a href="{href}"></a>' for href in hrefs)
+        site.routes["/"] = (200, {"Content-Type": "text/html"}, anchors.encode("utf-8"))
+        fetcher = LiveFetcher(per_host_delay_ms=0)
+        for link in fetcher.fetch(site.base + "/").links:
+            with contextlib.suppress(FetchFailed):
+                fetcher.fetch(link)
+
+    with hard_timeout(20):
+        fetch_each_link()
+
+
+@pytest.mark.parametrize("lang_scorer, pair_scorer",
+                         [("rule", "baseline"), ("ngram", "model"), ("uniform", "uniform")])
+def test_crawl_live_logs_what_simulate_logs(tmp_path, web_site, crawl_models, lang_scorer,
+                                            pair_scorer):
+    planted, seeds = dense_planted_graph()
+    home = seeds[0]
+    # An off-pair page with a link found only through it, and a link to a
+    # page the graph lacks, which its site answers with DROP.
+    pages = dict(planted.pages)
+    pages[home] = dataclasses.replace(
+        pages[home], links=pages[home].links + (f"{home}de/seite", f"{home}en/gone"))
+    pages[f"{home}de/seite"] = SitePage("deu", (f"{home}en/hidden",), frozenset())
+    pages[f"{home}en/hidden"] = SitePage("eng", (), frozenset())
+    graph, seeds = serve_graph(web_site, SiteGraph(pages), seeds)
+    lang_model, pair_model = crawl_models
+    save_model(lang_model, tmp_path / "lang.bin")
+    save_pair_model(pair_model, tmp_path / "pair.json")
+    cfg = _cfg(seeds, budget=len(graph.pages) + 10, lang_scorer=lang_scorer,
+               pair_scorer=pair_scorer, lang_model_path=str(tmp_path / "lang.bin"),
+               pair_model_path=str(tmp_path / "pair.json"), per_host_delay_ms=0)
+    live = crawl_live(cfg)
+    assert _log_rows(live) == _log_rows(simulate(graph, cfg))
+    outcomes = {e.url: e.outcome for e in live}
+    served_home = seeds[0]
+    assert outcomes.pop(f"{served_home}de/seite") == DISCARDED_LANGUAGE
+    assert outcomes.pop(f"{served_home}en/gone") == ERROR
+    assert f"{served_home}en/hidden" not in outcomes
+    assert list(outcomes.values()) == [STORED] * (len(graph.pages) - 2)
 
 
 def test_every_crawl_config_field_is_read_by_the_crawler():

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from bifocal import external
-from bifocal.crawler import STORED, CrawlConfig, GraphFetcher, crawl_live, simulate
+from bifocal.crawler import STORED, CrawlConfig, crawl_live, simulate
 from bifocal.errors import ScorerUnavailable
 from bifocal.external import (
     WINDOW,
@@ -18,7 +18,7 @@ from bifocal.external import (
     parse_distribution,
     parse_pair,
 )
-from loopback import bad_url, ok
+from loopback import bad_url, ok, serve_graph
 from synthdata import dense_planted_graph, random_site_graph
 
 
@@ -200,31 +200,20 @@ def test_out_of_range_language_reply_zeroes_only_its_link(scorer_server, caplog)
     assert len(zeroed) == len(graph.pages)
 
 
-def _graph_crawl_live(graph, cfg, *scorers):
-    return crawl_live(cfg, *scorers, fetcher=GraphFetcher(graph))
-
-
-@pytest.mark.parametrize("crawl", [simulate, _graph_crawl_live])
-def test_crawl_closes_the_clients_it_opens(scorer_server, crawl):
+@pytest.mark.parametrize("crawl", ["simulate", "crawl_live"])
+def test_crawl_closes_the_clients_it_opens(scorer_server, web_site, crawl):
     spec = scorer_server().spec
     graph, seeds = random_site_graph(21, n_pages=30)
+    if crawl == "crawl_live":
+        graph, seeds = serve_graph(web_site, graph, seeds)
     cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=seeds, budget=30,
-                      lang_scorer=spec, pair_scorer=spec)
+                      lang_scorer=spec, pair_scorer=spec, per_host_delay_ms=0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        log = crawl(graph, cfg)
+        log = simulate(graph, cfg) if crawl == "simulate" else crawl_live(cfg)
         gc.collect()
     assert len(log) > 1
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
-
-
-@pytest.mark.parametrize("crawl", [simulate, _graph_crawl_live])
-def test_crawl_leaves_the_callers_scorers_open(scorer_server, crawl):
-    client = scorer_server().client()
-    graph, seeds = random_site_graph(21, n_pages=30)
-    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=seeds, budget=30)
-    crawl(graph, cfg, ExternalLanguageScorer(client), ExternalPairScorer(client))
-    assert client.roundtrips(["PAIR\thttps://a\thttps://b"]) == [ok("PAIR\thttps://a\thttps://b")]
 
 
 @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK")

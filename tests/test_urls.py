@@ -130,6 +130,16 @@ def test_parse_components_fragment_never_leaks():
     assert parse_components("https://a.com/p?q=1#frag").query_params == (("q", "1"),)
 
 
+def test_origin_drops_the_schemes_default_port():
+    # RFC 3986 6.2.3: "https://h.com:443/" and "https://h.com/" are one origin.
+    assert parse_components("https://h.com/x").origin == "https://h.com"
+    assert parse_components("https://h.com:443/x").origin == "https://h.com"
+    assert parse_components("http://h.com:80/x").origin == "http://h.com"
+    assert parse_components("https://h.com:8443/x").origin == "https://h.com:8443"
+    assert parse_components("http://h.com:443/x").origin == "http://h.com:443"
+    assert parse_components("HTTPS://user@H.com:443?q").origin == "https://h.com"
+
+
 def test_parse_components_port_and_userinfo():
     c = parse_components("https://user:pw@shop.a.co.uk:8443/x?y=1&flag")
     assert c.port == 8443
