@@ -220,7 +220,8 @@ def _cmd_langid_eval(args) -> int:
                 f"gold label {lang!r} (for {url}) is not among the model labels"
             )
     gold = [lang for _, lang in data]
-    predicted = [_best_label(langid.ngram_predict(model, url)) for url, _ in data]
+    predicted = [_best_label(dist)
+                 for dist in langid.ngram_predict_many(model, (url for url, _ in data))]
     cm = metrics.confusion_matrix(gold, predicted, labels=model.labels)
     _print_prf_table(cm, "label")
     return 0

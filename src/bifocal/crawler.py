@@ -266,14 +266,85 @@ class GraphFetcher:
         return FetchResult(page.lang or UNKNOWN_LANG, page.links)
 
 
-_HREF_RE = re.compile(r"""href\s*=\s*["']([^"'<>\s]+)["']""", re.IGNORECASE)
+# One attribute of a tag, as the HTML tokenizer splits them: its name and its
+# value, double-quoted, single-quoted, unquoted or missing.  A quoted value
+# without its closing quote runs to the end of the page.
+_ATTRIBUTE = (r"""[\t\n\f\r /]*+([^\t\n\f\r />][^\t\n\f\r />=]*+)"""
+              r"""(?:[\t\n\f\r ]*+=[\t\n\f\r ]*+("[^"]*+"?|'[^']*+'?|[^\t\n\f\r >]*+))?+""")
+_ATTRIBUTE_RE = re.compile(_ATTRIBUTE)
+# What the HTML tokenizer reads at a "<": a comment, a bogus comment (a
+# doctype or "<?...>" among them), or a start or end tag with its attributes.
+# Each runs to its end or to the end of the page; a "<" that begins none of
+# them is text.
+_MARKUP_RE = re.compile(rf"""<!--(?:-?>|.*?--!?>|.*)
+                           |<(?:[!?]|/(?![a-zA-Z]))[^>]*+>?
+                           |<(?P<close>/?)(?P<tag>[a-zA-Z][^\t\n\f\r />]*+)
+                            (?P<attributes>(?:{_ATTRIBUTE})*+)[\t\n\f\r /]*+(?P<end>>?)""",
+                        re.DOTALL | re.VERBOSE)
+# Elements whose content is text up to their end tag, so holds no tags.
+_RAW_TEXT = frozenset({"iframe", "noembed", "noframes", "script", "style", "textarea",
+                       "title", "xmp"})
+# A character reference, as ``html.unescape`` finds one.
+_CHARREF_RE = re.compile(r"&(#[0-9]+;?|#[xX][0-9a-fA-F]+;?|[^\t\n\f <&#;]{1,32};?)")
+# What a URL parser strips from both ends of a URL, C0 controls and space,
+# and what it removes everywhere in it, tabs and line breaks.
+_C0_OR_SPACE = "".join(map(chr, range(0x21)))
+_TAB_OR_NEWLINE = dict.fromkeys(map(ord, "\t\n\r"))
+
+
+def _attribute_value(raw: str) -> str:
+    """An attribute value as written, with its character references decoded
+    as an HTML parser decodes them there.  Unlike in text, a named reference
+    without ``;`` that ``=`` or an ASCII letter or digit follows is left as it
+    is: ``?a=1&copy=2`` stays, where ``html.unescape`` gives ``?a=1©=2``."""
+    import html
+    from html.entities import html5
+
+    def decode(match):
+        ref = match.group(1)
+        if ref.startswith("#"):
+            return html.unescape(match.group())
+        # The longest name the table holds, as ``html.unescape`` looks for it.
+        for end in range(len(ref), 1, -1):
+            name, after = ref[:end], ref[end : end + 1]
+            if name in html5:
+                if not name.endswith(";") and (after == "=" or after.isascii() and after.isalnum()):
+                    break
+                return html5[name] + ref[end:]
+        return match.group()
+
+    return _CHARREF_RE.sub(decode, raw)
+
+
+def _hrefs(page: str):
+    """The ``href`` value of each start tag in ``page``, as written, in order.
+    A tag that the page ends inside counts for nothing, and a tag's first
+    ``href`` is its only one, as in an HTML parser."""
+    pos = 0
+    while match := _MARKUP_RE.search(page, pos):
+        pos = match.end()
+        if not match["tag"] or match["close"] or not match["end"]:
+            continue
+        for name, value in _ATTRIBUTE_RE.findall(match["attributes"]):
+            if name.lower() == "href":
+                yield value[1:-1] if value[:1] in ("'", '"') else value
+                break
+        tag = match["tag"].lower()
+        if tag in _RAW_TEXT:
+            end = re.compile(rf"</{tag}[\t\n\f\r />]", re.IGNORECASE).search(page, pos)
+            pos = end.start() if end else len(page)
 
 
 def extract_links(html_text: str, base_url: str) -> tuple[str, ...]:
-    """Absolute http(s) links from href attributes, order-preserving."""
+    """Absolute http(s) links from href attributes, order-preserving.  Each
+    value is read as an HTML parser reads it, from start tags only, quoted or
+    not and with its character references decoded, and then cleaned as a URL
+    parser cleans it: without tabs and line breaks, which would split a crawl
+    log row, and with its ends stripped."""
     seen = set()
     links = []
-    for target in _HREF_RE.findall(html_text):
+    for value in _hrefs(html_text):
+        target = _attribute_value(value).translate(_TAB_OR_NEWLINE).strip(_C0_OR_SPACE)
         try:
             absolute = urljoin(base_url, target)
         except ValueError:  # urljoin cannot parse it, such as "http://[::1/x"
@@ -317,15 +388,16 @@ _MAX_REDIRECTS = 10
 _REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
 
 
-# Characters a request target may hold as they are.
-_PRINTABLE_ASCII = "".join(map(chr, range(0x20, 0x7F)))
+# Characters a request target may hold as they are: printable ASCII but the
+# space, which ends the target in the request line.
+_PRINTABLE_ASCII = "".join(map(chr, range(0x21, 0x7F)))
 
 
 def _sendable(url: str) -> str:
-    """``url`` with each character of its path and query that is outside
-    printable ASCII percent-encoded as UTF-8, as a browser sends it:
-    ``/café`` is ``/caf%C3%A9``.  The host is left to urllib, which sends
-    IDNA."""
+    """``url`` with each character of its path and query that is a space or
+    outside printable ASCII percent-encoded as UTF-8, as a browser sends it:
+    ``/café`` is ``/caf%C3%A9`` and ``/a b`` is ``/a%20b``.  The host is
+    left to urllib, which sends IDNA."""
     scheme, sep, rest = url.partition("://")
     authority = re.match(r"[^/?#]*", rest).group()
     return scheme + sep + authority + quote(rest[len(authority):], safe=_PRINTABLE_ASCII)

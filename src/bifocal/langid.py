@@ -13,8 +13,10 @@ works without it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -171,7 +173,8 @@ class NgramLangModel:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """The softmax of the logits ``z``, computed in ``z`` itself."""
+    """The softmax of the logits ``z``, computed in ``z`` itself; for a
+    matrix, of each of its columns."""
     import numpy as np
 
     z -= np.maximum.reduce(z)
@@ -398,6 +401,57 @@ def ngram_train(
                           labels=labels, seed=seed, row_ids=rows, rows=emb, output_weights=weights)
 
 
+# URLs that ``ngram_predict_many`` scores in one pass: enough to spread
+# numpy's per-call cost, few enough to keep each pass's arrays small.
+_PREDICT_BLOCK = 64
+
+
+def ngram_predict_many(model: NgramLangModel, urls) -> Iterator[dict[str, float]]:
+    """The distribution over the model's labels of each of ``urls``, in
+    their order, made as ``ngram_predict`` describes.
+
+    ``urls`` is read ``_PREDICT_BLOCK`` URLs at a time, and each block is one
+    pass: its rows are gathered, cast and summed per URL together, and its
+    softmax runs once.  Only the product with the output weights stays one per
+    URL, because one product over the whole block rounds differently: so a
+    distribution's bits do not depend on the block it comes in.
+
+    Raises:
+        ConfigError: as ``ngram_predict``, for the first URL whose
+            probabilities are not finite, after the distributions before it.
+    """
+    import numpy as np
+
+    urls = iter(urls)
+    while block := list(itertools.islice(urls, _PREDICT_BLOCK)):
+        parts = [[model._token_rows(token) for token in normalize_url(url)] for url in block]
+        counts = [sum(map(len, rows)) for rows in parts if rows]
+        if counts:
+            gathered = [part for rows in parts for part in rows]
+            # The sum and the division of ``mean`` over each URL's rows.  The
+            # rows' float64 copy is freed here, before the next block makes
+            # its own: holding two at once raised the peak RSS of a
+            # ``langid eval`` of 5,000 URLs by 1.5 MB.
+            hidden = np.add.reduceat(np.concatenate(gathered, dtype=np.float64),
+                                     list(itertools.accumulate(counts[:-1], initial=0)), axis=0)
+            hidden /= np.array(counts)[:, None]
+            z = np.empty((len(counts), len(model.labels)))
+            for i in range(len(z)):
+                np.matmul(hidden[i], model.output_weights, out=z[i])
+            # Each URL's logits are a column of ``z.T``, contiguous in memory,
+            # so each sum is the one a single URL's softmax makes.
+            _softmax(z.T)
+            probs = iter(z.tolist())
+        for url, rows in zip(block, parts):
+            if not rows:
+                yield dict.fromkeys(model.labels, 1.0 / len(model.labels))
+                continue
+            p = next(probs)
+            if not all(map(math.isfinite, p)):
+                raise ConfigError(f"{url}: the language model's probabilities are not finite")
+            yield dict(zip(model.labels, p))
+
+
 def ngram_predict(model: NgramLangModel, url: str) -> dict[str, float]:
     """Probability distribution over the model's labels.
 
@@ -411,17 +465,7 @@ def ngram_predict(model: NgramLangModel, url: str) -> dict[str, float]:
             embedding row that holds a NaN or an infinity, which no loaded
             model has).
     """
-    import numpy as np
-
-    parts = [model._token_rows(token) for token in normalize_url(url)]
-    if not parts:
-        p = 1.0 / len(model.labels)
-        return {label: p for label in model.labels}
-    rows = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    probs = _softmax(rows.astype(np.float64).mean(axis=0) @ model.output_weights).tolist()
-    if not all(map(math.isfinite, probs)):
-        raise ConfigError(f"{url}: the language model's probabilities are not finite")
-    return dict(zip(model.labels, probs))
+    return next(ngram_predict_many(model, (url,)))
 
 
 # ---------------------------------------------------------------------------

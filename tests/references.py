@@ -17,6 +17,7 @@ from bifocal.langid import (
     NgramLangModel,
     _plans,
     _sgd_step,
+    _softmax,
     fnv1a64,
     ngram_features,
 )
@@ -332,6 +333,17 @@ def feature_ids(model, url):
     return np.array([fnv1a64(feat.encode("utf-8")) % model.bucket_count
                      for token in normalize_url(url)
                      for feat in ngram_features(token, model.n_min, model.n_max)], dtype=np.int64)
+
+
+def ngram_predict_reference(model, url):
+    """``url``'s distribution over the model's labels, one URL at a time:
+    the mean of its rows in float64, one product and one softmax."""
+    parts = [model._token_rows(token) for token in normalize_url(url)]
+    if not parts:
+        p = 1.0 / len(model.labels)
+        return {label: p for label in model.labels}
+    hidden = np.concatenate(parts).astype(np.float64).mean(axis=0)
+    return dict(zip(model.labels, _softmax(hidden @ model.output_weights).tolist()))
 
 
 def ngram_train_reference(data, hp=None, seed=0):

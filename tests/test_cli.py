@@ -13,10 +13,13 @@ from bifocal.cli import dispatch, load_config
 from bifocal.crawler import CrawlLog, SiteGraph
 from bifocal.datasets import read_labeled_pairs, write_labeled_pairs, write_labeled_urls, LabeledUrl
 from bifocal.errors import ConfigError
+from bifocal.langid import load_model
+from bifocal.metrics import confusion_matrix, macro_prf, prf
 from bifocal.pairscore import FEATURE_NAMES
 
 from golden import GOLDEN_NORMALIZATIONS
 from loopback import hard_timeout, serve_graph
+from references import ngram_predict_reference
 from synthdata import lang_url_corpus, parallel_pair_corpus, planted_graph, write_graph
 
 
@@ -958,6 +961,69 @@ def test_langid_train_predict_eval(tmp_path, capsys):
     assert out.splitlines()[-1].startswith("macro\t")
 
 
+def _langid_fixture(tmp):
+    """A trained model file and 130 labeled URLs, three blocks of 64: one in
+    five of made-up words, and the token-less "https://" at both edges of
+    the first block."""
+    train = tmp / "train.tsv"
+    train.write_text("".join(f"{u}\t{l}\n" for u, l in lang_url_corpus(150, seed=1)))
+    model = tmp / "model.bin"
+    assert dispatch(["langid", "train", "--data", str(train), "--model", str(model),
+                     "--buckets", "4096", "--dim", "8", "--epochs", "3", "--seed", "3"]) == 0
+    rows = lang_url_corpus(130, seed=2)
+    for i in range(0, 130, 5):
+        rows[i] = (f"https://qzv{i}x.com/wkj{i}q", rows[i][1])
+    rows[63], rows[64] = ("https://", "eng"), ("https://", "fra")
+    return model, rows
+
+
+def _predict_reference_output(model, urls, full):
+    """``langid predict``'s stdout, made one URL at a time."""
+    out = []
+    for url in urls:
+        dist = ngram_predict_reference(model, url)
+        if full:
+            ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
+            out.append(url + "\t" + " ".join(f"{code}\t{prob:.6f}" for code, prob in ranked) + "\n")
+        else:
+            best = max(sorted(dist), key=dist.__getitem__)
+            out.append(f"{url}\t{best}\t{dist[best]:.6f}\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("source", ["arguments", "stdin"])
+@pytest.mark.parametrize("full", [False, True])
+def test_langid_predict_prints_the_per_url_reference(tmp_path, monkeypatch, capsys, source, full):
+    model, rows = _langid_fixture(tmp_path)
+    capsys.readouterr()
+    urls = [url for url, _ in rows]
+    argv = ["langid", "predict", "--model", str(model), *(["--full"] if full else [])]
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(url + "\n" for url in urls)))
+    else:
+        argv += urls
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == _predict_reference_output(load_model(model), urls, full)
+
+
+def test_langid_eval_reports_the_per_url_reference_across_blocks(tmp_path, capsys):
+    model, rows = _langid_fixture(tmp_path)
+    data = tmp_path / "eval.tsv"
+    data.write_text("".join(f"{u}\t{l}\n" for u, l in rows))
+    capsys.readouterr()
+    assert dispatch(["langid", "eval", "--model", str(model), "--data", str(data)]) == 0
+    loaded = load_model(model)
+    predicted = []
+    for url, _ in rows:
+        dist = ngram_predict_reference(loaded, url)
+        predicted.append(max(sorted(dist), key=dist.__getitem__))
+    cm = confusion_matrix([lang for _, lang in rows], predicted, labels=loaded.labels)
+    table = [("label", "precision", "recall", "f1")]
+    table += [(label, *(f"{v:.4f}" for v in prf(cm, label))) for label in loaded.labels]
+    table.append(("macro", *(f"{v:.4f}" for v in macro_prf(cm))))
+    assert capsys.readouterr().out == "".join("\t".join(row) + "\n" for row in table)
+
+
 def test_langid_eval_mismatched_labels(tmp_path, capsys):
     data = lang_url_corpus(80, seed=2, langs=("deu", "fra"))
     train_path = tmp_path / "train.tsv"
@@ -1157,23 +1223,87 @@ def test_crawl_logs_what_simulate_logs(tmp_path, capsys, web_site):
     assert sorted(set(outcomes)) == ["discarded_language", "error", "stored"]
 
 
-def test_a_url_http_cannot_send_is_a_fetch_error(tmp_path, web_site):
+def test_a_url_http_cannot_send_is_a_fetch_error(tmp_path, monkeypatch, web_site):
+    import socket
+
+    resolve = socket.getaddrinfo
+
+    def loopback_only(host, *args, **kwargs):
+        # A link to any other host must not leave the machine.
+        if host != "127.0.0.1":
+            raise OSError(f"{host!r} is not the loopback site's host")
+        return resolve(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", loopback_only)
     site = web_site()
     site.routes["/robots.txt"] = (404, {}, b"")
-    # The pattern for href values keeps a control character, which is sent
-    # percent-encoded; a space is printable, so it is sent as it is.
+    # A path's control character is sent percent-encoded, but a host is sent
+    # as it is, and HTTP cannot send one with a space or a control character.
+    links = ["http://a b/x", "http://a\x01b/y", "/b\x01c"]
+    anchors = "".join(f'<a href="{link}"></a>' for link in links)
     site.routes["/"] = (200, {"Content-Type": "text/html"},
-                        f'<p>{_PAGE_WORDS["eng"]}</p><a href="/b\x01c"></a>'.encode())
+                        f'<p>{_PAGE_WORDS["eng"]}</p>{anchors}'.encode())
+    with hard_timeout(10):
+        assert dispatch(["crawl", "--config", str(_live_config(tmp_path, "http://127.0.0.1:8x/",
+                                                                 site.base + "/")),
+                         "--log", str(tmp_path / "live.tsv")]) == 0
+    assert sorted(_log_rows(tmp_path / "live.tsv")) == sorted([
+        ("http://127.0.0.1:8x/", "error"),
+        (site.base + "/", "stored"),
+        ("http://a b/x", "error"),
+        ("http://a\x01b/y", "error"),
+        (site.base + "/b\x01c", "error"),
+    ])
+    assert site.paths == ["/robots.txt", "/", "/b%01c"]
+
+
+def test_a_url_with_a_space_is_sent_percent_encoded(tmp_path, web_site):
+    site = web_site()
+    site.routes["/robots.txt"] = (404, {}, b"")
+    # A seed may hold a space, and so may a quoted href value.
+    site.routes["/"] = (200, {"Content-Type": "text/html"},
+                        f'<p>{_PAGE_WORDS["eng"]}</p><a href="/c d"></a>'.encode())
+    for path in ("/a%20b", "/c%20d"):
+        site.routes[path] = (200, {"Content-Type": "text/html"},
+                             f'<p>{_PAGE_WORDS["fra"]}</p>'.encode())
     with hard_timeout(10):
         assert dispatch(["crawl", "--config", str(_live_config(tmp_path, site.base + "/a b",
                                                                  site.base + "/")),
                          "--log", str(tmp_path / "live.tsv")]) == 0
+    # The log keeps each URL as it was found.
     assert _log_rows(tmp_path / "live.tsv") == [
-        (site.base + "/a b", "error"),
+        (site.base + "/a b", "stored"),
         (site.base + "/", "stored"),
-        (site.base + "/b\x01c", "error"),
+        (site.base + "/c d", "stored"),
     ]
-    assert site.paths == ["/robots.txt", "/", "/b%01c"]
+    assert site.paths == ["/robots.txt", "/a%20b", "/", "/c%20d"]
+
+
+def test_a_link_with_a_tab_or_line_break_is_logged_without_it(tmp_path, web_site):
+    site = web_site()
+    site.routes["/robots.txt"] = (404, {}, b"")
+    # urljoin drops tabs and line breaks only from a link of the page's own
+    # scheme; the https link (whose port is no number, so it is never
+    # requested) would keep them.
+    links = ["/a\tb", "/c\nd", "https://127.0.0.1:8x/e\r\nf"]
+    anchors = "".join(f'<a href="{link}"></a>' for link in links)
+    site.routes["/"] = (200, {"Content-Type": "text/html"},
+                        f'<p>{_PAGE_WORDS["eng"]}</p>{anchors}'.encode())
+    for path in ("/ab", "/cd"):
+        site.routes[path] = (200, {"Content-Type": "text/html"},
+                             f'<p>{_PAGE_WORDS["fra"]}</p>'.encode())
+    log = tmp_path / "live.tsv"
+    with hard_timeout(10):
+        assert dispatch(["crawl", "--config", str(_live_config(tmp_path, site.base + "/")),
+                         "--log", str(log)]) == 0
+    assert sorted(_log_rows(log)) == sorted([
+        (site.base + "/", "stored"),
+        (site.base + "/ab", "stored"),
+        (site.base + "/cd", "stored"),
+        ("https://127.0.0.1:8x/ef", "error"),
+    ])
+    assert dispatch(["report", "--log", str(log), "--out", str(tmp_path / "rep"),
+                     "--graph", str(_write(tmp_path, "graph.json", '{"pages": {}}'))]) == 0
 
 
 def test_a_url_with_characters_http_cannot_send_is_sent_percent_encoded(tmp_path, web_site):

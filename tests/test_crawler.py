@@ -688,9 +688,53 @@ def test_extract_links():
       <a href='https://other.com/x#frag'>b</a>
       <a href="mailto:x@y.z">c</a>
       <a href="/about">dup</a>
+      <a href="/a?x=1&amp;y=2">x</a> <a href=/bare>y</a>
+      <a href="http://o.com/a\tb">tab</a> <a href="/c\r\nd">line break</a>
     '''
     links = extract_links(html, "https://base.com/page")
-    assert links == ("https://base.com/about", "https://other.com/x")
+    assert links == ("https://base.com/about", "https://other.com/x",
+                     "https://base.com/a?x=1&y=2", "https://base.com/bare",
+                     "http://o.com/ab", "https://base.com/cd")
+
+
+@pytest.mark.parametrize("html, links", [
+    # "href" as text, inside another attribute's value or in another name.
+    ('<div data-href="/x">t</div><p>write href="/y" in text</p><a title="href=/z">', ()),
+    ('<a title="x>" href="/q">', ("/q",)),
+    ('<!-- <a href="/c"> --><a href="/d"><!--><a href="/e">', ("/d", "/e")),
+    ('<!DOCTYPE html><?x <a href="/p">', ()),
+    ('<script>"<a href=/s>"</script><a href=/t><style><a href=/u></STYLE ><a href=/v>', ("/t", "/v")),
+    ('<a href="/1" HREF="/2"></a href="/3"><a\nhref\n=\n/4>', ("/1", "/4")),
+    ('<a title="x"href="/5"><a b=c/href=/6>', ("/5",)),
+    # A tag the page ends inside is no tag.
+    ('<p>1 < 2</p><a href="/7"><a href="/8"', ("/7",)),
+    ('<a title="x> <a href=/9>', ()),
+])
+def test_extract_links_reads_only_the_href_of_start_tags(html, links):
+    assert extract_links(html, "http://h.com/") == tuple("http://h.com" + link for link in links)
+
+
+@pytest.mark.parametrize("quote", ['"', "'", ""])
+@pytest.mark.parametrize("value, link", [
+    ("/a&#x2F;b", "/a/b"),
+    ("/a&#47;b", "/a/b"),
+    # In an attribute, a named reference without ";" that "=" or a letter or
+    # digit follows is text: html.unescape would give "?a=1©=2".
+    ("/q?a=1&copy=2", "/q?a=1&copy=2"),
+    ("/q?a=1&copyb", "/q?a=1&copyb"),
+    ("/q?a=1&copy.", "/q?a=1©."),
+    ("/q?a=1&copy;2", "/q?a=1©2"),
+    ("/q?a=1&bogus;", "/q?a=1&bogus;"),
+])
+def test_extract_links_decodes_an_href_as_an_html_parser_does(quote, value, link):
+    html = f"<a href={quote}{value}{quote}>x</a>"
+    assert extract_links(html, "http://h.com/") == ("http://h.com" + link,)
+
+
+def test_extract_links_reads_a_quoted_value_whole_and_strips_its_ends():
+    html = """<a href=" /a b\t"></a><A HREF = '/c"d'></a><a href="">self</a>"""
+    assert extract_links(html, "http://h.com/p") == (
+        "http://h.com/a b", 'http://h.com/c"d', "http://h.com/p")
 
 
 def test_politeness_gate_spacing():
@@ -743,6 +787,26 @@ def test_robots_fetch_waits_at_the_politeness_gate(web_site):
     # The gate is per host, and both sites are on 127.0.0.1.
     assert o.paths == [("/robots.txt", 3.0), ("/c", 4.0)]
     assert sleeps == [pytest.approx(1.0)] * 4
+
+
+def test_a_url_with_a_space_is_sent_after_one_wait(web_site):
+    now = [0.0]
+    sleeps = []
+
+    def sleeper(duration):
+        sleeps.append(duration)
+        now[0] += duration
+
+    site = web_site()
+    site.paths = _Requests(now)
+    site.default = (200, {"Content-Type": "text/html"}, b"")
+    site.routes["/robots.txt"] = (404, {}, b"")
+    fetcher = LiveFetcher(per_host_delay_ms=1000, clock=lambda: now[0], sleeper=sleeper)
+    for url in (site.base + "/a b", site.base + "/c d"):
+        fetcher.fetch(url)
+    # Each sleep is followed by the request it waited for.
+    assert site.paths == [("/robots.txt", 0.0), ("/a%20b", 1.0), ("/c%20d", 2.0)]
+    assert sleeps == [pytest.approx(1.0)] * 2
 
 
 def test_robots_rules_are_kept_per_scheme_host_and_port(web_site):

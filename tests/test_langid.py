@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import re
 import struct
 import tracemalloc
 
@@ -19,6 +20,7 @@ from bifocal.langid import (
     model_from_bytes,
     ngram_features,
     ngram_predict,
+    ngram_predict_many,
     ngram_train,
     rule_langid,
     save_model,
@@ -27,7 +29,12 @@ from bifocal.urls import normalize_url, parse_components
 
 from golden import RULE_ORDER_CASES
 from loopback import hard_timeout
-from references import feature_ids, ngram_train_reference, sgd_step_gradient_check
+from references import (
+    feature_ids,
+    ngram_predict_reference,
+    ngram_train_reference,
+    sgd_step_gradient_check,
+)
 from synthdata import lang_url_corpus, toy_bilingual_corpus
 
 TINY_HP = NgramHyperparams(dim=8, bucket_count=4096, epochs=10, learning_rate=0.1)
@@ -163,6 +170,60 @@ def test_predict_is_distribution(toy_model):
 def test_predict_argmax_on_markers(toy_model):
     dist = ngram_predict(toy_model, "https://site.com/fr/page")
     assert max(dist, key=dist.get) == "fra"
+
+
+def _hexes(dist):
+    return {label: p.hex() for label, p in dist.items()}
+
+
+def _unseen_urls(n, seed):
+    """URLs of made-up words: their rows are drawn from the seed."""
+    words = np.random.default_rng(seed).integers(ord("a"), ord("z") + 1, size=(n, 2, 7))
+    return [f"https://{bytes(host.tolist()).decode()}.com/{bytes(path.tolist()).decode()}"
+            for host, path in words]
+
+
+@pytest.mark.parametrize("n_labels, dim", [(2, 3), (3, 16), (8, 8), (9, 5), (20, 16)])
+def test_batched_predictions_are_the_per_url_reference_bit_for_bit(n_labels, dim):
+    # numpy sums 8 or more numbers pairwise, so 8 and 9 labels are the edge
+    # of the softmax's sum.
+    labels = [f"l{i:02d}" for i in range(n_labels)]
+    data = [(url, labels[i % n_labels])
+            for i, (url, _) in enumerate(lang_url_corpus(10 * n_labels, seed=n_labels))]
+    model = ngram_train(data, NgramHyperparams(dim=dim, bucket_count=4096, epochs=2), seed=dim)
+    seen = [url for url, _ in lang_url_corpus(70, seed=n_labels + 1)]
+    pool = [url for pair in zip(seen, _unseen_urls(70, seed=dim)) for url in pair]
+    for size in (0, 1, 63, 64, 65, 130):
+        urls = pool[:size]
+        # The token-less URL at each block edge.
+        for at in {0, 63, 64, 127, size - 1} & set(range(size)):
+            urls[at] = "https://"
+        want = [_hexes(ngram_predict_reference(model, url)) for url in urls]
+        assert [_hexes(dist) for dist in ngram_predict_many(model, iter(urls))] == want, size
+        assert [_hexes(ngram_predict(model, url)) for url in urls] == want, size
+        assert all(list(ngram_predict(model, url)) == labels for url in urls)
+
+
+@pytest.mark.parametrize("first, second", [(5, 40), (66, 100)])
+def test_a_nan_row_fails_the_first_url_that_reaches_it(first, second):
+    # The row of the character "z", stored and NaN: only URLs with a "z"
+    # reach it.
+    z_row = langid._bucket_ids("z", 1, 1, 1 << 16)[1]
+    model = NgramLangModel(n_min=1, n_max=1, dim=4, bucket_count=1 << 16,
+                           labels=("deu", "eng", "fra"), seed=3, row_ids=np.array([z_row]),
+                           rows=np.full((1, 4), np.nan, dtype=np.float32),
+                           output_weights=np.linspace(-1.0, 1.0, 12).reshape(4, 3))
+    urls = [f"https://a{i}.com/x" for i in range(130)]
+    urls[first], urls[second] = "https://zed.com/", "https://a.com/z"
+    predictions = ngram_predict_many(model, urls)
+    before = [next(predictions) for _ in range(first)]
+    assert [_hexes(dist) for dist in before] == [
+        _hexes(ngram_predict_reference(model, url)) for url in urls[:first]]
+    with pytest.raises(ConfigError, match=re.escape(f"{urls[first]}: the language model's "
+                                                    "probabilities are not finite")):
+        next(predictions)
+    with pytest.raises(ConfigError, match=re.escape(urls[second])):
+        ngram_predict(model, urls[second])
 
 
 def test_delimiter_only_input_uniform(toy_model):
