@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
-from urllib.parse import quote, urljoin
+from urllib.parse import quote, urljoin, urlsplit, urlunsplit
 
 from . import langid, pairscore
 from .errors import BifocalError, ConfigError, FetchFailed, FrontierEmpty, NotAUrl
@@ -216,25 +216,15 @@ class CrawlLog:
 # ---------------------------------------------------------------------------
 # Content-language detection
 
-# Markup that holds no page text: comments, ``<script>`` and ``<style>``
-# elements with their bodies, and every other tag.
-_MARKUP_RE = re.compile(r"<!--.*?-->|<(script|style)\b.*?</\1\s*>|<[^>]*>", re.IGNORECASE | re.DOTALL)
-
-
 class StopwordLanguageDetector:
-    """Counts bundled function words per language in the text outside markup;
-    most matches wins."""
+    """Counts bundled function words per language in a page's text, as
+    ``read_page`` gives it; most matches wins."""
 
     def __init__(self):
         text = resources.files("bifocal").joinpath("data/stopword_profiles.json").read_text("utf-8")
         self.profiles = {lang: frozenset(words) for lang, words in json.loads(text).items()}
 
-    def detect(self, content: bytes) -> str:
-        if not content:
-            return UNKNOWN_LANG
-        import html
-
-        text = html.unescape(_MARKUP_RE.sub(" ", content.decode("utf-8", "replace")))
+    def detect(self, text: str) -> str:
         words = re.findall(r"[^\W\d_]+", text.casefold())
         best_lang = UNKNOWN_LANG
         best_score = 0
@@ -316,46 +306,70 @@ def _attribute_value(raw: str) -> str:
     return _CHARREF_RE.sub(decode, raw)
 
 
-def _hrefs(page: str):
-    """The ``href`` value of each start tag in ``page``, as written, in order.
-    A tag that the page ends inside counts for nothing, and a tag's first
-    ``href`` is its only one, as in an HTML parser."""
+def _resolve(base: str, ref: str) -> str:
+    """``urljoin(base, ref)``, with the empty ``;`` parameter or empty ``?``
+    query that ``ref`` had put back, as RFC 3986 §5.2 keeps them: ``/x;``
+    stays ``/x;``, ``/y;?q=1`` stays ``/y;?q=1`` and ``/z?`` stays ``/z?``.
+
+    Raises:
+        ValueError: ``urljoin`` cannot parse ``ref``, such as ``http://[::1/x``.
+    """
+    parts = urlsplit(ref)
+    empty_param = parts.path.rpartition("/")[2].partition(";")[1:] == (";", "")
+    empty_query = not parts.query and "?" in ref.partition("#")[0]
+    if empty_param:  # a parameter that urljoin keeps, taken off again below
+        ref = urlunsplit(parts._replace(path=parts.path + "_"))
+    head, hash_mark, fragment = urljoin(base, ref).partition("#")
+    path, query_mark, query = head.partition("?")
+    if empty_param:
+        path = path[:-1]
+    if empty_query:
+        query_mark, query = "?", ""
+    return path + query_mark + query + hash_mark + fragment
+
+
+def read_page(page: str, base_url: str) -> tuple[str, tuple[str, ...]]:
+    """The text and the links of an HTML page, from one walk of its markup.
+
+    The text is what lies outside comments and tags, without the bodies of
+    ``script`` and ``style`` elements, with its character references
+    decoded; the body of another raw-text element, such as ``title``, is
+    text.  The links are the absolute http(s) URLs, without fragments, of
+    the ``href`` values of start tags, in order and each once.  Each value
+    is read as an HTML parser reads it, quoted or not and with its character
+    references decoded, and then cleaned as a URL parser cleans it: without
+    tabs and line breaks, which would split a crawl log row, and with its
+    ends stripped.  A tag that the page ends inside counts for nothing, and
+    a tag's first ``href`` is its only one, as in an HTML parser.
+    """
+    import html
+
+    text = []
+    links = {}
     pos = 0
     while match := _MARKUP_RE.search(page, pos):
+        text.append(page[pos:match.start()])
         pos = match.end()
         if not match["tag"] or match["close"] or not match["end"]:
             continue
         for name, value in _ATTRIBUTE_RE.findall(match["attributes"]):
             if name.lower() == "href":
-                yield value[1:-1] if value[:1] in ("'", '"') else value
+                value = value[1:-1] if value[:1] in ("'", '"') else value
+                target = _attribute_value(value).translate(_TAB_OR_NEWLINE).strip(_C0_OR_SPACE)
+                with contextlib.suppress(ValueError):  # urljoin cannot parse it, such as "http://[::1/x"
+                    link = _resolve(base_url, target)
+                    if link.startswith(("http://", "https://")):
+                        links.setdefault(link.split("#", 1)[0])
                 break
         tag = match["tag"].lower()
         if tag in _RAW_TEXT:
             end = re.compile(rf"</{tag}[\t\n\f\r />]", re.IGNORECASE).search(page, pos)
-            pos = end.start() if end else len(page)
-
-
-def extract_links(html_text: str, base_url: str) -> tuple[str, ...]:
-    """Absolute http(s) links from href attributes, order-preserving.  Each
-    value is read as an HTML parser reads it, from start tags only, quoted or
-    not and with its character references decoded, and then cleaned as a URL
-    parser cleans it: without tabs and line breaks, which would split a crawl
-    log row, and with its ends stripped."""
-    seen = set()
-    links = []
-    for value in _hrefs(html_text):
-        target = _attribute_value(value).translate(_TAB_OR_NEWLINE).strip(_C0_OR_SPACE)
-        try:
-            absolute = urljoin(base_url, target)
-        except ValueError:  # urljoin cannot parse it, such as "http://[::1/x"
-            continue
-        if not absolute.startswith(("http://", "https://")):
-            continue
-        absolute = absolute.split("#", 1)[0]
-        if absolute and absolute not in seen:
-            seen.add(absolute)
-            links.append(absolute)
-    return tuple(links)
+            body_end = end.start() if end else len(page)
+            if tag not in ("script", "style"):
+                text.append(page[pos:body_end])
+            pos = body_end
+    text.append(page[pos:])
+    return html.unescape(" ".join(text)), tuple(links)
 
 
 class PolitenessGate:
@@ -403,9 +417,10 @@ def _sendable(url: str) -> str:
     return scheme + sep + authority + quote(rest[len(authority):], safe=_PRINTABLE_ASCII)
 
 
-def _hop(url: str, user_agent: str):
-    """``(status, headers, body)`` of one GET.  A redirect is not followed and
-    an HTTP error is not raised: each comes back as its status and headers.
+def _hop(opener, url: str):
+    """``(status, headers, body)`` of one GET through ``opener``, a
+    ``LiveFetcher``'s.  A redirect is not followed and an HTTP error is not
+    raised: each comes back as its status and headers.
 
     Raises:
         FetchFailed: urllib cannot request the URL, or the body is longer
@@ -415,15 +430,9 @@ def _hop(url: str, user_agent: str):
             not HTTP.
     """
     import urllib.error
-    import urllib.request
-
-    class Unfollowed(urllib.request.HTTPRedirectHandler):
-        def redirect_request(self, *args):
-            return None  # so urllib raises the 3xx as an HTTPError, caught below
 
     try:
-        request = urllib.request.Request(url, headers={"User-Agent": user_agent})
-        response = urllib.request.build_opener(Unfollowed).open(request, timeout=_FETCH_TIMEOUT_S)
+        response = opener.open(url, timeout=_FETCH_TIMEOUT_S)
     except urllib.error.HTTPError as exc:
         exc.close()
         return exc.code, exc.headers, b""
@@ -438,7 +447,8 @@ def _hop(url: str, user_agent: str):
 
 class LiveFetcher:
     """Plain HTTP GET fetcher with robots exclusion and politeness delays; a
-    page's language is what ``StopwordLanguageDetector`` finds in its body."""
+    page's language is what ``StopwordLanguageDetector`` finds in the text
+    that ``read_page`` reads from its body."""
 
     def __init__(
         self,
@@ -447,6 +457,15 @@ class LiveFetcher:
         clock=time.monotonic,
         sleeper=time.sleep,
     ):
+        import urllib.request
+
+        class Unfollowed(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args):
+                return None  # so urllib raises the 3xx as an HTTPError, which _hop returns
+
+        # One opener for every hop; it reads the *_proxy variables once, here.
+        self._opener = urllib.request.build_opener(Unfollowed)
+        self._opener.addheaders = [("User-Agent", user_agent)]
         self.user_agent = user_agent
         self.gate = PolitenessGate(per_host_delay_ms, clock=clock, sleeper=sleeper)
         self.detector = StopwordLanguageDetector()
@@ -509,12 +528,12 @@ class LiveFetcher:
             if obey_robots and not self._robots_for(url).can_fetch(self.user_agent, url):
                 raise FetchFailed(f"robots.txt disallows {url}")
             self.gate.wait(url)
-            status, headers, body = _hop(url, self.user_agent)
+            status, headers, body = _hop(self._opener, url)
             location = headers.get("Location")
             if status not in _REDIRECT_STATUSES or location is None:
                 return status, headers, body, url
             try:
-                url = urljoin(url, location)
+                url = _resolve(url, location)
             except ValueError as exc:
                 raise FetchFailed(f"redirect from {url} to {location!r:.80}: {exc}") from None
             if not url.startswith(("http://", "https://")):
@@ -530,12 +549,16 @@ class LiveFetcher:
             raise FetchFailed(f"GET {url} failed: {exc}") from exc
         if status != 200:
             raise FetchFailed(f"GET {served_url} returned {status}")
+        try:
+            page = body.decode(headers.get_content_charset() or "utf-8", "replace")
+        except (LookupError, UnicodeError):  # unknown, not a text codec, or no "replace" (idna)
+            page = body.decode("utf-8", "replace")
+        # Relative links resolve against the URL after any redirect.
+        text, links = read_page(page, served_url)
         content_type = str(headers.get("Content-Type", "")).lower()
-        links: tuple[str, ...] = ()
-        if "html" in content_type or not content_type:
-            # Relative links resolve against the URL after any redirect.
-            links = extract_links(body.decode("utf-8", "replace"), served_url)
-        return FetchResult(self.detector.detect(body), links)
+        if "html" not in content_type and content_type:
+            links = ()
+        return FetchResult(self.detector.detect(text), links)
 
 
 # ---------------------------------------------------------------------------

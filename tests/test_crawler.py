@@ -29,7 +29,7 @@ from bifocal.crawler import (
     build_seed_list,
     crawl_live,
     crawl_step,
-    extract_links,
+    read_page,
     run_crawl,
     score_links,
     simulate,
@@ -622,23 +622,33 @@ def test_stopword_detector_self_consistency():
     rng = rnd.Random(1)
     for lang in ("eng", "deu", "fra", "isl"):
         words = sorted(detector.profiles[lang])
-        sample = " ".join(rng.choice(words) for _ in range(200)).encode("utf-8")
+        sample = " ".join(rng.choice(words) for _ in range(200))
         assert detector.detect(sample) == lang
 
 
 def test_stopword_detector_counts_only_text_outside_markup():
+    detector = StopwordLanguageDetector()
+
+    def lang(page):
+        return detector.detect(read_page(page, "http://h.com/")[0])
+
     links = "".join(f'<a href="/p{i}">p{i}</a>' for i in range(20))
     page = f"<html><body><p>The cat is on the mat and it is in the house.</p>{links}</body></html>"
-    detector = StopwordLanguageDetector()
-    assert detector.detect(page.encode("utf-8")) == "eng"
+    assert lang(page) == "eng"
     # Script and style bodies are not text; entities are decoded.
     hidden = "<script>var a = de la le</script><style>a { color: red }</style>"
-    assert detector.detect(f"{hidden}<p>der&nbsp;und die&#32;das</p>".encode("utf-8")) == "deu"
+    assert lang(f"{hidden}<p>der&nbsp;und die&#32;das</p>") == "deu"
+    # Script and style hold 12 French words, more than the page's 9 English
+    # ones; a title's words count, and outweigh 3 German words.
+    head = ("<title>The cat and the dog of the house</title>"
+            "<script>le la les une pour est</script><style>/* les une pour est et des */</style>")
+    assert lang(f"<html><head>{head}</head><body><p>It is on the mat.</p></body></html>") == "eng"
+    assert lang(f"<html><head>{head}</head><body><p>Der Hund und die Katze.</p></body></html>") == "eng"
 
 
 def test_stopword_detector_empty_is_unknown():
-    assert StopwordLanguageDetector().detect(b"") == "unk"
-    assert StopwordLanguageDetector().detect(b"zzz qqq xxx") == "unk"
+    assert StopwordLanguageDetector().detect("") == "unk"
+    assert StopwordLanguageDetector().detect("zzz qqq xxx") == "unk"
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +701,7 @@ def test_extract_links():
       <a href="/a?x=1&amp;y=2">x</a> <a href=/bare>y</a>
       <a href="http://o.com/a\tb">tab</a> <a href="/c\r\nd">line break</a>
     '''
-    links = extract_links(html, "https://base.com/page")
+    links = read_page(html, "https://base.com/page")[1]
     assert links == ("https://base.com/about", "https://other.com/x",
                      "https://base.com/a?x=1&y=2", "https://base.com/bare",
                      "http://o.com/ab", "https://base.com/cd")
@@ -711,7 +721,7 @@ def test_extract_links():
     ('<a title="x> <a href=/9>', ()),
 ])
 def test_extract_links_reads_only_the_href_of_start_tags(html, links):
-    assert extract_links(html, "http://h.com/") == tuple("http://h.com" + link for link in links)
+    assert read_page(html, "http://h.com/")[1] == tuple("http://h.com" + link for link in links)
 
 
 @pytest.mark.parametrize("quote", ['"', "'", ""])
@@ -728,13 +738,48 @@ def test_extract_links_reads_only_the_href_of_start_tags(html, links):
 ])
 def test_extract_links_decodes_an_href_as_an_html_parser_does(quote, value, link):
     html = f"<a href={quote}{value}{quote}>x</a>"
-    assert extract_links(html, "http://h.com/") == ("http://h.com" + link,)
+    assert read_page(html, "http://h.com/")[1] == ("http://h.com" + link,)
 
 
 def test_extract_links_reads_a_quoted_value_whole_and_strips_its_ends():
     html = """<a href=" /a b\t"></a><A HREF = '/c"d'></a><a href="">self</a>"""
-    assert extract_links(html, "http://h.com/p") == (
+    assert read_page(html, "http://h.com/p")[1] == (
         "http://h.com/a b", 'http://h.com/c"d', "http://h.com/p")
+
+
+# RFC 3986 5.4.1 and 5.4.2: each reference against http://a/b/c/d;p?q.
+_RFC3986_EXAMPLES = {
+    "g:h": "g:h", "g": "http://a/b/c/g", "./g": "http://a/b/c/g", "g/": "http://a/b/c/g/",
+    "/g": "http://a/g", "//g": "http://g", "?y": "http://a/b/c/d;p?y",
+    "g?y": "http://a/b/c/g?y", "#s": "http://a/b/c/d;p?q#s", "g#s": "http://a/b/c/g#s",
+    "g?y#s": "http://a/b/c/g?y#s", ";x": "http://a/b/c/;x", "g;x": "http://a/b/c/g;x",
+    "g;x?y#s": "http://a/b/c/g;x?y#s", "": "http://a/b/c/d;p?q", ".": "http://a/b/c/",
+    "./": "http://a/b/c/", "..": "http://a/b/", "../": "http://a/b/", "../g": "http://a/b/g",
+    "../..": "http://a/", "../../": "http://a/", "../../g": "http://a/g",
+    "../../../g": "http://a/g", "../../../../g": "http://a/g", "/./g": "http://a/g",
+    "/../g": "http://a/g", "g.": "http://a/b/c/g.", ".g": "http://a/b/c/.g",
+    "g..": "http://a/b/c/g..", "..g": "http://a/b/c/..g", "./../g": "http://a/b/g",
+    "./g/.": "http://a/b/c/g/", "g/./h": "http://a/b/c/g/h", "g/../h": "http://a/b/c/h",
+    "g;x=1/./y": "http://a/b/c/g;x=1/y", "g;x=1/../y": "http://a/b/c/y",
+    "g?y/./x": "http://a/b/c/g?y/./x", "g?y/../x": "http://a/b/c/g?y/../x",
+    "g#s/./x": "http://a/b/c/g#s/./x", "g#s/../x": "http://a/b/c/g#s/../x",
+    # The backward-compatible reading, which 5.4.2 permits.
+    "http:g": "http://a/b/c/g",
+    # An empty parameter or query is kept.
+    "/x;": "http://a/x;", "/y;?q=1": "http://a/y;?q=1", "/z?": "http://a/z?",
+    ";": "http://a/b/c/;", "?": "http://a/b/c/d;p?", "g;?#s": "http://a/b/c/g;?#s",
+}
+
+
+@pytest.mark.parametrize("ref, resolved", _RFC3986_EXAMPLES.items())
+def test_a_reference_resolves_as_rfc_3986_resolves_it(ref, resolved):
+    assert crawler._resolve("http://a/b/c/d;p?q", ref) == resolved
+
+
+def test_a_link_keeps_its_empty_parameter_and_query():
+    html = '<a href="/x;"></a><a href="/y;?q=1"></a><a href="/z?#top"></a>'
+    assert read_page(html, "http://h.com/p")[1] == (
+        "http://h.com/x;", "http://h.com/y;?q=1", "http://h.com/z?")
 
 
 def test_politeness_gate_spacing():
@@ -912,6 +957,48 @@ def test_live_links_resolve_against_the_url_a_redirect_ends_at(web_site):
                            b'<p>le site est pour vous</p><a href="page.html">page</a>')
     result = LiveFetcher(per_host_delay_ms=0).fetch(site.base + "/fr")
     assert result == crawler.FetchResult("fra", (site.base + "/fr/page.html",))
+
+
+def test_a_page_is_read_in_the_charset_its_content_type_names(web_site):
+    site = web_site()
+    site.routes["/"] = (200, {"Content-Type": "text/html; charset=iso-8859-1"},
+                        '<p>the café is for you</p><a href="/café">café</a>'.encode("latin-1"))
+    site.default = (200, {"Content-Type": "text/html"}, b"<p>the page is for you</p>")
+    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=(site.base + "/",), budget=5,
+                      per_host_delay_ms=0)
+    assert [(e.url, e.outcome) for e in crawl_live(cfg)] == [
+        (site.base + "/", STORED),
+        (site.base + "/café", STORED),
+    ]
+    assert site.paths == ["/robots.txt", "/", "/caf%C3%A9"]
+
+
+@pytest.mark.parametrize("charset", ["x-unknown", "base64", "idna", "undefined", ""])
+def test_a_page_in_a_charset_python_cannot_read_is_read_as_utf_8(web_site, charset):
+    site = web_site()
+    site.routes["/"] = (200, {"Content-Type": f"text/html; charset={charset}"},
+                        '<p>le café est pour vous</p><a href="/café">café</a>'.encode())
+    result = LiveFetcher(per_host_delay_ms=0).fetch(site.base + "/")
+    assert result == crawler.FetchResult("fra", (site.base + "/café",))
+
+
+def test_a_redirect_keeps_the_empty_parameter_and_query_of_its_location(web_site):
+    site = web_site()
+    site.routes["/a"] = (302, {"Location": "/x;"}, b"")
+    site.routes["/x;"] = (302, {"Location": "/z?"}, b"")
+    site.routes["/z?"] = (200, {"Content-Type": "text/html"}, b'<a href="y">y</a>')
+    assert LiveFetcher(per_host_delay_ms=0).fetch(site.base + "/a").links == (site.base + "/y",)
+    assert site.paths == ["/robots.txt", "/a", "/x;", "/z?"]
+
+
+def test_the_live_fetcher_goes_through_the_http_proxy_the_environment_names(monkeypatch,
+                                                                            web_site):
+    proxy = web_site()
+    proxy.default = (200, {"Content-Type": "text/html"}, b"")
+    monkeypatch.setenv("http_proxy", proxy.base)
+    LiveFetcher(per_host_delay_ms=0).fetch("http://example.test/a")
+    # A proxy is sent each URL whole.
+    assert proxy.paths == ["http://example.test/robots.txt", "http://example.test/a"]
 
 
 def test_a_redirect_to_another_origin_asks_that_origins_robots_txt(web_site):
