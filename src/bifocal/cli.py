@@ -121,17 +121,12 @@ def write_report(log: crawler.CrawlLog, graph: crawler.SiteGraph, out_dir) -> No
     with its parallel hits counted against ``graph``."""
     os.makedirs(out_dir, exist_ok=True)
     events = log.download_events(graph)
-    aggregate = metrics.decile_curve(events)
-    metrics.write_curve_tsv(aggregate, os.path.join(out_dir, "curve_aggregate.tsv"))
+    metrics.write_curve_tsv(metrics.decile_curve(events), os.path.join(out_dir, "curve_aggregate.tsv"))
 
-    by_site: dict[str, list] = {}
-    for event in events:
-        by_site.setdefault(event[0], []).append(event)
     with open(os.path.join(out_dir, "curve_by_site.tsv"), "w", encoding="utf-8") as handle:
         handle.write("site\tpercent\tparallel_documents\n")
-        for site in sorted(by_site):
-            site_curve = metrics.decile_curve(by_site[site])
-            for percent, count in zip(metrics.DECILE_PERCENTS, site_curve):
+        for site, curve in sorted(metrics.site_curves(events).items()):
+            for percent, count in zip(metrics.DECILE_PERCENTS, curve):
                 handle.write(f"{site}\t{percent}\t{count}\n")
 
     counts = log.outcome_counts()
@@ -169,22 +164,13 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _hyperparams(args) -> langid.NgramHyperparams:
-    return langid.NgramHyperparams(
-        n_min=args.n_min,
-        n_max=args.n_max,
-        dim=args.dim,
-        bucket_count=args.buckets,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-    )
-
-
 def _cmd_langid_train(args) -> int:
     from . import datasets
 
     data = datasets.read_labeled_urls(args.data)
-    model = langid.ngram_train(data, _hyperparams(args), seed=args.seed)
+    fields = dataclasses.fields(langid.NgramHyperparams)
+    hp = langid.NgramHyperparams(**{field.name: getattr(args, field.name) for field in fields})
+    model = langid.ngram_train(data, hp, seed=args.seed)
     langid.save_model(model, args.model)
     print(f"trained on {len(data)} urls, labels: {' '.join(model.labels)}")
     return 0
@@ -433,12 +419,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="TSV url<TAB>lang")
     p.add_argument("--model", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-min", type=int, default=langid.NgramHyperparams.n_min)
-    p.add_argument("--n-max", type=int, default=langid.NgramHyperparams.n_max)
-    p.add_argument("--dim", type=int, default=langid.NgramHyperparams.dim)
-    p.add_argument("--buckets", type=int, default=langid.NgramHyperparams.bucket_count)
-    p.add_argument("--epochs", type=int, default=langid.NgramHyperparams.epochs)
-    p.add_argument("--learning-rate", type=float, default=langid.NgramHyperparams.learning_rate)
+    # One flag per hyperparameter, named after its field.
+    for field in dataclasses.fields(langid.NgramHyperparams):
+        flag = "--buckets" if field.name == "bucket_count" else "--" + field.name.replace("_", "-")
+        p.add_argument(flag, dest=field.name, type=type(field.default), default=field.default)
     p.set_defaults(func=_cmd_langid_train)
 
     p = lang_sub.add_parser("predict", help="predict language from URLs")

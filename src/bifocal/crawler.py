@@ -21,14 +21,14 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
-from urllib.parse import quote, urljoin, urlsplit, urlunsplit
+from urllib.parse import quote, urlsplit
 
 from . import langid, pairscore
 from .errors import BifocalError, ConfigError, FetchFailed, FrontierEmpty, NotAUrl
 from .frontier import SEED, Frontier
 from .inputs import read_json, rows, url_list
 from .isodata import UNKNOWN_LANG
-from .urls import parse_components
+from .urls import parse_components, split_url
 
 logger = logging.getLogger(__name__)
 
@@ -306,26 +306,50 @@ def _attribute_value(raw: str) -> str:
     return _CHARREF_RE.sub(decode, raw)
 
 
+def _remove_dot_segments(path: str) -> str:
+    """``path`` as RFC 3986 §5.2.4 removes its dot segments: ``/a/./b/../c`` is ``/a/c``."""
+    out = []
+    while path:
+        if path.startswith(("../", "./")) or path in (".", ".."):
+            path = path.partition("/")[2]
+        elif path.startswith(("/./", "/../")) or path in ("/.", "/.."):
+            out = out[:-1] if path.startswith("/..") else out
+            path = "/" + path[1:].partition("/")[2]
+        else:
+            out.append(re.match(r"/?[^/]*", path).group())
+            path = path[len(out[-1]):]
+    return "".join(out)
+
+
 def _resolve(base: str, ref: str) -> str:
-    """``urljoin(base, ref)``, with the empty ``;`` parameter or empty ``?``
-    query that ``ref`` had put back, as RFC 3986 §5.2 keeps them: ``/x;``
-    stays ``/x;``, ``/y;?q=1`` stays ``/y;?q=1`` and ``/z?`` stays ``/z?``.
+    """``ref`` resolved against ``base``, a URL with an authority, as RFC 3986
+    §5.2 resolves it, with schemes lower-cased and a scheme equal to the
+    base's read as none (§5.4.2).  ``ref`` is first cleaned as a URL parser
+    cleans it: without tabs and line breaks, which would split a crawl log
+    row, and with its ends stripped.
 
     Raises:
-        ValueError: ``urljoin`` cannot parse ``ref``, such as ``http://[::1/x``.
+        ValueError: urllib cannot parse the result, such as ``http://[::1/x``.
     """
-    parts = urlsplit(ref)
-    empty_param = parts.path.rpartition("/")[2].partition(";")[1:] == (";", "")
-    empty_query = not parts.query and "?" in ref.partition("#")[0]
-    if empty_param:  # a parameter that urljoin keeps, taken off again below
-        ref = urlunsplit(parts._replace(path=parts.path + "_"))
-    head, hash_mark, fragment = urljoin(base, ref).partition("#")
-    path, query_mark, query = head.partition("?")
-    if empty_param:
-        path = path[:-1]
-    if empty_query:
-        query_mark, query = "?", ""
-    return path + query_mark + query + hash_mark + fragment
+    ref = ref.translate(_TAB_OR_NEWLINE).strip(_C0_OR_SPACE)
+    scheme, authority, path, query, fragment = split_url(ref)
+    base_scheme, base_authority, base_path, base_query, _ = split_url(base)
+    scheme, base_scheme = (scheme or base_scheme).lower(), base_scheme.lower()
+    if scheme != base_scheme or authority is not None:
+        path = _remove_dot_segments(path)
+    elif not path:
+        authority, path = base_authority, base_path
+        query = base_query if query is None else query
+    else:
+        if not path.startswith("/"):  # merged with the base path (§5.2.3)
+            path = (base_path[: base_path.rfind("/") + 1] or "/") + path
+        authority, path = base_authority, _remove_dot_segments(path)
+    if authority is None and path.startswith("//"):  # not to be read as an authority
+        path = "/." + path
+    link = scheme + ":" + ("" if authority is None else "//" + authority) + path
+    link += ("" if query is None else "?" + query) + ("" if fragment is None else "#" + fragment)
+    urlsplit(link)
+    return link
 
 
 def read_page(page: str, base_url: str) -> tuple[str, tuple[str, ...]]:
@@ -337,10 +361,9 @@ def read_page(page: str, base_url: str) -> tuple[str, tuple[str, ...]]:
     text.  The links are the absolute http(s) URLs, without fragments, of
     the ``href`` values of start tags, in order and each once.  Each value
     is read as an HTML parser reads it, quoted or not and with its character
-    references decoded, and then cleaned as a URL parser cleans it: without
-    tabs and line breaks, which would split a crawl log row, and with its
-    ends stripped.  A tag that the page ends inside counts for nothing, and
-    a tag's first ``href`` is its only one, as in an HTML parser.
+    references decoded, and then resolved against ``base_url`` by
+    ``_resolve``.  A tag that the page ends inside counts for nothing, and a
+    tag's first ``href`` is its only one, as in an HTML parser.
     """
     import html
 
@@ -355,9 +378,8 @@ def read_page(page: str, base_url: str) -> tuple[str, tuple[str, ...]]:
         for name, value in _ATTRIBUTE_RE.findall(match["attributes"]):
             if name.lower() == "href":
                 value = value[1:-1] if value[:1] in ("'", '"') else value
-                target = _attribute_value(value).translate(_TAB_OR_NEWLINE).strip(_C0_OR_SPACE)
-                with contextlib.suppress(ValueError):  # urljoin cannot parse it, such as "http://[::1/x"
-                    link = _resolve(base_url, target)
+                with contextlib.suppress(ValueError):  # urllib cannot parse it, such as "http://[::1/x"
+                    link = _resolve(base_url, _attribute_value(value))
                     if link.startswith(("http://", "https://")):
                         links.setdefault(link.split("#", 1)[0])
                 break

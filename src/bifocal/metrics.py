@@ -63,30 +63,21 @@ def macro_prf(cm: ConfusionMatrix) -> tuple[float, float, float]:
     )
 
 
-def _site_curve_counts(hits: "list[bool]") -> list[int]:
-    total = len(hits)
-    out = []
-    for percent in DECILE_PERCENTS:
-        prefix = (percent * total) // 100
-        out.append(sum(1 for h in hits[:prefix] if h))
-    return out
-
-
-def decile_curve(events) -> "tuple[int, ...]":
-    """Aggregate curve over ``(site, is_hit)`` download events in crawl order:
-    the cumulative hit counts at each of ``DECILE_PERCENTS`` of the downloads.
-
-    Deciles are taken per site against that site's own download total, then
-    summed across sites.  An empty log yields the all-zero curve.
-    """
+def site_curves(events) -> "dict[str, tuple[int, ...]]":
+    """Each site's curve over ``(site, is_hit)`` download events in crawl
+    order: its cumulative hit counts at each of ``DECILE_PERCENTS`` of its
+    own downloads, keyed by site in order of first download."""
     per_site: dict[str, list[bool]] = {}
     for site, hit in events:
         per_site.setdefault(site, []).append(bool(hit))
-    totals = [0] * len(DECILE_PERCENTS)
-    for hits in per_site.values():
-        for i, count in enumerate(_site_curve_counts(hits)):
-            totals[i] += count
-    return tuple(totals)
+    return {site: tuple(hits[: percent * len(hits) // 100].count(True) for percent in DECILE_PERCENTS)
+            for site, hits in per_site.items()}
+
+
+def decile_curve(events) -> "tuple[int, ...]":
+    """Aggregate curve over ``(site, is_hit)`` download events: the sum of
+    their ``site_curves``.  An empty log yields the all-zero curve."""
+    return tuple(map(sum, zip(*site_curves(events).values()))) or (0,) * len(DECILE_PERCENTS)
 
 
 def write_curve_tsv(curve: "tuple[int, ...]", path) -> None:

@@ -1,4 +1,5 @@
-"""URL normalization, pre-tokenization, component parsing, and set similarity.
+"""URL normalization, pre-tokenization, splitting and component parsing, and
+set similarity.
 
 Normalization mirrors what the scorers expect: the protocol is stripped,
 percent escapes and HTML entities are decoded once, the text is case-folded,
@@ -24,7 +25,12 @@ CACHE_SIZE = 1 << 16
 START_TOKEN = "<s>"
 END_TOKEN = "</s>"
 
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*://")
+_SCHEME = r"[A-Za-z][A-Za-z0-9+.\-]*"  # RFC 3986 §3.1
+_SCHEME_RE = re.compile(rf"^{_SCHEME}://")
+# RFC 3986 Appendix B, with the scheme held to its syntax, so that a colon
+# after no valid scheme, as in "1x:y", is part of a path, as urllib and HTML
+# parsers read it.
+_URL_RE = re.compile(rf"(?:({_SCHEME}):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?", re.DOTALL)
 _PCT_RUN_RE = re.compile(r"(?:%[0-9A-Fa-f]{2})+")
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
@@ -102,6 +108,13 @@ def normalize_url(raw: str) -> tuple[str, ...]:
     return tuple(segment_text(text))
 
 
+def split_url(url: str) -> "tuple[str | None, str | None, str, str | None, str | None]":
+    """``(scheme, authority, path, query, fragment)`` of a URL or a relative
+    reference, as RFC 3986 Appendix B splits it, with ``None`` for a part it
+    lacks: ``"//h?"`` is ``(None, "h", "", "", None)``."""
+    return _URL_RE.fullmatch(url).groups()
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def parse_components(raw: str) -> UrlComponents:
     """Split a URL into scheme, host parts, path segments, and query pairs.
@@ -112,20 +125,11 @@ def parse_components(raw: str) -> UrlComponents:
     Raises:
         NotAUrl: if the URL has no scheme or no host.
     """
-    match = _SCHEME_RE.match(raw)
-    if match is None:
+    scheme, authority, path, query, _ = split_url(raw)
+    if scheme is None or authority is None:
         raise NotAUrl(f"no scheme/authority in {raw!r}")
-    scheme = match.group(0)[:-3].lower()
-    rest = raw[match.end():]
-
-    cut_positions = [i for i in (rest.find(c) for c in "/?#") if i != -1]
-    if cut_positions:
-        idx = min(cut_positions)
-        authority, rest = rest[:idx], rest[idx:]
-    else:
-        authority, rest = rest, ""
-    if "@" in authority:
-        authority = authority.rsplit("@", 1)[1]
+    scheme = scheme.lower()
+    authority = authority.rpartition("@")[2]
     port: int | None = None
     if ":" in authority:
         authority, _, port_text = authority.rpartition(":")
@@ -139,11 +143,9 @@ def parse_components(raw: str) -> UrlComponents:
 
     subdomain, registrable, suffix = default_psl().split(host)
 
-    rest = rest.partition("#")[0]
-    path, _, query = rest.partition("?")
     segments = tuple(seg for seg in path.split("/") if seg)
     params = []
-    for chunk in query.split("&"):
+    for chunk in (query or "").split("&"):
         if not chunk:
             continue
         key, _, value = chunk.partition("=")

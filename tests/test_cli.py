@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -9,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from bifocal.cli import dispatch, load_config
+from bifocal.cli import _build_parser, dispatch, load_config
 from bifocal.crawler import CrawlLog, SiteGraph
 from bifocal.datasets import read_labeled_pairs, write_labeled_pairs, write_labeled_urls, LabeledUrl
 from bifocal.errors import ConfigError
-from bifocal.langid import load_model
+from bifocal.langid import NgramHyperparams, load_model
 from bifocal.metrics import confusion_matrix, macro_prf, prf
 from bifocal.pairscore import FEATURE_NAMES
 
@@ -695,6 +696,20 @@ def test_bad_input_file_is_an_error_line(sim_setup, capsys, argv, expected):
     assert err.count("\n") == 1
 
 
+def test_langid_train_takes_one_flag_per_hyperparameter_with_its_default(capsys):
+    assert dispatch(["langid", "train", "--help"]) == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    fields = {"--n-min": "n_min", "--n-max": "n_max", "--dim": "dim", "--buckets": "bucket_count",
+              "--epochs": "epochs", "--learning-rate": "learning_rate"}
+    assert flags == {"--help", "--data", "--model", "--seed", *fields}
+    args = _build_parser().parse_args(["langid", "train", "--data", "d", "--model", "m"])
+    for flag, field in fields.items():
+        assert getattr(args, field) == getattr(NgramHyperparams(), field), flag
+    args = _build_parser().parse_args(["langid", "train", "--data", "d", "--model", "m",
+                                       "--buckets", "7", "--learning-rate", "0.5"])
+    assert (args.bucket_count, args.learning_rate) == (7, 0.5)
+
+
 def _langid_train(tmp, *flags):
     data = _write(tmp, "two_langs.tsv", "https://a.com/en/x\teng\nhttps://a.com/fr/x\tfra\n")
     return ["langid", "train", "--data", str(data), "--model", str(tmp / "lang.bin"), *flags]
@@ -838,6 +853,30 @@ def test_simulate_writes_deterministic_log_and_report(sim_setup):
         line.split("\t") for line in (report_dir / "summary.tsv").read_text().splitlines()
     )
     assert int(summary["fetch_events"]) == 40
+
+
+def test_the_per_site_curves_recount_the_log_and_sum_to_the_aggregate(sim_setup):
+    tmp, graph_path, config_path = sim_setup
+    report = tmp / "report"
+    assert dispatch(["simulate", "--graph", str(graph_path), "--config", str(config_path),
+                     "--log", str(tmp / "log.tsv"), "--report", str(report)]) == 0
+    events = CrawlLog.from_tsv(tmp / "log.tsv").download_events(SiteGraph.load(graph_path))
+    expected = {}
+    for site in {site for site, _ in events}:
+        hits = [hit for s, hit in events if s == site]
+        for percent in range(0, 101, 10):
+            downloads = percent * len(hits) // 100
+            expected[site, percent] = sum(1 for hit in hits[:downloads] if hit)
+    rows = [line.split("\t") for line in (report / "curve_by_site.tsv").read_text().splitlines()]
+    assert rows[0] == ["site", "percent", "parallel_documents"]
+    by_site = {(site, int(percent)): int(count) for site, percent, count in rows[1:]}
+    assert len(rows) - 1 == len(by_site) == len(expected) == 11 * 2
+    assert by_site == expected
+    aggregate = (report / "curve_aggregate.tsv").read_text().splitlines()[1:]
+    assert {int(percent): int(count) for percent, count in map(str.split, aggregate)} == {
+        percent: sum(count for (_, p), count in by_site.items() if p == percent)
+        for percent in range(0, 101, 10)
+    }
 
 
 def test_traced_simulate_logs_what_an_untraced_one_logs(sim_setup):
@@ -1282,9 +1321,8 @@ def test_a_url_with_a_space_is_sent_percent_encoded(tmp_path, web_site):
 def test_a_link_with_a_tab_or_line_break_is_logged_without_it(tmp_path, web_site):
     site = web_site()
     site.routes["/robots.txt"] = (404, {}, b"")
-    # urljoin drops tabs and line breaks only from a link of the page's own
-    # scheme; the https link (whose port is no number, so it is never
-    # requested) would keep them.
+    # A link loses its tabs and line breaks whatever its scheme, the https
+    # link too (whose port is no number, so it is never requested).
     links = ["/a\tb", "/c\nd", "https://127.0.0.1:8x/e\r\nf"]
     anchors = "".join(f'<a href="{link}"></a>' for link in links)
     site.routes["/"] = (200, {"Content-Type": "text/html"},
@@ -1320,7 +1358,7 @@ def test_a_url_with_characters_http_cannot_send_is_sent_percent_encoded(tmp_path
         assert dispatch(["crawl", "--config", str(_live_config(tmp_path, site.base + "/",
                                                                  "http://[::1/z")),
                          "--log", str(tmp_path / "live.tsv")]) == 0
-    # "http://[::1/x" is not a URL that urljoin can parse, so it is no link.
+    # "http://[::1/x" is not a URL that urllib can parse, so it is no link.
     assert sorted(_log_rows(tmp_path / "live.tsv")) == sorted([
         (site.base + "/", "stored"),
         ("http://[::1/z", "error"),

@@ -776,6 +776,63 @@ def test_a_reference_resolves_as_rfc_3986_resolves_it(ref, resolved):
     assert crawler._resolve("http://a/b/c/d;p?q", ref) == resolved
 
 
+# RFC 3986 5.2 against other bases: what the base has is kept as the base
+# has it, and a segment that only starts with a dot is no dot segment.
+@pytest.mark.parametrize("base, ref, resolved", [
+    ("http://h/x;", "#top", "http://h/x;#top"),
+    ("http://h/x;", "?q", "http://h/x;?q"),
+    ("http://h/x;", "", "http://h/x;"),
+    ("http://h/z?", "#top", "http://h/z?#top"),
+    ("http://h/z?", "http:", "http://h/z?"),
+    ("http://a/b/c/d", "..;", "http://a/b/c/..;"),
+    ("http://a/b/c/d", ".;x", "http://a/b/c/.;x"),
+    ("http://a/b/c/d", "a//b", "http://a/b/c/a//b"),
+    ("http://a/b/c/d", "https://o.com/./y", "https://o.com/y"),
+    ("http://a", "g", "http://a/g"),
+    ("HTTP://a/b", "", "http://a/b"),
+    ("http://a/b", "//", "http://"),
+    ("https://a/b", "HTTP://o.com/x", "http://o.com/x"),
+    # A scheme that is no valid scheme leaves its colon in a path.
+    ("http://a/b/c", "1x:y", "http://a/b/1x:y"),
+    # A path that would start with "//" must not read as an authority.
+    ("https://a/b", "http:.///x", "http:/.//x"),
+])
+def test_a_reference_resolves_as_rfc_3986_resolves_it_against_any_base(base, ref, resolved):
+    assert crawler._resolve(base, ref) == resolved
+
+
+@pytest.mark.parametrize("base", ["http://h.com/p", "https://h.com/p"])
+def test_a_link_in_another_case_or_scheme_resolves_as_rfc_3986_resolves_it(base):
+    html = ('<a href="HTTP://o.com/x"></a><a href="a//b"></a><a href="https://o.com/./y"></a>'
+            '<a href="http://[::1/x"></a><a href="http://[zz]/x"></a><a href="http://h\uff03/x">')
+    assert read_page(html, base)[1] == (
+        "http://o.com/x", base.rpartition("/")[0] + "/a//b", "https://o.com/y")
+
+
+def test_a_link_keeps_the_empty_parameter_and_query_of_its_page():
+    html = '<a href="#top"></a><a href="?q"></a><a href="..;"></a><a href=""></a>'
+    assert read_page(html, "http://h.com/x;")[1] == (
+        "http://h.com/x;", "http://h.com/x;?q", "http://h.com/..;")
+    assert read_page(html, "http://h.com/z?")[1] == (
+        "http://h.com/z?", "http://h.com/z?q", "http://h.com/..;")
+
+
+def test_a_live_page_at_an_empty_parameter_links_what_it_names(web_site):
+    site = web_site()
+    site.routes["/robots.txt"] = (404, {}, b"")
+    site.routes["/x;"] = (200, {"Content-Type": "text/html"},
+                          b'<p>the site is for you</p><a href="#top"></a><a href="?q"></a>'
+                          b'<a href="..;"></a>')
+    site.default = (200, {"Content-Type": "text/html"}, b"<p>the page is for you</p>")
+    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=(site.base + "/x;",), budget=10,
+                      per_host_delay_ms=0)
+    with hard_timeout(10):
+        log = crawl_live(cfg)
+    assert sorted(e.url for e in log) == [site.base + "/..;", site.base + "/x;",
+                                          site.base + "/x;?q"]
+    assert sorted(site.paths) == ["/..;", "/robots.txt", "/x;", "/x;?q"]
+
+
 def test_a_link_keeps_its_empty_parameter_and_query():
     html = '<a href="/x;"></a><a href="/y;?q=1"></a><a href="/z?#top"></a>'
     assert read_page(html, "http://h.com/p")[1] == (

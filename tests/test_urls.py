@@ -1,7 +1,7 @@
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bifocal.errors import NotAUrl
@@ -12,6 +12,7 @@ from bifocal.urls import (
     jaccard,
     normalize_url,
     parse_components,
+    split_url,
 )
 
 from golden import GOLDEN_NORMALIZATIONS
@@ -122,6 +123,50 @@ def test_parse_components_minimal():
 def test_parse_components_rejects_hostless(bad):
     with pytest.raises(NotAUrl):
         parse_components(bad)
+
+
+@pytest.mark.parametrize("bad", ["1x://h", "a b://h", "http:/x", "http:///x", "//h/x", "mailto:x@y"])
+def test_parse_components_needs_a_valid_scheme_and_an_authority(bad):
+    with pytest.raises(NotAUrl):
+        parse_components(bad)
+
+
+def test_parse_components_reads_each_part_of_a_full_url():
+    c = parse_components("HTTP://H.com:80/p;a?q#f")
+    assert (c.scheme, c.host, c.port, c.origin) == ("http", "h.com", 80, "http://h.com")
+    assert (c.path_segments, c.query_params) == (("p;a",), (("q", ""),))
+
+
+# RFC 3986 section 3: the characters a part may hold, and the shapes of the
+# path, which depend on the parts before it.
+_PCHAR = string.ascii_letters + string.digits + "-._~!$&'()*+,;=:@%"
+_PART = st.text(_PCHAR + "/?", max_size=8)
+
+
+@st.composite
+def _url_parts(draw):
+    scheme = draw(st.none() | st.from_regex(r"[A-Za-z][A-Za-z0-9+.\-]{0,5}", fullmatch=True))
+    authority = draw(st.none() | st.text(_PCHAR + "[]", max_size=8))
+    segments = draw(st.lists(st.text(_PCHAR, max_size=4), max_size=4))
+    if authority is not None:
+        path = "".join("/" + segment for segment in segments)
+    else:
+        path = "/" * draw(st.booleans()) + "/".join(segments)
+        assume(not path.startswith("//"))
+        if scheme is None:
+            assume(":" not in path.partition("/")[0])
+    return scheme, authority, path, draw(st.none() | _PART), draw(st.none() | _PART)
+
+
+@given(_url_parts())
+@settings(max_examples=300)
+def test_split_url_gives_back_the_parts_a_url_was_joined_from(parts):
+    scheme, authority, path, query, fragment = parts
+    # RFC 3986 5.3.
+    url = "" if scheme is None else scheme + ":"
+    url += ("" if authority is None else "//" + authority) + path
+    url += ("" if query is None else "?" + query) + ("" if fragment is None else "#" + fragment)
+    assert split_url(url) == parts
 
 
 def test_parse_components_fragment_never_leaks():
