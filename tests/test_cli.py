@@ -858,8 +858,9 @@ def test_simulate_writes_deterministic_log_and_report(sim_setup):
 def test_the_per_site_curves_recount_the_log_and_sum_to_the_aggregate(sim_setup):
     tmp, graph_path, config_path = sim_setup
     report = tmp / "report"
+    # A budget that no decile of a site's downloads divides evenly.
     assert dispatch(["simulate", "--graph", str(graph_path), "--config", str(config_path),
-                     "--log", str(tmp / "log.tsv"), "--report", str(report)]) == 0
+                     "--log", str(tmp / "log.tsv"), "--report", str(report), "--budget", "37"]) == 0
     events = CrawlLog.from_tsv(tmp / "log.tsv").download_events(SiteGraph.load(graph_path))
     expected = {}
     for site in {site for site, _ in events}:
