@@ -307,18 +307,16 @@ def _attribute_value(raw: str) -> str:
 
 
 def _remove_dot_segments(path: str) -> str:
-    """``path`` as RFC 3986 §5.2.4 removes its dot segments: ``/a/./b/../c`` is ``/a/c``."""
-    out = []
-    while path:
-        if path.startswith(("../", "./")) or path in (".", ".."):
-            path = path.partition("/")[2]
-        elif path.startswith(("/./", "/../")) or path in ("/.", "/.."):
-            out = out[:-1] if path.startswith("/..") else out
-            path = "/" + path[1:].partition("/")[2]
-        else:
-            out.append(re.match(r"/?[^/]*", path).group())
-            path = path[len(out[-1]):]
-    return "".join(out)
+    """``path`` as RFC 3986 §5.2.4 removes its dot segments: ``/a/./b/../c``
+    is ``/a/c``.  The path is split once, so the time is linear in its length."""
+    first, *segments = re.sub(r"\A(?:\.\.?/)*(?:\.\.?\Z)?", "", path).split("/")
+    out = [first]
+    for segment in segments:
+        if segment == "..":
+            del out[-1:]
+        if segment not in (".", ".."):
+            out.append("/" + segment)
+    return "".join(out) + ("/" if segments[-1:] in (["."], [".."]) else "")
 
 
 def _resolve(base: str, ref: str) -> str:

@@ -133,7 +133,7 @@ def parse_components(raw: str) -> UrlComponents:
     port: int | None = None
     if ":" in authority:
         authority, _, port_text = authority.rpartition(":")
-        if port_text.isdigit():
+        if port_text.isascii() and port_text.isdigit():
             port = int(port_text)
         else:
             authority = f"{authority}:{port_text}" if authority else port_text

@@ -833,6 +833,16 @@ def test_a_live_page_at_an_empty_parameter_links_what_it_names(web_site):
     assert sorted(site.paths) == ["/..;", "/robots.txt", "/x;", "/x;?q"]
 
 
+def test_a_megabyte_href_resolves_in_time_linear_in_its_segments():
+    # Each href holds hundreds of thousands of segments: only resolution
+    # linear in their count finishes in time.
+    hrefs = ["/a" * 500_000, "../" * 350_000, "javascript:" + "/.." * 300_000]
+    html = "".join(f'<a href="{href}"></a>' for href in hrefs)
+    with hard_timeout(5):
+        links = read_page(html, "http://h.com/p/q")[1]
+    assert links == ("http://h.com" + "/a" * 500_000, "http://h.com/")
+
+
 def test_a_link_keeps_its_empty_parameter_and_query():
     html = '<a href="/x;"></a><a href="/y;?q=1"></a><a href="/z?#top"></a>'
     assert read_page(html, "http://h.com/p")[1] == (
@@ -1170,6 +1180,21 @@ def test_crawl_live_logs_a_link_without_a_host_as_an_error(web_site):
     assert [(e.url, e.outcome) for e in crawl_live(cfg)] == [
         (site.base + "/", STORED),
         ("http://:80/y", ERROR),
+    ]
+
+
+def test_crawl_live_logs_a_link_whose_port_is_no_ascii_number_as_an_error(web_site):
+    # "\u00b2" passes str.isdigit, but int() refuses it as a port.
+    site = web_site()
+    site.routes["/"] = _html("the site is in english and it is for you",
+                             "http://127.0.0.1:\u00b2/y")
+    cfg = CrawlConfig(lang_a="eng", lang_b="fra", seeds=(site.base + "/",), budget=5,
+                      per_host_delay_ms=0)
+    with hard_timeout(10):
+        log = crawl_live(cfg)
+    assert [(e.url, e.outcome) for e in log] == [
+        (site.base + "/", STORED),
+        ("http://127.0.0.1:\u00b2/y", ERROR),
     ]
 
 

@@ -193,6 +193,12 @@ def test_parse_components_port_and_userinfo():
     assert c.query_params == (("y", "1"), ("flag", ""))
 
 
+@pytest.mark.parametrize("port", ["x", "\u00b2", "\u0663"])
+def test_a_port_of_other_than_ascii_digits_stays_in_the_host(port):
+    c = parse_components(f"http://h:{port}/x")
+    assert (c.host, c.port) == (f"h:{port}", None)
+
+
 def test_psl_wildcard_and_exception():
     c = parse_components("https://www.ck/x")
     assert c.public_suffix == "ck"
