@@ -113,6 +113,16 @@ def _crawl_config(path, **flags) -> "tuple[crawler.CrawlConfig, str | None]":
     return crawler.CrawlConfig(seeds=seeds, **cfg), graph
 
 
+def _check_log(path) -> None:
+    """Refuse a crawl log ``path`` that cannot be written, before the crawl
+    and without creating the file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write the log {path}: no directory {directory}")
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        raise ConfigError(f"cannot write the log {path}")
+
+
 # ---------------------------------------------------------------------------
 # Report writing
 
@@ -121,23 +131,28 @@ def write_report(log: crawler.CrawlLog, graph: crawler.SiteGraph, out_dir) -> No
     with its parallel hits counted against ``graph``."""
     os.makedirs(out_dir, exist_ok=True)
     events = log.download_events(graph)
-    metrics.write_curve_tsv(metrics.decile_curve(events), os.path.join(out_dir, "curve_aggregate.tsv"))
+    curves = metrics.site_curves(events)
+    aggregate = metrics.decile_curve(curves.values())
+
+    with open(os.path.join(out_dir, "curve_aggregate.tsv"), "w", encoding="utf-8") as handle:
+        handle.write("# percent\tparallel_documents\n")  # gnuplot skips a '#' line
+        for percent, count in zip(metrics.DECILE_PERCENTS, aggregate):
+            handle.write(f"{percent}\t{count}\n")
 
     with open(os.path.join(out_dir, "curve_by_site.tsv"), "w", encoding="utf-8") as handle:
         handle.write("site\tpercent\tparallel_documents\n")
-        for site, curve in sorted(metrics.site_curves(events).items()):
+        for site, curve in sorted(curves.items()):
             for percent, count in zip(metrics.DECILE_PERCENTS, curve):
                 handle.write(f"{site}\t{percent}\t{count}\n")
 
     counts = log.outcome_counts()
-    hits = sum(1 for _, hit in events if hit)
     with open(os.path.join(out_dir, "summary.tsv"), "w", encoding="utf-8") as handle:
         handle.write(f"fetch_events\t{len(log)}\n")
         handle.write(f"stored\t{counts.get(crawler.STORED, 0)}\n")
         handle.write(f"discarded_language\t{counts.get(crawler.DISCARDED_LANGUAGE, 0)}\n")
         handle.write(f"errors\t{counts.get(crawler.ERROR, 0)}\n")
         handle.write(f"downloads\t{len(events)}\n")
-        handle.write(f"parallel_hits\t{hits}\n")
+        handle.write(f"parallel_hits\t{aggregate[-1]}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +359,17 @@ def _cmd_cv_combos(args) -> int:
 def _cmd_seeds(args) -> int:
     url_to_site = {}
     alive = {}
-    for line in _lines(args.urls):
-        parts = line.split("\t")
-        url_to_site[parts[0]] = parts[1] if len(parts) > 1 else crawler.site_of(parts[0])
-        if len(parts) > 2:
-            alive[parts[0]] = parts[2].lower() in ("1", "true", "ok", "yes", "200")
+    for lineno, line in numbered_lines(args.urls):
+        url, *fields = line.split("\t")
+        if len(fields) > 2:
+            raise ConfigError(f"{args.urls}:{lineno}: URL inventory row has "
+                              f"{len(fields) + 1} tab fields, not 1 to 3")
+        if not url or fields[:1] == [""]:
+            raise ConfigError(f"{args.urls}:{lineno}: URL inventory row has an empty "
+                              + ("site" if url else "URL"))
+        url_to_site[url] = fields[0] if fields else crawler.site_of(url)
+        if len(fields) > 1:
+            alive[url] = fields[1].lower() in ("1", "true", "ok", "yes", "200")
     seeds = crawler.build_seed_list(url_to_site, n=args.top, alive=alive)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -361,13 +382,13 @@ def _cmd_seeds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    crawl_cfg, config_graph = _crawl_config(
-        args.config, budget=args.budget,
+    crawl_cfg, graph_path = _crawl_config(
+        args.config, graph=args.graph, budget=args.budget,
         lang_scorer=args.lang_scorer, pair_scorer=args.pair_scorer,
     )
-    graph_path = args.graph or config_graph
     if not graph_path:
         raise ConfigError("simulate needs --graph or a 'graph' config key")
+    _check_log(args.log)
     graph = crawler.SiteGraph.load(graph_path)
     log = crawler.simulate(graph, crawl_cfg)
     log.to_tsv(args.log)
@@ -384,6 +405,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_crawl(args) -> int:
     crawl_cfg, _ = _crawl_config(args.config, budget=args.budget)
+    _check_log(args.log)
     log = crawler.crawl_live(crawl_cfg)
     log.to_tsv(args.log)
     print(f"fetch events: {len(log)}")

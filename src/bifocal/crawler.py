@@ -27,7 +27,7 @@ from . import langid, pairscore
 from .errors import BifocalError, ConfigError, FetchFailed, FrontierEmpty, NotAUrl
 from .frontier import SEED, Frontier
 from .inputs import read_json, rows, url_list
-from .isodata import UNKNOWN_LANG
+from .isodata import UNKNOWN_LANG, bundled_languages
 from .urls import parse_components, split_url
 
 logger = logging.getLogger(__name__)
@@ -604,18 +604,33 @@ def _external_scorer(spec: str, kind: str):
 
 
 def build_lang_scorer(cfg):
-    """The language scorer that ``cfg.lang_scorer`` names.
+    """The language scorer that ``cfg.lang_scorer`` names, once it is known
+    that it can answer for ``cfg.lang_a`` and ``cfg.lang_b``.
 
     Raises:
-        ConfigError: unknown name, ``ngram`` without ``lang_model_path``, or an
-            ``external:HOST:PORT`` whose port is not an integer.
+        ConfigError: unknown name, ``ngram`` without ``lang_model_path``, an
+            ``external:HOST:PORT`` whose port is not an integer, ``rule`` with
+            a code other than a canonical three-letter one, or ``ngram`` with
+            a code that is not a label of the model.
     """
+    langs = (cfg.lang_a, cfg.lang_b)
     if cfg.lang_scorer == "rule":
+        for code in langs:
+            canonical = bundled_languages().canonical(code)
+            if canonical != code:
+                hint = f"; write {canonical!r}" if canonical else ""
+                raise ConfigError(f"lang_scorer 'rule' answers canonical three-letter codes, "
+                                  f"not {code!r}{hint}")
         return langid.RuleLanguageScorer()
     if cfg.lang_scorer == "ngram":
         if not cfg.lang_model_path:
             raise ConfigError("lang_scorer 'ngram' needs lang_model_path")
-        return langid.load_model(cfg.lang_model_path)
+        model = langid.load_model(cfg.lang_model_path)
+        for code in langs:
+            if code not in model.labels:
+                raise ConfigError(f"{cfg.lang_model_path}: {code!r} is not a label of the "
+                                  f"language model, whose labels are {', '.join(model.labels)}")
+        return model
     if cfg.lang_scorer == "uniform":
         return UniformScorer()
     if cfg.lang_scorer.startswith("external:"):
@@ -766,8 +781,18 @@ def simulate(graph: SiteGraph, cfg: CrawlConfig) -> CrawlLog:
 
 def crawl_live(cfg: CrawlConfig) -> CrawlLog:
     """A crawl over HTTP, through a ``LiveFetcher`` with ``cfg``'s user agent
-    and politeness delay."""
-    return _crawl(cfg, LiveFetcher(user_agent=cfg.user_agent, per_host_delay_ms=cfg.per_host_delay_ms))
+    and politeness delay.
+
+    Raises:
+        ConfigError: ``cfg.lang_a`` or ``cfg.lang_b`` has no stopword profile,
+            so the fetcher's language detector can never report it.
+    """
+    fetcher = LiveFetcher(user_agent=cfg.user_agent, per_host_delay_ms=cfg.per_host_delay_ms)
+    known = fetcher.detector.profiles
+    for code in (cfg.lang_a, cfg.lang_b):
+        if code not in known:
+            raise ConfigError(f"a live crawl detects only {', '.join(sorted(known))}, not {code!r}")
+    return _crawl(cfg, fetcher)
 
 
 def _crawl(cfg: CrawlConfig, fetcher) -> CrawlLog:

@@ -74,16 +74,7 @@ def site_curves(events) -> "dict[str, tuple[int, ...]]":
             for site, hits in per_site.items()}
 
 
-def decile_curve(events) -> "tuple[int, ...]":
-    """Aggregate curve over ``(site, is_hit)`` download events: the sum of
-    their ``site_curves``.  An empty log yields the all-zero curve."""
-    return tuple(map(sum, zip(*site_curves(events).values()))) or (0,) * len(DECILE_PERCENTS)
-
-
-def write_curve_tsv(curve: "tuple[int, ...]", path) -> None:
-    """Write ``percent<TAB>count`` rows; the '#' header keeps the file
-    directly consumable by gnuplot."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("# percent\tparallel_documents\n")
-        for percent, count in zip(DECILE_PERCENTS, curve):
-            handle.write(f"{percent}\t{count}\n")
+def decile_curve(curves) -> "tuple[int, ...]":
+    """The aggregate curve: the sum of the given per-site curves, such as the
+    values of ``site_curves``.  No curves yield the all-zero curve."""
+    return tuple(map(sum, zip(*curves))) or (0,) * len(DECILE_PERCENTS)

@@ -110,18 +110,21 @@ def _residuals(tokens: tuple[str, ...], marker_tokens: frozenset[str]) -> tuple[
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _pair_view(url: str, marker_tokens: frozenset[str]) -> tuple:
-    """One URL's share of the pair features under one marker set.
+def _pair_view(url: str, lang: str | None) -> tuple:
+    """One URL's share of the pair features, as a URL in ``lang``.
 
     The tuple ``(core, core_set, full, residuals, markers, segments,
     query_keys)`` holds the normalized tokens and their set, the two halves
-    of ``_residuals``, the positions of the tokens that are markers, and the
-    path segments and the set of query keys (both ``None`` when the URL has
-    no scheme or host).  Memoized: a crawl pairs each URL with many others.
+    of ``_residuals`` under the language's marker set (empty for ``None``,
+    ``unk`` or a code not in the table), the positions of the tokens that
+    are markers, and the path segments and the set of query keys (both
+    ``None`` when the URL has no scheme or host).  Memoized per (URL,
+    language): a crawl pairs each URL with many others.
 
     Raises:
         NotAUrl: ``url`` is empty.
     """
+    marker_tokens = _token_set_or_empty(lang)
     core = normalize_url(url)
     full, residuals = _residuals(core, marker_tokens)
     markers = tuple(i for i, tok in enumerate(core) if tok in marker_tokens)
@@ -141,21 +144,15 @@ def _aligned(view_a: tuple, view_b: tuple) -> bool:
     return not plus_a.isdisjoint(plus_b) or full_b in plus_a or full_a in plus_b
 
 
-def baseline_align(
-    url_a: str,
-    url_b: str,
-    tokens_a: frozenset[str],
-    tokens_b: frozenset[str],
-) -> bool:
-    """True when deleting language markers can turn both URLs into one string.
+def baseline_align(url_a: str, url_b: str, lang_a: str | None, lang_b: str | None) -> bool:
+    """True when deleting markers of ``lang_a`` from ``url_a`` and of
+    ``lang_b`` from ``url_b`` can turn both URLs into one string.
 
     At least one marker must actually be deleted across the pair, and marker
     matching happens only at token boundaries of the normalized sequence.
     Identical inputs never align.
     """
-    if url_a == url_b:
-        return False
-    return _aligned(_pair_view(url_a, tokens_a), _pair_view(url_b, tokens_b))
+    return url_a != url_b and _aligned(_pair_view(url_a, lang_a), _pair_view(url_b, lang_b))
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +276,12 @@ def _features(view_a: tuple, view_b: tuple, same_url: bool) -> tuple[float, ...]
 def pair_feature_vector(
     url_a: str, url_b: str, lang_a: str | None, lang_b: str | None
 ) -> tuple[float, ...]:
-    """Features for raw URLs, marker sets derived from the languages.
+    """Features for raw URLs in the given languages.
 
     Each URL's share of the work is memoized in its view; only the pairwise
     comparison runs per call.
     """
-    return _features(
-        _pair_view(url_a, _token_set_or_empty(lang_a)),
-        _pair_view(url_b, _token_set_or_empty(lang_b)),
-        url_a == url_b,
-    )
+    return _features(_pair_view(url_a, lang_a), _pair_view(url_b, lang_b), url_a == url_b)
 
 
 @dataclass
@@ -431,8 +424,7 @@ class BaselinePairScorer:
     """Hard 0/1 scorer from the token-removal alignment rule."""
 
     def probability(self, url_a: str, url_b: str, lang_a: str | None = None, lang_b: str | None = None) -> float:
-        aligned = baseline_align(url_a, url_b, _token_set_or_empty(lang_a), _token_set_or_empty(lang_b))
-        return 1.0 if aligned else 0.0
+        return 1.0 if baseline_align(url_a, url_b, lang_a, lang_b) else 0.0
 
 
 def resolve_one_to_one(scores: "dict[tuple[str, str], float]") -> "set[tuple[str, str]]":

@@ -275,6 +275,51 @@ def test_bad_scorer_choice_is_a_config_error(sim_setup, capsys, flags):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("line, expected", [
+    ('lang_a = "en"', "lang_scorer 'rule' answers canonical three-letter codes, not 'en'; write 'eng'"),
+    ('lang_b = "fre"', "not 'fre'; write 'fra'"),
+    ('lang_a = "ENG"', "not 'ENG'; write 'eng'"),
+    ('lang_a = "english"', "lang_scorer 'rule' answers canonical three-letter codes, not 'english'\n"),
+])
+def test_a_rule_crawl_refuses_a_code_other_than_a_canonical_one(sim_setup, capsys, line, expected):
+    tmp, graph, config = sim_setup
+    assert dispatch(_simulate_with_config_line(line)(tmp, graph, config)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
+    assert not (tmp / "l.tsv").exists()
+
+
+def test_an_ngram_crawl_refuses_a_code_the_model_has_no_label_for(sim_setup, capsys):
+    tmp, graph, config = sim_setup
+    ngram = _ngram_config(tmp, config, _model_file(tmp))  # labels eng and fra
+    assert dispatch(_simulate_with_config_line('lang_b = "deu"')(tmp, graph, ngram)) == 1
+    assert capsys.readouterr().err == (f"error: {tmp / 'header.bin'}: 'deu' is not a label of "
+                                       "the language model, whose labels are eng, fra\n")
+    assert not (tmp / "l.tsv").exists()
+
+
+def test_a_config_graph_resolves_against_the_config_and_the_graph_flag_overrides_it(sim_setup, capsys):
+    tmp, graph, config = sim_setup
+    (tmp / "conf").mkdir()
+    (tmp / "conf" / "graph.json").write_bytes(graph.read_bytes())
+    with_graph = _write(tmp / "conf", "crawl.cfg", config.read_text() + 'graph = "graph.json"\n')
+    assert dispatch(["simulate", "--config", str(with_graph), "--log", str(tmp / "key.tsv")]) == 0
+    assert dispatch(["simulate", "--graph", str(graph), "--config", str(config),
+                     "--log", str(tmp / "flag.tsv")]) == 0
+    assert (tmp / "key.tsv").read_bytes() == (tmp / "flag.tsv").read_bytes()
+    # A graph of the seeds alone, without links: the crawl stores the seeds and stops.
+    seeds = (tmp / "seeds.txt").read_text().split()
+    only_seeds = _write(tmp, "seeds.json", json.dumps({"pages": {s: {"lang": "eng"} for s in seeds}}))
+    assert dispatch(["simulate", "--graph", str(only_seeds), "--config", str(with_graph),
+                     "--log", str(tmp / "seeds.tsv")]) == 0
+    assert _log_rows(tmp / "seeds.tsv") == [(seed, "stored") for seed in seeds]
+    capsys.readouterr()
+    assert dispatch(["simulate", "--graph", "", "--config", str(with_graph),
+                     "--log", str(tmp / "none.tsv")]) == 1
+    assert capsys.readouterr().err == "error: simulate needs --graph or a 'graph' config key\n"
+    assert not (tmp / "none.tsv").exists()
+
+
 def _asymmetric_graph(tmp):
     path = tmp / "asymmetric.json"
     path.write_text(json.dumps({"pages": {
@@ -423,6 +468,12 @@ def _nan_embedding_model(tmp):
     embedding = struct.pack("<8f", *[float("nan")] * 8)
     path.write_bytes(blob[:-weights - len(embedding)] + embedding + blob[-weights:])
     return path
+
+
+def _seeds_on_rows(text):
+    """``seeds`` on a URL inventory of ``text``."""
+    return lambda tmp, graph, config: [
+        "seeds", "--urls", str(_write(tmp, "inventory.tsv", text)), "--out", str(tmp / "s.txt")]
 
 
 def _negsample(strategies):
@@ -679,6 +730,18 @@ _BAD_INPUTS = [
     ("simulate without a graph",
      lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv")],
      "simulate needs --graph or a 'graph' config key"),
+    ("seeds row with four fields",
+     _seeds_on_rows("https://a.com/x\ta.com\nhttps://a.com/y\ta.com\t1\textra\n"),
+     "inventory.tsv:2: URL inventory row has 4 tab fields, not 1 to 3"),
+    ("seeds row with an empty URL", _seeds_on_rows("https://a.com/x\ta.com\n\ta.com\n"),
+     "inventory.tsv:2: URL inventory row has an empty URL"),
+    ("seeds rows with empty sites",
+     _seeds_on_rows("https://b.com/x\t\nhttps://b.com/y\t\t1\n"),
+     "inventory.tsv:1: URL inventory row has an empty site"),
+    ("simulate log in a missing directory",
+     lambda tmp, graph, config: ["simulate", "--graph", str(graph), "--config", str(config),
+                                 "--log", str(tmp / "missing" / "l.tsv")],
+     "missing/l.tsv: no directory"),
     ("graph that is not UTF-8",
      lambda tmp, graph, config: ["simulate", "--config", str(config), "--log", str(tmp / "l.tsv"),
                                  "--graph", str(_write_bytes(tmp, "latin1.json", b'{"\xe9": 1}'))],
@@ -1395,3 +1458,25 @@ def test_a_reply_that_is_not_http_is_a_fetch_error(tmp_path, web_site):
     ]
     assert broken.paths == ["/robots.txt"]
     assert site.paths == ["/robots.txt", "/", "/garbage"]
+
+
+def test_a_live_crawl_refuses_a_language_it_cannot_detect(tmp_path, capsys, web_site):
+    site = web_site()
+    config = _live_config(tmp_path, site.base + "/")
+    config.write_text(config.read_text() + 'lang_b = "jpn"\n')  # rule answers jpn
+    assert dispatch(["crawl", "--config", str(config), "--log", str(tmp_path / "live.tsv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: a live crawl detects only dan, deu, eng, eus, fin, fra, isl, ita, mlt, nld, "
+        "nor, por, spa, swe, not 'jpn'\n")
+    assert site.paths == []
+    assert not (tmp_path / "live.tsv").exists()
+
+
+def test_crawl_refuses_a_log_it_cannot_write_before_the_first_fetch(tmp_path, capsys, web_site):
+    site = web_site()
+    log = tmp_path / "missing" / "live.tsv"
+    assert dispatch(["crawl", "--config", str(_live_config(tmp_path, site.base + "/")),
+                     "--log", str(log)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write the log {log}: no directory {log.parent}\n"
+    assert site.paths == []
+    assert not log.parent.exists()

@@ -9,8 +9,11 @@ from bifocal.metrics import (
     decile_curve,
     macro_prf,
     prf,
-    write_curve_tsv,
+    site_curves,
 )
+from bifocal.cli import write_report
+from bifocal.crawler import STORED, CrawlEvent, CrawlLog, SiteGraph, SitePage
+from bifocal.frontier import SEED
 from references import brute_force_prf
 
 
@@ -105,7 +108,7 @@ def test_confusion_matrix_rejects_negative():
 
 def test_curve_hits_at_start():
     events = [("s", True)] * 3 + [("s", False)] * 7
-    counts = decile_curve(events)
+    counts = decile_curve(site_curves(events).values())
     assert counts[0] == 0
     assert counts[3] == 3  # 30% of 10 downloads covers all three hits
     assert all(c == 3 for c in counts[3:])
@@ -119,9 +122,9 @@ def test_two_sites_sum_pointwise():
         merged.append(site_a[i])
         merged.append(site_b[i])
     merged.extend(site_b[10:])
-    combined = decile_curve(merged)
-    ca = decile_curve(site_a)
-    cb = decile_curve(site_b)
+    combined = decile_curve(site_curves(merged).values())
+    ca = decile_curve(site_curves(site_a).values())
+    cb = decile_curve(site_curves(site_b).values())
     assert combined == tuple(x + y for x, y in zip(ca, cb))
 
 
@@ -142,26 +145,31 @@ def test_curve_matches_brute_force_recount():
                 prefix = (percent * len(hits)) // 100
                 total += sum(hits[:prefix])
             expected.append(total)
-        assert list(decile_curve(events)) == expected
+        assert list(decile_curve(site_curves(events).values())) == expected
 
 
 def test_empty_log_zero_curve():
-    assert decile_curve([]) == (0,) * 11
+    assert decile_curve(site_curves([]).values()) == (0,) * 11
 
 
 def test_curve_monotone_and_final_total():
     rng = random.Random(9)
     events = [("s", rng.random() < 0.5) for _ in range(37)]
-    counts = decile_curve(events)
+    counts = decile_curve(site_curves(events).values())
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     assert counts[-1] == sum(1 for _, h in events if h)
 
 
 def test_curve_tsv(tmp_path):
-    curve = decile_curve([("s", True), ("s", False)])
-    path = tmp_path / "curve.tsv"
-    write_curve_tsv(curve, path)
-    lines = path.read_text().splitlines()
+    # One site's downloads: a miss, then the page that completes its pair.
+    graph = SiteGraph({
+        "http://s/en": SitePage("eng", (), frozenset({"http://s/fr"})),
+        "http://s/fr": SitePage("fra", (), frozenset({"http://s/en"})),
+    })
+    log = CrawlLog([CrawlEvent(1, "http://s/fr", STORED, "fra", SEED),
+                    CrawlEvent(2, "http://s/en", STORED, "eng", 1.0)])
+    write_report(log, graph, tmp_path)
+    lines = (tmp_path / "curve_aggregate.tsv").read_text().splitlines()
     assert lines[0].startswith("#")
     assert len(lines) == 12
     assert lines[1] == "0\t0"
